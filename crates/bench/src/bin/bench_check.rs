@@ -1,55 +1,30 @@
 //! CI gate over the committed bench JSONs: turns the bench-smoke job
 //! from "print the numbers" into an assertion.
 //!
-//! Usage:
-//! `bench_check <baseline.json> <fresh.json> [<sim_baseline.json> <sim_fresh.json>]`
+//! Usage: `bench_check <baseline.json> <fresh.json>`
 //!
-//! Over `BENCH_incremental.json` (the first pair), two checks, exit
-//! code 1 on any failure:
-//!
-//! 1. **Speedup floor** — the fresh run's `gate_speedup` must be ≥ 1.0
-//!    at every size where the incremental ledger is supposed to win
-//!    (n ∈ {64, 512, 2048}). The n=8 point is deliberately excluded
-//!    from the *gate* comparison: below `incremental_cutoff` the gate
-//!    now runs the full backend on both arms (the raw ledger recorded
-//!    0.58× there before the cutoff landed), so the ratio is ~1 noise.
-//! 2. **Makespan pin** — each size's greedy `makespan` must equal the
-//!    committed baseline's. Timing numbers drift with hardware;
-//!    schedule *quality* must not. A makespan change means the greedy
-//!    scheduler's behaviour changed, which a perf-smoke job must not
-//!    let slide through silently.
-//!
-//! Over `BENCH_simulate.json` (the optional second pair), the same two
-//! shapes for the flat-scan optimization:
-//!
-//! 3. **End-to-end speedup floor** — `e2e_speedup` (legacy scan ÷ flat
-//!    scan, whole `greedy_schedule` wall clock) must clear per-size
-//!    floors well below the committed numbers but high enough to catch
-//!    a real regression: ≥1.2× at 64, ≥3× at 512, ≥5× at 2048 (the
-//!    committed run records 1.7×/6.8×/29×). n=8 carries a ≥0.95 floor:
-//!    below `incremental_cutoff` the default config now takes the
-//!    legacy walks on *both* arms (the flat tables recorded a 0.90×
-//!    small-n slowdown before that fallback landed), so the ratio must
-//!    sit at ~1.0 noise and anything under 0.95 means small instances
-//!    quietly regressed again.
-//! 4. **Makespan pin** — as above, at every emitted size; the flat
-//!    scan must be behaviourally invisible.
-//!
-//! A further series is printed but never gated: per-size `gate_nanos`
-//! deltas against the baseline (gate wall-clock drifts with hardware,
-//! so it is CI-log information, not an assertion).
+//! Over `BENCH_greedy.json`, exit code 1 on any failure: at every
+//! size, the fresh run's `makespan` and its deterministic work counts
+//! (`simulator_calls`, `cells_touched`, `ledger_applies`) must equal
+//! the committed baseline's exactly. Timing numbers drift with
+//! hardware; schedule *quality* and the amount of work the planner
+//! does for it must not — a change in either means the greedy
+//! scheduler's behaviour changed, which a perf-smoke job must not let
+//! slide through silently. `ns_per_op` / `gate_ns_per_op` deltas are
+//! printed for the CI log but never gated: wall-clock regressions are
+//! gated end to end by `benchmark/`.
 //!
 //! A second mode, `bench_check --multiflow <baseline.json> <fresh.json>`,
 //! gates `BENCH_multiflow.json` (sharded vs joint planning):
 //!
-//! 5. **Sharded speedup floor** — the fresh `summary/2048x128` cell's
+//! 1. **Sharded speedup floor** — the fresh `summary/2048x128` cell's
 //!    `speedup` must be ≥ 2.0. That is the cell the sharded planner
 //!    exists for (fabric-scale topology, K = 128 flows); the committed
 //!    run records ~2.9×, so the floor is well clear of noise while
 //!    still catching the planner losing its edge. Smaller cells are
 //!    printed for the log but never gated — at K = 8 the partition
 //!    overhead legitimately loses to a trivial joint run.
-//! 6. **Clean-rate pin** — `sharded_clean` and `joint_clean` must
+//! 2. **Clean-rate pin** — `sharded_clean` and `joint_clean` must
 //!    equal the committed baseline at *every* cell. Timing drifts;
 //!    the fraction of runs that end with a sealed, `check`-clean
 //!    certificate must not.
@@ -61,20 +36,21 @@
 
 use std::process::ExitCode;
 
-/// Sizes whose gate speedup must clear 1.0 (see module docs for why
-/// n=8 is excluded).
-const GATED_SIZES: &[usize] = &[64, 512, 2048];
-
-/// All sizes the benches emit; makespans are pinned at every one.
+/// All sizes `bench_greedy` emits.
 const ALL_SIZES: &[usize] = &[8, 64, 512, 2048];
 
-/// Per-size floors for the flat-scan end-to-end speedup (size, floor).
-/// n=8 runs the legacy scan on both arms (small-n cutoff), so its
-/// floor guards against the ratio drifting below parity noise.
-const E2E_FLOORS: &[(usize, f64)] = &[(8, 0.95), (64, 1.2), (512, 3.0), (2048, 5.0)];
+/// The `BENCH_greedy.json` fields that must match the baseline exactly.
+const PINNED_FIELDS: &[&str] = &[
+    "makespan",
+    "simulator_calls",
+    "cells_touched",
+    "ledger_applies",
+];
 
 /// Every cell `bench_multiflow` emits, as `{n}x{K}` key suffixes.
-const MULTIFLOW_CELLS: &[&str] = &["512x8", "512x32", "512x128", "2048x8", "2048x32", "2048x128"];
+const MULTIFLOW_CELLS: &[&str] = &[
+    "512x8", "512x32", "512x128", "2048x8", "2048x32", "2048x128",
+];
 
 /// The one gated multiflow cell and its sharded-speedup floor. The
 /// committed run records ~2.9× here; 2.0 catches a real regression
@@ -111,8 +87,22 @@ fn read(path: &str) -> Option<String> {
     }
 }
 
-/// `--multiflow` mode: gates `BENCH_multiflow.json` (see module docs,
-/// checks 5 and 6).
+/// Requires `key.field` to be present in both JSON texts and equal;
+/// reports the result and returns the number of failures (0 or 1).
+fn pin(baseline: &str, fresh: &str, key: &str, field: &str) -> u32 {
+    match (lookup(baseline, key, field), lookup(fresh, key, field)) {
+        (Some(b), Some(f)) if b == f => {
+            println!("ok: {key} {field} {f} unchanged");
+            return 0;
+        }
+        (Some(b), Some(f)) => eprintln!("FAIL: {key} {field} changed: baseline {b}, fresh {f}"),
+        (None, _) => eprintln!("FAIL: {key} {field} missing from the baseline file"),
+        (_, None) => eprintln!("FAIL: {key} {field} missing from the fresh file"),
+    }
+    1
+}
+
+/// `--multiflow` mode: gates `BENCH_multiflow.json` (see module docs).
 fn check_multiflow(baseline_path: &str, fresh_path: &str) -> ExitCode {
     let (Some(baseline), Some(fresh)) = (read(baseline_path), read(fresh_path)) else {
         return ExitCode::FAILURE;
@@ -137,21 +127,7 @@ fn check_multiflow(baseline_path: &str, fresh_path: &str) -> ExitCode {
     for &cell in MULTIFLOW_CELLS {
         let key = format!("summary/{cell}");
         for field in ["sharded_clean", "joint_clean"] {
-            match (lookup(&baseline, &key, field), lookup(&fresh, &key, field)) {
-                (Some(b), Some(f)) if b == f => println!("ok: {key} {field} {f:.2} unchanged"),
-                (Some(b), Some(f)) => {
-                    eprintln!("FAIL: {key} {field} changed: baseline {b:.2}, fresh {f:.2}");
-                    failures += 1;
-                }
-                (None, _) => {
-                    eprintln!("FAIL: {key} {field} missing from baseline {baseline_path}");
-                    failures += 1;
-                }
-                (_, None) => {
-                    eprintln!("FAIL: {key} {field} missing from {fresh_path}");
-                    failures += 1;
-                }
-            }
+            failures += pin(&baseline, &fresh, &key, field);
         }
         // Ungated speedups: CI-log information (hardware-dependent,
         // and small cells legitimately sit below 1.0).
@@ -174,126 +150,38 @@ fn check_multiflow(baseline_path: &str, fresh_path: &str) -> ExitCode {
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().collect();
-    let (baseline_path, fresh_path, sim_paths) = match args.as_slice() {
+    let (baseline_path, fresh_path) = match args.as_slice() {
         [_, flag, b, f] if flag == "--multiflow" => return check_multiflow(b, f),
-        [_, b, f] => (b.clone(), f.clone(), None),
-        [_, b, f, sb, sf] => (b.clone(), f.clone(), Some((sb.clone(), sf.clone()))),
+        [_, b, f] => (b, f),
         _ => {
             eprintln!(
-                "usage: bench_check <baseline.json> <fresh.json> \
-                 [<sim_baseline.json> <sim_fresh.json>]\n\
+                "usage: bench_check <baseline.json> <fresh.json>\n\
                  \u{20}      bench_check --multiflow <baseline.json> <fresh.json>"
             );
             return ExitCode::FAILURE;
         }
     };
-    let (Some(baseline), Some(fresh)) = (read(&baseline_path), read(&fresh_path)) else {
+    let (Some(baseline), Some(fresh)) = (read(baseline_path), read(fresh_path)) else {
         return ExitCode::FAILURE;
     };
 
     let mut failures = 0u32;
 
-    for &n in GATED_SIZES {
-        let key = format!("summary/{n}");
-        match lookup(&fresh, &key, "gate_speedup") {
-            Some(s) if s >= 1.0 => println!("ok: {key} gate_speedup {s:.2} >= 1.0"),
-            Some(s) => {
-                eprintln!("FAIL: {key} gate_speedup {s:.2} < 1.0 — incremental gate regressed");
-                failures += 1;
-            }
-            None => {
-                eprintln!("FAIL: {key} gate_speedup missing from {fresh_path}");
-                failures += 1;
-            }
-        }
-    }
-
     for &n in ALL_SIZES {
-        let key = format!("summary/{n}");
-        let (base_m, fresh_m) = (
-            lookup(&baseline, &key, "makespan"),
-            lookup(&fresh, &key, "makespan"),
-        );
-        match (base_m, fresh_m) {
-            (Some(b), Some(f)) if b == f => println!("ok: {key} makespan {f} unchanged"),
-            (Some(b), Some(f)) => {
-                eprintln!("FAIL: {key} makespan changed: baseline {b}, fresh {f}");
-                failures += 1;
-            }
-            (None, _) => {
-                eprintln!("FAIL: {key} makespan missing from baseline {baseline_path}");
-                failures += 1;
-            }
-            (_, None) => {
-                eprintln!("FAIL: {key} makespan missing from {fresh_path}");
-                failures += 1;
-            }
+        let key = format!("greedy/{n}");
+        for &field in PINNED_FIELDS {
+            failures += pin(&baseline, &fresh, &key, field);
         }
-    }
-
-    if let Some((sim_baseline_path, sim_fresh_path)) = &sim_paths {
-        let (Some(sim_baseline), Some(sim_fresh)) = (read(sim_baseline_path), read(sim_fresh_path))
-        else {
-            return ExitCode::FAILURE;
-        };
-
-        for &(n, floor) in E2E_FLOORS {
-            let key = format!("summary/{n}");
-            match lookup(&sim_fresh, &key, "e2e_speedup") {
-                Some(s) if s >= floor => {
-                    println!("ok: sim {key} e2e_speedup {s:.2} >= {floor:.2}");
-                }
-                Some(s) => {
-                    eprintln!(
-                        "FAIL: sim {key} e2e_speedup {s:.2} < {floor:.2} — \
-                         flat-scan greedy regressed"
-                    );
-                    failures += 1;
-                }
-                None => {
-                    eprintln!("FAIL: sim {key} e2e_speedup missing from {sim_fresh_path}");
-                    failures += 1;
-                }
+        // Informational only — wall clock drifts with hardware.
+        for field in ["ns_per_op", "gate_ns_per_op"] {
+            match (lookup(&baseline, &key, field), lookup(&fresh, &key, field)) {
+                (Some(b), Some(f)) if b > 0.0 => println!(
+                    "info: {key} {field} {f:.0} (baseline {b:.0}, {:+.1}%)",
+                    (f - b) / b * 100.0
+                ),
+                (_, Some(f)) => println!("info: {key} {field} {f:.0} (no baseline value)"),
+                (_, None) => println!("info: {key} {field} not recorded in {fresh_path}"),
             }
-        }
-
-        for &n in ALL_SIZES {
-            let key = format!("summary/{n}");
-            match (
-                lookup(&sim_baseline, &key, "makespan"),
-                lookup(&sim_fresh, &key, "makespan"),
-            ) {
-                (Some(b), Some(f)) if b == f => println!("ok: sim {key} makespan {f} unchanged"),
-                (Some(b), Some(f)) => {
-                    eprintln!("FAIL: sim {key} makespan changed: baseline {b}, fresh {f}");
-                    failures += 1;
-                }
-                (None, _) => {
-                    eprintln!("FAIL: sim {key} makespan missing from baseline {sim_baseline_path}");
-                    failures += 1;
-                }
-                (_, None) => {
-                    eprintln!("FAIL: sim {key} makespan missing from {sim_fresh_path}");
-                    failures += 1;
-                }
-            }
-        }
-    }
-
-    // Informational only — gate-time wall-clock drifts with hardware,
-    // so the deltas are printed for the CI log but never gated on.
-    for &n in ALL_SIZES {
-        let key = format!("summary/{n}");
-        match (
-            lookup(&baseline, &key, "gate_nanos"),
-            lookup(&fresh, &key, "gate_nanos"),
-        ) {
-            (Some(b), Some(f)) if b > 0.0 => println!(
-                "info: {key} gate_nanos {f:.0} (baseline {b:.0}, {:+.1}%)",
-                (f - b) / b * 100.0
-            ),
-            (_, Some(f)) => println!("info: {key} gate_nanos {f:.0} (no baseline value)"),
-            (_, None) => println!("info: {key} gate_nanos not recorded in {fresh_path}"),
         }
     }
 

@@ -8,7 +8,7 @@
 //! `core.greedy`, so an n=512 run pushes thousands of events through
 //! the calling thread's ring.
 //!
-//! Methodology matches `bench_simulate`: interleaved reps (off, on,
+//! Methodology: interleaved reps (off, on,
 //! off, on, …) so clock ramps and neighbour load hit both arms
 //! equally, min-of-reps to discard preemption spikes, one untimed
 //! warm-up pair. Emits `BENCH_flightrec.json` with both arms'

@@ -63,12 +63,10 @@ fn main() {
         let g = &p.chronus_gate;
         let saved = g.full_equivalent_cells.saturating_sub(g.cells_touched);
         println!(
-            "  n={:<5} {} gate calls ({} incremental / {} full), \
+            "  n={:<5} {} gate checks, \
              {} applies, {} undos, {} cells touched vs {} full-sim equivalent ({} saved)",
             p.switches,
-            p.chronus_gate_calls,
-            g.incremental_checks,
-            g.full_checks,
+            g.checks,
             g.ledger_applies,
             g.ledger_undos,
             g.cells_touched,

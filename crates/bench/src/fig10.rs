@@ -76,8 +76,6 @@ pub struct RuntimePoint {
     pub or: Timing,
     /// OPT exact search.
     pub opt: Timing,
-    /// Exact simulator-gate calls across the greedy runs.
-    pub chronus_gate_calls: u64,
     /// The greedy gate's ledger counters, summed over the runs.
     pub chronus_gate: GateStats,
 }
@@ -91,7 +89,6 @@ pub fn run(opts: &RunOptions, sizes: &[usize]) -> Vec<RuntimePoint> {
         let mut opt_ms = 0.0;
         let mut or_done = true;
         let mut opt_done = true;
-        let mut gate_calls = 0u64;
         let mut gate = GateStats::default();
         let samples = opts.runs.max(1);
         for run in 0..samples {
@@ -101,7 +98,6 @@ pub fn run(opts: &RunOptions, sizes: &[usize]) -> Vec<RuntimePoint> {
 
             let t0 = Instant::now();
             if let Ok(out) = greedy_schedule(&inst) {
-                gate_calls += out.simulator_calls as u64;
                 gate.absorb(&out.gate);
             }
             chronus_ms += t0.elapsed().as_secs_f64() * 1e3;
@@ -150,7 +146,6 @@ pub fn run(opts: &RunOptions, sizes: &[usize]) -> Vec<RuntimePoint> {
                 ms: opt_ms / k,
                 completed: opt_done,
             },
-            chronus_gate_calls: gate_calls,
             chronus_gate: gate,
         });
     }

@@ -16,12 +16,12 @@
 //! downstream, or revisiting the *second* switch of its new route) can
 //! slip past them. To guarantee Theorem 3 — every emitted schedule is
 //! congestion- and loop-free — each candidate commit is additionally
-//! verified by the exact [`chronus_timenet::FluidSimulator`] on the
-//! partial schedule. A candidate is committed only if the partial
-//! schedule extended by it simulates clean; since the final schedule
-//! *is* the last accepted partial schedule, the result is consistent
-//! by induction. The local checks remain as cheap pre-filters (and can
-//! be toggled off for the ablation benches).
+//! verified by the exact [`chronus_timenet::IncrementalSimulator`]
+//! mirroring the partial schedule. A candidate is committed only if
+//! the partial schedule extended by it simulates clean; since the
+//! final schedule *is* the last accepted partial schedule, the result
+//! is consistent by induction. The local checks remain as cheap
+//! pre-filters (and can be toggled off for the ablation benches).
 //!
 //! ## Prefix safety
 //!
@@ -47,16 +47,11 @@
 // Round state is dense-indexed by item ids the scheduler minted.
 #![allow(clippy::indexing_slicing, clippy::expect_used)]
 
-use crate::deps::{dependency_set, DependencySet};
-use crate::loopcheck::creates_forwarding_loop;
-use crate::par::ParallelScorer;
+use crate::deps::DependencySet;
 use crate::scan::FlowScan;
 use crate::{MutpProblem, ScheduleError};
 use chronus_net::{FlowId, SwitchId, TimeStep, UpdateInstance};
-use chronus_timenet::{
-    Delta, FluidSimulator, GateBackendKind, GateStats, IncrementalSimulator, Schedule,
-    SimWorkspace, SimulatorConfig, Verdict,
-};
+use chronus_timenet::{Delta, GateStats, IncrementalSimulator, Schedule, SimWorkspace, Verdict};
 use std::collections::BTreeSet;
 use std::time::Instant;
 
@@ -77,34 +72,6 @@ pub struct GreedyConfig {
     /// violate consistency in corner cases — the ablation bench
     /// measures how often.
     pub exact_gate: bool,
-    /// Back the exact gate with the O(Δ) [`IncrementalSimulator`]
-    /// (default true) instead of a fresh full simulation per check.
-    /// Both backends return identical verdicts — this knob exists for
-    /// the differential benches and as an escape hatch.
-    pub incremental_gate: bool,
-    /// Below this many switches the flat-path machinery's bookkeeping
-    /// costs more than it saves (BENCH_incremental.json shows a 0.58×
-    /// gate *slowdown* at n=8, and BENCH_simulate.json showed a 0.90×
-    /// end-to-end slowdown before the scan joined the rule), so both
-    /// the gate and the candidate scan fall back: the gate to full
-    /// resimulation even when [`GreedyConfig::incremental_gate`] is
-    /// set, and the scan to the legacy Path walks as if
-    /// [`GreedyConfig::legacy_scan`] were set. All combinations
-    /// produce byte-identical schedules; `GateStats::backend` records
-    /// which gate ran. Set to 0 to always take the flat paths.
-    pub incremental_cutoff: usize,
-    /// Use the legacy per-candidate dependency/loop scan (Path walks +
-    /// hash lookups per check) instead of the flat [`FlowScan`]
-    /// tables. The two are proven schedule-identical by differential
-    /// proptests; the flag exists for ablation benches. Default false.
-    pub legacy_scan: bool,
-    /// Score each round's candidate batch on this many worker threads
-    /// (default 1 = sequential). Workers hold mirror simulators and
-    /// verdicts are merged deterministically in candidate order, so
-    /// schedules are byte-identical at any worker count. Only the
-    /// incremental gate backend parallelizes; other configurations
-    /// silently run sequentially.
-    pub parallel_candidates: usize,
     /// Fail immediately when Algorithm 3 reports a dependency cycle
     /// (the paper's Algorithm 2 lines 7–8). Default false: cycles are
     /// often transient (they dissolve as old flow drains), so the
@@ -125,30 +92,14 @@ impl Default for GreedyConfig {
             loop_precheck: true,
             heads_only: true,
             exact_gate: true,
-            incremental_gate: true,
-            incremental_cutoff: 32,
-            legacy_scan: false,
-            parallel_candidates: 1,
             fail_on_cycle: false,
             verify: chronus_verify::VerifyConfig::default(),
         }
     }
 }
 
-/// The two interchangeable exactness-gate backends.
-enum GateBackend<'a> {
-    /// Fresh full simulation per check (the pre-optimization path).
-    Full {
-        sim: FluidSimulator<'a>,
-        ws: SimWorkspace,
-    },
-    /// Persistent incremental state, updated in O(affected cohorts).
-    Incremental(Box<IncrementalSimulator>),
-}
-
-/// The exactness gate: owns whichever backend the config selected and
-/// keeps the two behaviourally identical (same accept/reject answers,
-/// same schedule side effects on rejection).
+/// The exactness gate: a persistent [`IncrementalSimulator`] mirroring
+/// the partial schedule, updated in O(affected cohorts) per check.
 ///
 /// Instrumentation lives in a gate-scoped
 /// [`chronus_trace::MetricsRegistry`] (`chronus_core_gate_*` names);
@@ -157,95 +108,65 @@ enum GateBackend<'a> {
 /// `chronus_core_gate_ns` histogram whose exact sum is the run's
 /// `gate_nanos`. The registry is per-run, so concurrent plans (and
 /// parallel tests) never share counters.
-struct ExactGate<'a> {
-    backend: GateBackend<'a>,
+struct ExactGate {
+    inc: IncrementalSimulator,
     /// Pooled delta scratch for `try_extend` (no per-candidate alloc).
     deltas: Vec<Delta>,
     registry: chronus_trace::MetricsRegistry,
-    calls: chronus_trace::Counter,
-    incremental_checks: chronus_trace::Counter,
-    full_checks: chronus_trace::Counter,
+    checks: chronus_trace::Counter,
     full_equivalent_cells: chronus_trace::Counter,
     /// Wall-clock nanoseconds spent inside the gate (construction,
-    /// mirroring, checks) — the "exact-gate planning time" that the
-    /// incremental backend exists to shrink. One observation per
-    /// timed segment; the histogram sum is the exact total.
+    /// mirroring, checks). One observation per timed segment; the
+    /// histogram sum is the exact total.
     gate_ns: chronus_trace::Histogram,
 }
 
-impl<'a> ExactGate<'a> {
-    fn new(instance: &'a UpdateInstance, incremental: bool, ws: SimWorkspace) -> Self {
+impl ExactGate {
+    fn new(instance: &UpdateInstance, ws: SimWorkspace) -> Self {
         let registry = chronus_trace::MetricsRegistry::new();
-        let calls = registry.counter("chronus_core_gate_checks_total");
-        let incremental_checks = registry.counter("chronus_core_gate_incremental_checks_total");
-        let full_checks = registry.counter("chronus_core_gate_full_checks_total");
+        let checks = registry.counter("chronus_core_gate_checks_total");
         let full_equivalent_cells =
             registry.counter("chronus_core_gate_full_equivalent_cells_total");
         let gate_ns = registry.histogram("chronus_core_gate_ns");
         // chronus-lint: allow(det-wallclock) — GateStats wall-time stamp; observability only, never feeds the schedule
         let t0 = Instant::now();
-        let backend = if incremental {
-            GateBackend::Incremental(Box::new(IncrementalSimulator::with_workspace(instance, ws)))
-        } else {
-            let sim_cfg = SimulatorConfig {
-                record_loads: false,
-                fail_fast: true,
-                ..SimulatorConfig::default()
-            };
-            GateBackend::Full {
-                sim: FluidSimulator::with_config(instance, sim_cfg),
-                ws,
-            }
-        };
+        let inc = IncrementalSimulator::with_workspace(instance, ws);
         gate_ns.record(t0.elapsed().as_nanos() as u64);
         ExactGate {
-            backend,
+            inc,
             deltas: Vec::new(),
             registry,
-            calls,
-            incremental_checks,
-            full_checks,
+            checks,
             full_equivalent_cells,
             gate_ns,
         }
     }
 
     /// Mirrors an unconditional schedule entry (the fresh pre-pass)
-    /// into the incremental state without a verdict check.
+    /// into the simulator without a verdict check.
     fn mirror_set(&mut self, flow: FlowId, switch: SwitchId, t: TimeStep) {
-        if let GateBackend::Incremental(inc) = &mut self.backend {
-            // chronus-lint: allow(det-wallclock) — GateStats wall-time stamp; observability only, never feeds the schedule
-            let t0 = Instant::now();
-            let d = inc.apply(flow, switch, t);
-            inc.commit(d); // never undone: recycle its undo buffers
-            self.gate_ns.record(t0.elapsed().as_nanos() as u64);
-        }
-    }
-
-    /// One gate check of the current schedule as-is.
-    fn check_current(&mut self, schedule: &Schedule) -> bool {
         // chronus-lint: allow(det-wallclock) — GateStats wall-time stamp; observability only, never feeds the schedule
         let t0 = Instant::now();
-        self.calls.inc();
-        let ok = match &mut self.backend {
-            GateBackend::Full { sim, .. } => {
-                self.full_checks.inc();
-                sim.run(schedule).verdict() == Verdict::Consistent
-            }
-            GateBackend::Incremental(inc) => {
-                self.incremental_checks.inc();
-                self.full_equivalent_cells.add(inc.live_cells());
-                inc.verdict() == Verdict::Consistent
-            }
-        };
+        let d = self.inc.apply(flow, switch, t);
+        self.inc.commit(d); // never undone: recycle its undo buffers
+        self.gate_ns.record(t0.elapsed().as_nanos() as u64);
+    }
+
+    /// One gate check of the mirrored schedule as-is.
+    fn check_current(&mut self) -> bool {
+        // chronus-lint: allow(det-wallclock) — GateStats wall-time stamp; observability only, never feeds the schedule
+        let t0 = Instant::now();
+        self.checks.inc();
+        self.full_equivalent_cells.add(self.inc.live_cells());
+        let ok = self.inc.verdict() == Verdict::Consistent;
         self.gate_ns.record(t0.elapsed().as_nanos() as u64);
         ok
     }
 
-    /// Tentatively extends the schedule by `switches @ t` for `flow`
-    /// and gate-checks it. On rejection every side effect is rolled
-    /// back (schedule entries unset, incremental deltas undone); on
-    /// acceptance the extension stays committed.
+    /// Gate-checks the schedule extended by `switches @ t` for `flow`.
+    /// On acceptance the extension is committed to the simulator and
+    /// written into `schedule`; on rejection the simulator deltas are
+    /// undone and `schedule` is left untouched.
     fn try_extend(
         &mut self,
         schedule: &mut Schedule,
@@ -255,39 +176,23 @@ impl<'a> ExactGate<'a> {
     ) -> bool {
         // chronus-lint: allow(det-wallclock) — GateStats wall-time stamp; observability only, never feeds the schedule
         let t0 = Instant::now();
-        self.calls.inc();
+        self.checks.inc();
+        self.full_equivalent_cells.add(self.inc.live_cells());
+        debug_assert!(self.deltas.is_empty());
         for &v in switches {
-            schedule.set(flow, v, t);
+            self.deltas.push(self.inc.apply(flow, v, t));
         }
-        let ok = match &mut self.backend {
-            GateBackend::Full { sim, .. } => {
-                self.full_checks.inc();
-                sim.run(schedule).verdict() == Verdict::Consistent
+        let ok = self.inc.verdict() == Verdict::Consistent;
+        if ok {
+            for d in self.deltas.drain(..) {
+                self.inc.commit(d); // accepted: never undone
             }
-            GateBackend::Incremental(inc) => {
-                self.incremental_checks.inc();
-                self.full_equivalent_cells.add(inc.live_cells());
-                let deltas = &mut self.deltas;
-                debug_assert!(deltas.is_empty());
-                for &v in switches {
-                    deltas.push(inc.apply(flow, v, t));
-                }
-                let ok = inc.verdict() == Verdict::Consistent;
-                if ok {
-                    for d in deltas.drain(..) {
-                        inc.commit(d); // accepted: never undone
-                    }
-                } else {
-                    while let Some(d) = deltas.pop() {
-                        inc.undo(d);
-                    }
-                }
-                ok
-            }
-        };
-        if !ok {
             for &v in switches {
-                schedule.unset(flow, v);
+                schedule.set(flow, v, t);
+            }
+        } else {
+            while let Some(d) = self.deltas.pop() {
+                self.inc.undo(d);
             }
         }
         self.gate_ns.record(t0.elapsed().as_nanos() as u64);
@@ -298,39 +203,22 @@ impl<'a> ExactGate<'a> {
     /// workspace buffers. The returned [`GateStats`] is derived from
     /// the gate's registry — the counters and the stats view are the
     /// same numbers by construction.
-    fn into_parts(self) -> (usize, GateStats, u64, SimWorkspace) {
-        let ledger_applies = self
-            .registry
-            .counter("chronus_core_gate_ledger_applies_total");
-        let ledger_undos = self
-            .registry
-            .counter("chronus_core_gate_ledger_undos_total");
-        let cells_touched = self
-            .registry
-            .counter("chronus_core_gate_cells_touched_total");
-        let backend_kind = match &self.backend {
-            GateBackend::Full { .. } => GateBackendKind::Full,
-            GateBackend::Incremental(_) => GateBackendKind::Incremental,
-        };
-        let ws = match self.backend {
-            GateBackend::Full { ws, .. } => ws,
-            GateBackend::Incremental(inc) => {
-                ledger_applies.add(inc.applies());
-                ledger_undos.add(inc.undos());
-                cells_touched.add(inc.cell_visits());
-                inc.into_workspace()
-            }
-        };
+    fn into_parts(self) -> (GateStats, u64, SimWorkspace) {
+        let counter = |name| self.registry.counter(name);
+        let ledger_applies = counter("chronus_core_gate_ledger_applies_total");
+        let ledger_undos = counter("chronus_core_gate_ledger_undos_total");
+        let cells_touched = counter("chronus_core_gate_cells_touched_total");
+        ledger_applies.add(self.inc.applies());
+        ledger_undos.add(self.inc.undos());
+        cells_touched.add(self.inc.cell_visits());
         let stats = GateStats {
-            backend: backend_kind,
-            incremental_checks: self.incremental_checks.get(),
-            full_checks: self.full_checks.get(),
+            checks: self.checks.get(),
             ledger_applies: ledger_applies.get(),
             ledger_undos: ledger_undos.get(),
             cells_touched: cells_touched.get(),
             full_equivalent_cells: self.full_equivalent_cells.get(),
         };
-        (self.calls.get() as usize, stats, self.gate_ns.sum(), ws)
+        (stats, self.gate_ns.sum(), self.inc.into_workspace())
     }
 }
 
@@ -356,10 +244,10 @@ pub struct GreedyOutcome {
     pub rounds: Vec<RoundTrace>,
     /// Number of exact simulator calls spent (instrumentation).
     pub simulator_calls: usize,
-    /// Gate-backend counters: incremental vs full checks, ledger
-    /// apply/undo volume, and the cell-visit savings.
+    /// Gate counters: checks, ledger apply/undo volume, and the
+    /// cell-visit savings over full re-simulation.
     pub gate: GateStats,
-    /// Wall-clock nanoseconds spent inside the exact gate (backend
+    /// Wall-clock nanoseconds spent inside the exact gate (simulator
     /// construction plus every check). Zero when the gate is disabled.
     pub gate_nanos: u64,
     /// The independent certifier's proof of consistency, when
@@ -371,10 +259,6 @@ pub struct GreedyOutcome {
     ///
     /// [`SimArena`]: chronus_timenet::SimArena
     pub arena_bytes: u64,
-    /// Worker threads that actually scored candidate waves: 1 for the
-    /// sequential path (including configs where parallelism silently
-    /// disengages — no incremental backend, gate disabled).
-    pub parallel_candidates: usize,
 }
 
 /// Runs Algorithm 2 with default configuration.
@@ -417,60 +301,27 @@ pub fn greedy_schedule_in(
     let mut span = chronus_trace::span!(
         "core.greedy",
         flows = instance.flows.len(),
-        exact_gate = config.exact_gate,
-        incremental = config.incremental_gate
+        exact_gate = config.exact_gate
     )
     .entered();
-    // Small-n cutoff: below `incremental_cutoff` switches the full
-    // resimulator is faster than incremental bookkeeping, and the two
-    // backends emit byte-identical schedules — fall back silently.
-    let incremental =
-        config.incremental_gate && instance.network.switch_count() >= config.incremental_cutoff;
-    let mut gate = if config.exact_gate {
-        Some(ExactGate::new(
-            instance,
-            incremental,
-            std::mem::take(workspace),
-        ))
-    } else {
-        None
-    };
-    // Parallel candidate scoring needs mirrorable per-worker simulator
-    // state, so it exists only for the incremental gate backend; other
-    // configurations silently run sequentially (same schedules either
-    // way — the workers only relocate rejected candidates' checks).
-    let parallel = if incremental && config.exact_gate {
-        config.parallel_candidates.max(1)
-    } else {
-        1
-    };
-    let result = if parallel > 1 {
-        rayon::scope(|s| {
-            let scorer = ParallelScorer::start(s, instance, parallel);
-            let mut scorer = Some(scorer);
-            let r = greedy_loop(instance, config, &mut gate, &mut scorer);
-            if let Some(sc) = scorer {
-                sc.shutdown();
-            }
-            r
-        })
-    } else {
-        greedy_loop(instance, config, &mut gate, &mut None)
-    };
-    let (simulator_calls, gate_stats, gate_nanos) = match gate {
+    let mut gate = config
+        .exact_gate
+        .then(|| ExactGate::new(instance, std::mem::take(workspace)));
+    let result = greedy_loop(instance, config, &mut gate);
+    let (gate_stats, gate_nanos) = match gate {
         Some(g) => {
-            let (calls, stats, nanos, ws) = g.into_parts();
+            let (stats, nanos, ws) = g.into_parts();
             *workspace = ws;
-            (calls, stats, nanos)
+            (stats, nanos)
         }
-        None => (0, GateStats::default(), 0),
+        None => (GateStats::default(), 0),
     };
+    let simulator_calls = gate_stats.checks as usize;
     let arena_bytes = workspace.arena_bytes();
     if span.is_recording() {
         span.record("simulator_calls", simulator_calls);
         span.record("gate_ns", gate_nanos);
         span.record("arena_bytes", arena_bytes);
-        span.record("parallel_candidates", parallel as u64);
         span.record("feasible", result.is_ok());
     }
     let (schedule, rounds) = result?;
@@ -486,16 +337,14 @@ pub fn greedy_schedule_in(
         gate_nanos,
         certificate,
         arena_bytes,
-        parallel_candidates: parallel,
     })
 }
 
-/// The Algorithm 2 main loop, generic over the gate backend.
+/// The Algorithm 2 main loop.
 fn greedy_loop(
     instance: &UpdateInstance,
     config: GreedyConfig,
-    gate: &mut Option<ExactGate<'_>>,
-    scorer: &mut Option<ParallelScorer>,
+    gate: &mut Option<ExactGate>,
 ) -> Result<(Schedule, Vec<RoundTrace>), ScheduleError> {
     let problem = MutpProblem::new(instance)?;
 
@@ -503,25 +352,12 @@ fn greedy_loop(
     let mut rounds = Vec::new();
 
     // Flat per-flow scan tables (see `scan`): built once per run,
-    // snapshotted per flow-turn. `legacy_scan` keeps the original
-    // Path-walking implementations around for ablation and the
-    // differential tests. Below `incremental_cutoff` switches the
-    // tables cost more to build and snapshot than the direct Path
-    // walks they replace (BENCH_simulate.json showed a 0.90× e2e
-    // *slowdown* at n=8), so small instances take the legacy walks
-    // too — the same small-n rule the gate backend applies, and the
-    // two scans are proven schedule-identical by the differential
-    // proptests.
-    let legacy = config.legacy_scan || instance.network.switch_count() < config.incremental_cutoff;
-    let mut scans: Vec<FlowScan> = if legacy {
-        Vec::new()
-    } else {
-        instance
-            .flows
-            .iter()
-            .map(|f| FlowScan::build(instance, f))
-            .collect()
-    };
+    // snapshotted per flow-turn.
+    let mut scans: Vec<FlowScan> = instance
+        .flows
+        .iter()
+        .map(|f| FlowScan::build(instance, f))
+        .collect();
 
     // Per-flow pending sets.
     let mut pending: Vec<BTreeSet<SwitchId>> = (0..instance.flows.len())
@@ -537,16 +373,13 @@ fn greedy_loop(
             if let Some(g) = gate.as_mut() {
                 g.mirror_set(flow.id, v, 0);
             }
-            if let Some(sc) = scorer.as_ref() {
-                sc.mirror(flow.id, v, 0);
-            }
             pending[fi].remove(&v);
         }
     }
     // The fresh pre-pass must itself be clean (it is, since fresh
     // switches see no traffic yet), but verify once under the gate.
     if let Some(g) = gate.as_mut() {
-        if !schedule.is_empty() && !g.check_current(&schedule) {
+        if !schedule.is_empty() && !g.check_current() {
             return Err(ScheduleError::Infeasible {
                 blocked: None,
                 reason: "activating fresh final-path switches failed".into(),
@@ -584,42 +417,32 @@ fn greedy_loop(
             if pending[fi].is_empty() {
                 continue;
             }
-            let mut deps: DependencySet = match scans.get_mut(fi) {
-                Some(scan) => {
-                    // Snapshot is valid for this whole flow-turn: all
-                    // commits for this flow happen after collection.
-                    scan.begin_step(&schedule, &pending[fi]);
-                    scan.dependency_set(&pending[fi], t)
-                }
-                None => dependency_set(instance, flow, &schedule, &pending[fi], t),
-            };
+            // Snapshot is valid for this whole flow-turn: all commits
+            // for this flow happen after collection.
+            scans[fi].begin_step(&schedule, &pending[fi]);
+            let scan = &scans[fi];
+            let mut deps: DependencySet = scan.dependency_set(&pending[fi], t);
             if config.fail_on_cycle {
                 if let Some(cycle) = deps.cycle.take() {
                     return Err(ScheduleError::DependencyCycle(cycle));
                 }
             }
-            let scan = scans.get(fi);
-
             // Single-pass candidate build: cooldown and Algorithm 4
             // filters are applied as each candidate is drawn, and the
             // idle-step widening dedups through a set instead of
             // linear `Vec::contains` scans.
-            let admissible = |v: SwitchId, schedule: &Schedule| {
+            let admissible = |v: SwitchId| {
                 pending[fi].contains(&v)
                     && failed_at
                         .get(&(fi, v))
                         .is_none_or(|&ft| last_commit_t > ft || t >= ft + cooldown)
-                    && !(config.loop_precheck
-                        && match scan {
-                            Some(s) => s.creates_loop(v, t),
-                            None => creates_forwarding_loop(instance, flow, schedule, v, t),
-                        })
+                    && !(config.loop_precheck && scan.creates_loop(v, t))
             };
             candidates.clear();
             seen.clear();
             if config.heads_only {
                 for v in deps.heads() {
-                    if seen.insert(v) && admissible(v, &schedule) {
+                    if seen.insert(v) && admissible(v) {
                         candidates.push(v);
                     }
                 }
@@ -628,14 +451,14 @@ fn greedy_loop(
                 // exact gate gets the final say.
                 if idle_steps > 0 {
                     for &v in pending[fi].iter() {
-                        if seen.insert(v) && admissible(v, &schedule) {
+                        if seen.insert(v) && admissible(v) {
                             candidates.push(v);
                         }
                     }
                 }
             } else {
                 for &v in pending[fi].iter() {
-                    if admissible(v, &schedule) {
+                    if admissible(v) {
                         candidates.push(v);
                     }
                 }
@@ -656,9 +479,6 @@ fn greedy_loop(
                         for &v in &candidates {
                             pending[fi].remove(&v);
                             trace.committed.push((flow.id, v));
-                            if let Some(sc) = scorer.as_ref() {
-                                sc.mirror(flow.id, v, t);
-                            }
                         }
                         last_commit_t = t;
                         continue;
@@ -666,67 +486,22 @@ fn greedy_loop(
                 }
             }
 
-            if let Some(sc) = scorer.as_mut() {
-                // Parallel wave scoring: all candidates share the same
-                // simulator base until something commits, so one wave
-                // scores the whole remaining suffix on the worker
-                // mirrors; only predicted-accepts touch the main gate
-                // (which stays authoritative). Merging in candidate
-                // order keeps the schedule byte-identical to the
-                // sequential path at any worker count.
-                let g = gate
-                    .as_mut()
-                    .expect("parallel scoring only runs with the gate enabled");
-                let mut remaining = candidates.as_slice();
-                'waves: while !remaining.is_empty() {
-                    let verdicts = sc.score(flow.id, remaining, t);
-                    for (i, &v) in remaining.iter().enumerate() {
-                        if !verdicts[i] {
-                            failed_at.insert((fi, v), t);
-                            continue;
-                        }
-                        if g.try_extend(&mut schedule, flow.id, std::slice::from_ref(&v), t) {
-                            pending[fi].remove(&v);
-                            trace.committed.push((flow.id, v));
-                            last_commit_t = t;
-                            sc.mirror(flow.id, v, t);
-                            // The base changed: the rest of this wave's
-                            // verdicts are dead. Re-score the suffix.
-                            remaining = &remaining[i + 1..];
-                            continue 'waves;
-                        }
-                        // Mirror/gate divergence (should not happen):
-                        // the gate's answer wins, and since a rejection
-                        // leaves the base unchanged, the rest of the
-                        // wave is still valid.
-                        debug_assert!(false, "worker mirror diverged from the main gate");
-                        failed_at.insert((fi, v), t);
+            for &v in &candidates {
+                // Exact gate: commit only if the extended partial
+                // schedule simulates clean.
+                let ok = match gate.as_mut() {
+                    Some(g) => g.try_extend(&mut schedule, flow.id, std::slice::from_ref(&v), t),
+                    None => {
+                        schedule.set(flow.id, v, t);
+                        true
                     }
-                    break;
-                }
-            } else {
-                for &v in &candidates {
-                    if !pending[fi].contains(&v) {
-                        continue;
-                    }
-                    // Exact gate: commit only if the extended partial
-                    // schedule simulates clean.
-                    let ok = match gate.as_mut() {
-                        Some(g) => {
-                            g.try_extend(&mut schedule, flow.id, std::slice::from_ref(&v), t)
-                        }
-                        None => {
-                            schedule.set(flow.id, v, t);
-                            true
-                        }
-                    };
-                    if ok {
-                        pending[fi].remove(&v);
-                        trace.committed.push((flow.id, v));
-                        last_commit_t = t;
-                    } else {
-                        failed_at.insert((fi, v), t);
-                    }
+                };
+                if ok {
+                    pending[fi].remove(&v);
+                    trace.committed.push((flow.id, v));
+                    last_commit_t = t;
+                } else {
+                    failed_at.insert((fi, v), t);
                 }
             }
         }
@@ -758,6 +533,7 @@ fn greedy_loop(
 mod tests {
     use super::*;
     use chronus_net::{motivating_example, reversal_instance, Flow, FlowId, NetworkBuilder, Path};
+    use chronus_timenet::FluidSimulator;
 
     fn sid(i: u32) -> SwitchId {
         SwitchId(i)

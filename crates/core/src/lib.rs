@@ -49,7 +49,6 @@ mod error;
 pub mod exec;
 pub mod greedy;
 pub mod loopcheck;
-pub(crate) mod par;
 mod problem;
 pub(crate) mod scan;
 pub mod sequential;

@@ -1,12 +1,12 @@
 //! Flat candidate scan: dense per-flow twins of Algorithms 3 and 4.
 //!
-//! The legacy scan path re-derives everything per candidate from
-//! [`chronus_net::Path`] primitives: `position` is a linear hop scan,
-//! `prefix_delay` a per-edge hash lookup walk, and both run inside
-//! [`crate::deps::last_old_arrival`], which itself runs once per
-//! pending switch per step — O(steps × pending × diverters × path)
-//! for the greedy loop overall, and profiling shows it dominating
-//! end-to-end wall clock once the exact gate went incremental.
+//! The reference implementations ([`crate::deps::dependency_set`],
+//! [`crate::loopcheck::creates_forwarding_loop`]) re-derive everything
+//! per candidate from [`chronus_net::Path`] primitives: `position` is
+//! a linear hop scan, `prefix_delay` a per-edge hash lookup walk, and
+//! both run inside [`crate::deps::last_old_arrival`], once per pending
+//! switch per step — O(steps × pending × diverters × path) if the
+//! greedy loop called them directly.
 //!
 //! [`FlowScan`] flattens all of it. At construction (once per greedy
 //! run) every path-derived quantity becomes a dense array indexed by
@@ -26,16 +26,15 @@
 //!
 //! The snapshot is sound for the whole candidate-collection phase of
 //! one flow's turn because the greedy loop commits candidates only
-//! *after* collection: `dependency_set` and every
-//! `creates_forwarding_loop` pre-check read the same schedule state,
-//! exactly as the legacy path does.
+//! *after* collection: `dependency_set` and every `creates_loop`
+//! pre-check read the same schedule state.
 //!
 //! Edge discovery iterates pending switches in the same ascending
 //! order and pushes the same edges as [`crate::deps::dependency_set`],
 //! then reuses the identical [`crate::deps::build_set`] merge — so
-//! chains, heads and cycle witnesses are byte-identical, which the
-//! differential proptests in `tests/scan_props.rs` pin across random
-//! instances.
+//! chains, heads and cycle witnesses are byte-identical to the
+//! reference, which the differential proptest at the bottom of this
+//! file pins across random instances, partial schedules and steps.
 // Dense tables indexed by ids this module mints from validated paths.
 #![allow(clippy::indexing_slicing, clippy::expect_used)]
 
@@ -65,12 +64,13 @@ pub(crate) struct FlowScan {
     pos_of: Vec<u32>,
     /// Switch id → the flow's new rule target.
     new_next: Vec<Option<SwitchId>>,
-    /// `σ(v, new_next(v))` with the legacy `unwrap_or(1)` fallback
-    /// (arrival-time computation in Algorithm 3).
+    /// `σ(v, new_next(v))` with the reference's `unwrap_or(1)`
+    /// fallback (arrival-time computation in Algorithm 3).
     sigma_new: Vec<TimeStep>,
-    /// Same delay with the legacy `unwrap_or(0)` fallback (the
-    /// self-cycle φ_new comparison). The two defaults differ in the
-    /// original code and must be replicated independently.
+    /// Same delay with the reference's `unwrap_or(0)` fallback (the
+    /// self-cycle φ_new comparison). The two defaults differ in
+    /// [`crate::deps::dependency_set`] and must be replicated
+    /// independently.
     phi_new0: Vec<TimeStep>,
     /// Switch id → "its old outgoing link exists and cannot hold old
     /// and new stream simultaneously" (`C < 2d`); folds the three
@@ -171,8 +171,7 @@ impl FlowScan {
 
     /// Snapshots the schedule-dependent state for one flow-turn of one
     /// greedy step. Valid until the first commit for this flow — i.e.
-    /// for the whole candidate-collection phase, matching the window
-    /// in which the legacy path reads the same schedule.
+    /// for the whole candidate-collection phase.
     pub fn begin_step(&mut self, schedule: &Schedule, pending: &BTreeSet<SwitchId>) {
         let n = self.old_hops.len();
         let mut run_min = TimeStep::MAX;
@@ -311,13 +310,43 @@ mod tests {
     use super::*;
     use crate::deps::dependency_set;
     use crate::loopcheck::creates_forwarding_loop;
-    use chronus_net::{motivating_example, FlowId};
+    use chronus_net::{
+        motivating_example, Flow, FlowId, InstanceGenerator, InstanceGeneratorConfig,
+    };
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
-    /// The flat scan must agree with the legacy path on the paper's
-    /// own example across steps and partial schedules (the broad
-    /// random-instance differential lives in `tests/scan_props.rs`).
+    /// After re-snapshotting `scan`, both scan functions must equal
+    /// the paper-as-written references over `schedule` / `pending` at
+    /// step `at` (and, for the loop check, the following steps too).
+    fn assert_matches_reference(
+        scan: &mut FlowScan,
+        inst: &UpdateInstance,
+        flow: &Flow,
+        schedule: &Schedule,
+        pending: &BTreeSet<SwitchId>,
+        at: TimeStep,
+    ) {
+        scan.begin_step(schedule, pending);
+        let reference = dependency_set(inst, flow, schedule, pending, at);
+        let flat = scan.dependency_set(pending, at);
+        assert_eq!(reference.edges, flat.edges, "edges diverged at t={at}");
+        assert_eq!(reference.chains, flat.chains, "chains diverged at t={at}");
+        assert_eq!(reference.cycle, flat.cycle, "cycle diverged at t={at}");
+        for &v in pending {
+            for t in at..at + 4 {
+                assert_eq!(
+                    creates_forwarding_loop(inst, flow, schedule, v, t),
+                    scan.creates_loop(v, t),
+                    "loop check diverged for {v:?} at t={t}"
+                );
+            }
+        }
+    }
+
     #[test]
-    fn flat_scan_matches_legacy_on_motivating_example() {
+    fn flat_scan_matches_reference_on_motivating_example() {
         let inst = motivating_example();
         let flow = inst.flow().clone();
         let mut scan = FlowScan::build(&inst, &flow);
@@ -330,19 +359,42 @@ mod tests {
                 schedule.set(FlowId(0), v, tc);
                 pending.remove(&v);
             }
-            scan.begin_step(&schedule, &pending);
-            let legacy = dependency_set(&inst, &flow, &schedule, &pending, at);
-            let flat = scan.dependency_set(&pending, at);
-            assert_eq!(legacy.edges, flat.edges, "edges diverged at t={at}");
-            assert_eq!(legacy.chains, flat.chains, "chains diverged at t={at}");
-            assert_eq!(legacy.cycle, flat.cycle, "cycle diverged at t={at}");
-            for &v in &pending {
-                for t in at..at + 4 {
-                    assert_eq!(
-                        creates_forwarding_loop(&inst, &flow, &schedule, v, t),
-                        scan.creates_loop(v, t),
-                        "loop check diverged for {v:?} at t={t}"
-                    );
+            assert_matches_reference(&mut scan, &inst, &flow, &schedule, &pending, at);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(400))]
+
+        /// Random instances from n = 4 up (so the n < 32 range the
+        /// engine plans most is covered), each under two successive
+        /// random partial schedules on one reused `FlowScan` — a random
+        /// subset of the still-pending switches committed at random
+        /// steps each round — probed at a random step.
+        #[test]
+        fn flat_scan_matches_reference_on_random_partial_schedules(
+            switches in 4usize..48,
+            seed in 0u64..100_000,
+        ) {
+            let cfg = InstanceGeneratorConfig::paper(switches, seed);
+            let Some(inst) = InstanceGenerator::new(cfg).generate() else {
+                return Ok(());
+            };
+            let mut rng = StdRng::seed_from_u64(seed ^ 0x5ca1ab1e);
+            let horizon = inst.total_path_delay().max(1) as TimeStep;
+            for flow in &inst.flows {
+                let mut scan = FlowScan::build(&inst, flow);
+                let mut pending = flow.switches_to_update();
+                let mut schedule = Schedule::new();
+                for _round in 0..2 {
+                    for v in pending.clone() {
+                        if rng.gen_bool(0.4) {
+                            schedule.set(flow.id, v, rng.gen_range(0..=horizon));
+                            pending.remove(&v);
+                        }
+                    }
+                    let at = rng.gen_range(0..=horizon + 2);
+                    assert_matches_reference(&mut scan, &inst, flow, &schedule, &pending, at);
                 }
             }
         }

@@ -162,7 +162,7 @@ impl ReservationTable {
                 // Uncontended: static needs plus an even split of the
                 // spare capacity among the link's users.
                 let users = link.users() as Capacity;
-                let spare = if users > 0 { (cap - total) / users } else { 0 };
+                let spare = (cap - total).checked_div(users).unwrap_or(0);
                 for s in 0..self.shards {
                     let need = link.needs[s];
                     self.grants[base + s] = if need > 0 { need + spare } else { 0 };
@@ -231,10 +231,13 @@ pub fn shard_schedule_in(
     // Degenerate shapes delegate verbatim (byte-identical schedules).
     if instance.flows.len() < 2 || config.shards <= 1 {
         let joint = greedy_schedule_in(instance, config.greedy, workspace)?;
-        return Ok(from_joint(joint, ShardStats {
-            shards: 1,
-            ..ShardStats::default()
-        }));
+        return Ok(from_joint(
+            joint,
+            ShardStats {
+                shards: 1,
+                ..ShardStats::default()
+            },
+        ));
     }
 
     let split = split_instance(instance, config.shards);
@@ -361,12 +364,12 @@ fn shard_instance(
                     }
                 })?;
                 let capacity = overrides.get(&(u, v)).copied().unwrap_or(link.capacity);
-                builder
-                    .add_link(u, v, capacity, link.delay)
-                    .map_err(|e| ScheduleError::Infeasible {
+                builder.add_link(u, v, capacity, link.delay).map_err(|e| {
+                    ScheduleError::Infeasible {
                         blocked: None,
                         reason: format!("shard view link {u:?}->{v:?}: {e}"),
-                    })?;
+                    }
+                })?;
             }
         }
     }
@@ -427,7 +430,11 @@ fn plan_shards(
 
 /// Merges per-shard outcomes into one joint outcome. Flows are
 /// disjoint across shards, so the schedule union is a plain merge.
-fn merged(outcomes: &[GreedyOutcome], certificate: Option<Certificate>, stats: ShardStats) -> ShardOutcome {
+fn merged(
+    outcomes: &[GreedyOutcome],
+    certificate: Option<Certificate>,
+    stats: ShardStats,
+) -> ShardOutcome {
     let mut schedule = Schedule::new();
     for o in outcomes {
         for (flow, switch, t) in o.schedule.iter() {

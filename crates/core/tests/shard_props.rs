@@ -86,8 +86,14 @@ fn random_multiflow(switches: usize, kflows: usize, seed: u64) -> Option<UpdateI
 
 /// The delegation contract: schedule and makespan byte-identical.
 fn assert_delegated(tag: &str, sharded: &ShardOutcome, joint: &GreedyOutcome) {
-    assert_eq!(sharded.schedule, joint.schedule, "{tag}: schedules diverged");
-    assert_eq!(sharded.makespan, joint.makespan, "{tag}: makespans diverged");
+    assert_eq!(
+        sharded.schedule, joint.schedule,
+        "{tag}: schedules diverged"
+    );
+    assert_eq!(
+        sharded.makespan, joint.makespan,
+        "{tag}: makespans diverged"
+    );
 }
 
 /// Runs both planners and checks every invariant that holds for *any*

@@ -407,7 +407,9 @@ mod tests {
             "snapshot changed the retry hint: {observed} vs {expected}"
         );
         // And the bucket still refills on schedule afterwards.
-        probed.admit(job(3, "t", Priority::Normal), 500_000_000).unwrap();
+        probed
+            .admit(job(3, "t", Priority::Normal), 500_000_000)
+            .unwrap();
     }
 
     #[test]

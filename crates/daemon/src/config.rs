@@ -43,7 +43,10 @@ pub struct DaemonConfig {
     /// Epoch anchor for the daemon's monotonic clock; `None` anchors
     /// to the wall clock at startup. Tests pin this for determinism.
     pub base_epoch_ns: Option<Nanos>,
-    /// Bound on the engine's memoized time-extended-network cache.
+    /// Bound on the engine's memoized time-extended-network cache, in
+    /// windows. Each window is hundreds of KB in a worker's malloc
+    /// arena, so on small instances this bound is most of the daemon's
+    /// resident set (DESIGN.md §8); the default matches `queue_bound`.
     pub cache_windows: usize,
     /// Target shard count for the engine's sharded multi-flow
     /// pre-stage; `0` or `1` disables sharding and every request is
@@ -80,7 +83,7 @@ impl Default for DaemonConfig {
             step_ns: 1_000_000, // 1 ms per schedule step
             rearm_margin_ns: 100_000,
             base_epoch_ns: None,
-            cache_windows: 256,
+            cache_windows: 64,
             engine_shards: 0,
             default_deadline_ms: 5_000,
             slo_latency_ms: 250,

@@ -166,10 +166,7 @@ pub fn err_response(msg: &str, shed: bool) -> Value {
 pub fn shed_response(shed: &Shed) -> Value {
     let mut obj = Map::new();
     obj.insert("ok".to_string(), Value::Bool(false));
-    obj.insert(
-        "error".to_string(),
-        Value::from(shed.to_string().as_str()),
-    );
+    obj.insert("error".to_string(), Value::from(shed.to_string().as_str()));
     obj.insert("shed".to_string(), Value::Bool(true));
     if let Shed::RateLimited { retry_after_s, .. } = shed {
         obj.insert("retry_after_s".to_string(), Value::from(*retry_after_s));

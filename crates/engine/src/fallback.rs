@@ -27,15 +27,16 @@
 
 use crate::cache::{CacheKey, TimeNetCache};
 use crate::metrics::EngineMetrics;
+use crate::pool::EngineConfig;
 use crate::request::{RequestId, UpdateRequest};
 use chronus_baselines::tp::{tp_plan, TpPlan};
 use chronus_core::greedy::{greedy_schedule_in, GreedyConfig};
-use chronus_core::shard::{shard_schedule_in, ShardingConfig};
+use chronus_core::shard::shard_schedule_in;
 use chronus_core::tree::{check_feasibility, Feasibility};
 use chronus_net::{TimeStep, UpdateInstance};
 use chronus_timenet::{Schedule, SimWorkspace};
 use chronus_verify::{
-    certify_two_phase, certify_with_slack, Certificate, SlackCertificate, SlackConfig, VerifyConfig,
+    certify_two_phase, certify_with_slack, Certificate, SlackCertificate, SlackConfig,
 };
 use std::fmt;
 use std::time::{Duration, Instant};
@@ -262,72 +263,6 @@ pub fn tp_flip_time(instance: &UpdateInstance) -> TimeStep {
     (phi_init + 1) as TimeStep
 }
 
-/// Walks the fallback chain for one request against a shared cache,
-/// recording per-stage metrics. This is the worker-side entry point;
-/// it is deterministic for a fixed request whenever the deadline does
-/// not bite (every stage is itself deterministic).
-pub fn plan_with_chain(
-    req: &UpdateRequest,
-    cache: &TimeNetCache,
-    metrics: &EngineMetrics,
-) -> PlannedUpdate {
-    let mut ws = SimWorkspace::default();
-    plan_with_chain_in(req, cache, metrics, &mut ws)
-}
-
-/// Like [`plan_with_chain_in`], with an explicit certification config
-/// (the engine passes [`crate::EngineConfig::verify`] through here).
-pub fn plan_with_chain_cfg(
-    req: &UpdateRequest,
-    cache: &TimeNetCache,
-    metrics: &EngineMetrics,
-    ws: &mut SimWorkspace,
-    verify: &VerifyConfig,
-) -> PlannedUpdate {
-    plan_chain_impl(req, cache, metrics, ws, verify, None, None)
-}
-
-/// The full worker-side entry point: certification config plus an
-/// optional [`SlackPolicy`] driving the post-win slack stage.
-pub fn plan_with_chain_slack(
-    req: &UpdateRequest,
-    cache: &TimeNetCache,
-    metrics: &EngineMetrics,
-    ws: &mut SimWorkspace,
-    verify: &VerifyConfig,
-    slack: Option<&SlackPolicy>,
-) -> PlannedUpdate {
-    plan_chain_impl(req, cache, metrics, ws, verify, slack, None)
-}
-
-/// The complete worker-side entry point: certification config, slack
-/// policy, and the opt-in sharded multi-flow pre-stage. With
-/// `sharding: None` this is exactly [`plan_with_chain_slack`].
-pub fn plan_with_chain_sharded(
-    req: &UpdateRequest,
-    cache: &TimeNetCache,
-    metrics: &EngineMetrics,
-    ws: &mut SimWorkspace,
-    verify: &VerifyConfig,
-    slack: Option<&SlackPolicy>,
-    sharding: Option<&ShardingConfig>,
-) -> PlannedUpdate {
-    plan_chain_impl(req, cache, metrics, ws, verify, slack, sharding)
-}
-
-/// Like [`plan_with_chain`], but reuses caller-owned simulation
-/// buffers for the greedy stage's exact gate. Each engine worker keeps
-/// one [`SimWorkspace`] for its whole life, so steady-state planning
-/// does not re-allocate the load ledger per request.
-pub fn plan_with_chain_in(
-    req: &UpdateRequest,
-    cache: &TimeNetCache,
-    metrics: &EngineMetrics,
-    ws: &mut SimWorkspace,
-) -> PlannedUpdate {
-    plan_chain_impl(req, cache, metrics, ws, &VerifyConfig::default(), None, None)
-}
-
 /// The static span name for one stage's attempt.
 fn stage_span_name(stage: Stage) -> &'static str {
     match stage {
@@ -369,15 +304,24 @@ fn buy_slack(
     best
 }
 
-fn plan_chain_impl(
+/// Walks the fallback chain for one request against a shared cache,
+/// recording per-stage metrics. This is the worker-side entry point;
+/// it is deterministic for a fixed request whenever the deadline does
+/// not bite (every stage is itself deterministic).
+///
+/// Of `config` it reads `verify` (certification), `slack` (the
+/// post-win slack stage) and `sharding` (the opt-in multi-flow
+/// pre-stage). `ws` carries the greedy gate's simulation buffers: each
+/// engine worker keeps one for its whole life, so steady-state
+/// planning does not re-allocate the load ledger per request.
+pub fn plan_with_chain(
     req: &UpdateRequest,
     cache: &TimeNetCache,
     metrics: &EngineMetrics,
     ws: &mut SimWorkspace,
-    verify: &VerifyConfig,
-    slack_policy: Option<&SlackPolicy>,
-    sharding: Option<&ShardingConfig>,
+    config: &EngineConfig,
 ) -> PlannedUpdate {
+    let verify = &config.verify;
     let started = Instant::now();
     let instance = &req.instance;
     let mut plan_span = chronus_trace::span!(
@@ -401,7 +345,7 @@ fn plan_chain_impl(
     // capacity-reservation table. The attempt is recorded only when
     // sharding is configured, so unsharded engines keep the familiar
     // three-stage attempt list.
-    if let Some(shard_cfg) = sharding {
+    if let Some(shard_cfg) = &config.sharding {
         let stage = Stage::Sharded;
         if instance.flows.len() < 2 {
             attempts.push(StageAttempt {
@@ -485,7 +429,7 @@ fn plan_chain_impl(
                 match greedy_schedule_in(instance, cfg, ws) {
                     Ok(out) => {
                         metrics.record_gate(&out.gate);
-                        metrics.record_greedy_resources(out.arena_bytes, out.parallel_candidates);
+                        metrics.record_greedy_arena(out.arena_bytes);
                         winner = Some((stage, PlanKind::Timed(out.schedule), out.certificate));
                         StageOutcome::Won
                     }
@@ -595,7 +539,7 @@ fn plan_chain_impl(
     let mut certificate = certificate;
     let mut slack = None;
     let mut dilation = 1;
-    if let (Some(policy), PlanKind::Timed(schedule)) = (slack_policy, &plan) {
+    if let (Some(policy), PlanKind::Timed(schedule)) = (&config.slack, &plan) {
         let stage_start = Instant::now();
         let mut slack_span = chronus_trace::span!("engine.stage.slack").entered();
         match buy_slack(instance, schedule, policy) {
@@ -664,21 +608,40 @@ pub fn plan_sequential(requests: &[UpdateRequest]) -> Vec<PlannedUpdate> {
     let cache = TimeNetCache::new();
     let metrics = EngineMetrics::new();
     let mut ws = SimWorkspace::default();
+    let config = EngineConfig::default();
     requests
         .iter()
-        .map(|r| plan_with_chain_in(r, &cache, &metrics, &mut ws))
+        .map(|r| plan_with_chain(r, &cache, &metrics, &mut ws, &config))
         .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use chronus_core::shard::ShardingConfig;
     use chronus_net::motivating_example;
     use chronus_timenet::{FluidSimulator, Verdict};
+    use chronus_verify::VerifyConfig;
     use std::sync::Arc;
 
     fn req(deadline: Duration) -> UpdateRequest {
         UpdateRequest::new(0, Arc::new(motivating_example()), deadline)
+    }
+
+    /// One chain walk on fresh buffers under `config`.
+    fn plan(
+        request: &UpdateRequest,
+        cache: &TimeNetCache,
+        metrics: &EngineMetrics,
+        config: &EngineConfig,
+    ) -> PlannedUpdate {
+        plan_with_chain(
+            request,
+            cache,
+            metrics,
+            &mut SimWorkspace::default(),
+            config,
+        )
     }
 
     /// k=4 fat tree with one pod-local migration per pod — fully
@@ -723,18 +686,9 @@ mod tests {
         let inst = separable_instance();
         let cache = TimeNetCache::new();
         let metrics = EngineMetrics::new();
-        let mut ws = SimWorkspace::default();
         let request = UpdateRequest::new(1, Arc::new(inst.clone()), Duration::from_secs(30));
-        let sharding = ShardingConfig::default();
-        let planned = plan_with_chain_sharded(
-            &request,
-            &cache,
-            &metrics,
-            &mut ws,
-            &VerifyConfig::default(),
-            None,
-            Some(&sharding),
-        );
+        let sharded = EngineConfig::default().with_sharding(ShardingConfig::default());
+        let planned = plan(&request, &cache, &metrics, &sharded);
         assert_eq!(planned.winner, Stage::Sharded);
         assert_eq!(planned.attempts.len(), 4);
         for stage in [Stage::Greedy, Stage::Tree, Stage::TwoPhase] {
@@ -753,14 +707,7 @@ mod tests {
             Verdict::Consistent
         );
         // Without a sharding config the attempt list stays three-stage.
-        let unsharded = plan_with_chain_slack(
-            &request,
-            &cache,
-            &metrics,
-            &mut ws,
-            &VerifyConfig::default(),
-            None,
-        );
+        let unsharded = plan(&request, &cache, &metrics, &EngineConfig::default());
         assert!(unsharded.attempt(Stage::Sharded).is_none());
         assert_eq!(unsharded.attempts.len(), 3);
     }
@@ -769,17 +716,8 @@ mod tests {
     fn sharded_stage_skips_single_flow_requests() {
         let cache = TimeNetCache::new();
         let metrics = EngineMetrics::new();
-        let mut ws = SimWorkspace::default();
-        let sharding = ShardingConfig::default();
-        let planned = plan_with_chain_sharded(
-            &req(Duration::from_secs(30)),
-            &cache,
-            &metrics,
-            &mut ws,
-            &VerifyConfig::default(),
-            None,
-            Some(&sharding),
-        );
+        let sharded = EngineConfig::default().with_sharding(ShardingConfig::default());
+        let planned = plan(&req(Duration::from_secs(30)), &cache, &metrics, &sharded);
         assert_eq!(planned.winner, Stage::Greedy);
         assert_eq!(planned.attempts.len(), 4);
         assert_eq!(
@@ -792,7 +730,12 @@ mod tests {
     fn greedy_wins_the_motivating_example() {
         let cache = TimeNetCache::new();
         let metrics = EngineMetrics::new();
-        let planned = plan_with_chain(&req(Duration::from_secs(30)), &cache, &metrics);
+        let planned = plan(
+            &req(Duration::from_secs(30)),
+            &cache,
+            &metrics,
+            &EngineConfig::default(),
+        );
         assert_eq!(planned.winner, Stage::Greedy);
         assert!(!planned.deadline_exceeded);
         let schedule = planned.timed_schedule().expect("timed plan");
@@ -819,7 +762,12 @@ mod tests {
     fn zero_deadline_degrades_to_two_phase() {
         let cache = TimeNetCache::new();
         let metrics = EngineMetrics::new();
-        let planned = plan_with_chain(&req(Duration::ZERO), &cache, &metrics);
+        let planned = plan(
+            &req(Duration::ZERO),
+            &cache,
+            &metrics,
+            &EngineConfig::default(),
+        );
         assert_eq!(planned.winner, Stage::TwoPhase);
         assert!(planned.deadline_exceeded);
         assert!(matches!(planned.plan, PlanKind::TwoPhase(_)));
@@ -835,7 +783,12 @@ mod tests {
     fn two_phase_plan_reports_plan_error_instead_of_panicking() {
         let cache = TimeNetCache::new();
         let metrics = EngineMetrics::new();
-        let planned = plan_with_chain(&req(Duration::ZERO), &cache, &metrics);
+        let planned = plan(
+            &req(Duration::ZERO),
+            &cache,
+            &metrics,
+            &EngineConfig::default(),
+        );
         assert_eq!(planned.winner, Stage::TwoPhase);
         let err = planned
             .timed_schedule()
@@ -854,14 +807,11 @@ mod tests {
     fn disabled_verification_skips_certificates() {
         let cache = TimeNetCache::new();
         let metrics = EngineMetrics::new();
-        let mut ws = SimWorkspace::default();
-        let planned = plan_with_chain_cfg(
-            &req(Duration::from_secs(30)),
-            &cache,
-            &metrics,
-            &mut ws,
-            &VerifyConfig::disabled(),
-        );
+        let unverified = EngineConfig {
+            verify: VerifyConfig::disabled(),
+            ..EngineConfig::default()
+        };
+        let planned = plan(&req(Duration::from_secs(30)), &cache, &metrics, &unverified);
         assert_eq!(planned.winner, Stage::Greedy);
         assert!(planned.certificate.is_none());
         assert_eq!(metrics.report(&cache).certs.skipped, 1);

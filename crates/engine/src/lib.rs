@@ -52,9 +52,8 @@ mod watchdog;
 
 pub use cache::{flow_signature, topology_hash, CacheKey, TimeNetCache};
 pub use fallback::{
-    plan_sequential, plan_with_chain, plan_with_chain_cfg, plan_with_chain_in,
-    plan_with_chain_sharded, plan_with_chain_slack, planning_horizon, tp_flip_time, PlanError,
-    PlanKind, PlannedUpdate, SlackPolicy, Stage, StageAttempt, StageOutcome, TpBatchPlan,
+    plan_sequential, plan_with_chain, planning_horizon, tp_flip_time, PlanError, PlanKind,
+    PlannedUpdate, SlackPolicy, Stage, StageAttempt, StageOutcome, TpBatchPlan,
 };
 pub use metrics::{CertStats, EngineMetrics, PlanReport, ShardStats, SlackStats, StageStats};
 pub use pool::{DrainReport, Engine, EngineConfig, PlanTicket};

@@ -68,12 +68,8 @@ pub struct EngineMetrics {
     shard_joint_fallbacks: Counter,
     shard_cross_links: Gauge,
     shard_shared_links: Gauge,
-    gate_incremental_checks: Counter,
-    gate_full_checks: Counter,
-    gate_incremental_runs: Counter,
-    gate_full_runs: Counter,
+    gate_checks: Counter,
     greedy_arena_bytes: Gauge,
-    greedy_parallel_candidates: Gauge,
     gate_ledger_applies: Counter,
     gate_ledger_undos: Counter,
     gate_cells_touched: Counter,
@@ -125,12 +121,8 @@ impl EngineMetrics {
             shard_joint_fallbacks: counter("chronus_engine_shard_joint_fallbacks_total"),
             shard_cross_links: registry.gauge("chronus_engine_shard_cross_links"),
             shard_shared_links: registry.gauge("chronus_engine_shard_shared_links"),
-            gate_incremental_checks: counter("chronus_engine_gate_incremental_checks_total"),
-            gate_full_checks: counter("chronus_engine_gate_full_checks_total"),
-            gate_incremental_runs: counter("chronus_engine_gate_incremental_runs_total"),
-            gate_full_runs: counter("chronus_engine_gate_full_runs_total"),
+            gate_checks: counter("chronus_engine_gate_checks_total"),
             greedy_arena_bytes: registry.gauge("chronus_engine_greedy_arena_bytes"),
-            greedy_parallel_candidates: registry.gauge("chronus_engine_greedy_parallel_candidates"),
             gate_ledger_applies: counter("chronus_engine_gate_ledger_applies_total"),
             gate_ledger_undos: counter("chronus_engine_gate_ledger_undos_total"),
             gate_cells_touched: counter("chronus_engine_gate_cells_touched_total"),
@@ -213,12 +205,7 @@ impl EngineMetrics {
     /// Folds one planning run's exact-gate counters into the engine
     /// totals.
     pub fn record_gate(&self, stats: &GateStats) {
-        self.gate_incremental_checks.add(stats.incremental_checks);
-        self.gate_full_checks.add(stats.full_checks);
-        match stats.backend {
-            chronus_timenet::GateBackendKind::Incremental => self.gate_incremental_runs.inc(),
-            chronus_timenet::GateBackendKind::Full => self.gate_full_runs.inc(),
-        }
+        self.gate_checks.add(stats.checks);
         self.gate_ledger_applies.add(stats.ledger_applies);
         self.gate_ledger_undos.add(stats.ledger_undos);
         self.gate_cells_touched.add(stats.cells_touched);
@@ -226,14 +213,11 @@ impl EngineMetrics {
             .add(stats.full_equivalent_cells);
     }
 
-    /// Records one greedy run's resource telemetry: the simulation-
-    /// arena high-water mark (the gauge keeps the largest seen) and
-    /// the worker count that scored its candidate waves.
-    pub fn record_greedy_resources(&self, arena_bytes: u64, parallel_candidates: usize) {
+    /// Records one greedy run's simulation-arena high-water mark (the
+    /// gauge keeps the largest seen).
+    pub fn record_greedy_arena(&self, arena_bytes: u64) {
         self.greedy_arena_bytes
             .max(arena_bytes.min(i64::MAX as u64) as i64);
-        self.greedy_parallel_candidates
-            .max(parallel_candidates.min(i64::MAX as usize) as i64);
     }
 
     /// Records one request's certification outcome: `skipped` when
@@ -312,15 +296,7 @@ impl EngineMetrics {
                 shared_links_peak: self.shard_shared_links.get().max(0) as u64,
             },
             gate: GateStats {
-                // A rollup has no single backend; report Full only
-                // when every recorded run used the full resimulator.
-                backend: if self.gate_full_runs.get() > 0 && self.gate_incremental_runs.get() == 0 {
-                    chronus_timenet::GateBackendKind::Full
-                } else {
-                    chronus_timenet::GateBackendKind::Incremental
-                },
-                incremental_checks: self.gate_incremental_checks.get(),
-                full_checks: self.gate_full_checks.get(),
+                checks: self.gate_checks.get(),
                 ledger_applies: self.gate_ledger_applies.get(),
                 ledger_undos: self.gate_ledger_undos.get(),
                 cells_touched: self.gate_cells_touched.get(),
@@ -339,7 +315,6 @@ impl EngineMetrics {
                 schedules_checked: self.slack_schedules_checked.get(),
             },
             arena_bytes: self.greedy_arena_bytes.get().max(0) as u64,
-            parallel_candidates: self.greedy_parallel_candidates.get().max(0) as u64,
             submitted: self.submitted.get(),
             completed: self.completed.get(),
             timeouts: self.timeouts.get(),
@@ -446,8 +421,8 @@ pub struct PlanReport {
     /// Sharded-stage reservation counters.
     pub shard: ShardStats,
     /// Aggregated exact-gate counters across all greedy-stage runs:
-    /// incremental vs full checks, ledger traffic, and the cell-visit
-    /// volume a full re-simulation would have cost instead.
+    /// checks, ledger traffic, and the cell-visit volume a full
+    /// re-simulation would have cost instead.
     pub gate: GateStats,
     /// Independent-certifier counters across completed requests.
     pub certs: CertStats,
@@ -456,9 +431,6 @@ pub struct PlanReport {
     /// Largest simulation-arena high-water mark (bytes) any greedy run
     /// reported — the flat pool footprint of the planning hot path.
     pub arena_bytes: u64,
-    /// Largest candidate-scoring worker count any greedy run used
-    /// (1 = sequential, 0 = no greedy run recorded yet).
-    pub parallel_candidates: u64,
     /// Requests accepted into the queue.
     pub submitted: u64,
     /// Requests fully planned.
@@ -564,10 +536,9 @@ impl fmt::Display for PlanReport {
         }
         writeln!(
             f,
-            "  exact gate: {} incremental / {} full checks, \
+            "  exact gate: {} checks, \
              {} applies, {} undos, {} cells touched (full-sim equivalent {})",
-            self.gate.incremental_checks,
-            self.gate.full_checks,
+            self.gate.checks,
             self.gate.ledger_applies,
             self.gate.ledger_undos,
             self.gate.cells_touched,
@@ -575,9 +546,8 @@ impl fmt::Display for PlanReport {
         )?;
         writeln!(
             f,
-            "  greedy resources: arena high-water ~{} B, \
-             {} candidate-scoring worker(s)",
-            self.arena_bytes, self.parallel_candidates
+            "  greedy resources: arena high-water ~{} B",
+            self.arena_bytes
         )?;
         write!(
             f,
@@ -691,10 +661,7 @@ mod tests {
             snap.counter("chronus_engine_shard_joint_fallbacks_total"),
             Some(1)
         );
-        assert_eq!(
-            snap.counter("chronus_engine_sharded_wins_total"),
-            Some(1)
-        );
+        assert_eq!(snap.counter("chronus_engine_sharded_wins_total"), Some(1));
     }
 
     #[test]

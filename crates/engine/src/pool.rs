@@ -6,7 +6,7 @@
 #![allow(clippy::expect_used)]
 
 use crate::cache::TimeNetCache;
-use crate::fallback::{plan_with_chain_sharded, PlannedUpdate, SlackPolicy};
+use crate::fallback::{plan_with_chain, PlannedUpdate, SlackPolicy};
 use crate::metrics::{EngineMetrics, PlanReport};
 use crate::request::{RequestId, UpdateRequest};
 use chronus_core::shard::ShardingConfig;
@@ -175,9 +175,7 @@ impl Engine {
                 let rx: Receiver<Job> = rx.clone();
                 let cache = cache.clone();
                 let metrics = metrics.clone();
-                let verify = config.verify;
-                let slack = config.slack;
-                let sharding = config.sharding;
+                let config = config.clone();
                 let draining = draining.clone();
                 let leftovers = leftovers.clone();
                 thread::Builder::new()
@@ -203,15 +201,8 @@ impl Engine {
                                 request = job.request.id.0
                             )
                             .entered();
-                            let planned = plan_with_chain_sharded(
-                                &job.request,
-                                &cache,
-                                &metrics,
-                                &mut ws,
-                                &verify,
-                                slack.as_ref(),
-                                sharding.as_ref(),
-                            );
+                            let planned =
+                                plan_with_chain(&job.request, &cache, &metrics, &mut ws, &config);
                             // A dead reply channel means the batch was
                             // abandoned; planning the rest of the queue
                             // is still correct, so just keep going.

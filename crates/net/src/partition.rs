@@ -139,7 +139,12 @@ fn trivial(net: &Network) -> Partition {
     }
 }
 
-fn finish(net: &Network, shards: usize, assignment: Vec<usize>, method: PartitionMethod) -> Partition {
+fn finish(
+    net: &Network,
+    shards: usize,
+    assignment: Vec<usize>,
+    method: PartitionMethod,
+) -> Partition {
     let cross_links = net
         .links()
         .filter(|l| assignment[l.src.0 as usize] != assignment[l.dst.0 as usize])
@@ -212,7 +217,12 @@ fn fat_tree_pods(net: &Network, target: usize) -> Option<Partition> {
             }
         };
     }
-    Some(finish(net, shards, assignment, PartitionMethod::FatTreePods))
+    Some(finish(
+        net,
+        shards,
+        assignment,
+        PartitionMethod::FatTreePods,
+    ))
 }
 
 /// Greedy min-cut partition for arbitrary graphs: farthest-point
@@ -269,20 +279,20 @@ fn greedy_min_cut(net: &Network, shards: usize) -> Partition {
     let mut remaining = n - seeds.len();
     while remaining > 0 {
         let mut progressed = false;
-        for s in 0..seeds.len() {
+        for (s, queue) in queues.iter_mut().enumerate() {
             // Claim exactly one unassigned neighbour of this shard's
             // frontier; exhausted frontier switches are retired.
-            'claim: while let Some(&u) = queues[s].front() {
+            'claim: while let Some(&u) = queue.front() {
                 for &v in &adj[u] {
                     if assignment[v] == usize::MAX {
                         assignment[v] = s;
-                        queues[s].push_back(v);
+                        queue.push_back(v);
                         remaining -= 1;
                         progressed = true;
                         break 'claim;
                     }
                 }
-                queues[s].pop_front();
+                queue.pop_front();
             }
         }
         if !progressed {
@@ -306,9 +316,7 @@ fn greedy_min_cut(net: &Network, shards: usize) -> Partition {
     }
     let mut counts = vec![0usize; seeds.len()];
     for u in 0..n {
-        for c in &mut counts {
-            *c = 0;
-        }
+        counts.fill(0);
         for &v in &adj[u] {
             counts[assignment[v]] += 1;
         }
@@ -358,9 +366,7 @@ pub fn split_instance(instance: &UpdateInstance, target: usize) -> ShardedInstan
     let mut owner: Vec<usize> = Vec::with_capacity(instance.flows.len());
     let mut votes = vec![0usize; shards];
     for (fi, flow) in instance.flows.iter().enumerate() {
-        for v in &mut votes {
-            *v = 0;
-        }
+        votes.fill(0);
         for sw in flow.touched_switches() {
             votes[partition.shard_of(sw)] += 1;
         }
@@ -622,7 +628,10 @@ mod tests {
             assert_eq!(rebuilt.switch_name(s), net.switch_name(s));
         }
         // A non-overridden link keeps its capacity and delay.
-        let other = net.links().find(|x| x.endpoints() != l.endpoints()).unwrap();
+        let other = net
+            .links()
+            .find(|x| x.endpoints() != l.endpoints())
+            .unwrap();
         assert_eq!(rebuilt.capacity(other.src, other.dst), Some(other.capacity));
         assert_eq!(rebuilt.delay(other.src, other.dst), Some(other.delay));
     }

@@ -18,10 +18,7 @@
 use chronus_core::greedy::greedy_schedule;
 use chronus_core::{MutpProblem, ScheduleError};
 use chronus_net::{SwitchId, TimeStep, UpdateInstance};
-use chronus_timenet::{
-    Delta, FluidSimulator, IncrementalSimulator, Schedule, SimulationReport, SimulatorConfig,
-    Verdict,
-};
+use chronus_timenet::{Delta, IncrementalSimulator, Schedule, Verdict};
 use std::collections::HashSet;
 use std::time::{Duration, Instant};
 
@@ -34,11 +31,6 @@ pub struct OptConfig {
     /// makespan (OPT can never need more) or the instance's search
     /// horizon when the greedy fails.
     pub max_makespan: Option<TimeStep>,
-    /// Answer the per-node consistency and frozen-prefix checks from a
-    /// persistent [`IncrementalSimulator`] updated in O(Δ) alongside
-    /// the branch walk (default true) instead of re-simulating the
-    /// whole schedule at every node. Identical verdicts either way.
-    pub incremental_gate: bool,
     /// Post-hoc certification of the winning schedule by the
     /// independent static certifier (`chronus-verify`); enabled by
     /// default, disable for hot benchmark loops.
@@ -50,7 +42,6 @@ impl Default for OptConfig {
         OptConfig {
             budget: Duration::from_secs(600),
             max_makespan: None,
-            incremental_gate: true,
             verify: chronus_verify::VerifyConfig::default(),
         }
     }
@@ -149,18 +140,22 @@ pub fn optimal_schedule_with(
         });
     }
 
-    let sim_cfg = SimulatorConfig {
-        record_loads: false,
-        ..SimulatorConfig::default()
-    };
-    let sim = FluidSimulator::with_config(instance, sim_cfg);
+    // One incremental simulator answers every consistency and
+    // frozen-prefix query in O(Δ) for the whole deepening loop: every
+    // exhausted search tree unwinds its deltas completely, so the
+    // state is back at `base` when the next bound starts.
+    let mut inc = IncrementalSimulator::new(instance);
+    for (flow, v, t) in base.iter() {
+        let d = inc.apply(flow, v, t);
+        inc.commit(d); // base is permanent: never undone
+    }
     let drain = problem.drain_bound();
     let mut stats = Stats::default();
 
     if items.is_empty() {
         // Only fresh activations (or nothing at all).
         stats.sims += 1;
-        if sim.run(&base).verdict() == Verdict::Consistent {
+        if inc.verdict() == Verdict::Consistent {
             let makespan = base.makespan().unwrap_or(0);
             let certificate = certify_outcome(instance, &base, &cfg.verify)?;
             return Ok(OptOutcome {
@@ -177,19 +172,6 @@ pub fn optimal_schedule_with(
         });
     }
 
-    // One incremental simulator for the whole deepening loop: every
-    // exhausted search tree unwinds its deltas completely, so the
-    // state is back at `base` when the next bound starts.
-    let mut inc_state = if cfg.incremental_gate {
-        let mut inc = IncrementalSimulator::new(instance);
-        for (flow, v, t) in base.iter() {
-            let _ = inc.apply(flow, v, t); // base is permanent: deltas dropped
-        }
-        Some(inc)
-    } else {
-        None
-    };
-
     for m in 0..=ub {
         // chronus-lint: allow(det-wallclock) — budget deadline check, see `deadline`
         if Instant::now() > deadline {
@@ -199,8 +181,7 @@ pub fn optimal_schedule_with(
         }
         let mut searcher = Searcher {
             instance,
-            sim: &sim,
-            inc: inc_state.as_mut(),
+            inc: &mut inc,
             items: &items,
             makespan: m,
             drain,
@@ -268,9 +249,9 @@ type MemoKey = (TimeStep, u64, Vec<(usize, TimeStep)>);
 
 struct Searcher<'a> {
     instance: &'a UpdateInstance,
-    sim: &'a FluidSimulator<'a>,
-    /// When set, answers consistency/frozen-prefix queries in O(Δ).
-    inc: Option<&'a mut IncrementalSimulator>,
+    /// Mirrors `schedule`; answers consistency and frozen-prefix
+    /// queries in O(Δ).
+    inc: &'a mut IncrementalSimulator,
     items: &'a [(usize, SwitchId)],
     makespan: TimeStep,
     drain: TimeStep,
@@ -288,15 +269,13 @@ struct Searcher<'a> {
 
 impl<'a> Searcher<'a> {
     /// Records `items[i] @ t` in the schedule, the assignment mirror
-    /// and (when enabled) the incremental simulator.
+    /// and the incremental simulator.
     fn assign(&mut self, i: usize, t: TimeStep, schedule: &mut Schedule) {
         let (fi, v) = self.items[i];
         let flow_id = self.instance.flows[fi].id;
         schedule.set(flow_id, v, t);
         self.assigned[i] = Some(t);
-        if let Some(inc) = self.inc.as_deref_mut() {
-            self.deltas.push(inc.apply(flow_id, v, t));
-        }
+        self.deltas.push(self.inc.apply(flow_id, v, t));
     }
 
     /// Reverts the most recent [`Searcher::assign`] of `items[i]`.
@@ -305,9 +284,8 @@ impl<'a> Searcher<'a> {
         let flow_id = self.instance.flows[fi].id;
         schedule.unset(flow_id, v);
         self.assigned[i] = None;
-        if let Some(inc) = self.inc.as_deref_mut() {
-            inc.undo(self.deltas.pop().expect("assign/retract imbalance"));
-        }
+        self.inc
+            .undo(self.deltas.pop().expect("assign/retract imbalance"));
     }
 
     /// Memo key for the state reached after closing step `t − 1`:
@@ -336,27 +314,25 @@ impl<'a> Searcher<'a> {
     }
 
     /// Full-schedule consistency of the current node.
-    fn node_consistent(&mut self, schedule: &Schedule) -> bool {
+    fn node_consistent(&mut self) -> bool {
         self.stats.sims += 1;
-        match self.inc.as_deref() {
-            Some(inc) => inc.verdict() == Verdict::Consistent,
-            None => self.sim.run(schedule).verdict() == Verdict::Consistent,
-        }
+        self.inc.verdict() == Verdict::Consistent
     }
 
     /// Frozen-prefix violation test at the close of step `t`.
-    fn node_frozen_violation(&mut self, t: TimeStep, schedule: &Schedule) -> bool {
+    ///
+    /// A violation whose event time is `≤ t` cannot be repaired by
+    /// updates at steps `> t` (updates only change departures at or
+    /// after their own step).
+    fn node_frozen_violation(&mut self, t: TimeStep) -> bool {
         self.stats.sims += 1;
-        match self.inc.as_deref() {
-            Some(inc) => inc.has_violation_at_or_before(t),
-            None => has_frozen_violation(&self.sim.run(schedule), t),
-        }
+        self.inc.has_violation_at_or_before(t)
     }
 
     /// Decides the update set of step `t` and recurses to `t + 1`.
     fn step(&mut self, t: TimeStep, remaining: u64, schedule: &mut Schedule) -> Outcome {
         if remaining == 0 {
-            return if self.node_consistent(schedule) {
+            return if self.node_consistent() {
                 Outcome::Found
             } else {
                 Outcome::Exhausted
@@ -391,7 +367,7 @@ impl<'a> Searcher<'a> {
         if undecided == 0 {
             // Step t closed: events at times ≤ t are frozen; prune on
             // any frozen violation.
-            if self.node_frozen_violation(t, schedule) {
+            if self.node_frozen_violation(t) {
                 return Outcome::Exhausted;
             }
             return self.step(t + 1, remaining & !chosen, schedule);
@@ -421,19 +397,11 @@ impl<'a> Searcher<'a> {
     }
 }
 
-/// A violation whose event time is `≤ t` cannot be repaired by updates
-/// at steps `> t` (updates only change departures at or after their
-/// own step).
-fn has_frozen_violation(report: &SimulationReport, t: TimeStep) -> bool {
-    report.congestion.iter().any(|c| c.time <= t)
-        || report.loops.iter().any(|l| l.time <= t)
-        || report.blackholes.iter().any(|b| b.time <= t)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use chronus_net::{motivating_example, Flow, FlowId, NetworkBuilder, Path};
+    use chronus_timenet::FluidSimulator;
 
     fn sid(i: u32) -> SwitchId {
         SwitchId(i)

@@ -40,7 +40,7 @@ mod simulate;
 pub use arena::SimArena;
 pub use codec::{schedule_from_value, schedule_to_value, ScheduleCodecError};
 pub use extended::{MaterializedTimeNet, TeLink, TeNode, TimeExtendedNetwork};
-pub use incremental::{Delta, GateBackendKind, GateStats, IncrementalSimulator, SimWorkspace};
+pub use incremental::{Delta, GateStats, IncrementalSimulator, SimWorkspace};
 pub use ledger::{InternedLink, LinkInterner, LoadLedger};
 pub use occupancy::render_occupancy;
 pub use report::{BlackholeEvent, CongestionEvent, LoopEvent, SimulationReport, Verdict};

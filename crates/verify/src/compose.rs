@@ -42,7 +42,10 @@ pub fn compose_certificates(
     let mut by_link: BTreeMap<(SwitchId, SwitchId), Vec<&LinkBound>> = BTreeMap::new();
     for part in parts {
         for bound in &part.link_bounds {
-            by_link.entry((bound.src, bound.dst)).or_default().push(bound);
+            by_link
+                .entry((bound.src, bound.dst))
+                .or_default()
+                .push(bound);
         }
     }
 
@@ -64,8 +67,10 @@ pub fn compose_certificates(
         link_bounds.push(merged);
     }
 
-    let mut boundaries: Vec<BoundaryWitness> =
-        parts.iter().flat_map(|p| p.boundaries.iter().cloned()).collect();
+    let mut boundaries: Vec<BoundaryWitness> = parts
+        .iter()
+        .flat_map(|p| p.boundaries.iter().cloned())
+        .collect();
     boundaries.sort_by_key(|b| b.time);
 
     Ok(Certificate {
@@ -238,7 +243,12 @@ mod tests {
         UpdateInstance::new(net, vec![f0, f1]).unwrap()
     }
 
-    fn bound(src: u32, dst: u32, capacity: Capacity, segs: &[(TimeStep, TimeStep, Capacity)]) -> LinkBound {
+    fn bound(
+        src: u32,
+        dst: u32,
+        capacity: Capacity,
+        segs: &[(TimeStep, TimeStep, Capacity)],
+    ) -> LinkBound {
         LinkBound {
             src: sid(src),
             dst: sid(dst),

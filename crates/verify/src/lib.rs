@@ -45,11 +45,11 @@ mod trace;
 pub use certificate::{
     BoundaryOrder, BoundaryWitness, Certificate, IntervalLoad, LinkBound, Violation,
 };
-pub use compose::compose_certificates;
 pub use codec::{
     certificate_from_value, certificate_to_value, slack_from_value, slack_to_value,
     violation_from_value, violation_to_value, CertCodecError,
 };
+pub use compose::compose_certificates;
 pub use mutate::{apply_mutation, find_rejected_mutant, mutations, Mutation};
 pub use slack::{
     certify_with_slack, check_slack, slack_certificate, SlackCertificate, SlackConfig,

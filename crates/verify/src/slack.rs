@@ -154,8 +154,14 @@ pub fn slack_certificate(
             .iter()
             .map(|&(_, _, t)| ((-(k - 1)).max(-t)..=k).collect())
             .collect();
-        let cube: usize = menus.iter().map(Vec::len).product();
-        if checked + cube > config.budget {
+        // Checked arithmetic: with ≥ 64 entries the cube size exceeds
+        // `usize`, and an overflowed cube is over any budget.
+        let within_budget = menus
+            .iter()
+            .try_fold(1usize, |cube, menu| cube.checked_mul(menu.len()))
+            .and_then(|cube| checked.checked_add(cube))
+            .is_some_and(|total| total <= config.budget);
+        if !within_budget {
             budget_exhausted = true;
             break;
         }
@@ -398,6 +404,62 @@ mod tests {
         let cert = slack_certificate(&inst, &staged(), &cfg).expect("nominal certifies");
         assert_eq!(cert.slack_steps, 0);
         assert!(cert.budget_exhausted);
+    }
+
+    /// A certifiable schedule with exactly `entries` (even) entries:
+    /// `entries / 2` unit flows each move from 0 → 1 → 3 to 0 → 2 → 3
+    /// (fresh switch 2 at step 0, the source at step 1) over links
+    /// ample enough to carry them all either way.
+    fn wide_schedule(entries: u32) -> (UpdateInstance, Schedule) {
+        let cap = u64::from(entries);
+        let mut b = chronus_net::NetworkBuilder::with_switches(4);
+        for (u, v) in [(0, 1), (1, 3), (0, 2), (2, 3)] {
+            b.add_link(sid(u), sid(v), cap, 1).unwrap();
+        }
+        let mut schedule = Schedule::new();
+        let flows: Vec<_> = (0..entries / 2)
+            .map(|i| {
+                schedule.set(FlowId(i), sid(2), 0);
+                schedule.set(FlowId(i), sid(0), 1);
+                chronus_net::Flow::new(
+                    FlowId(i),
+                    1,
+                    chronus_net::Path::new(vec![sid(0), sid(1), sid(3)]),
+                    chronus_net::Path::new(vec![sid(0), sid(2), sid(3)]),
+                )
+                .unwrap()
+            })
+            .collect();
+        (UpdateInstance::new(b.build(), flows).unwrap(), schedule)
+    }
+
+    /// With ≥ 64 entries the k = 1 hypercube has ≥ 2^64 corners: the
+    /// size must read as "over budget", not wrap to 0 (release) or
+    /// panic (debug) and send the odometer off on a 2^64-step walk.
+    #[test]
+    fn hypercube_size_overflow_is_over_budget() {
+        for entries in [64, 200] {
+            let (inst, schedule) = wide_schedule(entries);
+            assert_eq!(schedule.len(), entries as usize);
+            // chronus-lint: allow(det-wallclock) — test-only bound on a search that used not to return
+            let t0 = std::time::Instant::now();
+            // k = 1 already overflows; stopping there keeps the
+            // per-switch diagnostics (one certifier run over every
+            // flow per entry and offset) quick in debug builds.
+            let cfg = SlackConfig {
+                max_steps: 1,
+                ..SlackConfig::default()
+            };
+            let cert = slack_certificate(&inst, &schedule, &cfg).expect("nominal certifies");
+            assert_eq!(cert.slack_steps, 0, "{cert}");
+            assert!(cert.budget_exhausted, "{cert}");
+            assert_eq!(cert.schedules_checked, 0);
+            let took = t0.elapsed();
+            assert!(
+                took < std::time::Duration::from_secs(1),
+                "{entries} entries took {took:?}"
+            );
+        }
     }
 
     #[test]

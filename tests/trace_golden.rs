@@ -178,7 +178,11 @@ fn assert_well_formed_prometheus(text: &str) {
 }
 
 /// Generates a trace by planning a small batch with the collector on.
+/// Holds the flight lock: the collector is process-global too, and a
+/// flight test's inner span closing before this drain, its outer span
+/// after, would leave a `parent_id` that names no exported span.
 fn generate_trace_json() -> String {
+    let _l = flight_lock();
     let _guard = Collector::install();
     let instance = Arc::new(motivating_example());
     let engine = Engine::new(EngineConfig::with_workers(2));
@@ -256,8 +260,8 @@ fn empty_timeline_is_still_valid_json() {
 // Flight-record dumps.
 // ---------------------------------------------------------------------------
 
-/// The recorder is process-global; the flight tests serialize on this
-/// and tell their events apart by name prefix.
+/// The recorder is process-global; the tests that emit spans serialize
+/// on this and tell their events apart by name prefix.
 static FLIGHT_LOCK: Mutex<()> = Mutex::new(());
 
 fn flight_lock() -> MutexGuard<'static, ()> {
