@@ -33,7 +33,7 @@ use chronus_core::greedy::greedy_schedule;
 use chronus_emu::{EmuConfig, Emulator, UpdateDriver};
 use chronus_faults::{FaultPlan, FaultSummary, ReliableConfig};
 use chronus_net::{motivating_example, SwitchId};
-use chronus_verify::{slack_certificate, SlackConfig};
+use chronus_verify::slack_certificate;
 use std::process::ExitCode;
 use std::time::Instant;
 
@@ -125,8 +125,7 @@ fn main() -> ExitCode {
         .expect("the motivating example is greedy-schedulable")
         .schedule
         .dilated(DILATION);
-    let cert = slack_certificate(&inst, &schedule, &SlackConfig::default())
-        .expect("the dilated schedule certifies");
+    let (_, cert) = slack_certificate(&inst, &schedule).expect("the dilated schedule certifies");
     assert!(
         cert.slack_steps >= 1,
         "dilation must buy at least one step of slack, got {}",

@@ -435,4 +435,34 @@ mod tests {
         assert!(replay.live.is_empty());
         assert_eq!(replay.max_id, 0);
     }
+
+    /// An `arm` line exactly as the daemon wrote it while slack
+    /// certificates still carried a `per_switch` array: an upgraded
+    /// daemon must replay it (0 corrupt lines), keep the slack verdict
+    /// and simply forget the array.
+    #[test]
+    fn arm_lines_with_a_legacy_per_switch_array_still_replay() {
+        const LEGACY_ARM_LINE: &str = r#"{"certificate":{"boundaries":[{"acyclic":[2,3,4,0,1,5],"time":0},{"acyclic":[2,1,0,3,4,5],"time":2},{"acyclic":[4,0,3,2,1,5],"time":4}],"cohorts_covered":16,"link_bounds":[{"capacity":1,"dst":1,"peak":1,"segments":[[-5,2,1]],"src":0},{"capacity":1,"dst":3,"peak":1,"segments":[[2,11,1]],"src":0},{"capacity":1,"dst":2,"peak":0,"segments":[[-4,0,1]],"src":1},{"capacity":1,"dst":5,"peak":1,"segments":[[0,3,1],[6,14,1]],"src":1},{"capacity":1,"dst":1,"peak":1,"segments":[[5,13,1]],"src":2},{"capacity":1,"dst":3,"peak":1,"segments":[[-3,1,1]],"src":2},{"capacity":1,"dst":2,"peak":1,"segments":[[4,12,1]],"src":3},{"capacity":1,"dst":4,"peak":1,"segments":[[-2,2,1],[3,4,1]],"src":3},{"capacity":1,"dst":5,"peak":1,"segments":[[-1,3,1],[4,5,1]],"src":4}],"makespan":4,"segments_traced":4},"dilation":2,"epoch_ns":"1790608986416788015","id":1,"instance":{"flows":[{"demand":1,"final":[0,3,2,1,5],"id":0,"initial":[0,1,2,3,4,5]}],"network":{"links":[[0,1,1,1],[1,2,1,1],[2,3,1,1],[3,4,1,1],[4,5,1,1],[1,5,1,1],[0,3,1,1],[3,2,1,1],[2,1,1,1]],"switches":["v1","v2","v3","v4","v5","v6"]}},"op":"arm","plan_ns":622580,"priority":"high","schedule":{"entries":[[0,0,2],[0,1,0],[0,2,2],[0,3,4]]},"slack":{"budget_exhausted":false,"counterexample":{"schedule":{"entries":[[0,0,1],[0,1,1],[0,2,1],[0,3,3]]},"violation":{"emitted":[-1,-1],"flow":0,"kind":"forwarding_loop","switch":1,"time":2}},"per_switch":[[0,2],[1,1],[2,2],[3,3]],"schedules_checked":21,"slack_steps":1},"span_id":2,"tenant":"t"}"#;
+        assert!(LEGACY_ARM_LINE.contains(r#""per_switch":[[0,2],[1,1],[2,2],[3,3]]"#));
+        let path = scratch("legacy-slack");
+        fs::create_dir_all(path.parent().unwrap()).unwrap();
+        fs::write(&path, format!("{LEGACY_ARM_LINE}\n")).unwrap();
+        let replay = Journal::replay(&path).unwrap();
+        assert_eq!(replay.corrupt_lines, 0);
+        let record = replay.live.first().expect("the armed update is live");
+        assert_eq!((record.id, record.dilation), (1, 2));
+        assert_eq!(record.certificate.check(&record.instance), Ok(()));
+        let slack = record.slack.as_ref().expect("slack certificate");
+        assert_eq!((slack.slack_steps, slack.schedules_checked), (1, 21));
+        assert!(slack.counterexample.is_some());
+        assert_eq!(
+            chronus_verify::check_slack(&record.instance, &record.schedule, slack),
+            Ok(())
+        );
+        // Written back, the line is the legacy one minus the array.
+        assert_eq!(
+            serde_json::to_string(&record.to_value()).unwrap(),
+            LEGACY_ARM_LINE.replace(r#""per_switch":[[0,2],[1,1],[2,2],[3,3]],"#, "")
+        );
+    }
 }

@@ -8,12 +8,15 @@
 //! `restore-rollback` trigger and writes a dump. The dump must be
 //! loadable Perfetto JSON that names the trigger, still contains the
 //! first incarnation's `engine.plan` spans (rings are process-global
-//! and outlive their threads), and embeds a metrics snapshot whose SLO
+//! and keep an exited thread's events when a later thread adopts
+//! them), and embeds a metrics snapshot whose SLO
 //! latency histogram carries the rolled-back updates' span ids as
 //! exemplars — the dump-to-journal join an operator pivots on.
 //!
 //! The second test drives `top` and `tail` over a Unix socket exactly
-//! as `chronusctl` would.
+//! as `chronusctl` would. The third plans multi-flow updates under the
+//! sharded stage, which spawns a thread per shard per request, and
+//! checks the ring registry stops growing.
 
 use chronus_clock::Nanos;
 use chronus_daemon::{run_server, CtlClient, Daemon, DaemonConfig, Journal, Priority, UpdateState};
@@ -30,7 +33,7 @@ const BASE: Nanos = 1_000_000_000_000;
 const LONG_OUTAGE: Nanos = BASE + 3_600_000_000_000;
 const SETTLE: Duration = Duration::from_secs(20);
 
-/// The recorder is process-global; the two tests serialize on this.
+/// The recorder is process-global; the tests serialize on this.
 static RECORDER_LOCK: Mutex<()> = Mutex::new(());
 
 fn lock() -> MutexGuard<'static, ()> {
@@ -299,4 +302,78 @@ fn top_and_tail_are_live_over_the_socket() {
     FlightRecorder::disable();
     let _ = std::fs::remove_dir_all(state);
     let _ = std::fs::remove_dir_all(flight_dir);
+}
+
+/// Eight hand-off migrations on an arity-12 fat tree, two per pod over
+/// four pods: the sharded stage splits them into one shard per pod.
+fn chained_fat_tree_update() -> chronus_net::UpdateInstance {
+    use chronus_net::topology::{fat_tree, LinkParams};
+    use chronus_net::{Flow, FlowId, Path, UpdateInstance};
+    let net = fat_tree(
+        12,
+        LinkParams {
+            capacity: 150,
+            delay: 1,
+        },
+    );
+    let named = |name: String| {
+        net.switches()
+            .find(|&s| net.switch_name(s) == Some(name.as_str()))
+            .expect("fat-tree switch")
+    };
+    let flows = (0..8usize)
+        .map(|t| {
+            let (pod, j) = (t % 4, t / 4);
+            let e0 = named(format!("edge{}", pod * 6));
+            let e1 = named(format!("edge{}", pod * 6 + 1));
+            let agg = |a: usize| named(format!("agg{}", pod * 6 + a));
+            Flow::new(
+                FlowId(t as u32),
+                100,
+                Path::new(vec![e0, agg(j), e1]),
+                Path::new(vec![e0, agg(j + 1), e1]),
+            )
+            .expect("chain paths")
+        })
+        .collect();
+    UpdateInstance::new(net, flows).expect("chain instance")
+}
+
+/// The sharded stage plans each shard on a short-lived thread, every
+/// one of which records spans. Their rings must be handed on to later
+/// threads, not kept one per thread ever spawned: after warm-up the
+/// registry holds as many rings as threads were ever alive at once.
+#[test]
+fn sharded_planning_does_not_grow_the_ring_registry() {
+    let _l = lock();
+    FlightRecorder::enable(4096);
+    let config = DaemonConfig {
+        engine_shards: 8,
+        tenant_burst: 256.0,
+        ..config(&temp_dir("shard-state"), BASE)
+    };
+    let daemon = Daemon::start(config).expect("daemon start");
+    let instance = Arc::new(chained_fat_tree_update());
+    let mut rings_after = Vec::new();
+    for i in 0..200 {
+        let id = daemon
+            .submit("tenant", Priority::Normal, None, Arc::clone(&instance))
+            .unwrap_or_else(|shed| panic!("submission {i} shed: {shed}"));
+        let status = daemon.watch(id, SETTLE).expect("settles");
+        assert_eq!(status.state, UpdateState::Armed, "update {id}: {status:?}");
+        assert!(status.detail.contains("sharded"), "{status:?}");
+        daemon.confirm(id).expect("confirm");
+        rings_after.push(FlightRecorder::snapshot().rings.len());
+    }
+    // A shard thread's ring is released by its TLS destructor, which
+    // may still be running when the next round of shards starts, so a
+    // late straggler can add a ring; leaking adds one per shard per
+    // update, hundreds by the end.
+    let (tenth, last) = (rings_after[9], rings_after[199]);
+    assert!(
+        last <= tenth + 4,
+        "ring registry grew from {tenth} (10 updates) to {last} (200 updates): {rings_after:?}"
+    );
+    drop(daemon);
+    FlightRecorder::disable();
 }

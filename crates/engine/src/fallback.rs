@@ -35,9 +35,7 @@ use chronus_core::shard::shard_schedule_in;
 use chronus_core::tree::{check_feasibility, Feasibility};
 use chronus_net::{TimeStep, UpdateInstance};
 use chronus_timenet::{Schedule, SimWorkspace};
-use chronus_verify::{
-    certify_two_phase, certify_with_slack, Certificate, SlackCertificate, SlackConfig,
-};
+use chronus_verify::{certify_two_phase, slack_certificate, Certificate, SlackCertificate};
 use std::fmt;
 use std::time::{Duration, Instant};
 
@@ -62,8 +60,6 @@ pub struct SlackPolicy {
     /// this factor misses the target, the best-slack candidate ships
     /// anyway and the miss is counted in the metrics.
     pub max_dilation: TimeStep,
-    /// Budget knobs for each slack-certificate search.
-    pub search: SlackConfig,
 }
 
 impl Default for SlackPolicy {
@@ -71,7 +67,6 @@ impl Default for SlackPolicy {
         SlackPolicy {
             target_steps: 1,
             max_dilation: 4,
-            search: SlackConfig::default(),
         }
     }
 }
@@ -277,6 +272,11 @@ fn stage_span_name(stage: Stage) -> &'static str {
 /// certificate meets the policy target (or the factor cap), returning
 /// the schedule to ship, its slack certificate, the consistency
 /// certificate matching it, and the factor applied.
+///
+/// A factor whose search could not afford even the k = 1 cube ends the
+/// loop: that cube offers every entry `{0, +1}` whatever its step, so
+/// it has `2^entries` corners at every factor and no later factor can
+/// strictly improve on `slack_steps = 0`.
 fn buy_slack(
     instance: &UpdateInstance,
     schedule: &Schedule,
@@ -285,19 +285,20 @@ fn buy_slack(
     let mut best: Option<(Schedule, SlackCertificate, Certificate, TimeStep)> = None;
     for factor in 1..=policy.max_dilation.max(1) {
         let candidate = schedule.dilated(factor);
-        let Ok((cert, slack)) = certify_with_slack(instance, &candidate, &policy.search) else {
+        let Ok((cert, slack)) = slack_certificate(instance, &candidate) else {
             // A dilation should never break a consistent plan, but if
             // a factor fails to certify, skip it rather than ship it.
             continue;
         };
-        let reached = slack.slack_steps >= policy.target_steps;
+        let done = slack.slack_steps >= policy.target_steps
+            || (slack.budget_exhausted && slack.slack_steps == 0);
         let improves = best
             .as_ref()
             .is_none_or(|(_, b, _, _)| slack.slack_steps > b.slack_steps);
         if improves {
             best = Some((candidate, slack, cert, factor));
         }
-        if reached {
+        if done {
             break;
         }
     }
@@ -830,5 +831,49 @@ mod tests {
             assert_eq!(x.winner, y.winner);
             assert_eq!(x.plan.schedule(), y.plan.schedule());
         }
+    }
+
+    /// Plans `instance` under the default slack policy with the trace
+    /// collector on, returning the plan and how many `verify.slack`
+    /// searches ran under its `engine.stage.slack` span — one per
+    /// dilation factor tried.
+    fn slack_searches(instance: UpdateInstance) -> (PlannedUpdate, usize) {
+        let request = UpdateRequest::new(9, Arc::new(instance), Duration::from_secs(30));
+        let config = EngineConfig::default().with_slack(SlackPolicy::default());
+        let planned = plan(
+            &request,
+            &TimeNetCache::new(),
+            &EngineMetrics::new(),
+            &config,
+        );
+        // Other tests of this binary may be planning concurrently; keep
+        // only the searches whose grandparent is this plan's span.
+        let records = chronus_trace::Collector::drain();
+        let parent_of = |id: u64| records.iter().find(|r| r.id == id).and_then(|r| r.parent);
+        let searches = records
+            .iter()
+            .filter(|r| r.name == "verify.slack")
+            .filter(|r| r.parent.and_then(parent_of) == Some(planned.span_id))
+            .count();
+        (planned, searches)
+    }
+
+    #[test]
+    fn unaffordable_cube_ends_the_dilation_loop_after_one_search() {
+        let _guard = chronus_trace::Collector::install();
+
+        // 14 schedule entries: the k = 1 cube (2^14) is over budget at
+        // every factor, so factor 1 ships after a single search.
+        let (planned, searches) = slack_searches(chronus_net::reversal_instance(16, 2, 1));
+        assert!(planned.timed_schedule().expect("timed plan").len() >= 13);
+        let slack = planned.slack.as_ref().expect("slack certificate");
+        assert!(slack.budget_exhausted && slack.slack_steps == 0, "{slack}");
+        assert_eq!((planned.dilation, searches), (1, 1));
+
+        // The tight motivating plan certifies no slack undilated and
+        // ±1 step at factor 2: two searches, then the loop stops.
+        let (planned, searches) = slack_searches(motivating_example());
+        assert_eq!(planned.slack.as_ref().map(|s| s.slack_steps), Some(1));
+        assert_eq!((planned.dilation, searches), (2, 2));
     }
 }

@@ -230,7 +230,6 @@ mod tests {
                 slack_steps: 1,
                 schedules_checked: 1,
                 budget_exhausted: false,
-                per_switch: Vec::new(),
                 counterexample: None,
             },
             100 * MS,

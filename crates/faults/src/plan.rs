@@ -288,7 +288,7 @@ mod tests {
     }
 
     #[test]
-    fn straggler_decision_is_sticky_per_switch() {
+    fn straggler_decision_sticks_to_its_switch() {
         let plan = FaultPlan {
             straggler_prob: 1.0,
             straggler_extra_ns: (5_000, 9_000),

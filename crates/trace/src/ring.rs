@@ -24,6 +24,13 @@
 //! the coherent event that stamp names — no ABA window. The writer is
 //! always the ring's owning thread (SPSC), readers are snapshotters.
 //!
+//! A ring outlives its thread only until another thread needs one: the
+//! registry keeps an exited thread's ring — its events stay
+//! snapshotable until overwritten — and hands it to the next thread
+//! that records its first event (see [`claim_ring`]). The registry is
+//! therefore bounded by the peak number of concurrently live recording
+//! threads, not by how many threads ever recorded.
+//!
 //! `meta` packs the event kind, the interned name and field keys, the
 //! dense thread id and the live-arg count; see [`pack_meta`]. Up to
 //! two numeric fields ride along in `arg0`/`arg1` — enough for the
@@ -223,6 +230,9 @@ struct Slot {
 /// A single thread's event ring (SPSC: the owning thread writes,
 /// snapshotters read).
 struct ThreadRing {
+    /// Dense id of the current owner; rewritten when an exited
+    /// thread's ring is adopted, so events written from then on carry
+    /// the adopter's id.
     tid: u64,
     mask: u64,
     /// Total events ever written (the drop ledger's "emitted").
@@ -336,8 +346,8 @@ static RING_ON: AtomicBool = AtomicBool::new(false);
 /// Slots per ring (set by [`FlightRecorder::enable`]).
 static RING_SLOTS: AtomicU64 = AtomicU64::new(4096);
 
-/// Every ring ever created (rings outlive their threads so late
-/// snapshots still see their events).
+/// Every ring in use, plus the rings of exited threads that no later
+/// thread has adopted yet (late snapshots still see their events).
 static REGISTRY: Mutex<Vec<Arc<ThreadRing>>> = Mutex::new(Vec::new());
 
 /// Dump directory, metrics source and dump bookkeeping.
@@ -360,24 +370,38 @@ pub(crate) fn ring_on() -> bool {
     RING_ON.load(Ordering::Relaxed)
 }
 
-/// Runs `f` against the calling thread's ring, creating and
-/// registering it on first use.
-fn with_ring<R>(f: impl FnOnce(&ThreadRing) -> R) -> Option<R> {
-    THREAD_RING.with(|cell| {
-        let mut opt = cell.borrow_mut();
-        if opt.is_none() {
-            let ring = Arc::new(ThreadRing::new(
-                thread_id(),
-                RING_SLOTS.load(Ordering::Relaxed) as usize,
-            ));
-            REGISTRY
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .push(Arc::clone(&ring));
-            *opt = Some(ring);
+/// Runs `f` against the calling thread's ring, claiming one on first
+/// use.
+fn with_ring(f: impl FnOnce(&ThreadRing)) {
+    THREAD_RING.with(|cell| f(cell.borrow_mut().get_or_insert_with(claim_ring)));
+}
+
+/// A ring for the calling thread: the ring of an exited thread when
+/// the registry holds one of the configured size, a freshly registered
+/// one otherwise.
+///
+/// A thread's only handle on its ring is the `THREAD_RING` slot, which
+/// its TLS destructor drops at exit; after that the registry's `Arc` is
+/// the only one and [`Arc::get_mut`] succeeds. Its uniqueness check
+/// acquires the count that destructor released, so every store the
+/// dead thread made to the ring happens-before the adopter's first
+/// write, and the exclusive borrow rules out a second adopter or a
+/// live owner: each slot still has exactly one writer at a time, which
+/// is all the seqlock assumes. A snapshot's temporary clones can only
+/// make a dead ring look live for a moment, never the reverse.
+fn claim_ring() -> Arc<ThreadRing> {
+    let tid = thread_id();
+    let slots = RING_SLOTS.load(Ordering::Relaxed) as usize;
+    let mut registry = REGISTRY.lock().unwrap_or_else(PoisonError::into_inner);
+    for ring in registry.iter_mut() {
+        if let Some(orphan) = Arc::get_mut(ring).filter(|r| r.slots.len() == slots) {
+            orphan.tid = tid;
+            return Arc::clone(ring);
         }
-        opt.as_deref().map(f)
-    })
+    }
+    let ring = Arc::new(ThreadRing::new(tid, slots));
+    registry.push(Arc::clone(&ring));
+    ring
 }
 
 /// Intern up to two numeric args into slot form.
@@ -459,8 +483,9 @@ pub struct FlightRecorder;
 impl FlightRecorder {
     /// Turns the recorder on with `slots_per_ring` slots per thread
     /// ring (rounded up to a power of two, min 8). Each slot is 64
-    /// bytes, so the default 4096 slots cost 256 KiB per recording
-    /// thread. Idempotent; rings already created keep their size.
+    /// bytes, so the default 4096 slots cost 256 KiB per concurrently
+    /// live recording thread. Idempotent; rings already created keep
+    /// their size, and only rings of the current size are re-used.
     pub fn enable(slots_per_ring: usize) {
         RING_SLOTS.store(
             slots_per_ring.next_power_of_two().max(8) as u64,
@@ -521,7 +546,7 @@ impl FlightRecorder {
         DUMPS_SUPPRESSED.load(Ordering::Relaxed)
     }
 
-    /// Reassembles every thread ring into one time-ordered snapshot
+    /// Reassembles every registered ring into one time-ordered snapshot
     /// with per-ring drop accounting. Safe to call concurrently with
     /// recording; slots mid-overwrite are skipped (they are counted as
     /// dropped, matching the overwrite that is busy claiming them).
@@ -754,31 +779,71 @@ mod tests {
         FlightRecorder::disable();
     }
 
+    /// This thread's ring accounting (it must have recorded already).
+    fn my_ring() -> Option<RingStats> {
+        let my_tid = thread_id();
+        FlightRecorder::snapshot()
+            .rings
+            .into_iter()
+            .find(|r| r.tid == my_tid)
+    }
+
     #[test]
     fn overwrite_oldest_drops_are_exact() {
         let _l = lock();
         FlightRecorder::enable(64);
-        // A dedicated thread gets a fresh ring with a known capacity.
+        // A dedicated thread gets a ring of the configured capacity —
+        // fresh, or adopted from an exited thread with its ledger
+        // running — so the flood is measured from its first event on.
         let stats = std::thread::spawn(|| {
             let cap = 64u64; // enable() rounded to a power of two ≥ 8
+            record_span_event("ringflood.claim", 9_999, None, 0, 1, &[]);
+            let before = my_ring()?;
             for i in 0..cap + 17 {
                 record_span_event("ringflood.flood", 10_000 + i, None, i, i + 1, &[]);
             }
-            let my_tid = thread_id();
-            FlightRecorder::snapshot()
-                .rings
-                .into_iter()
-                .find(|r| r.tid == my_tid)
-                .map(|r| (r.emitted, r.recorded, r.dropped))
+            Some((before, my_ring()?))
         })
         .join()
         .ok()
         .flatten();
-        let (emitted, recorded, dropped) = stats.unwrap();
-        assert_eq!(emitted, 64 + 17);
-        assert_eq!(recorded, 64);
-        assert_eq!(dropped, 17);
-        assert_eq!(dropped, emitted - recorded);
+        let (before, after) = stats.unwrap();
+        assert_eq!(after.emitted - before.emitted, 64 + 17);
+        assert_eq!(after.recorded, 64);
+        assert_eq!(after.dropped, after.emitted - after.recorded);
+        FlightRecorder::disable();
+    }
+
+    #[test]
+    fn short_lived_threads_share_rings_instead_of_leaking_them() {
+        let _l = lock();
+        FlightRecorder::enable(64);
+        let before = FlightRecorder::snapshot().rings.len();
+        let mut last_tid = 0;
+        for i in 0..1_000u64 {
+            last_tid = std::thread::spawn(move || {
+                record_span_event("ringadopt.short", 30_000 + i, None, i, i + 1, &[]);
+                thread_id()
+            })
+            .join()
+            .unwrap();
+        }
+        let snap = FlightRecorder::snapshot();
+        // One thread alive at a time: at most one ring more than the
+        // earlier tests left behind, not a thousand.
+        assert!(
+            snap.rings.len() <= before + 1,
+            "{before} rings grew to {}",
+            snap.rings.len()
+        );
+        // The last thread's event is there, under its own id, and its
+        // ring names it as the owner.
+        let last = my_events(&snap, "ringadopt.")
+            .into_iter()
+            .find(|e| e.id == 30_999)
+            .expect("last thread's event");
+        assert_eq!(last.tid, last_tid);
+        assert!(snap.rings.iter().any(|r| r.tid == last_tid));
         FlightRecorder::disable();
     }
 

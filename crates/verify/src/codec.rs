@@ -354,16 +354,6 @@ pub fn violation_from_value(v: &Value) -> R<Violation> {
 /// Encodes a slack certificate (including the blocking counterexample
 /// when the search recorded one); inverse of [`slack_from_value`].
 pub fn slack_to_value(slack: &SlackCertificate) -> Value {
-    let per_switch = slack
-        .per_switch
-        .iter()
-        .map(|(s, k)| {
-            Value::Array(vec![
-                Value::Number(f64::from(s.0)),
-                Value::from_i64_exact(*k),
-            ])
-        })
-        .collect();
     let counterexample = match &slack.counterexample {
         None => Value::Null,
         Some((schedule, violation)) => obj(vec![
@@ -378,32 +368,14 @@ pub fn slack_to_value(slack: &SlackCertificate) -> Value {
             Value::from_u64_exact(slack.schedules_checked as u64),
         ),
         ("budget_exhausted", Value::Bool(slack.budget_exhausted)),
-        ("per_switch", Value::Array(per_switch)),
         ("counterexample", counterexample),
     ])
 }
 
-/// Decodes a slack certificate written by [`slack_to_value`].
+/// Decodes a slack certificate written by [`slack_to_value`]. Unknown
+/// keys are ignored: journals from daemons that still wrote a
+/// per-switch tolerance array replay unchanged.
 pub fn slack_from_value(v: &Value) -> R<SlackCertificate> {
-    let per_switch = field_array(v, "per_switch")?
-        .iter()
-        .map(|p| {
-            let pair = p
-                .as_array()
-                .filter(|a| a.len() == 2)
-                .ok_or_else(|| CertCodecError::new("per_switch entry is not a pair"))?;
-            let s = switch_id(
-                pair.first()
-                    .ok_or_else(|| CertCodecError::new("per_switch pair too short"))?,
-                "per_switch switch",
-            )?;
-            let k = pair
-                .get(1)
-                .and_then(Value::as_i64_exact)
-                .ok_or_else(|| CertCodecError::new("per_switch tolerance not an i64"))?;
-            Ok((s, k))
-        })
-        .collect::<R<Vec<_>>>()?;
     let counterexample = match member(v, "counterexample")? {
         Value::Null => None,
         ce => {
@@ -419,7 +391,6 @@ pub fn slack_from_value(v: &Value) -> R<SlackCertificate> {
         budget_exhausted: member(v, "budget_exhausted")?
             .as_bool()
             .ok_or_else(|| CertCodecError::new("`budget_exhausted` is not a bool"))?,
-        per_switch,
         counterexample,
     })
 }
@@ -486,5 +457,26 @@ mod tests {
             b.capacity += 1;
             assert!(damaged.check(&inst).is_err());
         }
+    }
+
+    /// A slack object exactly as the daemon journaled it while the
+    /// certificate still carried per-switch tolerances: the extra key
+    /// is ignored, everything else decodes.
+    #[test]
+    fn legacy_slack_objects_with_a_per_switch_array_still_decode() {
+        let legacy = r#"{"budget_exhausted":false,"counterexample":{"schedule":{"entries":[[0,0,1],[0,1,1],[0,2,1],[0,3,3]]},"violation":{"emitted":[-1,-1],"flow":0,"kind":"forwarding_loop","switch":1,"time":2}},"per_switch":[[0,2],[1,1],[2,2],[3,3]],"schedules_checked":21,"slack_steps":1}"#;
+        let slack = slack_from_value(&serde_json::from_str(legacy).unwrap()).unwrap();
+        assert_eq!(slack.slack_steps, 1);
+        assert_eq!(slack.schedules_checked, 21);
+        assert!(!slack.budget_exhausted);
+        let (schedule, violation) = slack.counterexample.as_ref().expect("counterexample");
+        assert_eq!(schedule.len(), 4);
+        assert!(matches!(violation, Violation::ForwardingLoop { .. }));
+        // Re-encoding drops the key and nothing else.
+        let text = serde_json::to_string(&slack_to_value(&slack)).unwrap();
+        assert_eq!(
+            text,
+            legacy.replace(r#""per_switch":[[0,2],[1,1],[2,2],[3,3]],"#, "")
+        );
     }
 }

@@ -25,6 +25,11 @@
 //! tests pin this crate's verdicts against `FluidSimulator` — the two
 //! share only passive data types, so agreement is meaningful evidence
 //! and any disagreement is a found bug in one of them.
+//!
+//! Timing tolerance has one entry point: [`slack_certificate`]
+//! certifies a schedule and returns, beside that [`Certificate`], a
+//! [`SlackCertificate`] for the largest uniform ±Δ every trigger may be
+//! off by; [`check_slack`] spot-checks one later.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -51,9 +56,7 @@ pub use codec::{
 };
 pub use compose::compose_certificates;
 pub use mutate::{apply_mutation, find_rejected_mutant, mutations, Mutation};
-pub use slack::{
-    certify_with_slack, check_slack, slack_certificate, SlackCertificate, SlackConfig,
-};
+pub use slack::{check_slack, slack_certificate, SlackCertificate};
 pub use trace::{analyze, analyze_two_phase, Analysis};
 
 use chronus_net::{SwitchId, TimeStep, UpdateInstance};

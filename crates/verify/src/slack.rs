@@ -31,7 +31,7 @@
 //! a guaranteed tolerance of `Δ = k·step − 1 ns` for any step length.
 //!
 //! The check is exhaustive and exponential in the number of schedule
-//! entries, so a `budget` caps the certifications spent; a budget
+//! entries, so [`SLACK_BUDGET`] caps the certifications spent; a budget
 //! exhaustion stops *growth* but never weakens what was already
 //! certified.
 
@@ -39,25 +39,16 @@ use crate::VerifyConfig;
 use crate::{certify_with, Certificate, Violation};
 use chronus_net::{FlowId, SwitchId, TimeStep, UpdateInstance};
 use chronus_timenet::Schedule;
-use std::collections::BTreeMap;
 
-/// Knobs for the slack search.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct SlackConfig {
-    /// Largest tolerance (in steps) to attempt to certify.
-    pub max_steps: TimeStep,
-    /// Cap on perturbed-schedule certifications across the search.
-    pub budget: usize,
-}
+/// Largest tolerance (in steps) the search tries to certify: ±4 steps
+/// is already far beyond any residual clock error a synchronised
+/// deployment sees, and every further step multiplies the hypercube.
+const MAX_SLACK_STEPS: TimeStep = 4;
 
-impl Default for SlackConfig {
-    fn default() -> Self {
-        SlackConfig {
-            max_steps: 4,
-            budget: 4_096,
-        }
-    }
-}
+/// Cap on perturbed-schedule certifications across one search. The
+/// k = 1 cube has `2^entries` corners, so 4 096 admits schedules of up
+/// to 12 entries; longer ones ship `slack_steps = 0, budget_exhausted`.
+const SLACK_BUDGET: usize = 4_096;
 
 /// Proof that a schedule tolerates uniform per-switch timing error.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -71,11 +62,6 @@ pub struct SlackCertificate {
     /// The search stopped growing `k` because the certification
     /// budget ran out (the reported `slack_steps` is still sound).
     pub budget_exhausted: bool,
-    /// Per-switch diagnostic tolerances: the largest single-switch
-    /// displacement each switch individually survives (min over its
-    /// schedule entries), independent of the others. Always ≥ the
-    /// uniform `slack_steps`.
-    pub per_switch: Vec<(SwitchId, TimeStep)>,
     /// The perturbed schedule and violation that blocked
     /// `slack_steps + 1`, when the search got that far.
     pub counterexample: Option<(Schedule, Violation)>,
@@ -117,29 +103,25 @@ impl std::fmt::Display for SlackCertificate {
     }
 }
 
-/// Certifies the largest uniform timing tolerance for `schedule`.
+/// Certifies `schedule` and the largest uniform timing tolerance it
+/// carries.
 ///
-/// Returns `Err` only when the *nominal* schedule itself fails
-/// certification; otherwise the certificate reports the largest
-/// fully-certified hypercube (possibly `slack_steps = 0`).
+/// The nominal schedule is certified once, with witnesses, and that
+/// [`Certificate`] is returned alongside the slack result. `Err` only
+/// when the *nominal* schedule itself fails certification; otherwise
+/// the slack certificate reports the largest fully-certified hypercube
+/// (possibly `slack_steps = 0`).
 pub fn slack_certificate(
     instance: &UpdateInstance,
     schedule: &Schedule,
-    config: &SlackConfig,
-) -> Result<SlackCertificate, Violation> {
-    let mut span = chronus_trace::span!(
-        "verify.slack",
-        entries = schedule.len() as u64,
-        max_steps = config.max_steps
-    )
-    .entered();
-    // Load bounds and witnesses are irrelevant here; only the verdict
-    // matters, for every perturbed variant.
+) -> Result<(Certificate, SlackCertificate), Violation> {
+    let mut span = chronus_trace::span!("verify.slack", entries = schedule.len() as u64).entered();
+    let nominal = certify_with(instance, schedule, &VerifyConfig::default())?;
+    // For the perturbed variants only the verdict matters.
     let quick = VerifyConfig {
         enabled: true,
         witnesses: false,
     };
-    certify_with(instance, schedule, &quick)?;
 
     let entries: Vec<(FlowId, SwitchId, TimeStep)> = schedule.iter().collect();
     let mut checked = 0usize;
@@ -147,7 +129,7 @@ pub fn slack_certificate(
     let mut budget_exhausted = false;
     let mut counterexample = None;
 
-    'grow: for k in 1..=config.max_steps.max(0) {
+    'grow: for k in 1..=MAX_SLACK_STEPS {
         // Displacement menu per entry for tolerance k: −(k−1)…+k,
         // clamped so no entry moves below step 0.
         let menus: Vec<Vec<TimeStep>> = entries
@@ -160,7 +142,7 @@ pub fn slack_certificate(
             .iter()
             .try_fold(1usize, |cube, menu| cube.checked_mul(menu.len()))
             .and_then(|cube| checked.checked_add(cube))
-            .is_some_and(|total| total <= config.budget);
+            .is_some_and(|total| total <= SLACK_BUDGET);
         if !within_budget {
             budget_exhausted = true;
             break;
@@ -169,17 +151,8 @@ pub fn slack_certificate(
         let mut digits = vec![0usize; menus.len()];
         loop {
             let mut perturbed = schedule.clone();
-            for (idx, &(flow, switch, t)) in entries.iter().enumerate() {
-                let menu = match menus.get(idx) {
-                    Some(m) => m,
-                    None => continue,
-                };
-                let offset = digits
-                    .get(idx)
-                    .and_then(|&d| menu.get(d))
-                    .copied()
-                    .unwrap_or(0);
-                perturbed.set(flow, switch, t + offset);
+            for ((&(flow, switch, t), menu), &d) in entries.iter().zip(&menus).zip(&digits) {
+                perturbed.set(flow, switch, t + menu.get(d).copied().unwrap_or(0));
             }
             checked += 1;
             if let Err(violation) = certify_with(instance, &perturbed, &quick) {
@@ -203,53 +176,19 @@ pub fn slack_certificate(
         slack = k;
     }
 
-    let per_switch = per_switch_tolerances(instance, schedule, &entries, config, &quick);
-
     if span.is_recording() {
         span.record("slack_steps", slack);
         span.record("schedules_checked", checked as u64);
     }
-    Ok(SlackCertificate {
-        slack_steps: slack,
-        schedules_checked: checked,
-        budget_exhausted,
-        per_switch,
-        counterexample,
-    })
-}
-
-/// For each switch: the largest single-switch displacement tolerance
-/// (min over that switch's entries), holding every other entry at its
-/// nominal step.
-fn per_switch_tolerances(
-    instance: &UpdateInstance,
-    schedule: &Schedule,
-    entries: &[(FlowId, SwitchId, TimeStep)],
-    config: &SlackConfig,
-    quick: &VerifyConfig,
-) -> Vec<(SwitchId, TimeStep)> {
-    let mut by_switch: BTreeMap<SwitchId, TimeStep> = BTreeMap::new();
-    for &(flow, switch, t) in entries {
-        let mut tol: TimeStep = 0;
-        'single: for j in 1..=config.max_steps.max(0) {
-            for offset in (-(j - 1)).max(-t)..=j {
-                if offset == 0 {
-                    continue;
-                }
-                let mut perturbed = schedule.clone();
-                perturbed.set(flow, switch, t + offset);
-                if certify_with(instance, &perturbed, quick).is_err() {
-                    break 'single;
-                }
-            }
-            tol = j;
-        }
-        by_switch
-            .entry(switch)
-            .and_modify(|cur| *cur = (*cur).min(tol))
-            .or_insert(tol);
-    }
-    by_switch.into_iter().collect()
+    Ok((
+        nominal,
+        SlackCertificate {
+            slack_steps: slack,
+            schedules_checked: checked,
+            budget_exhausted,
+            counterexample,
+        },
+    ))
 }
 
 /// Re-validates a slack certificate the cheap way: spot-checks that
@@ -278,18 +217,6 @@ pub fn check_slack(
     Ok(())
 }
 
-/// Convenience: the certificate for the nominal schedule, if the
-/// caller also wants the load bounds alongside the slack result.
-pub fn certify_with_slack(
-    instance: &UpdateInstance,
-    schedule: &Schedule,
-    config: &SlackConfig,
-) -> Result<(Certificate, SlackCertificate), Violation> {
-    let cert = certify_with(instance, schedule, &VerifyConfig::default())?;
-    let slack = slack_certificate(instance, schedule, config)?;
-    Ok((cert, slack))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -310,14 +237,15 @@ mod tests {
     fn nominal_violation_propagates() {
         let inst = motivating_example();
         let naive = Schedule::all_at_zero(&inst);
-        assert!(slack_certificate(&inst, &naive, &SlackConfig::default()).is_err());
+        assert!(slack_certificate(&inst, &naive).is_err());
     }
 
     #[test]
     fn staged_plan_has_positive_slack_or_a_counterexample() {
         let inst = motivating_example();
-        let cert = slack_certificate(&inst, &staged(), &SlackConfig::default())
-            .expect("staged plan certifies");
+        let (nominal, cert) = slack_certificate(&inst, &staged()).expect("staged plan certifies");
+        // The nominal certificate is the witnessed one `certify` seals.
+        assert_eq!(Ok(&nominal), crate::certify(&inst, &staged()).as_ref());
         assert!(cert.schedules_checked > 0);
         // Either some tolerance was certified, or the blocking
         // perturbation is reported.
@@ -339,11 +267,6 @@ mod tests {
         } else {
             assert!(check_slack(&inst, &staged(), &cert).is_ok());
         }
-        // Diagnostics cover every scheduled switch.
-        assert_eq!(cert.per_switch.len(), 4);
-        for &(_, tol) in &cert.per_switch {
-            assert!(tol >= cert.slack_steps, "per-switch ≥ uniform");
-        }
         println!("{cert}");
     }
 
@@ -355,16 +278,14 @@ mod tests {
         // uniform slack is 0. Stretching every gap (t → 2t) trades
         // makespan for tolerance: the dilated plan certifies ±1 step.
         let inst = motivating_example();
-        let tight = slack_certificate(&inst, &staged(), &SlackConfig::default())
-            .expect("staged plan certifies");
+        let (_, tight) = slack_certificate(&inst, &staged()).expect("staged plan certifies");
         assert_eq!(tight.slack_steps, 0, "{tight}");
 
         let dilated = Schedule::from_pairs(
             FlowId(0),
             [(sid(1), 0), (sid(2), 2), (sid(0), 4), (sid(3), 4)],
         );
-        let cert = slack_certificate(&inst, &dilated, &SlackConfig::default())
-            .expect("dilated plan certifies");
+        let (_, cert) = slack_certificate(&inst, &dilated).expect("dilated plan certifies");
         assert!(cert.slack_steps >= 1, "{cert}");
         assert!(cert.delta_ns(100_000_000) >= 99_999_999);
         assert!(check_slack(&inst, &dilated, &cert).is_ok());
@@ -376,7 +297,6 @@ mod tests {
             slack_steps: 2,
             schedules_checked: 1,
             budget_exhausted: false,
-            per_switch: Vec::new(),
             counterexample: None,
         };
         let step = 100_000_000i128; // 100 ms
@@ -392,18 +312,6 @@ mod tests {
         assert_eq!(zero.delta_ns(step), 0);
         assert!(zero.covers_residual(0, step));
         assert!(!zero.covers_residual(1, step));
-    }
-
-    #[test]
-    fn budget_exhaustion_is_reported_not_fatal() {
-        let inst = motivating_example();
-        let cfg = SlackConfig {
-            max_steps: 4,
-            budget: 3, // can't even finish k = 1
-        };
-        let cert = slack_certificate(&inst, &staged(), &cfg).expect("nominal certifies");
-        assert_eq!(cert.slack_steps, 0);
-        assert!(cert.budget_exhausted);
     }
 
     /// A certifiable schedule with exactly `entries` (even) entries:
@@ -433,6 +341,25 @@ mod tests {
         (UpdateInstance::new(b.build(), flows).unwrap(), schedule)
     }
 
+    /// Production sits on this boundary: 12 entries make a k = 1 cube
+    /// of exactly `SLACK_BUDGET` corners, which is walked in full (and
+    /// leaves nothing for k = 2); two more entries and no cube is
+    /// affordable, which is reported, not fatal.
+    #[test]
+    fn budget_boundary_is_twelve_entries() {
+        let (inst, schedule) = wide_schedule(12);
+        let (_, cert) = slack_certificate(&inst, &schedule).expect("nominal certifies");
+        assert_eq!(cert.schedules_checked, SLACK_BUDGET);
+        assert_eq!(cert.slack_steps, 1, "{cert}");
+        assert!(cert.budget_exhausted, "{cert}");
+
+        let (inst, schedule) = wide_schedule(14);
+        let (_, cert) = slack_certificate(&inst, &schedule).expect("nominal certifies");
+        assert_eq!(cert.slack_steps, 0, "{cert}");
+        assert!(cert.budget_exhausted, "{cert}");
+        assert_eq!(cert.schedules_checked, 0);
+    }
+
     /// With ≥ 64 entries the k = 1 hypercube has ≥ 2^64 corners: the
     /// size must read as "over budget", not wrap to 0 (release) or
     /// panic (debug) and send the odometer off on a 2^64-step walk.
@@ -443,14 +370,7 @@ mod tests {
             assert_eq!(schedule.len(), entries as usize);
             // chronus-lint: allow(det-wallclock) — test-only bound on a search that used not to return
             let t0 = std::time::Instant::now();
-            // k = 1 already overflows; stopping there keeps the
-            // per-switch diagnostics (one certifier run over every
-            // flow per entry and offset) quick in debug builds.
-            let cfg = SlackConfig {
-                max_steps: 1,
-                ..SlackConfig::default()
-            };
-            let cert = slack_certificate(&inst, &schedule, &cfg).expect("nominal certifies");
+            let (_, cert) = slack_certificate(&inst, &schedule).expect("nominal certifies");
             assert_eq!(cert.slack_steps, 0, "{cert}");
             assert!(cert.budget_exhausted, "{cert}");
             assert_eq!(cert.schedules_checked, 0);
@@ -468,7 +388,7 @@ mod tests {
         // next hop, every downstream switch keeps its old rule, and
         // capacities are ample — moving the single update around can
         // neither loop, blackhole, nor congest, so the slack reaches
-        // max_steps.
+        // the cap.
         let mut b = chronus_net::NetworkBuilder::with_switches(4);
         b.add_link(sid(0), sid(1), 10, 1).unwrap();
         b.add_link(sid(1), sid(2), 10, 1).unwrap();
@@ -484,12 +404,8 @@ mod tests {
         .unwrap();
         let inst = UpdateInstance::single(net, flow).unwrap();
         let s = Schedule::from_pairs(FlowId(0), [(sid(0), 1)]);
-        let cfg = SlackConfig {
-            max_steps: 3,
-            budget: 1_000,
-        };
-        let cert = slack_certificate(&inst, &s, &cfg).expect("certifies");
-        assert_eq!(cert.slack_steps, 3, "{cert}");
+        let (_, cert) = slack_certificate(&inst, &s).expect("certifies");
+        assert_eq!(cert.slack_steps, 4, "{cert}");
         assert!(!cert.budget_exhausted);
         assert!(check_slack(&inst, &s, &cert).is_ok());
     }

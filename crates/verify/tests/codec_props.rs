@@ -157,7 +157,6 @@ proptest! {
         slack_steps in 0i64..1_000,
         checked in 0usize..1_000_000,
         exhausted in proptest::strategy::any::<bool>(),
-        per_switch in prop::collection::vec((0u32..64, i64::MIN..i64::MAX), 0..8),
         with_counterexample in proptest::strategy::any::<bool>(),
         entries in prop::collection::vec((0u32..8, 0u32..16, i64::MIN..i64::MAX), 0..8),
         selector in 0u8..8,
@@ -175,10 +174,6 @@ proptest! {
             slack_steps,
             schedules_checked: checked,
             budget_exhausted: exhausted,
-            per_switch: per_switch
-                .iter()
-                .map(|&(s, k)| (SwitchId(s), k))
-                .collect(),
             counterexample,
         };
         let text = serde_json::to_string(&slack_to_value(&slack)).unwrap();

@@ -21,7 +21,7 @@ use chronus::emu::{EmuConfig, Emulator, UpdateDriver};
 use chronus::faults::{FaultPlan, ReliableConfig};
 use chronus::net::{motivating_example, SwitchId};
 use chronus::trace::{Collector, MetricsRegistry, TimelineExporter};
-use chronus::verify::{check_slack, slack_certificate, SlackConfig};
+use chronus::verify::{check_slack, slack_certificate};
 use std::path::PathBuf;
 
 fn main() {
@@ -40,8 +40,8 @@ fn main() {
         .expect("the motivating example is greedy-schedulable")
         .schedule
         .dilated(2);
-    let cert = slack_certificate(&instance, &schedule, &SlackConfig::default())
-        .expect("the dilated schedule certifies");
+    let (_, cert) =
+        slack_certificate(&instance, &schedule).expect("the dilated schedule certifies");
     let config = EmuConfig {
         run_for: 8_000_000_000,
         update_at: 2_000_000_000,

@@ -11,7 +11,7 @@ use chronus::faults::{FaultPlan, ReliableConfig, SlackBudget};
 use chronus::net::motivating_example;
 use chronus::net::{InstanceGenerator, InstanceGeneratorConfig, SwitchId, UpdateInstance};
 use chronus::timenet::Schedule;
-use chronus::verify::{slack_certificate, SlackConfig};
+use chronus::verify::slack_certificate;
 use chronus_bench::fig6::fig6_instance;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -117,8 +117,7 @@ fn certified_sweep_over_200_seeds_ends_every_run_certified() {
         .expect("motivating example is greedy-schedulable")
         .schedule
         .dilated(2);
-    let cert = slack_certificate(&inst, &schedule, &SlackConfig::default())
-        .expect("dilated schedule certifies");
+    let (_, cert) = slack_certificate(&inst, &schedule).expect("dilated schedule certifies");
     assert!(cert.slack_steps >= 1, "dilation buys slack: {cert}");
     let config = short_config();
     let delta = cert.delta_ns(config.step_ns);
@@ -166,8 +165,7 @@ fn certified_slack_covers_the_measured_sync_residual() {
         .expect("feasible")
         .schedule
         .dilated(2);
-    let cert = slack_certificate(&inst, &schedule, &SlackConfig::default())
-        .expect("dilated schedule certifies");
+    let (_, cert) = slack_certificate(&inst, &schedule).expect("dilated schedule certifies");
     let config = short_config();
     let delta = cert.delta_ns(config.step_ns);
     assert!(delta > 0, "{cert}");

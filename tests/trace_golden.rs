@@ -381,27 +381,36 @@ fn flight_reassembly_is_time_ordered_and_nesting_contains() {
     FlightRecorder::disable();
 }
 
-/// Floods a fresh thread's ring well past capacity: the drop ledger
-/// must be exact, with `recorded` equal to the ring capacity.
+/// Floods a new thread's ring well past capacity: the drop ledger
+/// must be exact, with `recorded` equal to the ring capacity. The
+/// ring may be an exited thread's, adopted with its ledger running, so
+/// the flood is counted from the thread's first event on.
 #[test]
 fn flight_drop_ledger_is_exact_after_overflow() {
     let _l = flight_lock();
     FlightRecorder::enable(128);
     let overfill = 128u64 + 41;
-    let stats = std::thread::spawn(move || {
+    let (before, after) = std::thread::spawn(move || {
+        let my_ring = || {
+            let snap = FlightRecorder::snapshot();
+            let my_tid = ring_events(&snap, "gflood.").last().map(|e| e.tid)?;
+            snap.rings.into_iter().find(|r| r.tid == my_tid)
+        };
+        {
+            let _s = chronus::trace::span!("gflood.claim").entered();
+        }
+        let before = my_ring()?;
         for i in 0..overfill {
             let _s = chronus::trace::span!("gflood.flood", i = i).entered();
         }
-        let snap = FlightRecorder::snapshot();
-        let my_tid = ring_events(&snap, "gflood.").first().map(|e| e.tid)?;
-        snap.rings.into_iter().find(|r| r.tid == my_tid)
+        Some((before, my_ring()?))
     })
     .join()
     .expect("flood thread panicked")
     .expect("flood ring found");
-    assert_eq!(stats.emitted, overfill);
-    assert_eq!(stats.recorded, 128, "ring holds exactly its capacity");
-    assert_eq!(stats.dropped, stats.emitted - stats.recorded);
+    assert_eq!(after.emitted - before.emitted, overfill);
+    assert_eq!(after.recorded, 128, "ring holds exactly its capacity");
+    assert_eq!(after.dropped, after.emitted - after.recorded);
     FlightRecorder::disable();
 }
 
