@@ -304,15 +304,15 @@ fn top_and_tail_are_live_over_the_socket() {
     let _ = std::fs::remove_dir_all(flight_dir);
 }
 
-/// Eight hand-off migrations on an arity-12 fat tree, two per pod over
-/// four pods: the sharded stage splits them into one shard per pod.
-fn chained_fat_tree_update() -> chronus_net::UpdateInstance {
+/// A k = 4 fat tree with one pod-local migration per pod: the sharded
+/// stage plans it as one shard, and one thread, per pod.
+fn pod_local_update() -> chronus_net::UpdateInstance {
     use chronus_net::topology::{fat_tree, LinkParams};
     use chronus_net::{Flow, FlowId, Path, UpdateInstance};
     let net = fat_tree(
-        12,
+        4,
         LinkParams {
-            capacity: 150,
+            capacity: 1000,
             delay: 1,
         },
     );
@@ -321,22 +321,26 @@ fn chained_fat_tree_update() -> chronus_net::UpdateInstance {
             .find(|&s| net.switch_name(s) == Some(name.as_str()))
             .expect("fat-tree switch")
     };
-    let flows = (0..8usize)
-        .map(|t| {
-            let (pod, j) = (t % 4, t / 4);
-            let e0 = named(format!("edge{}", pod * 6));
-            let e1 = named(format!("edge{}", pod * 6 + 1));
-            let agg = |a: usize| named(format!("agg{}", pod * 6 + a));
+    let flows = (0..4u32)
+        .map(|pod| {
+            let (e0, e1) = (
+                named(format!("edge{}", 2 * pod)),
+                named(format!("edge{}", 2 * pod + 1)),
+            );
+            let (a0, a1) = (
+                named(format!("agg{}", 2 * pod)),
+                named(format!("agg{}", 2 * pod + 1)),
+            );
             Flow::new(
-                FlowId(t as u32),
+                FlowId(pod),
                 100,
-                Path::new(vec![e0, agg(j), e1]),
-                Path::new(vec![e0, agg(j + 1), e1]),
+                Path::new(vec![e0, a0, e1]),
+                Path::new(vec![e0, a1, e1]),
             )
-            .expect("chain paths")
+            .expect("pod-local paths")
         })
         .collect();
-    UpdateInstance::new(net, flows).expect("chain instance")
+    UpdateInstance::new(net, flows).expect("pod-local instance")
 }
 
 /// The sharded stage plans each shard on a short-lived thread, every
@@ -353,7 +357,7 @@ fn sharded_planning_does_not_grow_the_ring_registry() {
         ..config(&temp_dir("shard-state"), BASE)
     };
     let daemon = Daemon::start(config).expect("daemon start");
-    let instance = Arc::new(chained_fat_tree_update());
+    let instance = Arc::new(pod_local_update());
     let mut rings_after = Vec::new();
     for i in 0..200 {
         let id = daemon

@@ -27,7 +27,7 @@
 //! A ring outlives its thread only until another thread needs one: the
 //! registry keeps an exited thread's ring — its events stay
 //! snapshotable until overwritten — and hands it to the next thread
-//! that records its first event (see [`claim_ring`]). The registry is
+//! that records its first event (see `claim_ring`). The registry is
 //! therefore bounded by the peak number of concurrently live recording
 //! threads, not by how many threads ever recorded.
 //!

@@ -31,7 +31,7 @@
 //! a guaranteed tolerance of `Δ = k·step − 1 ns` for any step length.
 //!
 //! The check is exhaustive and exponential in the number of schedule
-//! entries, so [`SLACK_BUDGET`] caps the certifications spent; a budget
+//! entries, so `SLACK_BUDGET` caps the certifications spent; a budget
 //! exhaustion stops *growth* but never weakens what was already
 //! certified.
 
@@ -49,6 +49,12 @@ const MAX_SLACK_STEPS: TimeStep = 4;
 /// k = 1 cube has `2^entries` corners, so 4 096 admits schedules of up
 /// to 12 entries; longer ones ship `slack_steps = 0, budget_exhausted`.
 const SLACK_BUDGET: usize = 4_096;
+
+/// Perturbed variants are certified for their verdict only.
+const VERDICT_ONLY: VerifyConfig = VerifyConfig {
+    enabled: true,
+    witnesses: false,
+};
 
 /// Proof that a schedule tolerates uniform per-switch timing error.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -117,11 +123,6 @@ pub fn slack_certificate(
 ) -> Result<(Certificate, SlackCertificate), Violation> {
     let mut span = chronus_trace::span!("verify.slack", entries = schedule.len() as u64).entered();
     let nominal = certify_with(instance, schedule, &VerifyConfig::default())?;
-    // For the perturbed variants only the verdict matters.
-    let quick = VerifyConfig {
-        enabled: true,
-        witnesses: false,
-    };
 
     let entries: Vec<(FlowId, SwitchId, TimeStep)> = schedule.iter().collect();
     let mut checked = 0usize;
@@ -155,7 +156,7 @@ pub fn slack_certificate(
                 perturbed.set(flow, switch, t + menu.get(d).copied().unwrap_or(0));
             }
             checked += 1;
-            if let Err(violation) = certify_with(instance, &perturbed, &quick) {
+            if let Err(violation) = certify_with(instance, &perturbed, &VERDICT_ONLY) {
                 counterexample = Some((perturbed, violation));
                 break 'grow;
             }
@@ -202,17 +203,13 @@ pub fn check_slack(
     if cert.slack_steps <= 0 {
         return Ok(());
     }
-    let quick = VerifyConfig {
-        enabled: true,
-        witnesses: false,
-    };
     let k = cert.slack_steps;
     for corner in [-(k - 1), k] {
         let mut perturbed = schedule.clone();
         for (flow, switch, t) in schedule.iter() {
             perturbed.set(flow, switch, (t + corner).max(0));
         }
-        certify_with(instance, &perturbed, &quick)?;
+        certify_with(instance, &perturbed, &VERDICT_ONLY)?;
     }
     Ok(())
 }
@@ -254,15 +251,7 @@ mod tests {
                 .counterexample
                 .clone()
                 .expect("k=1 failure names a witness");
-            assert!(certify_with(
-                &inst,
-                &bad,
-                &VerifyConfig {
-                    enabled: true,
-                    witnesses: false
-                }
-            )
-            .is_err());
+            assert!(certify_with(&inst, &bad, &VERDICT_ONLY).is_err());
             let _ = violation.to_string();
         } else {
             assert!(check_slack(&inst, &staged(), &cert).is_ok());
