@@ -211,9 +211,9 @@ pub fn shard_schedule_with(
     shard_schedule_in(instance, config, &mut ws)
 }
 
-/// Plans `instance` reusing caller-owned simulation buffers for the
-/// delegated / joint-fallback paths (parallel shard workers own their
-/// own workspaces).
+/// Plans `instance` reusing caller-owned simulation buffers: for the
+/// delegated / joint-fallback paths and for the shards the calling
+/// thread plans itself (further parallel lanes own their own).
 ///
 /// # Errors
 /// See [`shard_schedule`].
@@ -282,7 +282,7 @@ pub fn shard_schedule_in(
         for &s in &populated {
             shard_instances.push(shard_instance(instance, &split.flow_shards[s], s, &table)?);
         }
-        let outcomes = match plan_shards(&shard_instances, &config) {
+        let outcomes = match plan_shards(&shard_instances, &config, workspace) {
             Ok(o) => o,
             // A shard failing at these grants will not pass tighter
             // ones — contention only grows as headroom shrinks — so
@@ -383,35 +383,46 @@ fn shard_instance(
 /// Plans every shard instance, in parallel when configured. Results
 /// come back in shard order regardless of completion order, so the
 /// merged schedule is deterministic.
+///
+/// Parallel means one lane per core, not one thread per shard: lane
+/// `l` of `n` plans shards `l`, `l + n`, … on one workspace. The
+/// caller is lane 0 (with its own long-lived `workspace`) and each
+/// further lane is a scoped thread, so a request starts `cores - 1`
+/// threads whatever its shard count, and on a single-core host none
+/// (worker threads only pay off when there are cores to run them).
 fn plan_shards(
     instances: &[UpdateInstance],
     config: &ShardingConfig,
+    workspace: &mut SimWorkspace,
 ) -> Result<Vec<GreedyOutcome>, ScheduleError> {
-    // Worker threads only pay off when there are cores to run them;
-    // on a single-core host the sequential path is strictly faster
-    // (and the merged result is identical either way).
-    if !config.parallel || instances.len() < 2 || rayon::current_num_threads() < 2 {
-        let mut ws = SimWorkspace::default();
-        return instances
+    let lanes = if config.parallel {
+        instances.len().min(rayon::current_num_threads()).max(1)
+    } else {
+        1
+    };
+    let lane = |first: usize, ws: &mut SimWorkspace| -> Vec<_> {
+        instances
             .iter()
-            .map(|inst| greedy_schedule_in(inst, config.greedy, &mut ws))
-            .collect();
-    }
+            .enumerate()
+            .skip(first)
+            .step_by(lanes)
+            .map(|(i, inst)| (i, greedy_schedule_in(inst, config.greedy, ws)))
+            .collect()
+    };
     let mut slots: Vec<Option<Result<GreedyOutcome, ScheduleError>>> =
         (0..instances.len()).map(|_| None).collect();
     rayon::scope(|scope| {
         let (tx, rx) = mpsc::channel();
-        for (i, inst) in instances.iter().enumerate() {
+        for first in 1..lanes {
             let tx = tx.clone();
-            let greedy = config.greedy;
+            let lane = &lane;
             scope.spawn(move |_| {
-                let mut ws = SimWorkspace::default();
-                let result = greedy_schedule_in(inst, greedy, &mut ws);
-                let _ = tx.send((i, result));
+                let _ = tx.send(lane(first, &mut SimWorkspace::default()));
             });
         }
         drop(tx);
-        for (i, result) in rx {
+        let own = lane(0, workspace);
+        for (i, result) in own.into_iter().chain(rx.into_iter().flatten()) {
             slots[i] = Some(result);
         }
     });

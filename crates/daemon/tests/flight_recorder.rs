@@ -15,8 +15,8 @@
 //!
 //! The second test drives `top` and `tail` over a Unix socket exactly
 //! as `chronusctl` would. The third plans multi-flow updates under the
-//! sharded stage, which spawns a thread per shard per request, and
-//! checks the ring registry stops growing.
+//! sharded stage, which starts short-lived threads for every request,
+//! and checks the ring registry stops growing.
 
 use chronus_clock::Nanos;
 use chronus_daemon::{run_server, CtlClient, Daemon, DaemonConfig, Journal, Priority, UpdateState};
@@ -305,7 +305,7 @@ fn top_and_tail_are_live_over_the_socket() {
 }
 
 /// A k = 4 fat tree with one pod-local migration per pod: the sharded
-/// stage plans it as one shard, and one thread, per pod.
+/// stage plans it as one shard per pod.
 fn pod_local_update() -> chronus_net::UpdateInstance {
     use chronus_net::topology::{fat_tree, LinkParams};
     use chronus_net::{Flow, FlowId, Path, UpdateInstance};
@@ -343,10 +343,12 @@ fn pod_local_update() -> chronus_net::UpdateInstance {
     UpdateInstance::new(net, flows).expect("pod-local instance")
 }
 
-/// The sharded stage plans each shard on a short-lived thread, every
-/// one of which records spans. Their rings must be handed on to later
-/// threads, not kept one per thread ever spawned: after warm-up the
-/// registry holds as many rings as threads were ever alive at once.
+/// The sharded stage plans the shards on one lane per core; every lane
+/// but the first is a short-lived thread that records spans (so this
+/// test needs a second core to exercise anything). Their rings must be
+/// handed on to later threads, not kept one per thread ever spawned:
+/// after warm-up the registry holds as many rings as threads were ever
+/// alive at once.
 #[test]
 fn sharded_planning_does_not_grow_the_ring_registry() {
     let _l = lock();
@@ -371,8 +373,8 @@ fn sharded_planning_does_not_grow_the_ring_registry() {
     }
     // A shard thread's ring is released by its TLS destructor, which
     // may still be running when the next round of shards starts, so a
-    // late straggler can add a ring; leaking adds one per shard per
-    // update, hundreds by the end.
+    // late straggler can add a ring; leaking adds one per spawned lane
+    // per update, hundreds by the end.
     let (tenth, last) = (rings_after[9], rings_after[199]);
     assert!(
         last <= tenth + 4,

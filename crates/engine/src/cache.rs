@@ -22,7 +22,7 @@ use chronus_timenet::{MaterializedTimeNet, TimeExtendedNetwork};
 use parking_lot::Mutex;
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -100,11 +100,15 @@ impl CacheKey {
     }
 }
 
+/// One window's slot: claimed under the cache lock, filled outside it
+/// by whichever thread claimed it while later arrivals wait on it.
+type Window = Arc<OnceLock<Arc<MaterializedTimeNet>>>;
+
 /// Map plus FIFO insertion order, under one lock so eviction and
 /// lookup agree on membership.
 #[derive(Default)]
 struct CacheState {
-    map: HashMap<CacheKey, Arc<MaterializedTimeNet>>,
+    map: HashMap<CacheKey, Window>,
     order: VecDeque<CacheKey>,
 }
 
@@ -146,21 +150,33 @@ impl TimeNetCache {
         key: CacheKey,
         instance: &UpdateInstance,
     ) -> (Arc<MaterializedTimeNet>, bool) {
-        if let Some(found) = self.entries.lock().map.get(&key) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return (found.clone(), true);
-        }
-        // Materialize outside the lock: windows can be large, and two
-        // threads racing on the same key simply build it twice, with
-        // the second insert winning (both snapshots are identical).
-        let reach = key.horizon.max(1);
-        let te = TimeExtendedNetwork::new(&instance.network, -reach, reach);
-        let built = Arc::new(te.materialize());
-        self.misses.fetch_add(1, Ordering::Relaxed);
+        let slot = self.claim(key);
+        // Materialize outside the lock: windows can be large. Threads
+        // racing on the same key build it once — the first fills the
+        // slot, the others wait for it — so a window (tens of MB on a
+        // fabric-scale topology) is never resident twice.
+        let mut built = false;
+        let window = slot.get_or_init(|| {
+            built = true;
+            let reach = key.horizon.max(1);
+            let te = TimeExtendedNetwork::new(&instance.network, -reach, reach);
+            Arc::new(te.materialize())
+        });
+        let counter = if built { &self.misses } else { &self.hits };
+        counter.fetch_add(1, Ordering::Relaxed);
+        (Arc::clone(window), !built)
+    }
+
+    /// The slot for `key`, inserted empty (evicting the oldest windows
+    /// past the capacity bound) when the key is new.
+    fn claim(&self, key: CacheKey) -> Window {
         let mut state = self.entries.lock();
-        if state.map.insert(key, built.clone()).is_none() {
-            state.order.push_back(key);
+        if let Some(found) = state.map.get(&key) {
+            return Arc::clone(found);
         }
+        let slot = Window::default();
+        state.map.insert(key, Arc::clone(&slot));
+        state.order.push_back(key);
         if let Some(cap) = self.capacity {
             while state.map.len() > cap {
                 match state.order.pop_front() {
@@ -172,7 +188,7 @@ impl TimeNetCache {
                 }
             }
         }
-        (built, false)
+        slot
     }
 
     /// Number of lookups that found a memoized window.
@@ -206,6 +222,7 @@ impl TimeNetCache {
             .lock()
             .map
             .values()
+            .filter_map(|slot| slot.get())
             .map(|m| m.approx_bytes())
             .sum()
     }

@@ -370,15 +370,10 @@ mod tests {
         assert_eq!(report.completed, 8);
         assert_eq!(report.certs.issued, 8);
         assert_eq!(report.certs.failed + report.certs.skipped, 0);
-        // All requests share one cache key; only workers racing on the
-        // cold key materialize more than once.
+        // All requests share one cache key: workers racing on the
+        // cold key wait for the one that materializes it.
         assert_eq!(report.cache_entries, 1);
-        assert_eq!(report.cache_hits + report.cache_misses, 8);
-        assert!(
-            (1..=3).contains(&report.cache_misses),
-            "misses {}",
-            report.cache_misses
-        );
+        assert_eq!((report.cache_hits, report.cache_misses), (7, 1));
         assert!(report.queue_peak >= 1);
     }
 
