@@ -12,7 +12,9 @@
 //! scheduler's behaviour changed, which a perf-smoke job must not let
 //! slide through silently. `ns_per_op` / `gate_ns_per_op` deltas are
 //! printed for the CI log but never gated: wall-clock regressions are
-//! gated end to end by `benchmark/`.
+//! gated end to end by `benchmark/`. The `slack/12` row pins
+//! `schedules_checked` the same way (a full 12-entry cube is 4 096
+//! points) and prints `ns_per_point`.
 //!
 //! A second mode, `bench_check --multiflow <baseline.json> <fresh.json>`,
 //! gates `BENCH_multiflow.json` (sharded vs joint planning):
@@ -183,6 +185,11 @@ fn main() -> ExitCode {
                 (_, None) => println!("info: {key} {field} not recorded in {fresh_path}"),
             }
         }
+    }
+
+    failures += pin(&baseline, &fresh, "slack/12", "schedules_checked");
+    if let Some(ns) = lookup(&fresh, "slack/12", "ns_per_point") {
+        println!("info: slack/12 ns_per_point {ns:.0}");
     }
 
     if failures > 0 {

@@ -17,43 +17,34 @@
 //! here are informational — end-to-end regressions are gated by
 //! `benchmark/`, which runs the production configuration.
 //!
+//! One more row, `slack/12`, times the slack stage's kernel: the
+//! k = 1 hypercube of a fixed 12-entry schedule, walked in full —
+//! `schedules_checked` (4 096, pinned by `bench_check`) and
+//! `ns_per_point`, the whole `slack_certificate` call over its points.
+//!
 //! Writes `BENCH_greedy.json`; CI runs this as a smoke job.
 
 #![forbid(unsafe_code)]
 
 use chronus_bench::fig10::scale_instance;
 use chronus_core::greedy::{greedy_schedule_in, GreedyConfig, GreedyOutcome};
-use chronus_net::UpdateInstance;
+use chronus_net::{reversal_instance, UpdateInstance};
 use chronus_timenet::SimWorkspace;
 use std::fmt::Write as _;
 use std::time::{Duration, Instant};
 
-/// Reps until a 400 ms budget or 2000 reps, whichever first (always at
-/// least one), after one untimed warm-up rep that eats workspace arena
-/// growth and cold caches. Reports the fastest rep — the minimum
-/// discards scheduler preemptions and cache-eviction spikes — and that
-/// rep's outcome.
-fn time_greedy(inst: &UpdateInstance) -> (Duration, GreedyOutcome) {
-    let cfg = GreedyConfig {
-        verify: chronus_verify::VerifyConfig::disabled(),
-        ..GreedyConfig::default()
-    };
-    let mut ws = SimWorkspace::default();
-    let run = |ws: &mut SimWorkspace| {
-        let t0 = Instant::now();
-        let out = greedy_schedule_in(inst, cfg, ws);
-        let dt = t0.elapsed();
-        match out {
-            Ok(out) => (dt, out),
-            Err(e) => panic!("greedy failed on a bench instance: {e}"),
-        }
-    };
-    let (_, mut best_out) = run(&mut ws); // warm-up: time discarded
+/// Reps of `run` until a 400 ms budget or 2000 reps, whichever first
+/// (always at least one), after one untimed warm-up rep that eats
+/// workspace arena growth and cold caches. Reports the fastest rep —
+/// the minimum discards scheduler preemptions and cache-eviction
+/// spikes — and that rep's outcome.
+fn fastest<T>(mut run: impl FnMut() -> (Duration, T)) -> (Duration, T) {
+    let (_, mut best_out) = run(); // warm-up: time discarded
     let mut best = Duration::MAX;
     let mut total = Duration::ZERO;
     let mut reps = 0u32;
     while reps == 0 || (total < Duration::from_millis(400) && reps < 2000) {
-        let (dt, out) = run(&mut ws);
+        let (dt, out) = run();
         total += dt;
         reps += 1;
         if dt < best {
@@ -62,6 +53,42 @@ fn time_greedy(inst: &UpdateInstance) -> (Duration, GreedyOutcome) {
         }
     }
     (best, best_out)
+}
+
+fn time_greedy(inst: &UpdateInstance) -> (Duration, GreedyOutcome) {
+    let cfg = GreedyConfig {
+        verify: chronus_verify::VerifyConfig::disabled(),
+        ..GreedyConfig::default()
+    };
+    let mut ws = SimWorkspace::default();
+    fastest(|| {
+        let t0 = Instant::now();
+        let out = greedy_schedule_in(inst, cfg, &mut ws);
+        let dt = t0.elapsed();
+        match out {
+            Ok(out) => (dt, out),
+            Err(e) => panic!("greedy failed on a bench instance: {e}"),
+        }
+    })
+}
+
+/// The slack-cube row: greedy's plan for the 13-switch reversal has 12
+/// entries and, stretched ×2, certifies every corner of the k = 1 cube
+/// (k = 2 would be over budget), so one call walks exactly 4 096
+/// points. Returns the fastest call and its `schedules_checked`.
+fn time_slack_cube() -> (Duration, usize) {
+    let inst = reversal_instance(13, 2, 1);
+    let (_, plan) = time_greedy(&inst);
+    let schedule = plan.schedule.dilated(2);
+    fastest(|| {
+        let t0 = Instant::now();
+        let out = chronus_verify::slack_certificate(&inst, &schedule);
+        let dt = t0.elapsed();
+        match out {
+            Ok((_, slack)) => (dt, slack.schedules_checked),
+            Err(v) => panic!("the slack bench schedule does not certify: {v}"),
+        }
+    })
 }
 
 fn main() {
@@ -102,6 +129,13 @@ fn main() {
             out.makespan
         );
     }
+    let (dt, points) = time_slack_cube();
+    let ns_per_point = dt.as_nanos() / points.max(1) as u128;
+    println!("slack/12: {points} schedules checked, {ns_per_point} ns/point");
+    let _ = write!(
+        json,
+        ",\n  \"slack/12\": {{\"schedules_checked\": {points}, \"ns_per_point\": {ns_per_point}}}"
+    );
     json.push_str("\n}\n");
 
     let path = "BENCH_greedy.json";

@@ -200,9 +200,21 @@ impl Journal {
         &self.path
     }
 
-    fn append(&mut self, v: &Value) -> std::io::Result<()> {
-        let line = serde_json::to_string(v)
-            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
+    fn encode(v: &Value) -> std::io::Result<String> {
+        serde_json::to_string(v)
+            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))
+    }
+
+    /// Encodes an arm record as the journal line [`Journal::append_line`]
+    /// takes. Needs no journal: callers encode before they take the
+    /// locks the append must happen under.
+    pub fn encode_arm(record: &ArmedRecord) -> std::io::Result<String> {
+        Self::encode(&record.to_value())
+    }
+
+    /// Appends one encoded record (no trailing newline) and makes it
+    /// durable.
+    pub fn append_line(&mut self, line: &str) -> std::io::Result<()> {
         writeln!(self.writer, "{line}")?;
         self.writer.flush()?;
         // Push past the OS page cache: an acknowledged record must
@@ -213,17 +225,17 @@ impl Journal {
     /// Appends an arm record. Must complete before the arm is
     /// acknowledged to the submitter.
     pub fn append_arm(&mut self, record: &ArmedRecord) -> std::io::Result<()> {
-        self.append(&record.to_value())
+        self.append_line(&Self::encode_arm(record)?)
     }
 
     /// Appends a completion tombstone for `id`.
     pub fn append_complete(&mut self, id: u64) -> std::io::Result<()> {
-        self.append(&tombstone("complete", id))
+        self.append_line(&Self::encode(&tombstone("complete", id))?)
     }
 
     /// Appends a rollback tombstone for `id`.
     pub fn append_rollback(&mut self, id: u64) -> std::io::Result<()> {
-        self.append(&tombstone("rollback", id))
+        self.append_line(&Self::encode(&tombstone("rollback", id))?)
     }
 
     /// Replays the journal at `path`. A missing file is an empty
@@ -289,10 +301,7 @@ impl Journal {
         {
             let mut w = BufWriter::new(File::create(&tmp)?);
             for record in live {
-                let line = serde_json::to_string(&record.to_value()).map_err(|e| {
-                    std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string())
-                })?;
-                writeln!(w, "{line}")?;
+                writeln!(w, "{}", Self::encode_arm(record)?)?;
             }
             w.flush()?;
             // The temp file's contents must be durable before the

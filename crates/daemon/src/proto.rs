@@ -70,7 +70,7 @@ pub enum Request {
 
 /// Parses one request line.
 pub fn request_from_line(line: &str) -> Result<Request, String> {
-    let v: Value = serde_json::from_str(line).map_err(|e| e.to_string())?;
+    let mut v: Value = serde_json::from_str(line).map_err(|e| e.to_string())?;
     let cmd = v
         .get("cmd")
         .and_then(Value::as_str)
@@ -88,10 +88,13 @@ pub fn request_from_line(line: &str) -> Result<Request, String> {
                 None => Priority::Normal,
             };
             let deadline_ms = v.get("deadline_ms").and_then(Value::as_u64_exact);
-            let instance = v
-                .get("instance")
-                .cloned()
-                .ok_or_else(|| "submit missing `instance`".to_string())?;
+            // Moved out of the parsed document, not cloned: the instance
+            // is all but the whole line.
+            let instance = match &mut v {
+                Value::Object(fields) => fields.remove("instance"),
+                _ => None,
+            }
+            .ok_or_else(|| "submit missing `instance`".to_string())?;
             Ok(Request::Submit {
                 tenant,
                 priority,
@@ -226,6 +229,28 @@ mod tests {
             }
             other => panic!("{other:?}"),
         }
+    }
+
+    #[test]
+    fn submit_takes_the_instance_wherever_it_sits_in_the_line() {
+        let instance =
+            serde_json::from_str(r#"{"flows":[{"id":0}],"network":{"links":[[0,1,1,1]]}}"#)
+                .expect("instance json");
+        let expect = Ok(Request::Submit {
+            tenant: "t".to_string(),
+            priority: Priority::Low,
+            deadline_ms: Some(250),
+            instance: instance.clone(),
+        });
+        let tail = r#""tenant":"t","priority":"low","deadline_ms":250"#;
+        let before = format!(r#"{{"instance":{instance},"cmd":"submit",{tail}}}"#);
+        let after = format!(r#"{{"cmd":"submit",{tail},"instance":{instance}}}"#);
+        assert_eq!(request_from_line(&before), expect);
+        assert_eq!(request_from_line(&after), expect);
+        assert_eq!(
+            request_from_line(&format!(r#"{{"cmd":"submit",{tail}}}"#)),
+            Err("submit missing `instance`".to_string())
+        );
     }
 
     #[test]

@@ -70,9 +70,15 @@ fn serve_connection(
     wake_accept: impl Fn(),
 ) -> std::io::Result<()> {
     let mut writer = stream.try_clone()?;
-    let reader = BufReader::new(stream);
-    for line in reader.lines() {
-        let line = line?;
+    let mut reader = BufReader::new(stream);
+    // One buffer for the connection's lifetime: submit lines run to
+    // ~100 KB and a client sends many.
+    let mut line = String::new();
+    loop {
+        line.clear();
+        if reader.read_line(&mut line)? == 0 {
+            break;
+        }
         if line.trim().is_empty() {
             continue;
         }

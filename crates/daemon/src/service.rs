@@ -23,7 +23,7 @@ use chronus_net::UpdateInstance;
 use chronus_trace::FlightRecorder;
 use parking_lot::RwLock;
 use serde_json::{Map, Value};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::{self, JoinHandle};
@@ -74,6 +74,84 @@ impl UpdateState {
     /// (armed counts: it holds steady until confirmed or restored).
     pub fn is_settled(self) -> bool {
         !matches!(self, UpdateState::Queued | UpdateState::Planning)
+    }
+
+    /// A terminal update never changes state again at all.
+    fn is_terminal(self) -> bool {
+        matches!(
+            self,
+            UpdateState::Completed | UpdateState::RolledBack | UpdateState::Failed
+        )
+    }
+}
+
+/// Terminal (`completed` / `rolled_back` / `failed`) statuses the daemon
+/// remembers, most recent first to go last. `status` and `watch` on an
+/// older id answer `unknown update`, as for one never issued; queued,
+/// planning and armed updates are never forgotten.
+pub const TERMINAL_STATUSES_KEPT: usize = 4_096;
+
+/// Every live update's status, the most recent terminal ones, and how
+/// many updates ever reached each state (forgotten ones included).
+#[derive(Default)]
+struct StatusTable {
+    by_id: BTreeMap<u64, UpdateStatus>,
+    /// Remembered terminal ids, oldest first.
+    terminal: VecDeque<u64>,
+    /// Updates per state, keyed by wire name.
+    counts: BTreeMap<&'static str, u64>,
+}
+
+impl StatusTable {
+    fn insert(&mut self, status: UpdateStatus) {
+        let (id, state) = (status.id, status.state);
+        if let Some(previous) = self.by_id.insert(id, status) {
+            self.uncount(previous.state);
+        }
+        self.count(id, state);
+    }
+
+    /// Applies `change` to update `id`'s status, if it is remembered.
+    fn update(&mut self, id: u64, change: impl FnOnce(&mut UpdateStatus)) {
+        let Some(status) = self.by_id.get_mut(&id) else {
+            return;
+        };
+        let before = status.state;
+        change(status);
+        let after = status.state;
+        if before != after {
+            self.uncount(before);
+            self.count(id, after);
+        }
+    }
+
+    /// Drops an update that was never admitted.
+    fn remove(&mut self, id: u64) {
+        if let Some(status) = self.by_id.remove(&id) {
+            self.uncount(status.state);
+        }
+    }
+
+    fn count(&mut self, id: u64, state: UpdateState) {
+        *self.counts.entry(state.as_str()).or_insert(0) += 1;
+        if state.is_terminal() {
+            self.terminal.push_back(id);
+            if self.terminal.len() > TERMINAL_STATUSES_KEPT {
+                // Forgotten, not uncounted: the aggregates stay totals.
+                if let Some(oldest) = self.terminal.pop_front() {
+                    self.by_id.remove(&oldest);
+                }
+            }
+        }
+    }
+
+    fn uncount(&mut self, state: UpdateState) {
+        if let Some(count) = self.counts.get_mut(state.as_str()) {
+            *count -= 1;
+            if *count == 0 {
+                self.counts.remove(state.as_str());
+            }
+        }
     }
 }
 
@@ -154,7 +232,7 @@ struct Inner {
     engine: RwLock<Option<Engine>>,
     admission: Mutex<AdmissionQueues>,
     work_cv: Condvar,
-    statuses: Mutex<BTreeMap<u64, UpdateStatus>>,
+    statuses: Mutex<StatusTable>,
     status_cv: Condvar,
     journal: Mutex<Journal>,
     armed: Mutex<BTreeMap<u64, ArmedRecord>>,
@@ -183,17 +261,15 @@ impl Inner {
     }
 
     fn set_status(&self, status: UpdateStatus) {
-        lock(&self.statuses).insert(status.id, status);
+        lock(&self.statuses).insert(status);
         self.status_cv.notify_all();
     }
 
     fn update_state(&self, id: u64, state: UpdateState, detail: &str) {
-        let mut map = lock(&self.statuses);
-        if let Some(s) = map.get_mut(&id) {
+        lock(&self.statuses).update(id, |s| {
             s.state = state;
             s.detail = detail.to_string();
-        }
-        drop(map);
+        });
         self.status_cv.notify_all();
     }
 
@@ -330,11 +406,18 @@ impl Inner {
                 // insert so a concurrent compaction (which snapshots the
                 // map and rewrites the file under the same lock) cannot
                 // interleave between them and drop the fresh record from
-                // disk. Lock order is `armed` → `journal` everywhere.
-                let live = {
+                // disk. Lock order is `armed` → `journal` everywhere. The
+                // record is encoded before either lock is taken: workers
+                // queue behind each other's fsync, not each other's JSON.
+                let appended = Journal::encode_arm(&record).and_then(|line| {
                     let mut armed = lock(&self.armed);
-                    if let Err(e) = lock(&self.journal).append_arm(&record) {
-                        drop(armed);
+                    lock(&self.journal).append_line(&line)?;
+                    armed.insert(job.id, record);
+                    Ok(armed.len())
+                });
+                let live = match appended {
+                    Ok(live) => live,
+                    Err(e) => {
                         self.metrics.failed.inc();
                         self.update_state(
                             job.id,
@@ -343,20 +426,16 @@ impl Inner {
                         );
                         return;
                     }
-                    armed.insert(job.id, record);
-                    armed.len()
                 };
                 self.metrics.journal_arm_records.inc();
                 self.metrics.armed.inc();
                 self.metrics.journal_live.set(live as i64);
-                let mut map = lock(&self.statuses);
-                if let Some(s) = map.get_mut(&job.id) {
+                lock(&self.statuses).update(job.id, |s| {
                     s.state = UpdateState::Armed;
                     s.detail = format!("armed ({} winner)", planned.winner);
                     s.certified = true;
                     s.epoch_ns = Some(epoch_ns);
-                }
-                drop(map);
+                });
                 self.status_cv.notify_all();
             }
             (Ok(_), None) => {
@@ -425,7 +504,7 @@ impl Daemon {
         let mut slo = SloTracker::new(config.slo());
         let mut rollback_trigger = false;
         let mut armed = BTreeMap::new();
-        let mut statuses = BTreeMap::new();
+        let mut statuses = StatusTable::default();
         let mut restore = RestoreReport {
             live_found: replay.live.len() as u64,
             corrupt_lines: replay.corrupt_lines,
@@ -489,7 +568,7 @@ impl Daemon {
                     epoch_ns: Some(record.epoch_ns),
                 }
             };
-            statuses.insert(status.id, status);
+            statuses.insert(status);
         }
         metrics.journal_live.set(armed.len() as i64);
 
@@ -634,7 +713,7 @@ impl Daemon {
         // drain (it would be acknowledged but never popped).
         if inner.state.load(Ordering::Acquire) != RUNNING {
             drop(queues);
-            lock(&inner.statuses).remove(&id);
+            lock(&inner.statuses).remove(id);
             inner.metrics.shed_draining.inc();
             return Err(Shed::Draining);
         }
@@ -659,7 +738,7 @@ impl Daemon {
                     }
                     Shed::Draining => inner.metrics.shed_draining.inc(),
                 }
-                lock(&inner.statuses).remove(&id);
+                lock(&inner.statuses).remove(id);
                 Err(shed)
             }
         }
@@ -667,16 +746,14 @@ impl Daemon {
 
     /// Current status of update `id`.
     pub fn status(&self, id: u64) -> Option<UpdateStatus> {
-        lock(&self.inner.statuses).get(&id).cloned()
+        lock(&self.inner.statuses).by_id.get(&id).cloned()
     }
 
-    /// Count of updates per lifecycle state.
+    /// Count of updates per lifecycle state, over the daemon's
+    /// lifetime: terminal updates stay counted after their status is
+    /// forgotten (see [`TERMINAL_STATUSES_KEPT`]).
     pub fn status_counts(&self) -> BTreeMap<&'static str, u64> {
-        let mut counts = BTreeMap::new();
-        for status in lock(&self.inner.statuses).values() {
-            *counts.entry(status.state.as_str()).or_insert(0) += 1;
-        }
-        counts
+        lock(&self.inner.statuses).counts.clone()
     }
 
     /// Blocks until update `id` settles, up to `timeout`. Returns the
@@ -685,7 +762,7 @@ impl Daemon {
         let deadline = Instant::now() + timeout;
         let mut map = lock(&self.inner.statuses);
         loop {
-            let current = map.get(&id).cloned()?;
+            let current = map.by_id.get(&id).cloned()?;
             if current.state.is_settled() {
                 return Some(current);
             }
@@ -973,5 +1050,83 @@ impl Drop for Daemon {
         if let Some(handle) = lock(&self.snapshotter).take() {
             let _ = handle.join();
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use chronus_net::{Flow, FlowId, NetworkBuilder, Path, SwitchId};
+
+    /// Old 0→1→2→3, new 0→2→3: one schedule entry, plans in microseconds.
+    fn shortcut_instance() -> UpdateInstance {
+        let sid = SwitchId;
+        let mut b = NetworkBuilder::with_switches(4);
+        for (u, v) in [(0, 1), (1, 2), (2, 3), (0, 2)] {
+            b.add_link(sid(u), sid(v), 10, 1).expect("link");
+        }
+        let flow = Flow::new(
+            FlowId(0),
+            1,
+            Path::new(vec![sid(0), sid(1), sid(2), sid(3)]),
+            Path::new(vec![sid(0), sid(2), sid(3)]),
+        )
+        .expect("flow");
+        UpdateInstance::single(b.build(), flow).expect("instance")
+    }
+
+    #[test]
+    fn terminal_statuses_are_bounded_and_counts_stay_totals() {
+        const PARKED: usize = 128;
+        const CYCLES: u64 = 20_000;
+        let dir = std::env::temp_dir().join(format!("chronusd-statuses-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let daemon = Daemon::start(DaemonConfig {
+            snapshot_dir: dir.clone(),
+            workers: 2,
+            queue_bound: 2 * PARKED,
+            tenant_rate: 1e9,
+            tenant_burst: 1e9,
+            ..DaemonConfig::default()
+        })
+        .expect("daemon start");
+        let instance = Arc::new(shortcut_instance());
+        let arm = || {
+            let id = daemon
+                .submit("t", Priority::Normal, None, Arc::clone(&instance))
+                .expect("admitted");
+            let status = daemon
+                .watch(id, Duration::from_secs(30))
+                .expect("known while in flight");
+            assert_eq!(status.state, UpdateState::Armed, "{}", status.detail);
+            id
+        };
+
+        let parked: Vec<u64> = (0..PARKED).map(|_| arm()).collect();
+        let first_cycle = arm();
+        daemon.confirm(first_cycle).expect("confirm");
+        for _ in 1..CYCLES {
+            daemon.confirm(arm()).expect("confirm");
+        }
+
+        let remembered = lock(&daemon.inner.statuses).by_id.len();
+        assert!(
+            remembered <= TERMINAL_STATUSES_KEPT + PARKED,
+            "{remembered}"
+        );
+        let counts = daemon.status_counts();
+        assert_eq!(counts.get("completed"), Some(&CYCLES));
+        assert_eq!(counts.get("armed"), Some(&(PARKED as u64)));
+        assert_eq!(counts.len(), 2, "{counts:?}");
+        // Armed updates are never forgotten; old terminal ones are, and
+        // read like ids never issued.
+        for id in parked {
+            assert_eq!(daemon.status(id).map(|s| s.state), Some(UpdateState::Armed));
+        }
+        assert_eq!(daemon.status(first_cycle), None);
+        assert_eq!(daemon.watch(first_cycle, Duration::from_secs(1)), None);
+        assert_eq!(daemon.status(u64::MAX), None);
+        drop(daemon);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

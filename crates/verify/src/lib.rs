@@ -57,7 +57,7 @@ pub use codec::{
 pub use compose::compose_certificates;
 pub use mutate::{apply_mutation, find_rejected_mutant, mutations, Mutation};
 pub use slack::{check_slack, slack_certificate, SlackCertificate};
-pub use trace::{analyze, analyze_two_phase, Analysis};
+pub use trace::{analyze, analyze_two_phase, Analysis, Certifier};
 
 use chronus_net::{SwitchId, TimeStep, UpdateInstance};
 use chronus_timenet::Schedule;
@@ -115,32 +115,74 @@ pub fn certify(instance: &UpdateInstance, schedule: &Schedule) -> Result<Certifi
 }
 
 /// Certifies `schedule` with explicit config (see [`VerifyConfig`];
-/// `enabled` is the caller's gate and is ignored here).
+/// `enabled` is the caller's gate and is ignored here): one run of a
+/// fresh [`Certifier`].
 pub fn certify_with(
     instance: &UpdateInstance,
     schedule: &Schedule,
     config: &VerifyConfig,
 ) -> Result<Certificate, Violation> {
-    let mut span = chronus_trace::span!(
-        "verify.certify",
-        flows = instance.flows.len(),
-        witnesses = config.witnesses
-    )
-    .entered();
-    let analysis = analyze(instance, schedule);
-    let boundaries = if config.witnesses {
-        boundary::boundary_witnesses(instance, schedule)
-    } else {
-        Vec::new()
-    };
-    let result = seal(instance, &analysis, boundaries);
-    if span.is_recording() {
-        span.record("certified", result.is_ok());
-        if let Err(violation) = &result {
-            span.record("violation", violation.to_string());
+    Certifier::new(instance).certify_with(schedule, config)
+}
+
+impl Certifier<'_> {
+    /// Certifies `schedule` against the workspace's instance: what
+    /// [`certify_with`] returns, without resolving the instance again.
+    pub fn certify_with(
+        &mut self,
+        schedule: &Schedule,
+        config: &VerifyConfig,
+    ) -> Result<Certificate, Violation> {
+        let mut span = chronus_trace::span!(
+            "verify.certify",
+            flows = self.instance.flows.len(),
+            witnesses = config.witnesses
+        )
+        .entered();
+        self.bind(schedule);
+        self.run();
+        let instance = self.instance;
+        let result = self.seal(|| {
+            if config.witnesses {
+                boundary::boundary_witnesses(instance, schedule)
+            } else {
+                Vec::new()
+            }
+        });
+        if span.is_recording() {
+            span.record("certified", result.is_ok());
+            if let Err(violation) = &result {
+                span.record("violation", violation.to_string());
+            }
+        }
+        result
+    }
+
+    /// One run over the bound schedule at its current times: the walk,
+    /// then the sweep over what it loaded.
+    pub(crate) fn run(&mut self) {
+        self.walk();
+        self.sweep();
+    }
+
+    /// Shared tail of the certify entry points: turn the current run
+    /// (walk or adopted analysis, then sweep) into a certificate or the
+    /// minimal violation. Witnesses are only built for a certificate.
+    fn seal(
+        &self,
+        boundaries: impl FnOnce() -> Vec<BoundaryWitness>,
+    ) -> Result<Certificate, Violation> {
+        match self.violation() {
+            Some(violation) => Err(violation),
+            None => Ok(Certificate {
+                makespan: self.makespan,
+                link_bounds: self.link_bounds(),
+                boundaries: boundaries(),
+                segments_traced: self.segments_traced,
+                cohorts_covered: self.cohorts_covered,
+            }),
         }
     }
-    result
 }
 
 /// Certifies a two-phase (tagged) rollout of every flow flipping at
@@ -158,8 +200,10 @@ pub fn certify_two_phase(
         flip_time = flip_time
     )
     .entered();
-    let analysis = analyze_two_phase(instance, flip_time);
-    let result = seal(instance, &analysis, Vec::new());
+    let mut certifier = Certifier::new(instance);
+    certifier.adopt(&analyze_two_phase(instance, flip_time));
+    certifier.sweep();
+    let result = certifier.seal(Vec::new);
     if span.is_recording() {
         span.record("certified", result.is_ok());
         if let Err(violation) = &result {
@@ -167,55 +211,6 @@ pub fn certify_two_phase(
         }
     }
     result
-}
-
-/// Shared tail of the certify entry points: turn an [`Analysis`] into
-/// a certificate or the minimal violation, in severity order
-/// congestion → loop → blackhole → undelivered.
-fn seal(
-    instance: &UpdateInstance,
-    analysis: &Analysis,
-    boundaries: Vec<BoundaryWitness>,
-) -> Result<Certificate, Violation> {
-    let profiles = sweep::link_profiles(&analysis.contributions);
-    if let Some(v) = sweep::first_congestion(instance, &analysis.contributions, &profiles) {
-        return Err(v);
-    }
-    if let Some(first) = earliest_span(&analysis.loops) {
-        return Err(Violation::ForwardingLoop {
-            flow: first.flow,
-            switch: first.switch,
-            emitted: (first.tau_lo, first.tau_hi),
-            time: first.tau_lo + first.offset,
-        });
-    }
-    if let Some(first) = earliest_span(&analysis.blackholes) {
-        return Err(Violation::Blackhole {
-            flow: first.flow,
-            switch: first.switch,
-            emitted: (first.tau_lo, first.tau_hi),
-            time: first.tau_lo + first.offset,
-        });
-    }
-    if let Some(&(flow, lo, hi)) = analysis.undelivered.first() {
-        return Err(Violation::Undelivered {
-            flow,
-            emitted: (lo, hi),
-        });
-    }
-    Ok(Certificate {
-        makespan: analysis.makespan,
-        link_bounds: sweep::link_bounds(instance, &profiles),
-        boundaries,
-        segments_traced: analysis.segments_traced,
-        cohorts_covered: analysis.cohorts_covered,
-    })
-}
-
-fn earliest_span(spans: &[trace::EventSpan]) -> Option<&trace::EventSpan> {
-    spans
-        .iter()
-        .min_by_key(|s| (s.tau_lo + s.offset, s.flow, s.tau_lo))
 }
 
 /// Per-step congestion events (`t ≥ 0`) the analysis implies, sorted
@@ -231,8 +226,10 @@ pub fn congestion_surface(
     chronus_net::Capacity,
     chronus_net::Capacity,
 )> {
-    let profiles = sweep::link_profiles(&analysis.contributions);
-    sweep::congestion_events(instance, &profiles)
+    let mut certifier = Certifier::new(instance);
+    certifier.adopt(analysis);
+    certifier.sweep();
+    certifier.congestion_events()
 }
 
 #[cfg(test)]

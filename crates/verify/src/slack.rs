@@ -35,9 +35,8 @@
 //! exhaustion stops *growth* but never weakens what was already
 //! certified.
 
-use crate::VerifyConfig;
-use crate::{certify_with, Certificate, Violation};
-use chronus_net::{FlowId, SwitchId, TimeStep, UpdateInstance};
+use crate::{Certificate, Certifier, VerifyConfig, Violation};
+use chronus_net::{TimeStep, UpdateInstance};
 use chronus_timenet::Schedule;
 
 /// Largest tolerance (in steps) the search tries to certify: ±4 steps
@@ -49,12 +48,6 @@ const MAX_SLACK_STEPS: TimeStep = 4;
 /// k = 1 cube has `2^entries` corners, so 4 096 admits schedules of up
 /// to 12 entries; longer ones ship `slack_steps = 0, budget_exhausted`.
 const SLACK_BUDGET: usize = 4_096;
-
-/// Perturbed variants are certified for their verdict only.
-const VERDICT_ONLY: VerifyConfig = VerifyConfig {
-    enabled: true,
-    witnesses: false,
-};
 
 /// Proof that a schedule tolerates uniform per-switch timing error.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -122,57 +115,50 @@ pub fn slack_certificate(
     schedule: &Schedule,
 ) -> Result<(Certificate, SlackCertificate), Violation> {
     let mut span = chronus_trace::span!("verify.slack", entries = schedule.len() as u64).entered();
-    let nominal = certify_with(instance, schedule, &VerifyConfig::default())?;
+    let mut certifier = Certifier::new(instance);
+    let nominal = certifier.certify_with(schedule, &VerifyConfig::default())?;
 
-    let entries: Vec<(FlowId, SwitchId, TimeStep)> = schedule.iter().collect();
+    // The certifier stays bound to the nominal schedule's entries; a
+    // hypercube point only moves their times.
+    let nominal_times: Vec<TimeStep> = schedule.iter().map(|(_, _, t)| t).collect();
+    let mut times = nominal_times.clone();
+    let mut ranges: Vec<(TimeStep, TimeStep)> = Vec::with_capacity(times.len());
     let mut checked = 0usize;
     let mut slack: TimeStep = 0;
     let mut budget_exhausted = false;
     let mut counterexample = None;
 
-    'grow: for k in 1..=MAX_SLACK_STEPS {
-        // Displacement menu per entry for tolerance k: −(k−1)…+k,
-        // clamped so no entry moves below step 0.
-        let menus: Vec<Vec<TimeStep>> = entries
-            .iter()
-            .map(|&(_, _, t)| ((-(k - 1)).max(-t)..=k).collect())
-            .collect();
-        // Checked arithmetic: with ≥ 64 entries the cube size exceeds
-        // `usize`, and an overflowed cube is over any budget.
-        let within_budget = menus
-            .iter()
-            .try_fold(1usize, |cube, menu| cube.checked_mul(menu.len()))
+    for k in 1..=MAX_SLACK_STEPS {
+        // Per entry for tolerance k: the times t−(k−1)…t+k, clamped so
+        // no entry moves below step 0, as an inclusive range. An entry
+        // already below −k has none and stays where it is.
+        ranges.clear();
+        let mut cube = Some(1usize);
+        for &t in &nominal_times {
+            let first = (t - (k - 1)).max(0);
+            let choices = usize::try_from(t + k - first + 1).unwrap_or(0);
+            // Checked arithmetic: with ≥ 64 entries the cube size
+            // exceeds `usize`, and an overflowed cube is over any budget.
+            cube = cube.and_then(|cube| cube.checked_mul(choices));
+            ranges.push(if choices == 0 { (t, t) } else { (first, t + k) });
+        }
+        let within_budget = cube
             .and_then(|cube| checked.checked_add(cube))
             .is_some_and(|total| total <= SLACK_BUDGET);
         if !within_budget {
             budget_exhausted = true;
             break;
         }
-        // Odometer over the hypercube.
-        let mut digits = vec![0usize; menus.len()];
-        loop {
+        if !cube_certifies(&mut certifier, &ranges, &mut times, &mut checked) {
+            // The certifier still holds the failing point's run.
             let mut perturbed = schedule.clone();
-            for ((&(flow, switch, t), menu), &d) in entries.iter().zip(&menus).zip(&digits) {
-                perturbed.set(flow, switch, t + menu.get(d).copied().unwrap_or(0));
+            for ((flow, switch, _), &t) in schedule.iter().zip(&times) {
+                perturbed.set(flow, switch, t);
             }
-            checked += 1;
-            if let Err(violation) = certify_with(instance, &perturbed, &VERDICT_ONLY) {
-                counterexample = Some((perturbed, violation));
-                break 'grow;
-            }
-            // Advance the odometer.
-            let mut pos = 0usize;
-            while let (Some(d), Some(menu)) = (digits.get_mut(pos), menus.get(pos)) {
-                *d += 1;
-                if *d < menu.len() {
-                    break;
-                }
-                *d = 0;
-                pos += 1;
-            }
-            if pos >= menus.len() {
-                break;
-            }
+            counterexample = certifier
+                .violation()
+                .map(|violation| (perturbed, violation));
+            break;
         }
         slack = k;
     }
@@ -192,6 +178,42 @@ pub fn slack_certificate(
     ))
 }
 
+/// Walks the hypercube of per-entry inclusive time `ranges` like an
+/// odometer, lowest corner first, one certifier run per point and
+/// nothing else: no schedule, no allocation, no span. Returns whether
+/// every point is consistent; if not, `times` and the certifier are
+/// left at the first point that is not. `checked` counts the points.
+fn cube_certifies(
+    certifier: &mut Certifier<'_>,
+    ranges: &[(TimeStep, TimeStep)],
+    times: &mut [TimeStep],
+    checked: &mut usize,
+) -> bool {
+    for (time, &(first, _)) in times.iter_mut().zip(ranges) {
+        *time = first;
+    }
+    loop {
+        *checked += 1;
+        certifier.set_times(times);
+        certifier.run();
+        if !certifier.consistent() {
+            return false;
+        }
+        let mut wrapped = 0usize;
+        for (time, &(first, last)) in times.iter_mut().zip(ranges) {
+            if *time < last {
+                *time += 1;
+                break;
+            }
+            *time = first;
+            wrapped += 1;
+        }
+        if wrapped == times.len() {
+            return true;
+        }
+    }
+}
+
 /// Re-validates a slack certificate the cheap way: spot-checks that
 /// the certified hypercube's corner schedules still certify. Full
 /// re-validation is re-running [`slack_certificate`].
@@ -204,12 +226,17 @@ pub fn check_slack(
         return Ok(());
     }
     let k = cert.slack_steps;
+    let mut certifier = Certifier::new(instance);
+    certifier.bind(schedule);
+    let mut times = Vec::with_capacity(schedule.len());
     for corner in [-(k - 1), k] {
-        let mut perturbed = schedule.clone();
-        for (flow, switch, t) in schedule.iter() {
-            perturbed.set(flow, switch, (t + corner).max(0));
+        times.clear();
+        times.extend(schedule.iter().map(|(_, _, t)| (t + corner).max(0)));
+        certifier.set_times(&times);
+        certifier.run();
+        if let Some(violation) = certifier.violation() {
+            return Err(violation);
         }
-        certify_with(instance, &perturbed, &VERDICT_ONLY)?;
     }
     Ok(())
 }
@@ -217,7 +244,7 @@ pub fn check_slack(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use chronus_net::motivating_example;
+    use chronus_net::{motivating_example, FlowId, SwitchId};
 
     fn sid(i: u32) -> SwitchId {
         SwitchId(i)
@@ -251,7 +278,7 @@ mod tests {
                 .counterexample
                 .clone()
                 .expect("k=1 failure names a witness");
-            assert!(certify_with(&inst, &bad, &VERDICT_ONLY).is_err());
+            assert_eq!(crate::certify(&inst, &bad), Err(violation.clone()));
             let _ = violation.to_string();
         } else {
             assert!(check_slack(&inst, &staged(), &cert).is_ok());

@@ -4,129 +4,247 @@
 //! contribution is a half-open interval `[t_lo, t_hi + 1)` of departure
 //! steps carrying a constant demand, so per link the total load is a
 //! step function whose breakpoints are contribution endpoints. The
-//! sweep accumulates `+demand` / `−demand` deltas at the breakpoints
-//! and emits the maximal constant-load segments — the certificate's
-//! per-interval load bounds — then compares each segment that
-//! intersects `t ≥ 0` against the link's capacity (steps < 0 are the
-//! feasible pre-update steady state, exactly the simulator's rule).
+//! sweep turns every load into a `+demand` / `−demand` pair of events,
+//! sorts the flat list by `(link, time)`, accumulates the deltas and
+//! emits the maximal constant-load segments — the certificate's
+//! per-interval load bounds — into one flat segment list with a
+//! [`Profile`] per link. A segment that intersects `t ≥ 0` and exceeds
+//! the link's capacity is congestion (steps < 0 are the feasible
+//! pre-update steady state, exactly the simulator's rule).
 
 use crate::certificate::{IntervalLoad, LinkBound, Violation};
-use crate::trace::Contribution;
-use chronus_net::{Capacity, SwitchId, UpdateInstance};
-use std::collections::BTreeMap;
+use crate::trace::{Certifier, EventSpan};
+use chronus_net::{Capacity, SwitchId, TimeStep};
 
-/// Folds contributions into per-link constant-load segments, sorted by
-/// link then by time. Zero-load gaps are omitted.
-pub(crate) fn link_profiles(
-    contributions: &[Contribution],
-) -> BTreeMap<(SwitchId, SwitchId), Vec<IntervalLoad>> {
-    let mut deltas: BTreeMap<(SwitchId, SwitchId), BTreeMap<i64, i128>> = BTreeMap::new();
-    for c in contributions {
-        let link = deltas.entry((c.src, c.dst)).or_default();
-        *link.entry(c.t_lo).or_insert(0) += i128::from(c.demand);
-        *link.entry(c.t_hi + 1).or_insert(0) -= i128::from(c.demand);
-    }
-    let mut out = BTreeMap::new();
-    for (link, events) in deltas {
-        let mut segments: Vec<IntervalLoad> = Vec::new();
-        let mut load: i128 = 0;
-        let mut prev: Option<i64> = None;
-        for (&t, &delta) in &events {
-            if let Some(start) = prev {
-                if load > 0 && t > start {
-                    let level = Capacity::try_from(load).unwrap_or(Capacity::MAX);
-                    match segments.last_mut() {
-                        Some(last) if last.end == start && last.load == level => last.end = t,
-                        _ => segments.push(IntervalLoad {
-                            start,
-                            end: t,
-                            load: level,
-                        }),
+/// One breakpoint of one link's load step function.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Event {
+    link: u32,
+    t: TimeStep,
+    delta: i128,
+}
+
+/// One loaded link's stretch of the flat segment list. A link whose
+/// loads sum to nothing still has a profile (with no segments).
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Profile {
+    link: u32,
+    start: usize,
+    end: usize,
+}
+
+impl Certifier<'_> {
+    /// Folds the current run's loads into per-link constant-load
+    /// segments, sorted by link then by time. Zero-load gaps are
+    /// omitted.
+    pub(crate) fn sweep(&mut self) {
+        let Certifier {
+            loads,
+            events,
+            segments,
+            profiles,
+            ..
+        } = self;
+        events.clear();
+        segments.clear();
+        profiles.clear();
+        for c in loads.iter() {
+            let demand = i128::from(c.demand);
+            events.push(Event {
+                link: c.link,
+                t: c.t_lo,
+                delta: demand,
+            });
+            events.push(Event {
+                link: c.link,
+                t: c.t_hi + 1,
+                delta: -demand,
+            });
+        }
+        events.sort_unstable_by_key(|e| (e.link, e.t));
+
+        let mut rest = events.as_slice();
+        while let Some(&Event { link, .. }) = rest.first() {
+            let start = segments.len();
+            let mut load: i128 = 0;
+            let mut prev: Option<TimeStep> = None;
+            while let Some(&Event { t, .. }) = rest.first().filter(|e| e.link == link) {
+                if let Some(from) = prev {
+                    if load > 0 {
+                        let level = Capacity::try_from(load).unwrap_or(Capacity::MAX);
+                        match segments.get_mut(start..).and_then(<[_]>::last_mut) {
+                            Some(last) if last.end == from && last.load == level => last.end = t,
+                            _ => segments.push(IntervalLoad {
+                                start: from,
+                                end: t,
+                                load: level,
+                            }),
+                        }
                     }
                 }
+                while let Some(e) = rest.first().filter(|e| e.link == link && e.t == t) {
+                    load += e.delta;
+                    rest = rest.get(1..).unwrap_or_default();
+                }
+                prev = Some(t);
             }
-            load += delta;
-            prev = Some(t);
+            profiles.push(Profile {
+                link,
+                start,
+                end: segments.len(),
+            });
         }
-        out.insert(link, segments);
     }
-    out
-}
 
-/// Builds the certificate's per-link bounds from the profiles,
-/// recording each link's capacity and its peak load over `t ≥ 0`.
-pub(crate) fn link_bounds(
-    instance: &UpdateInstance,
-    profiles: &BTreeMap<(SwitchId, SwitchId), Vec<IntervalLoad>>,
-) -> Vec<LinkBound> {
-    profiles
-        .iter()
-        .map(|(&(src, dst), segments)| LinkBound {
-            src,
-            dst,
-            capacity: instance.network.capacity(src, dst).unwrap_or(0),
-            peak: segments
-                .iter()
-                .filter(|s| s.end > 0)
-                .map(|s| s.load)
-                .max()
-                .unwrap_or(0),
-            segments: segments.clone(),
+    /// Every swept link with its endpoints, capacity and segments.
+    fn profiles(
+        &self,
+    ) -> impl Iterator<Item = (SwitchId, SwitchId, Capacity, &[IntervalLoad])> + '_ {
+        self.profiles.iter().filter_map(|p| {
+            let link = self.links.get(p.link as usize)?;
+            let segments = self.segments.get(p.start..p.end)?;
+            Some((link.src, link.dst, link.capacity, segments))
         })
-        .collect()
-}
+    }
 
-/// Finds the minimal congestion counterexample, if any: the earliest
-/// overloaded instant across all links (ties broken by link id), and
-/// the maximal contiguous run of overloaded segments around it. The
-/// contributing flows are every flow with demand on the link during
-/// that run.
-pub(crate) fn first_congestion(
-    instance: &UpdateInstance,
-    contributions: &[Contribution],
-    profiles: &BTreeMap<(SwitchId, SwitchId), Vec<IntervalLoad>>,
-) -> Option<Violation> {
-    let mut best: Option<(i64, SwitchId, SwitchId, i64, Capacity, Capacity)> = None;
-    for (&(src, dst), segments) in profiles {
-        let capacity = instance.network.capacity(src, dst).unwrap_or(0);
-        let mut run: Option<(i64, i64, Capacity)> = None;
-        for s in segments {
-            let overloaded = s.load > capacity && s.end > 0;
-            if overloaded {
-                let start = s.start.max(0);
-                run = match run {
-                    Some((rs, re, peak)) if re == start => Some((rs, s.end, peak.max(s.load))),
-                    Some(done) => {
-                        consider(&mut best, src, dst, capacity, done);
-                        Some((start, s.end, s.load))
-                    }
-                    None => Some((start, s.end, s.load)),
-                };
-            } else if let Some(done) = run.take() {
+    /// The verdict of the current run (walk and sweep done): every
+    /// cohort delivered loop-free, and no link over capacity at any
+    /// step ≥ 0.
+    pub(crate) fn consistent(&self) -> bool {
+        self.loops.is_empty()
+            && self.blackholes.is_empty()
+            && self.undelivered.is_empty()
+            && self.profiles().all(|(_, _, capacity, segments)| {
+                segments.iter().all(|s| s.load <= capacity || s.end <= 0)
+            })
+    }
+
+    /// The minimal counterexample of the current run, if it has one, in
+    /// severity order congestion → loop → blackhole → undelivered.
+    pub(crate) fn violation(&self) -> Option<Violation> {
+        if let Some(v) = self.first_congestion() {
+            return Some(v);
+        }
+        if let Some(first) = earliest_span(&self.loops) {
+            return Some(Violation::ForwardingLoop {
+                flow: first.flow,
+                switch: first.switch,
+                emitted: (first.tau_lo, first.tau_hi),
+                time: first.tau_lo + first.offset,
+            });
+        }
+        if let Some(first) = earliest_span(&self.blackholes) {
+            return Some(Violation::Blackhole {
+                flow: first.flow,
+                switch: first.switch,
+                emitted: (first.tau_lo, first.tau_hi),
+                time: first.tau_lo + first.offset,
+            });
+        }
+        let &(flow, lo, hi) = self.undelivered.iter().min()?;
+        Some(Violation::Undelivered {
+            flow,
+            emitted: (lo, hi),
+        })
+    }
+
+    /// The certificate's per-link bounds, recording each link's
+    /// capacity and its peak load over `t ≥ 0`.
+    pub(crate) fn link_bounds(&self) -> Vec<LinkBound> {
+        self.profiles()
+            .map(|(src, dst, capacity, segments)| LinkBound {
+                src,
+                dst,
+                capacity,
+                peak: segments
+                    .iter()
+                    .filter(|s| s.end > 0)
+                    .map(|s| s.load)
+                    .max()
+                    .unwrap_or(0),
+                segments: segments.to_vec(),
+            })
+            .collect()
+    }
+
+    /// Finds the minimal congestion counterexample, if any: the earliest
+    /// overloaded instant across all links (ties broken by link id), and
+    /// the maximal contiguous run of overloaded segments around it. The
+    /// contributing flows are every flow with demand on the link during
+    /// that run.
+    fn first_congestion(&self) -> Option<Violation> {
+        let mut best: Option<(i64, SwitchId, SwitchId, i64, Capacity, Capacity)> = None;
+        for (src, dst, capacity, segments) in self.profiles() {
+            let mut run: Option<(i64, i64, Capacity)> = None;
+            for s in segments {
+                let overloaded = s.load > capacity && s.end > 0;
+                if overloaded {
+                    let start = s.start.max(0);
+                    run = match run {
+                        Some((rs, re, peak)) if re == start => Some((rs, s.end, peak.max(s.load))),
+                        Some(done) => {
+                            consider(&mut best, src, dst, capacity, done);
+                            Some((start, s.end, s.load))
+                        }
+                        None => Some((start, s.end, s.load)),
+                    };
+                } else if let Some(done) = run.take() {
+                    consider(&mut best, src, dst, capacity, done);
+                }
+            }
+            if let Some(done) = run {
                 consider(&mut best, src, dst, capacity, done);
             }
         }
-        if let Some(done) = run {
-            consider(&mut best, src, dst, capacity, done);
-        }
+        let (start, src, dst, end, peak, capacity) = best?;
+        let mut flows: Vec<_> = self
+            .loads
+            .iter()
+            .filter(|c| {
+                self.links
+                    .get(c.link as usize)
+                    .is_some_and(|l| l.src == src && l.dst == dst)
+                    && c.t_lo < end
+                    && c.t_hi + 1 > start
+            })
+            .map(|c| c.flow)
+            .collect();
+        flows.sort_unstable();
+        flows.dedup();
+        Some(Violation::Congestion {
+            src,
+            dst,
+            start,
+            end,
+            peak,
+            capacity,
+            flows,
+        })
     }
-    let (start, src, dst, end, peak, capacity) = best?;
-    let mut flows: Vec<_> = contributions
+
+    /// Expands the profiles into per-step congestion events (`t ≥ 0`,
+    /// `load > capacity`) sorted by `(time, src, dst)` — the simulator's
+    /// event list, reproduced from intervals for differential testing.
+    pub(crate) fn congestion_events(&self) -> Vec<(SwitchId, SwitchId, i64, Capacity, Capacity)> {
+        let mut out = Vec::new();
+        for (src, dst, capacity, segments) in self.profiles() {
+            for s in segments {
+                if s.load > capacity {
+                    for t in s.start.max(0)..s.end {
+                        out.push((src, dst, t, s.load, capacity));
+                    }
+                }
+            }
+        }
+        out.sort_by_key(|&(src, dst, t, _, _)| (t, src, dst));
+        out
+    }
+}
+
+fn earliest_span(spans: &[EventSpan]) -> Option<&EventSpan> {
+    spans
         .iter()
-        .filter(|c| c.src == src && c.dst == dst && c.t_lo < end && c.t_hi + 1 > start)
-        .map(|c| c.flow)
-        .collect();
-    flows.sort_unstable();
-    flows.dedup();
-    Some(Violation::Congestion {
-        src,
-        dst,
-        start,
-        end,
-        peak,
-        capacity,
-        flows,
-    })
+        .min_by_key(|s| (s.tau_lo + s.offset, s.flow, s.tau_lo))
 }
 
 fn consider(
@@ -143,32 +261,20 @@ fn consider(
     }
 }
 
-/// Expands the profiles into per-step congestion events (`t ≥ 0`,
-/// `load > capacity`) sorted by `(time, src, dst)` — the simulator's
-/// event list, reproduced from intervals for differential testing.
-pub(crate) fn congestion_events(
-    instance: &UpdateInstance,
-    profiles: &BTreeMap<(SwitchId, SwitchId), Vec<IntervalLoad>>,
-) -> Vec<(SwitchId, SwitchId, i64, Capacity, Capacity)> {
-    let mut out = Vec::new();
-    for (&(src, dst), segments) in profiles {
-        let capacity = instance.network.capacity(src, dst).unwrap_or(0);
-        for s in segments {
-            if s.load > capacity {
-                for t in s.start.max(0)..s.end {
-                    out.push((src, dst, t, s.load, capacity));
-                }
-            }
-        }
-    }
-    out.sort_by_key(|&(src, dst, t, _, _)| (t, src, dst));
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use chronus_net::FlowId;
+    use crate::trace::{Analysis, Contribution};
+    use chronus_net::{Flow, FlowId, NetworkBuilder, Path, UpdateInstance};
+
+    /// A 2-switch network whose one link ⟨0,1⟩ has capacity 1.
+    fn one_link() -> UpdateInstance {
+        let mut b = NetworkBuilder::with_switches(2);
+        b.add_link(SwitchId(0), SwitchId(1), 1, 1).unwrap();
+        let path = || Path::new(vec![SwitchId(0), SwitchId(1)]);
+        let flow = Flow::new(FlowId(0), 1, path(), path()).unwrap();
+        UpdateInstance::single(b.build(), flow).unwrap()
+    }
 
     fn contrib(t_lo: i64, t_hi: i64, demand: Capacity, flow: u32) -> Contribution {
         Contribution {
@@ -181,13 +287,24 @@ mod tests {
         }
     }
 
+    /// Sweeps hand-made contributions on the one link.
+    fn swept<'a>(inst: &'a UpdateInstance, contributions: &[Contribution]) -> Certifier<'a> {
+        let mut certifier = Certifier::new(inst);
+        certifier.adopt(&Analysis {
+            contributions: contributions.to_vec(),
+            ..Analysis::default()
+        });
+        certifier.sweep();
+        certifier
+    }
+
     #[test]
     fn merges_overlapping_intervals() {
-        let profiles = link_profiles(&[contrib(0, 4, 1, 0), contrib(2, 6, 1, 1)]);
-        let segs = &profiles[&(SwitchId(0), SwitchId(1))];
+        let inst = one_link();
+        let certifier = swept(&inst, &[contrib(0, 4, 1, 0), contrib(2, 6, 1, 1)]);
         assert_eq!(
-            segs,
-            &vec![
+            certifier.link_bounds()[0].segments,
+            vec![
                 IntervalLoad {
                     start: 0,
                     end: 2,
@@ -210,11 +327,11 @@ mod tests {
     #[test]
     fn coalesces_equal_adjacent_levels() {
         // Back-to-back intervals at the same level form one segment.
-        let profiles = link_profiles(&[contrib(0, 1, 1, 0), contrib(2, 3, 1, 0)]);
-        let segs = &profiles[&(SwitchId(0), SwitchId(1))];
+        let inst = one_link();
+        let certifier = swept(&inst, &[contrib(0, 1, 1, 0), contrib(2, 3, 1, 0)]);
         assert_eq!(
-            segs,
-            &vec![IntervalLoad {
+            certifier.link_bounds()[0].segments,
+            vec![IntervalLoad {
                 start: 0,
                 end: 4,
                 load: 1
@@ -224,26 +341,15 @@ mod tests {
 
     #[test]
     fn negative_time_overload_is_not_congestion() {
-        let mut b = chronus_net::NetworkBuilder::with_switches(2);
-        b.add_link(SwitchId(0), SwitchId(1), 1, 1).unwrap();
-        let net = b.build();
-        let flow = chronus_net::Flow::new(
-            FlowId(0),
-            1,
-            chronus_net::Path::new(vec![SwitchId(0), SwitchId(1)]),
-            chronus_net::Path::new(vec![SwitchId(0), SwitchId(1)]),
-        )
-        .unwrap();
-        let inst = chronus_net::UpdateInstance::single(net, flow).unwrap();
-        let contributions = [contrib(-5, -1, 2, 0)];
-        let profiles = link_profiles(&contributions);
-        assert!(first_congestion(&inst, &contributions, &profiles).is_none());
+        let inst = one_link();
+        let certifier = swept(&inst, &[contrib(-5, -1, 2, 0)]);
+        assert!(certifier.consistent());
+        assert!(certifier.violation().is_none());
         // The same overload touching step 0 is congestion, clipped at 0.
-        let contributions = [contrib(-5, 0, 2, 0)];
-        let profiles = link_profiles(&contributions);
-        let v = first_congestion(&inst, &contributions, &profiles).unwrap();
-        match v {
-            Violation::Congestion { start, end, .. } => {
+        let certifier = swept(&inst, &[contrib(-5, 0, 2, 0)]);
+        assert!(!certifier.consistent());
+        match certifier.violation() {
+            Some(Violation::Congestion { start, end, .. }) => {
                 assert_eq!((start, end), (0, 1));
             }
             other => panic!("expected congestion, got {other:?}"),

@@ -14,9 +14,9 @@
 //! blackhole / undelivered event sets, per-step congestion events,
 //! and the full per-link load surface.
 
-use chronus_net::{InstanceGenerator, InstanceGeneratorConfig, UpdateInstance};
+use chronus_net::{FlowId, InstanceGenerator, InstanceGeneratorConfig, SwitchId, UpdateInstance};
 use chronus_timenet::{FluidSimulator, Schedule, Verdict};
-use chronus_verify::{analyze, certify, congestion_surface};
+use chronus_verify::{analyze, certify, certify_with, congestion_surface, Certifier, VerifyConfig};
 use proptest::prelude::*;
 use proptest::proptest;
 
@@ -150,6 +150,50 @@ proptest! {
             }
             if let Err(msg) = compare(&inst, &schedule) {
                 prop_assert!(false, "n={n} seed={seed}: {msg}");
+            }
+        }
+    }
+
+    fn reused_certifier_matches_fresh_runs(
+        n in 5usize..12,
+        seed in 0u64..1_000_000,
+        times in proptest::collection::vec(0i64..30, 16),
+        masks in proptest::collection::vec(0u32..u32::MAX, 8..14),
+        witnesses in 0u8..2,
+    ) {
+        // One workspace over a sequence of schedules with different
+        // entry sets and times: whatever a run leaves in the buffers
+        // must not reach the next one.
+        if let Some(inst) = draw_instance(n, seed) {
+            let config = VerifyConfig { enabled: true, witnesses: witnesses == 1 };
+            let mut certifier = Certifier::new(&inst);
+            for (round, &mask) in masks.iter().enumerate() {
+                let mut schedule = Schedule::new();
+                for flow in &inst.flows {
+                    for (i, v) in flow.switches_to_update().into_iter().enumerate() {
+                        if mask & (1 << (i % 16)) != 0 {
+                            let t = times.get((i + round) % times.len()).copied().unwrap_or(0);
+                            schedule.set(flow.id, v, t);
+                        }
+                    }
+                }
+                // Entries no rule row holds: they move the makespan only.
+                if mask & (1 << 16) != 0 {
+                    schedule.set(FlowId(0), SwitchId(n as u32 + 3), i64::from(mask >> 27));
+                }
+                if mask & (1 << 17) != 0 {
+                    schedule.set(FlowId(77), SwitchId(1), i64::from(mask >> 26));
+                }
+                prop_assert_eq!(
+                    certifier.analyze(&schedule),
+                    analyze(&inst, &schedule),
+                    "n={} seed={} round={}", n, seed, round
+                );
+                prop_assert_eq!(
+                    certifier.certify_with(&schedule, &config),
+                    certify_with(&inst, &schedule, &config),
+                    "n={} seed={} round={}", n, seed, round
+                );
             }
         }
     }

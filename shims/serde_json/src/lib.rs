@@ -13,7 +13,7 @@
 #![forbid(unsafe_code)]
 
 use std::collections::BTreeMap;
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// Object representation: insertion order is not preserved (the real
 /// crate's default feature set also sorts); golden tests must not
@@ -343,6 +343,17 @@ impl<'a> Parser<'a> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
+            // Everything up to the next quote, escape or control byte
+            // is copied in one piece: those are ASCII and the input is
+            // a &str, so a run never splits a UTF-8 sequence.
+            let start = self.pos;
+            while matches!(self.peek(), Some(b) if b != b'"' && b != b'\\' && b >= 0x20) {
+                self.pos += 1;
+            }
+            match std::str::from_utf8(self.bytes.get(start..self.pos).unwrap_or(&[])) {
+                Ok(run) => out.push_str(run),
+                Err(_) => return self.err("invalid utf-8"),
+            }
             match self.bump() {
                 None => return self.err("unterminated string"),
                 Some(b'"') => return Ok(out),
@@ -377,23 +388,7 @@ impl<'a> Parser<'a> {
                     }
                     _ => return self.err("invalid escape"),
                 },
-                Some(b) if b < 0x20 => return self.err("control character in string"),
-                Some(b) => {
-                    // Re-assemble UTF-8 multibyte sequences from the
-                    // raw bytes (input is a &str, so this is valid).
-                    let start = self.pos - 1;
-                    let width = match b {
-                        0x00..=0x7F => 1,
-                        0xC0..=0xDF => 2,
-                        0xE0..=0xEF => 3,
-                        _ => 4,
-                    };
-                    self.pos = start + width;
-                    match std::str::from_utf8(self.bytes.get(start..self.pos).unwrap_or(&[])) {
-                        Ok(s) => out.push_str(s),
-                        Err(_) => return self.err("invalid utf-8"),
-                    }
-                }
+                Some(_) => return self.err("control character in string"),
             }
         }
     }
@@ -414,11 +409,27 @@ impl<'a> Parser<'a> {
 
     fn parse_number(&mut self) -> Result<Value, Error> {
         let start = self.pos;
-        if self.peek() == Some(b'-') {
+        let negative = self.peek() == Some(b'-');
+        if negative {
             self.pos += 1;
         }
-        while matches!(self.peek(), Some(b'0'..=b'9')) {
+        let first_digit = self.peek();
+        let digits_from = self.pos;
+        let mut integer = 0u64;
+        while let Some(b @ b'0'..=b'9') = self.peek() {
+            integer = integer.wrapping_mul(10).wrapping_add(u64::from(b - b'0'));
             self.pos += 1;
+        }
+        // A plain integer of at most 15 digits is exact in an `f64`, so
+        // it needs no text round trip. Anything the general path might
+        // treat differently — a leading zero, `-0`, a bare `-` — goes
+        // there.
+        let digits = self.pos - digits_from;
+        let plain = !matches!(self.peek(), Some(b'.' | b'e' | b'E'));
+        let zero_led = first_digit == Some(b'0') && (digits > 1 || negative);
+        if plain && (1..=15).contains(&digits) && !zero_led {
+            let n = integer as f64;
+            return Ok(Value::Number(if negative { -n } else { n }));
         }
         if self.peek() == Some(b'.') {
             self.pos += 1;
@@ -466,20 +477,44 @@ pub fn from_str(s: &str) -> Result<Value, Error> {
 
 fn escape(s: &str, out: &mut String) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
+    if s.bytes().any(|b| matches!(b, b'"' | b'\\' | 0..=0x1f)) {
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                c if (c as u32) < 0x20 => {
+                    // Writing into a `String` cannot fail.
+                    let _ = write!(out, "\\u{:04x}", c as u32);
+                }
+                c => out.push(c),
             }
-            c => out.push(c),
         }
+    } else {
+        out.push_str(s);
     }
     out.push('"');
+}
+
+/// Appends `v` in decimal, digits built in a stack buffer.
+fn push_integer(v: i64, out: &mut String) {
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    let mut rest = v.unsigned_abs();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (rest % 10) as u8;
+        rest /= 10;
+        if rest == 0 {
+            break;
+        }
+    }
+    if v < 0 {
+        out.push('-');
+    }
+    out.extend(digits[at..].iter().map(|&d| char::from(d)));
 }
 
 fn write_value(value: &Value, out: &mut String, indent: Option<usize>) {
@@ -488,7 +523,7 @@ fn write_value(value: &Value, out: &mut String, indent: Option<usize>) {
         Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
         Value::Number(n) => {
             if n.fract() == 0.0 && n.abs() < 1e15 {
-                out.push_str(&format!("{}", *n as i64));
+                push_integer(*n as i64, out);
             } else {
                 out.push_str(&n.to_string());
             }
@@ -656,5 +691,69 @@ mod tests {
         let back = from_str(&to_string(&v).unwrap()).unwrap();
         assert_eq!(back.get("0").unwrap().as_i128_exact(), Some(i128::MAX));
         assert_eq!(back.get("1").unwrap().as_u64_exact(), Some(3));
+    }
+
+    /// The reader's and writer's fast paths (plain integers of ≤ 15
+    /// digits, escape-free string runs, stack-buffer integers) against
+    /// values recorded from the general paths: same accepted set, same
+    /// values bit for bit, same text.
+    #[test]
+    fn fast_paths_match_the_general_paths() {
+        let numbers: [(&str, Option<f64>); 16] = [
+            ("0", Some(0.0)),
+            ("7", Some(7.0)),
+            ("-7", Some(-7.0)),
+            ("01", Some(1.0)),
+            ("-0", Some(-0.0)),
+            ("-01", Some(-1.0)),
+            ("-", None),
+            ("1e400", None),
+            ("999999999999999", Some(999_999_999_999_999.0)),
+            ("-999999999999999", Some(-999_999_999_999_999.0)),
+            ("1234567890123456", Some(1_234_567_890_123_456.0)),
+            ("-1234567890123456", Some(-1_234_567_890_123_456.0)),
+            ("9007199254740993", Some(9_007_199_254_740_992.0)),
+            ("12e2", Some(1200.0)),
+            ("1.5", Some(1.5)),
+            ("1.", Some(1.0)),
+        ];
+        for (text, expect) in numbers {
+            let got = from_str(text).ok().and_then(|v| v.as_f64());
+            assert_eq!(got.map(f64::to_bits), expect.map(f64::to_bits), "{text}");
+        }
+
+        let strings = [
+            (r#""plain""#, Some("plain")),
+            (r#""""#, Some("")),
+            (r#""a\u0041b""#, Some("aAb")),
+            (r#""\u00e9t\u00E9""#, Some("été")),
+            (r#""\ud83d\ude00 ok""#, Some("😀 ok")),
+            (r#""é\"x\\y\/z""#, Some("é\"x\\y/z")),
+            (r#""tab\there""#, Some("tab\there")),
+            ("\"ctl\u{1}\"", None),
+            (r#""\ud83d""#, None),
+            (r#""\u12g4""#, None),
+            (r#""open"#, None),
+        ];
+        for (text, expect) in strings {
+            let got = from_str(text).ok();
+            assert_eq!(got.as_ref().and_then(Value::as_str), expect, "{text}");
+        }
+
+        let v = Value::Array(vec![
+            Value::from("plain é"),
+            Value::from("q\"b\\n\nt\tc\u{1}"),
+            Value::Number(0.0),
+            Value::Number(-0.0),
+            Value::Number(-1.0),
+            Value::Number(999_999_999_999_999.0),
+            Value::Number(-999_999_999_999_999.0),
+            Value::Number(1e15),
+            Value::Number(2.5),
+        ]);
+        assert_eq!(
+            to_string(&v).unwrap(),
+            r#"["plain é","q\"b\\n\nt\tc\u0001",0,0,-1,999999999999999,-999999999999999,1000000000000000,2.5]"#
+        );
     }
 }
