@@ -285,7 +285,7 @@ pub fn greedy_schedule_with(
 
 /// Runs Algorithm 2 reusing caller-owned simulation buffers.
 ///
-/// Long-lived callers (the engine's worker threads, the benches) pass
+/// Long-lived callers (the engine, the benches) pass
 /// the same [`SimWorkspace`] to every run so the gate's load ledger,
 /// visit stamps and hop buffers are allocated once, not per plan. The
 /// workspace is returned to `workspace` on every exit path, including

@@ -141,12 +141,9 @@ fn main() -> ExitCode {
     match outcome {
         Ok(report) => {
             println!(
-                "chronusd: drained — {} planned by the engine, {} shed, \
+                "chronusd: drained — {} planned by the engine, \
                  {} armed update(s) persisted, snapshot wrote {} record(s)",
-                report.engine_planned,
-                report.engine_leftovers,
-                report.armed_remaining,
-                report.snapshot_live
+                report.engine_planned, report.armed_remaining, report.snapshot_live
             );
             ExitCode::SUCCESS
         }

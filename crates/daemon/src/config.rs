@@ -18,7 +18,8 @@ use std::time::Duration;
 pub struct DaemonConfig {
     /// Unix socket path the server listens on.
     pub socket: PathBuf,
-    /// Daemon worker threads (and engine worker threads below them).
+    /// Daemon worker threads: each pops the admission queue and plans
+    /// what it popped on its own thread.
     pub workers: usize,
     /// Bound on each priority class's admission queue.
     pub queue_bound: usize,

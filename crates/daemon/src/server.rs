@@ -6,7 +6,7 @@ use crate::service::{Daemon, ShutdownReport};
 use chronus_net::codec::instance_from_value;
 use chronus_trace::{FlightEvent, FlightEventKind, FlightRecorder};
 use serde_json::{Map, Value};
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -18,6 +18,12 @@ use std::time::Duration;
 const TAIL_BATCH: usize = 512;
 /// Poll cadence for `tail --follow`.
 const TAIL_POLL: Duration = Duration::from_millis(50);
+/// Longest request line, newline included, a connection may send. Any
+/// local client can open the socket, so the bound is what keeps bytes
+/// without a newline from growing the connection's buffer until the
+/// daemon is killed. 16 MiB is two orders of magnitude above the
+/// largest line in the tree (a 130 KB fat-tree submit).
+pub const MAX_REQUEST_LINE: usize = 16 << 20;
 
 /// Serves `daemon` on its configured Unix socket until a client sends
 /// `drain`, then gracefully shuts the daemon down and returns the
@@ -76,8 +82,21 @@ fn serve_connection(
     let mut line = String::new();
     loop {
         line.clear();
-        if reader.read_line(&mut line)? == 0 {
+        let read = (&mut reader)
+            .take(MAX_REQUEST_LINE as u64 + 1)
+            .read_line(&mut line)?;
+        if read == 0 {
             break;
+        }
+        if read > MAX_REQUEST_LINE {
+            // The rest of the line is unread and unbounded: answer and
+            // hang up rather than resynchronize on a newline that may
+            // never come.
+            daemon.metrics().proto_errors.inc();
+            return send(
+                &mut writer,
+                &proto::err_response("request line too long", false),
+            );
         }
         if line.trim().is_empty() {
             continue;
@@ -104,10 +123,7 @@ fn serve_connection(
                 (proto::err_response(&e, false), false)
             }
         };
-        let text = serde_json::to_string(&response)
-            .unwrap_or_else(|_| r#"{"ok":false,"error":"encode failed"}"#.to_string());
-        writeln!(writer, "{text}")?;
-        writer.flush()?;
+        send(&mut writer, &response)?;
         if drain {
             stop.store(true, Ordering::Release);
             wake_accept();
@@ -115,6 +131,14 @@ fn serve_connection(
         }
     }
     Ok(())
+}
+
+/// Writes one response line and flushes it.
+fn send(writer: &mut UnixStream, response: &Value) -> std::io::Result<()> {
+    let text = serde_json::to_string(response)
+        .unwrap_or_else(|_| r#"{"ok":false,"error":"encode failed"}"#.to_string());
+    writeln!(writer, "{text}")?;
+    writer.flush()
 }
 
 /// Executes one request against the daemon.
@@ -244,12 +268,7 @@ fn serve_tail(
         ("streaming", Value::Bool(true)),
         ("recording", Value::Bool(FlightRecorder::is_on())),
     ]);
-    writeln!(
-        writer,
-        "{}",
-        serde_json::to_string(&header).unwrap_or_default()
-    )?;
-    writer.flush()?;
+    send(writer, &header)?;
 
     // One-shot tail answers with the ring's recent history; follow
     // starts at the present and streams what happens next.
@@ -295,10 +314,5 @@ fn serve_tail(
         ("done", Value::Bool(true)),
         ("sent", Value::from_u64_exact(sent)),
     ]);
-    writeln!(
-        writer,
-        "{}",
-        serde_json::to_string(&footer).unwrap_or_default()
-    )?;
-    writer.flush()
+    send(writer, &footer)
 }

@@ -3,10 +3,10 @@
 //! the restore path that re-arms or rolls back after a crash.
 //!
 //! Locking story: the admission queues and the status table each sit
-//! behind a `std::sync::Mutex` + `Condvar` pair (the `parking_lot`
-//! shim has no condvar). Locks are never held across planning — a
-//! worker pops under the queue lock, releases it, and plans with only
-//! the engine's internal synchronization. Poisoned locks are
+//! behind a `std::sync::Mutex` + `Condvar` pair. Locks are never held
+//! across planning — a worker pops under the queue lock, releases it,
+//! and plans on its own thread with only the engine's internal
+//! synchronization. Poisoned locks are
 //! recovered with `PoisonError::into_inner`: every protected value is
 //! a plain data structure that stays coherent even if a panicking
 //! thread abandoned it mid-update.
@@ -17,11 +17,10 @@ use crate::journal::{ArmedRecord, Journal};
 use crate::metrics::DaemonMetrics;
 use crate::slo::SloTracker;
 use chronus_clock::Nanos;
-use chronus_engine::{DrainReport, Engine, UpdateRequest};
+use chronus_engine::{Engine, UpdateRequest};
 use chronus_faults::{RecoveryAction, RecoveryPolicy, SlackBudget};
 use chronus_net::UpdateInstance;
 use chronus_trace::FlightRecorder;
-use parking_lot::RwLock;
 use serde_json::{Map, Value};
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
@@ -218,9 +217,6 @@ pub struct RestoreReport {
 pub struct ShutdownReport {
     /// Requests the resident engine planned over its lifetime.
     pub engine_planned: u64,
-    /// Engine-queue requests shed by the engine drain (always empty:
-    /// daemon workers plan synchronously).
-    pub engine_leftovers: usize,
     /// Armed updates still live (persisted for the next restore).
     pub armed_remaining: usize,
     /// Live records written by the final snapshot.
@@ -229,7 +225,7 @@ pub struct ShutdownReport {
 
 struct Inner {
     config: DaemonConfig,
-    engine: RwLock<Option<Engine>>,
+    engine: Engine,
     admission: Mutex<AdmissionQueues>,
     work_cv: Condvar,
     statuses: Mutex<StatusTable>,
@@ -362,16 +358,8 @@ impl Inner {
             .record(picked_up_ns.saturating_sub(job.enqueued_ns).max(0) as u64);
         self.update_state(job.id, UpdateState::Planning, "planning");
 
-        let engine_guard = self.engine.read();
-        let Some(engine) = engine_guard.as_ref() else {
-            self.metrics.failed.inc();
-            self.record_slo(&job.tenant, 0, false, 0);
-            self.update_state(job.id, UpdateState::Failed, "engine stopped");
-            return;
-        };
         let request = UpdateRequest::new(job.id, job.instance.clone(), job.deadline);
-        let planned = engine.plan_one(request);
-        drop(engine_guard);
+        let planned = self.engine.plan_one(request);
         self.metrics.planned.inc();
         let plan_ns = planned.elapsed.as_nanos() as u64;
         self.metrics
@@ -578,7 +566,7 @@ impl Daemon {
         let inner = Arc::new(Inner {
             admission: Mutex::new(AdmissionQueues::new(config.admission())),
             config,
-            engine: RwLock::new(Some(engine)),
+            engine,
             work_cv: Condvar::new(),
             statuses: Mutex::new(statuses),
             status_cv: Condvar::new(),
@@ -816,23 +804,14 @@ impl Daemon {
     /// series.
     pub fn metrics_text(&self) -> String {
         let inner = &self.inner;
-        let engine_text = {
-            let guard = inner.engine.read();
-            match guard.as_ref() {
-                Some(engine) => {
-                    let report = engine.report();
-                    inner.metrics.set_cache(
-                        report.cache_hits,
-                        report.cache_misses,
-                        report.cache_evictions,
-                        report.cache_entries,
-                        report.cache_bytes,
-                    );
-                    engine.metrics().registry().to_prometheus()
-                }
-                None => String::new(),
-            }
-        };
+        let report = inner.engine.report();
+        inner.metrics.set_cache(
+            report.cache_hits,
+            report.cache_misses,
+            report.cache_evictions,
+            report.cache_entries,
+            report.cache_bytes,
+        );
         if FlightRecorder::is_on() {
             inner
                 .metrics
@@ -850,7 +829,7 @@ impl Daemon {
             inner.metrics.flight_dropped.set(dropped as i64);
         }
         let mut out = inner.metrics.render_consistent();
-        out.push_str(&engine_text);
+        out.push_str(&inner.engine.metrics().registry().to_prometheus());
         out
     }
 
@@ -875,9 +854,8 @@ impl Daemon {
             Value::from_u64_exact(inner.started.elapsed().as_millis() as u64),
         );
 
-        // Engine before admission, matching the declared lock order;
-        // the admission lock is taken once for depths and buckets.
-        let cache_report = inner.engine.read().as_ref().map(|e| e.report());
+        // The admission lock is taken once for depths and buckets.
+        let report = inner.engine.report();
         let ((h, n, l), levels) = {
             let q = lock(&inner.admission);
             (q.depths(), q.bucket_levels(now))
@@ -909,26 +887,16 @@ impl Daemon {
         );
 
         let mut cache = Map::new();
-        if let Some(report) = cache_report {
-            let lookups = report.cache_hits + report.cache_misses;
-            cache.insert("hits".to_string(), Value::from_u64_exact(report.cache_hits));
-            cache.insert(
-                "misses".to_string(),
-                Value::from_u64_exact(report.cache_misses),
-            );
-            cache.insert(
-                "entries".to_string(),
-                Value::from_u64_exact(report.cache_entries),
-            );
-            cache.insert(
-                "hit_rate".to_string(),
-                Value::from(if lookups == 0 {
-                    0.0
-                } else {
-                    report.cache_hits as f64 / lookups as f64
-                }),
-            );
-        }
+        cache.insert("hits".to_string(), Value::from_u64_exact(report.cache_hits));
+        cache.insert(
+            "misses".to_string(),
+            Value::from_u64_exact(report.cache_misses),
+        );
+        cache.insert(
+            "entries".to_string(),
+            Value::from_u64_exact(report.cache_entries),
+        );
+        cache.insert("hit_rate".to_string(), Value::from(report.cache_hit_rate()));
         obj.insert("cache".to_string(), Value::Object(cache));
 
         let mut plan = Map::new();
@@ -995,7 +963,7 @@ impl Daemon {
     }
 
     /// Gracefully shuts down: stops intake, lets workers finish every
-    /// admitted job, drains the engine, takes a final snapshot.
+    /// admitted job, takes a final snapshot.
     /// Idempotent; callable through a shared handle (the IPC server's
     /// drain command calls it from a connection thread).
     pub fn shutdown(&self) -> ShutdownReport {
@@ -1017,16 +985,9 @@ impl Daemon {
         if let Some(handle) = lock(&self.snapshotter).take() {
             let _ = handle.join();
         }
-        let drain: DrainReport = inner
-            .engine
-            .write()
-            .take()
-            .map(Engine::drain)
-            .unwrap_or_default();
         let snapshot_live = inner.compact_journal().unwrap_or(0);
         ShutdownReport {
-            engine_planned: drain.planned,
-            engine_leftovers: drain.leftovers.len(),
+            engine_planned: inner.engine.report().completed,
             armed_remaining: lock(&inner.armed).len(),
             snapshot_live,
         }

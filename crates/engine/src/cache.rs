@@ -4,7 +4,7 @@
 //! pure function of `(topology, flow, horizon)`: batches that replan
 //! the same flow (retries, deadline re-submissions, emulator reruns)
 //! rebuild an identical window every time. The engine shares one
-//! [`TimeNetCache`] across all workers and memoizes the owned
+//! [`TimeNetCache`] across all planning threads and memoizes the owned
 //! [`MaterializedTimeNet`] snapshot per key.
 //!
 //! A long-running service (the `chronusd` daemon) keeps one engine —
@@ -19,10 +19,16 @@
 
 use chronus_net::{Flow, Network, TimeStep, UpdateInstance};
 use chronus_timenet::{MaterializedTimeNet, TimeExtendedNetwork};
-use parking_lot::Mutex;
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
+
+/// Locks `m`, recovering a poisoned guard: the engine's mutexes
+/// protect plain collections that every update leaves coherent, so a
+/// thread that panicked while holding one abandoned nothing half-done.
+pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -170,7 +176,7 @@ impl TimeNetCache {
     /// The slot for `key`, inserted empty (evicting the oldest windows
     /// past the capacity bound) when the key is new.
     fn claim(&self, key: CacheKey) -> Window {
-        let mut state = self.entries.lock();
+        let mut state = lock(&self.entries);
         if let Some(found) = state.map.get(&key) {
             return Arc::clone(found);
         }
@@ -208,7 +214,7 @@ impl TimeNetCache {
 
     /// Number of distinct memoized windows.
     pub fn len(&self) -> usize {
-        self.entries.lock().map.len()
+        lock(&self.entries).map.len()
     }
 
     /// `true` when nothing has been memoized yet.
@@ -218,8 +224,7 @@ impl TimeNetCache {
 
     /// Total approximate heap footprint of the memoized windows.
     pub fn approx_bytes(&self) -> usize {
-        self.entries
-            .lock()
+        lock(&self.entries)
             .map
             .values()
             .filter_map(|slot| slot.get())

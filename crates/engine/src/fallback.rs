@@ -312,9 +312,9 @@ fn buy_slack(
 ///
 /// Of `config` it reads `verify` (certification), `slack` (the
 /// post-win slack stage) and `sharding` (the opt-in multi-flow
-/// pre-stage). `ws` carries the greedy gate's simulation buffers: each
-/// engine worker keeps one for its whole life, so steady-state
-/// planning does not re-allocate the load ledger per request.
+/// pre-stage). `ws` carries the greedy gate's simulation buffers: the
+/// engine recycles them across requests, so steady-state planning
+/// does not re-allocate the load ledger per request.
 pub fn plan_with_chain(
     req: &UpdateRequest,
     cache: &TimeNetCache,

@@ -4,8 +4,9 @@
 //! SDN controller faces a *stream* of them. This crate turns the
 //! workspace's planners into a long-lived service:
 //!
-//! - [`Engine`]: a crossbeam-channel worker pool accepting batches of
-//!   [`UpdateRequest`]s, answering each in submission order;
+//! - [`Engine`]: shared planning state with no threads of its own —
+//!   one [`UpdateRequest`] is planned on the thread that brought it, a
+//!   batch on `workers` scoped lanes, answered in submission order;
 //! - the **fallback chain** ([`plan_with_chain`]): greedy scheduler →
 //!   tree feasibility search → two-phase baseline, so every request
 //!   leaves with a consistency-preserving plan — deadline pressure
@@ -19,10 +20,10 @@
 //! - [`UpdateWatchdog`]: the deployment-side deadline tracker turning
 //!   that certified tolerance into re-arm-or-rollback decisions;
 //! - [`PlanReport`]: per-stage latencies and win counts, cache hit
-//!   rates, queue depths and deadline casualties.
+//!   rates and deadline casualties.
 //!
 //! Concurrency is observationally pure: every chain stage is
-//! deterministic, so a batch planned on N workers yields exactly the
+//! deterministic, so a batch planned on N lanes yields exactly the
 //! plans of [`plan_sequential`] whenever deadlines do not bite — a
 //! property pinned by this crate's tests.
 //!
@@ -56,7 +57,7 @@ pub use fallback::{
     PlannedUpdate, SlackPolicy, Stage, StageAttempt, StageOutcome, TpBatchPlan,
 };
 pub use metrics::{CertStats, EngineMetrics, PlanReport, ShardStats, SlackStats, StageStats};
-pub use pool::{DrainReport, Engine, EngineConfig, PlanTicket};
+pub use pool::{Engine, EngineConfig};
 // The sharded pre-stage's knobs travel with the engine config; re-export
 // them so `EngineConfig::with_sharding` callers need no chronus-core dep.
 pub use chronus_core::shard::ShardingConfig;

@@ -54,8 +54,8 @@ impl StageHandles {
     }
 }
 
-/// Shared instruments every worker records into, backed by one
-/// registry per engine.
+/// Shared instruments every planning thread records into, backed by
+/// one registry per engine.
 pub struct EngineMetrics {
     registry: MetricsRegistry,
     sharded: StageHandles,
@@ -84,11 +84,8 @@ pub struct EngineMetrics {
     slack_schedules_checked: Counter,
     slack_steps: Histogram,
     slack_nanos: Histogram,
-    submitted: Counter,
     completed: Counter,
     timeouts: Counter,
-    queue_depth: Gauge,
-    queue_peak: Gauge,
 }
 
 impl Default for EngineMetrics {
@@ -137,11 +134,8 @@ impl EngineMetrics {
             slack_schedules_checked: counter("chronus_engine_slack_schedules_checked_total"),
             slack_steps: registry.histogram("chronus_engine_slack_steps"),
             slack_nanos: registry.histogram("chronus_engine_slack_stage_ns"),
-            submitted: counter("chronus_engine_requests_submitted_total"),
             completed: counter("chronus_engine_requests_completed_total"),
             timeouts: counter("chronus_engine_deadline_timeouts_total"),
-            queue_depth: registry.gauge("chronus_engine_queue_depth"),
-            queue_peak: registry.gauge("chronus_engine_queue_peak"),
             registry,
         }
     }
@@ -266,19 +260,6 @@ impl EngineMetrics {
         }
     }
 
-    /// Records a request entering the queue, keeping the running and
-    /// peak depth.
-    pub fn record_enqueue(&self) {
-        self.submitted.inc();
-        let depth = self.queue_depth.add(1);
-        self.queue_peak.max(depth);
-    }
-
-    /// Records a worker picking a request off the queue.
-    pub fn record_dequeue(&self) {
-        self.queue_depth.add(-1);
-    }
-
     /// Derives a [`PlanReport`] view over the registry, folding in the
     /// shared cache's counters.
     pub fn report(&self, cache: &TimeNetCache) -> PlanReport {
@@ -315,11 +296,8 @@ impl EngineMetrics {
                 schedules_checked: self.slack_schedules_checked.get(),
             },
             arena_bytes: self.greedy_arena_bytes.get().max(0) as u64,
-            submitted: self.submitted.get(),
             completed: self.completed.get(),
             timeouts: self.timeouts.get(),
-            queue_depth: self.queue_depth.get().max(0) as u64,
-            queue_peak: self.queue_peak.get().max(0) as u64,
             cache_hits: cache.hits(),
             cache_misses: cache.misses(),
             cache_evictions: cache.evictions(),
@@ -407,7 +385,7 @@ pub struct SlackStats {
 }
 
 /// Point-in-time engine report: per-stage latencies and win counts,
-/// cache effectiveness, queue pressure and deadline casualties.
+/// cache effectiveness and deadline casualties.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct PlanReport {
     /// Sharded-stage counters (all zero on unsharded engines).
@@ -431,17 +409,11 @@ pub struct PlanReport {
     /// Largest simulation-arena high-water mark (bytes) any greedy run
     /// reported — the flat pool footprint of the planning hot path.
     pub arena_bytes: u64,
-    /// Requests accepted into the queue.
-    pub submitted: u64,
     /// Requests fully planned.
     pub completed: u64,
     /// Requests whose deadline expired before every optimizing stage
     /// could run.
     pub timeouts: u64,
-    /// Requests currently queued.
-    pub queue_depth: u64,
-    /// Largest queue depth observed.
-    pub queue_peak: u64,
     /// Time-extended-window cache hits.
     pub cache_hits: u64,
     /// Time-extended-window cache misses (materializations).
@@ -481,8 +453,8 @@ impl fmt::Display for PlanReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(
             f,
-            "engine: {}/{} planned, {} deadline-degraded, queue {} (peak {})",
-            self.completed, self.submitted, self.timeouts, self.queue_depth, self.queue_peak
+            "engine: {} planned, {} deadline-degraded",
+            self.completed, self.timeouts
         )?;
         let show_sharded = self.sharded.attempts > 0 || self.sharded.skips > 0;
         for (name, s) in [
@@ -581,18 +553,12 @@ mod tests {
         m.record_certification(true, true);
         m.record_certification(true, false);
         m.record_certification(false, false);
-        m.record_enqueue();
-        m.record_enqueue();
-        m.record_dequeue();
         let r = m.report(&cache);
         assert_eq!(r.greedy.attempts, 2);
         assert_eq!(r.greedy.wins, 1);
         assert_eq!(r.greedy.failures, 1);
         assert_eq!(r.tree.skips, 1);
         assert_eq!(r.greedy.mean_latency(), Duration::from_micros(20));
-        assert_eq!(r.submitted, 2);
-        assert_eq!(r.queue_depth, 1);
-        assert_eq!(r.queue_peak, 2);
         assert_eq!(r.cache_hit_rate(), 0.0);
         assert_eq!(
             r.certs,
@@ -670,7 +636,6 @@ mod tests {
         let cache = TimeNetCache::new();
         m.record_attempt(Stage::Greedy, &StageOutcome::Won, Duration::from_micros(10));
         m.record_certification(true, true);
-        m.record_enqueue();
 
         // The exact same numbers are visible through the registry.
         let snap = m.snapshot();
@@ -680,11 +645,6 @@ mod tests {
         );
         assert_eq!(snap.counter("chronus_engine_greedy_wins_total"), Some(1));
         assert_eq!(snap.counter("chronus_engine_certs_issued_total"), Some(1));
-        assert_eq!(
-            snap.counter("chronus_engine_requests_submitted_total"),
-            Some(1)
-        );
-        assert_eq!(snap.gauge("chronus_engine_queue_depth"), Some(1));
         assert_eq!(
             snap.histogram("chronus_engine_greedy_stage_ns"),
             Some((10_000, 1))

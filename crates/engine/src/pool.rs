@@ -1,29 +1,29 @@
-//! The engine proper: a long-lived worker pool planning request
-//! batches over crossbeam channels.
-// `expect` sites assert engine-lifecycle invariants (workers outlive
-// the sender; one answer per request); a failure is a bug, and
-// panicking the caller is the designed response.
+//! The engine proper: shared planning state (config, metrics, cache,
+//! reusable workspaces) that plans on its callers' threads.
+// The one `expect` asserts that every batch slot was filled (a lane
+// that panicked has already re-raised through the scope); a failure
+// is a bug, and panicking the caller is the designed response.
 #![allow(clippy::expect_used)]
 
-use crate::cache::TimeNetCache;
+use crate::cache::{lock, TimeNetCache};
 use crate::fallback::{plan_with_chain, PlannedUpdate, SlackPolicy};
 use crate::metrics::{EngineMetrics, PlanReport};
-use crate::request::{RequestId, UpdateRequest};
+use crate::request::UpdateRequest;
 use chronus_core::shard::ShardingConfig;
 use chronus_net::UpdateInstance;
 use chronus_timenet::SimWorkspace;
 use chronus_verify::VerifyConfig;
-use crossbeam::channel::{unbounded, Receiver, Sender};
-use parking_lot::Mutex;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
-use std::thread::{self, JoinHandle};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, OnceLock};
+use std::thread;
 use std::time::Duration;
 
 /// Engine construction parameters.
 #[derive(Clone, Debug)]
 pub struct EngineConfig {
-    /// Worker threads planning concurrently.
+    /// Lanes a [`Engine::plan_batch`] call plans on (the caller plus
+    /// `workers - 1` scoped threads), and the number of idle
+    /// workspaces the engine keeps.
     pub workers: usize,
     /// Deadline given to requests submitted without one.
     pub default_deadline: Duration,
@@ -65,7 +65,7 @@ impl Default for EngineConfig {
 }
 
 impl EngineConfig {
-    /// A config with `workers` threads and the default deadline.
+    /// A config with `workers` batch lanes and the default deadline.
     pub fn with_workers(workers: usize) -> Self {
         EngineConfig {
             workers,
@@ -95,19 +95,13 @@ impl EngineConfig {
     }
 }
 
-/// One queued unit of work: the request plus its position in the
-/// submitting batch and the reply channel to land the answer on.
-struct Job {
-    seq: usize,
-    request: UpdateRequest,
-    reply: Sender<(usize, PlannedUpdate)>,
-}
-
 /// A concurrent batched update-planning engine.
 ///
-/// Workers are spawned once and live until the engine is dropped;
-/// batches stream through a shared MPMC queue. All workers share one
-/// time-extended-network cache and one metrics sink.
+/// The engine is shared state and owns no threads: the configuration,
+/// one metrics sink, one time-extended-network cache and a stack of
+/// reusable simulation workspaces. [`Engine::plan_one`] plans on the
+/// calling thread; [`Engine::plan_batch`] spreads a batch over
+/// `workers` scoped lanes that end with the call.
 ///
 /// ```
 /// use chronus_engine::{Engine, EngineConfig};
@@ -120,106 +114,30 @@ struct Job {
 /// println!("{}", engine.report());
 /// ```
 pub struct Engine {
-    tx: Option<Sender<Job>>,
-    workers: Vec<JoinHandle<()>>,
-    cache: Arc<TimeNetCache>,
-    metrics: Arc<EngineMetrics>,
+    cache: TimeNetCache,
+    metrics: EngineMetrics,
     config: EngineConfig,
-    draining: Arc<AtomicBool>,
-    leftovers: Arc<Mutex<Vec<RequestId>>>,
-}
-
-/// Receipt for one asynchronously [`Engine::submit`]ted request.
-#[must_use = "dropping a ticket abandons its answer"]
-pub struct PlanTicket {
-    rx: Receiver<(usize, PlannedUpdate)>,
-}
-
-impl PlanTicket {
-    /// Blocks until the request is planned. Returns `None` when the
-    /// request was shed by a concurrent [`Engine::drain`] (it then
-    /// appears in the drain report's leftovers).
-    pub fn wait(self) -> Option<PlannedUpdate> {
-        self.rx.recv().ok().map(|(_, planned)| planned)
-    }
-}
-
-/// Outcome of a graceful [`Engine::drain`]: intake stopped, in-flight
-/// requests finished, queued-but-unstarted requests shed and reported.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct DrainReport {
-    /// Requests fully planned over the engine's lifetime.
-    pub planned: u64,
-    /// Requests that were still queued when the drain began; they
-    /// were never planned and their tickets resolve to `None`.
-    pub leftovers: Vec<RequestId>,
+    /// Idle workspaces, at most `config.workers` of them: the greedy
+    /// gate's ledger and trace buffers are recycled across requests
+    /// whichever thread plans them.
+    workspaces: Mutex<Vec<SimWorkspace>>,
 }
 
 impl Engine {
-    /// Spawns the worker pool.
+    /// Builds the engine's shared state.
     ///
     /// # Panics
     /// Panics if `config.workers` is zero.
     pub fn new(config: EngineConfig) -> Self {
         assert!(config.workers > 0, "engine needs at least one worker");
-        let (tx, rx) = unbounded::<Job>();
-        let cache = Arc::new(match config.cache_capacity {
-            Some(cap) => TimeNetCache::bounded(cap),
-            None => TimeNetCache::new(),
-        });
-        let metrics = Arc::new(EngineMetrics::new());
-        let draining = Arc::new(AtomicBool::new(false));
-        let leftovers = Arc::new(Mutex::new(Vec::new()));
-        let workers = (0..config.workers)
-            .map(|i| {
-                let rx: Receiver<Job> = rx.clone();
-                let cache = cache.clone();
-                let metrics = metrics.clone();
-                let config = config.clone();
-                let draining = draining.clone();
-                let leftovers = leftovers.clone();
-                thread::Builder::new()
-                    .name(format!("chronus-engine-{i}"))
-                    .spawn(move || {
-                        // One simulation workspace per worker thread:
-                        // the greedy gate's ledger and trace buffers
-                        // are recycled across every request this
-                        // worker ever plans.
-                        let mut ws = SimWorkspace::default();
-                        while let Ok(job) = rx.recv() {
-                            metrics.record_dequeue();
-                            // A drain in progress sheds everything
-                            // still queued: record the id, drop the
-                            // reply channel unanswered.
-                            if draining.load(Ordering::Acquire) {
-                                leftovers.lock().push(job.request.id);
-                                continue;
-                            }
-                            let _job_span = chronus_trace::span!(
-                                "engine.worker",
-                                worker = i,
-                                request = job.request.id.0
-                            )
-                            .entered();
-                            let planned =
-                                plan_with_chain(&job.request, &cache, &metrics, &mut ws, &config);
-                            // A dead reply channel means the batch was
-                            // abandoned; planning the rest of the queue
-                            // is still correct, so just keep going.
-                            let _ = job.reply.send((job.seq, planned));
-                        }
-                    })
-                    .expect("spawn engine worker")
-            })
-            .collect();
         Engine {
-            tx: Some(tx),
-            workers,
-            cache,
-            metrics,
+            cache: match config.cache_capacity {
+                Some(cap) => TimeNetCache::bounded(cap),
+                None => TimeNetCache::new(),
+            },
+            metrics: EngineMetrics::new(),
+            workspaces: Mutex::new(Vec::new()),
             config,
-            draining,
-            leftovers,
         }
     }
 
@@ -228,27 +146,63 @@ impl Engine {
         &self.config
     }
 
-    /// Plans a batch, blocking until every request is answered.
-    /// Results come back in submission order regardless of which
-    /// worker finished first.
-    pub fn plan_batch(&self, requests: Vec<UpdateRequest>) -> Vec<PlannedUpdate> {
-        let n = requests.len();
-        let (reply_tx, reply_rx) = unbounded();
-        let tx = self.tx.as_ref().expect("engine running");
-        for (seq, request) in requests.into_iter().enumerate() {
-            self.metrics.record_enqueue();
-            tx.send(Job {
-                seq,
-                request,
-                reply: reply_tx.clone(),
-            })
-            .expect("workers alive while engine is alive");
+    /// An idle workspace, or a fresh one when every idle one is in use.
+    fn take_workspace(&self) -> SimWorkspace {
+        lock(&self.workspaces).pop().unwrap_or_default()
+    }
+
+    fn put_workspace(&self, ws: SimWorkspace) {
+        let mut idle = lock(&self.workspaces);
+        if idle.len() < self.config.workers {
+            idle.push(ws);
         }
-        drop(reply_tx);
-        let mut answers: Vec<(usize, PlannedUpdate)> = reply_rx.iter().collect();
-        debug_assert_eq!(answers.len(), n);
-        answers.sort_by_key(|(seq, _)| *seq);
-        answers.into_iter().map(|(_, planned)| planned).collect()
+    }
+
+    fn plan_in(&self, request: &UpdateRequest, ws: &mut SimWorkspace) -> PlannedUpdate {
+        plan_with_chain(request, &self.cache, &self.metrics, ws, &self.config)
+    }
+
+    /// Plans a single request on the calling thread.
+    pub fn plan_one(&self, request: UpdateRequest) -> PlannedUpdate {
+        let mut ws = self.take_workspace();
+        let planned = self.plan_in(&request, &mut ws);
+        self.put_workspace(ws);
+        planned
+    }
+
+    /// Plans a batch, blocking until every request is answered;
+    /// answer `i` belongs to request `i` whichever lane planned it.
+    /// The caller is lane 0 and up to `workers - 1` scoped threads
+    /// join it for the length of the call, each claiming the next
+    /// unplanned request off a shared cursor.
+    pub fn plan_batch(&self, requests: Vec<UpdateRequest>) -> Vec<PlannedUpdate> {
+        let slots: Vec<OnceLock<PlannedUpdate>> =
+            requests.iter().map(|_| OnceLock::new()).collect();
+        let cursor = AtomicUsize::new(0);
+        let claim = || {
+            // Relaxed: the cursor hands out indices and publishes no
+            // data; the scope's join orders every slot write before
+            // the slots are read.
+            let i = cursor.fetch_add(1, Ordering::Relaxed);
+            requests.get(i).zip(slots.get(i))
+        };
+        let lane = || {
+            let mut ws = self.take_workspace();
+            while let Some((request, slot)) = claim() {
+                let _ = slot.set(self.plan_in(request, &mut ws));
+            }
+            self.put_workspace(ws);
+        };
+        thread::scope(|scope| {
+            for _ in 1..self.config.workers.min(requests.len()) {
+                scope.spawn(lane);
+            }
+            lane();
+        });
+        slots
+            .into_iter()
+            .map(|slot| slot.into_inner().expect("every index is claimed once"))
+            .collect()
     }
 
     /// Convenience wrapper: one request per instance, ids by batch
@@ -261,13 +215,6 @@ impl Engine {
             .map(|(i, inst)| UpdateRequest::new(i as u64, inst, deadline))
             .collect();
         self.plan_batch(requests)
-    }
-
-    /// Plans a single request.
-    pub fn plan_one(&self, request: UpdateRequest) -> PlannedUpdate {
-        self.plan_batch(vec![request])
-            .pop()
-            .expect("one answer for one request")
     }
 
     /// Snapshot of the engine's planning metrics and cache state.
@@ -284,63 +231,6 @@ impl Engine {
     /// The shared time-extended-network cache (for inspection).
     pub fn cache(&self) -> &TimeNetCache {
         &self.cache
-    }
-
-    /// Submits one request without blocking; the answer is claimed
-    /// later through the returned [`PlanTicket`]. This is the intake
-    /// the `chronusd` daemon streams through.
-    pub fn submit(&self, request: UpdateRequest) -> PlanTicket {
-        let (reply_tx, reply_rx) = unbounded();
-        self.metrics.record_enqueue();
-        self.tx
-            .as_ref()
-            .expect("engine running")
-            .send(Job {
-                seq: 0,
-                request,
-                reply: reply_tx,
-            })
-            .expect("workers alive while engine is alive");
-        PlanTicket { rx: reply_rx }
-    }
-
-    /// Requests currently queued (the `chronus_engine_queue_depth`
-    /// gauge).
-    pub fn queue_depth(&self) -> u64 {
-        self.report().queue_depth
-    }
-
-    /// Gracefully shuts the pool down: stops intake, lets every
-    /// worker finish the request it is planning, sheds whatever is
-    /// still queued and reports it. Consuming `self` means no other
-    /// caller can be blocked inside [`Engine::plan_batch`] while the
-    /// drain runs, so every outstanding request is either finished or
-    /// in the report's leftovers — never silently dropped.
-    pub fn drain(mut self) -> DrainReport {
-        // Flag first, then close the channel: workers observe the
-        // flag for everything they dequeue after this point.
-        self.draining.store(true, Ordering::Release);
-        self.tx.take();
-        for handle in self.workers.drain(..) {
-            let _ = handle.join();
-        }
-        let mut leftovers = std::mem::take(&mut *self.leftovers.lock());
-        leftovers.sort_by_key(|id| id.0);
-        DrainReport {
-            planned: self.metrics.report(&self.cache).completed,
-            leftovers,
-        }
-    }
-}
-
-impl Drop for Engine {
-    fn drop(&mut self) {
-        // Closing the job channel is the shutdown signal; workers
-        // drain what is queued and exit on disconnect.
-        self.tx.take();
-        for handle in self.workers.drain(..) {
-            let _ = handle.join();
-        }
     }
 }
 
@@ -374,7 +264,6 @@ mod tests {
         // cold key wait for the one that materializes it.
         assert_eq!(report.cache_entries, 1);
         assert_eq!((report.cache_hits, report.cache_misses), (7, 1));
-        assert!(report.queue_peak >= 1);
     }
 
     #[test]
@@ -395,60 +284,44 @@ mod tests {
     }
 
     #[test]
-    fn submit_tickets_resolve_out_of_band() {
-        let engine = Engine::new(EngineConfig::with_workers(2));
-        let inst = Arc::new(motivating_example());
-        let deadline = engine.config().default_deadline;
-        let tickets: Vec<_> = (0..6)
-            .map(|i| engine.submit(UpdateRequest::new(i, inst.clone(), deadline)))
-            .collect();
-        for (i, t) in tickets.into_iter().enumerate() {
-            let planned = t.wait().expect("no drain in progress");
-            assert_eq!(planned.id.0, i as u64);
-        }
-        assert_eq!(engine.report().completed, 6);
-        assert_eq!(engine.queue_depth(), 0);
-    }
-
-    #[test]
-    fn drain_accounts_for_every_submitted_request() {
+    fn workspaces_are_reused_by_single_plans_and_batches() {
         use chronus_net::reversal_instance;
-        let n = 24;
-        let engine = Engine::new(EngineConfig::with_workers(1));
-        let inst = Arc::new(reversal_instance(8, 2, 1));
-        let deadline = engine.config().default_deadline;
-        let tickets: Vec<_> = (0..n)
-            .map(|i| engine.submit(UpdateRequest::new(i, inst.clone(), deadline)))
-            .collect();
-        // Drain immediately: the single worker is mid-queue, so some
-        // requests finish and the rest come back as leftovers.
-        let report = engine.drain();
-        assert_eq!(
-            report.planned + report.leftovers.len() as u64,
-            n,
-            "planned + shed covers every submission"
-        );
-        let shed: Vec<_> = tickets
-            .into_iter()
-            .enumerate()
-            .filter_map(|(i, t)| t.wait().is_none().then_some(i as u64))
-            .collect();
-        assert_eq!(
-            shed,
-            report.leftovers.iter().map(|id| id.0).collect::<Vec<_>>(),
-            "tickets and drain report agree on who was shed"
-        );
-    }
-
-    #[test]
-    fn drain_on_idle_engine_reports_no_leftovers() {
         let engine = Engine::new(EngineConfig::with_workers(2));
-        let inst = Arc::new(motivating_example());
-        let plans = engine.plan_instances(vec![inst; 3]);
-        assert_eq!(plans.len(), 3);
-        let report = engine.drain();
-        assert_eq!(report.planned, 3);
-        assert!(report.leftovers.is_empty());
+        let deadline = engine.config().default_deadline;
+        // One shape throughout: a workspace's high-water mark depends
+        // on the order it met its instances in, and batch lanes claim
+        // in no fixed order.
+        let inst = Arc::new(reversal_instance(12, 2, 1));
+        let arena = || {
+            engine
+                .metrics()
+                .snapshot()
+                .gauge("chronus_engine_greedy_arena_bytes")
+        };
+        let singles = |ids: std::ops::Range<u64>| {
+            for id in ids {
+                engine.plan_one(UpdateRequest::new(id, inst.clone(), deadline));
+            }
+            arena()
+        };
+        // A recycled workspace settles within a few runs and then
+        // stops growing; a fresh one in a batch lane retraces the
+        // same steps, so the high-water gauge never moves again.
+        let settled = singles(0..100);
+        assert!(settled > Some(0), "{settled:?}");
+        assert_eq!(singles(100..200), settled, "no growth per request");
+        assert_eq!(
+            lock(&engine.workspaces).len(),
+            1,
+            "one caller, one workspace"
+        );
+        for _ in 0..3 {
+            engine.plan_instances(vec![inst.clone(); 8]);
+        }
+        let idle = lock(&engine.workspaces).len();
+        assert!((1..=2).contains(&idle), "{idle} idle workspaces");
+        assert_eq!(arena(), settled, "batch lanes recycle too");
+        assert_eq!(engine.report().completed, 200 + 24);
     }
 
     #[test]

@@ -7,13 +7,12 @@
 //!
 //! Each model isolates one concurrency invariant the engine relies on:
 //!
-//! 1. **publish/steal** — every job popped off the shared queue is
-//!    answered exactly once, no matter which worker steals it;
-//! 2. **cache insert race** — two workers racing a cold cache key both
-//!    leave with the one window either of them built and the map keeps
-//!    one entry;
-//! 3. **shutdown vs enqueue** — closing the job channel after a burst
-//!    of sends loses nothing: workers drain the backlog, then exit.
+//! 1. **cursor lanes** — the lanes of a batch claim indices off one
+//!    atomic cursor and fill every answer slot exactly once, while a
+//!    second batch takes from and returns to the same workspace stack;
+//! 2. **cache insert race** — two planning threads racing a cold cache
+//!    key both leave with the one window either of them built and the
+//!    map keeps one entry.
 
 #![cfg(loom)]
 
@@ -26,32 +25,68 @@ use loom::thread;
 const JOBS: usize = 4;
 const WORKERS: usize = 2;
 
+/// One `Engine::plan_batch`, reduced to its invariant: a cursor, one
+/// fill count per answer slot, and the engine's shared stack of idle
+/// workspaces (here a token each).
+struct Batch {
+    cursor: AtomicUsize,
+    filled: Vec<AtomicUsize>,
+}
+
+impl Batch {
+    fn new() -> Arc<Self> {
+        Arc::new(Batch {
+            cursor: AtomicUsize::new(0),
+            filled: (0..JOBS).map(|_| AtomicUsize::new(0)).collect(),
+        })
+    }
+
+    fn lane(&self, idle: &Mutex<Vec<u8>>) {
+        let ws = idle.lock().unwrap().pop().unwrap_or_default();
+        loop {
+            // Relaxed on both, as in the engine: the cursor publishes
+            // nothing and the join orders the fills before the reads.
+            let i = self.cursor.fetch_add(1, Ordering::Relaxed);
+            let Some(slot) = self.filled.get(i) else {
+                break;
+            };
+            slot.fetch_add(1, Ordering::Relaxed);
+        }
+        let mut idle = idle.lock().unwrap();
+        if idle.len() < WORKERS {
+            idle.push(ws);
+        }
+    }
+
+    fn assert_every_slot_filled_once(&self) {
+        for (i, slot) in self.filled.iter().enumerate() {
+            assert_eq!(slot.load(Ordering::Relaxed), 1, "slot {i}");
+        }
+    }
+}
+
 #[test]
-fn workers_answer_each_stolen_job_exactly_once() {
+fn cursor_lanes_fill_every_slot_once_beside_a_second_batch() {
     loom::model(|| {
-        // The engine's MPMC queue, reduced to its invariant: a shared
-        // pop-front queue and a shared answer board.
-        let queue = Arc::new(Mutex::new((0..JOBS).collect::<Vec<usize>>()));
-        let answers = Arc::new(Mutex::new(Vec::new()));
-        let handles: Vec<_> = (0..WORKERS)
-            .map(|_| {
-                let queue = queue.clone();
-                let answers = answers.clone();
-                thread::spawn(move || loop {
-                    let job = queue.lock().unwrap().pop();
-                    match job {
-                        Some(seq) => answers.lock().unwrap().push(seq),
-                        None => break,
-                    }
-                })
-            })
-            .collect();
+        let idle = Arc::new(Mutex::new(Vec::new()));
+        let (first, second) = (Batch::new(), Batch::new());
+        let spawn_lane = |batch: &Arc<Batch>| {
+            let (batch, idle) = (batch.clone(), idle.clone());
+            thread::spawn(move || batch.lane(&idle))
+        };
+        // The first batch's caller is its lane 0, as in the engine;
+        // the second batch runs beside it on the same stack.
+        let handles = [spawn_lane(&first), spawn_lane(&second)];
+        first.lane(&idle);
         for h in handles {
             h.join().unwrap();
         }
-        let mut seen = answers.lock().unwrap().clone();
-        seen.sort_unstable();
-        assert_eq!(seen, (0..JOBS).collect::<Vec<usize>>());
+        first.assert_every_slot_filled_once();
+        second.assert_every_slot_filled_once();
+        // Three lanes took a workspace; the stack keeps at most
+        // `WORKERS` of them.
+        let idle = idle.lock().unwrap().len();
+        assert!((1..=WORKERS).contains(&idle), "{idle} idle");
     });
 }
 
@@ -78,43 +113,5 @@ fn cache_insert_race_keeps_one_entry_and_identical_windows() {
         assert_eq!(cache.len(), 1);
         assert_eq!(cache.hits() + cache.misses(), WORKERS as u64);
         assert_eq!(cache.misses(), 1);
-    });
-}
-
-#[test]
-fn shutdown_after_enqueue_drains_the_backlog() {
-    loom::model(|| {
-        let (tx, rx) = loom::sync::mpsc::channel::<usize>();
-        let rx = Arc::new(Mutex::new(rx));
-        let processed = Arc::new(AtomicUsize::new(0));
-        let handles: Vec<_> = (0..WORKERS)
-            .map(|_| {
-                let rx = rx.clone();
-                let processed = processed.clone();
-                thread::spawn(move || loop {
-                    // Lock-then-recv models the engine's shared
-                    // receiver; disconnect is the shutdown signal.
-                    let msg = rx.lock().unwrap().try_recv();
-                    match msg {
-                        Ok(_) => {
-                            processed.fetch_add(1, Ordering::SeqCst);
-                        }
-                        Err(std::sync::mpsc::TryRecvError::Empty) => thread::yield_now(),
-                        Err(std::sync::mpsc::TryRecvError::Disconnected) => break,
-                    }
-                })
-            })
-            .collect();
-        for seq in 0..JOBS {
-            tx.send(seq).unwrap();
-        }
-        // Dropping the sender races the workers still draining: the
-        // invariant is that disconnect is only observed after the
-        // backlog is empty.
-        drop(tx);
-        for h in handles {
-            h.join().unwrap();
-        }
-        assert_eq!(processed.load(Ordering::SeqCst), JOBS);
     });
 }

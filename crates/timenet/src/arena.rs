@@ -292,9 +292,9 @@ impl StepCounts {
 
 /// The recyclable flat storage behind one simulator run: load surface,
 /// occupancy/overload bit rows, visit stamps, pooled hop vectors and
-/// the dense step multisets. An engine worker keeps one arena per
-/// thread; every simulator construction drains it and every teardown
-/// refills it, so the steady state allocates nothing and the arena's
+/// the dense step multisets. The engine lends one arena to each
+/// planning thread; every simulator construction drains it and every
+/// teardown refills it, so the steady state allocates nothing and the arena's
 /// byte high-water mark bounds the planner's per-thread memory.
 #[derive(Debug, Default)]
 pub struct SimArena {

@@ -398,7 +398,7 @@ struct RetraceRec {
 }
 
 /// Reusable buffers for [`IncrementalSimulator`] (and, transitively,
-/// its ledger): an engine worker keeps one of these per thread so
+/// its ledger): the engine lends one to each planning thread so
 /// batch planning stops re-allocating the load surface per request.
 /// Since the arena rewrite this is a thin wrapper over [`SimArena`] —
 /// one parts-bin holding the load surface, occupancy bit rows, visit

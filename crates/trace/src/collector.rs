@@ -4,7 +4,7 @@
 //! installed. The uninstalled fast path — the steady state of every
 //! production run and benchmark — is a single relaxed atomic load per
 //! span site. Installation is process-global and scoped by a guard;
-//! the engine's worker threads, the solvers and the emulator all feed
+//! the engine's planning threads, the solvers and the emulator all feed
 //! the same sink, with per-thread parent linkage.
 
 use crate::fields::FieldValue;

@@ -20,8 +20,10 @@
 //! - [`clock`] — the Time4-style synchronized-clock substrate;
 //! - [`emu`] — the discrete-event emulator standing in for Mininet;
 //! - [`engine`] — the concurrent batched update-planning engine:
-//!   worker-pool planning with per-request deadlines and the
-//!   greedy → tree → two-phase fallback chain;
+//!   shared planning state (no threads of its own) that plans a
+//!   request on its caller's thread and a batch on scoped lanes, with
+//!   per-request deadlines and the greedy → tree → two-phase fallback
+//!   chain;
 //! - [`verify`] — the independent static certifier: proves schedules
 //!   loop- and congestion-free by interval arithmetic, with no shared
 //!   simulator code, and seals every solver's success with a
