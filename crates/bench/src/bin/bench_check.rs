@@ -1,68 +1,100 @@
-//! CI gate over the committed bench JSONs: turns the bench-smoke job
-//! from "print the numbers" into an assertion.
+//! CI gate over the committed bench JSONs.
 //!
-//! Usage: `bench_check <baseline.json> <fresh.json>`
+//! Usage: `bench_check [<baseline.json>] <fresh.json>`
 //!
-//! Over `BENCH_greedy.json`, exit code 1 on any failure: at every
-//! size, the fresh run's `makespan` and its deterministic work counts
-//! (`simulator_calls`, `cells_touched`, `ledger_applies`) must equal
-//! the committed baseline's exactly. Timing numbers drift with
-//! hardware; schedule *quality* and the amount of work the planner
-//! does for it must not — a change in either means the greedy
-//! scheduler's behaviour changed, which a perf-smoke job must not let
-//! slide through silently. `ns_per_op` / `gate_ns_per_op` deltas are
-//! printed for the CI log but never gated: wall-clock regressions are
-//! gated end to end by `benchmark/`. The `slack/12` row pins
-//! `schedules_checked` the same way (a full 12-entry cube is 4 096
-//! points) and prints `ns_per_point`.
+//! Every gate is one `(key, field, rule)` row of [`GATES`]. A row is in
+//! scope when either file has a key of its family (the text before `/`),
+//! so one table gates all three bench files; any failure exits 1:
 //!
-//! A second mode, `bench_check --multiflow <baseline.json> <fresh.json>`,
-//! gates `BENCH_multiflow.json` (sharded vs joint planning):
+//! - `BENCH_greedy.json`: at every size, `makespan` and the deterministic
+//!   work counts (`simulator_calls`, `cells_touched`, `ledger_applies`)
+//!   equal the baseline's, as does `slack/12`'s `schedules_checked`.
+//!   Timing drifts with hardware; schedule quality and the planner's
+//!   work must not.
+//! - `BENCH_multiflow.json`: `summary/2048x128`, the fabric-scale cell
+//!   the sharded planner exists for, keeps `speedup` >= 2.0 (~2.9x
+//!   committed; at K = 8 sharding legitimately loses), and both arms'
+//!   clean rates equal the baseline's at every cell.
+//! - `BENCH_flightrec.json`: the recorder's overhead on an n=512 greedy
+//!   run stays under 3 %; no baseline needed.
 //!
-//! 1. **Sharded speedup floor** — the fresh `summary/2048x128` cell's
-//!    `speedup` must be ≥ 2.0. That is the cell the sharded planner
-//!    exists for (fabric-scale topology, K = 128 flows); the committed
-//!    run records ~2.9×, so the floor is well clear of noise while
-//!    still catching the planner losing its edge. Smaller cells are
-//!    printed for the log but never gated — at K = 8 the partition
-//!    overhead legitimately loses to a trivial joint run.
-//! 2. **Clean-rate pin** — `sharded_clean` and `joint_clean` must
-//!    equal the committed baseline at *every* cell. Timing drifts;
-//!    the fraction of runs that end with a sealed, `check`-clean
-//!    certificate must not.
-//!
-//! The JSON is the bench's own flat hand-written format, so parsing is
-//! a hand-rolled field scan — no serde in the workspace.
+//! [`INFO`] fields are printed, never gated: `benchmark/` gates wall
+//! clock end to end. The JSON is the benches' own flat format, read by a
+//! hand-rolled field scan (no serde in the workspace).
 
 #![forbid(unsafe_code)]
 
 use std::process::ExitCode;
 
-/// All sizes `bench_greedy` emits.
-const ALL_SIZES: &[usize] = &[8, 64, 512, 2048];
+/// What a gated field must satisfy.
+#[derive(Clone, Copy)]
+enum Rule {
+    /// Equal to the baseline file's value.
+    Pin,
+    /// At least this value.
+    AtLeast(f64),
+    /// Strictly below this value.
+    Below(f64),
+}
 
-/// The `BENCH_greedy.json` fields that must match the baseline exactly.
-const PINNED_FIELDS: &[&str] = &[
-    "makespan",
-    "simulator_calls",
-    "cells_touched",
-    "ledger_applies",
+use Rule::{AtLeast, Below, Pin};
+
+/// Every gate: `(key, field, rule)`.
+const GATES: &[(&str, &str, Rule)] = &[
+    ("greedy/8", "makespan", Pin),
+    ("greedy/8", "simulator_calls", Pin),
+    ("greedy/8", "cells_touched", Pin),
+    ("greedy/8", "ledger_applies", Pin),
+    ("greedy/64", "makespan", Pin),
+    ("greedy/64", "simulator_calls", Pin),
+    ("greedy/64", "cells_touched", Pin),
+    ("greedy/64", "ledger_applies", Pin),
+    ("greedy/512", "makespan", Pin),
+    ("greedy/512", "simulator_calls", Pin),
+    ("greedy/512", "cells_touched", Pin),
+    ("greedy/512", "ledger_applies", Pin),
+    ("greedy/2048", "makespan", Pin),
+    ("greedy/2048", "simulator_calls", Pin),
+    ("greedy/2048", "cells_touched", Pin),
+    ("greedy/2048", "ledger_applies", Pin),
+    ("slack/12", "schedules_checked", Pin),
+    ("summary/2048x128", "speedup", AtLeast(2.0)),
+    ("summary/512x8", "sharded_clean", Pin),
+    ("summary/512x8", "joint_clean", Pin),
+    ("summary/512x32", "sharded_clean", Pin),
+    ("summary/512x32", "joint_clean", Pin),
+    ("summary/512x128", "sharded_clean", Pin),
+    ("summary/512x128", "joint_clean", Pin),
+    ("summary/2048x8", "sharded_clean", Pin),
+    ("summary/2048x8", "joint_clean", Pin),
+    ("summary/2048x32", "sharded_clean", Pin),
+    ("summary/2048x32", "joint_clean", Pin),
+    ("summary/2048x128", "sharded_clean", Pin),
+    ("summary/2048x128", "joint_clean", Pin),
+    ("flightrec/512", "overhead_pct", Below(3.0)),
 ];
 
-/// Every cell `bench_multiflow` emits, as `{n}x{K}` key suffixes.
-const MULTIFLOW_CELLS: &[&str] = &[
-    "512x8", "512x32", "512x128", "2048x8", "2048x32", "2048x128",
+/// Ungated fields printed for the log, with the change against the
+/// baseline when there is one.
+const INFO: &[(&str, &str)] = &[
+    ("greedy/8", "ns_per_op"),
+    ("greedy/8", "gate_ns_per_op"),
+    ("greedy/64", "ns_per_op"),
+    ("greedy/64", "gate_ns_per_op"),
+    ("greedy/512", "ns_per_op"),
+    ("greedy/512", "gate_ns_per_op"),
+    ("greedy/2048", "ns_per_op"),
+    ("greedy/2048", "gate_ns_per_op"),
+    ("slack/12", "ns_per_point"),
+    ("summary/512x8", "speedup"),
+    ("summary/512x32", "speedup"),
+    ("summary/512x128", "speedup"),
+    ("summary/2048x8", "speedup"),
+    ("summary/2048x32", "speedup"),
 ];
-
-/// The one gated multiflow cell and its sharded-speedup floor. The
-/// committed run records ~2.9× here; 2.0 catches a real regression
-/// without flaking on scheduler noise.
-const MULTIFLOW_GATE: (&str, f64) = ("2048x128", 2.0);
 
 /// Extracts `field` from the flat JSON object that follows `"key":`.
-/// Returns `None` when the key or field is missing — the caller
-/// decides whether that is fatal (fresh file) or tolerable (an older
-/// committed baseline without the field).
+/// Returns `None` when the key or field is missing.
 fn lookup(json: &str, key: &str, field: &str) -> Option<f64> {
     let start = json.find(&format!("\"{key}\""))?;
     let obj = &json[start..];
@@ -80,116 +112,83 @@ fn lookup(json: &str, key: &str, field: &str) -> Option<f64> {
 }
 
 fn read(path: &str) -> Option<String> {
-    match std::fs::read_to_string(path) {
-        Ok(s) => Some(s),
-        Err(e) => {
-            eprintln!("bench_check: cannot read {path}: {e}");
-            None
-        }
-    }
+    std::fs::read_to_string(path)
+        .map_err(|e| eprintln!("bench_check: cannot read {path}: {e}"))
+        .ok()
 }
 
-/// Requires `key.field` to be present in both JSON texts and equal;
-/// reports the result and returns the number of failures (0 or 1).
-fn pin(baseline: &str, fresh: &str, key: &str, field: &str) -> u32 {
-    match (lookup(baseline, key, field), lookup(fresh, key, field)) {
-        (Some(b), Some(f)) if b == f => {
-            println!("ok: {key} {field} {f} unchanged");
+/// Checks one row; reports the result and returns the number of
+/// failures (0 or 1).
+fn check(baseline: Option<&str>, fresh: &str, (key, field, rule): (&str, &str, Rule)) -> u32 {
+    let Some(f) = lookup(fresh, key, field) else {
+        eprintln!("FAIL: {key} {field} missing from the fresh file");
+        return 1;
+    };
+    match rule {
+        Pin => match baseline.map(|b| lookup(b, key, field)) {
+            Some(Some(b)) if b == f => {
+                println!("ok: {key} {field} {f} unchanged");
+                return 0;
+            }
+            Some(Some(b)) => eprintln!("FAIL: {key} {field} changed: baseline {b}, fresh {f}"),
+            Some(None) => eprintln!("FAIL: {key} {field} missing from the baseline file"),
+            None => eprintln!("FAIL: {key} {field} is pinned, but no baseline file was given"),
+        },
+        AtLeast(x) if f >= x => {
+            println!("ok: {key} {field} {f:.2} >= {x:.2}");
             return 0;
         }
-        (Some(b), Some(f)) => eprintln!("FAIL: {key} {field} changed: baseline {b}, fresh {f}"),
-        (None, _) => eprintln!("FAIL: {key} {field} missing from the baseline file"),
-        (_, None) => eprintln!("FAIL: {key} {field} missing from the fresh file"),
+        AtLeast(x) => eprintln!("FAIL: {key} {field} {f:.2} < {x:.2}"),
+        Below(x) if f < x => {
+            println!("ok: {key} {field} {f:.2} < {x:.2}");
+            return 0;
+        }
+        Below(x) => eprintln!("FAIL: {key} {field} {f:.2} >= {x:.2}"),
     }
     1
 }
 
-/// `--multiflow` mode: gates `BENCH_multiflow.json` (see module docs).
-fn check_multiflow(baseline_path: &str, fresh_path: &str) -> ExitCode {
-    let (Some(baseline), Some(fresh)) = (read(baseline_path), read(fresh_path)) else {
-        return ExitCode::FAILURE;
-    };
-
-    let mut failures = 0u32;
-
-    let (gate_cell, floor) = MULTIFLOW_GATE;
-    let gate_key = format!("summary/{gate_cell}");
-    match lookup(&fresh, &gate_key, "speedup") {
-        Some(s) if s >= floor => println!("ok: {gate_key} speedup {s:.2} >= {floor:.2}"),
-        Some(s) => {
-            eprintln!("FAIL: {gate_key} speedup {s:.2} < {floor:.2} — sharded planner regressed");
-            failures += 1;
-        }
-        None => {
-            eprintln!("FAIL: {gate_key} speedup missing from {fresh_path}");
-            failures += 1;
-        }
-    }
-
-    for &cell in MULTIFLOW_CELLS {
-        let key = format!("summary/{cell}");
-        for field in ["sharded_clean", "joint_clean"] {
-            failures += pin(&baseline, &fresh, &key, field);
-        }
-        // Ungated speedups: CI-log information (hardware-dependent,
-        // and small cells legitimately sit below 1.0).
-        if cell != gate_cell {
-            match lookup(&fresh, &key, "speedup") {
-                Some(s) => println!("info: {key} speedup {s:.2} (ungated)"),
-                None => println!("info: {key} speedup not recorded in {fresh_path}"),
-            }
-        }
-    }
-
-    if failures > 0 {
-        eprintln!("bench_check: {failures} assertion(s) failed");
-        ExitCode::FAILURE
-    } else {
-        println!("bench_check: all multiflow gates passed");
-        ExitCode::SUCCESS
-    }
-}
-
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().collect();
-    let (baseline_path, fresh_path) = match args.as_slice() {
-        [_, flag, b, f] if flag == "--multiflow" => return check_multiflow(b, f),
-        [_, b, f] => (b, f),
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let (baseline, fresh) = match args.as_slice() {
+        [fresh] => (None, read(fresh)),
+        [baseline, fresh] => match read(baseline) {
+            Some(b) => (Some(b), read(fresh)),
+            None => return ExitCode::FAILURE,
+        },
         _ => {
-            eprintln!(
-                "usage: bench_check <baseline.json> <fresh.json>\n\
-                 \u{20}      bench_check --multiflow <baseline.json> <fresh.json>"
-            );
+            eprintln!("usage: bench_check [<baseline.json>] <fresh.json>");
             return ExitCode::FAILURE;
         }
     };
-    let (Some(baseline), Some(fresh)) = (read(baseline_path), read(fresh_path)) else {
+    let Some(fresh) = fresh else {
         return ExitCode::FAILURE;
     };
+    let in_scope = |key: &&str| {
+        let family = format!("\"{}/", key.split('/').next().unwrap_or(key));
+        fresh.contains(&family) || baseline.as_ref().is_some_and(|b| b.contains(&family))
+    };
 
-    let mut failures = 0u32;
-
-    for &n in ALL_SIZES {
-        let key = format!("greedy/{n}");
-        for &field in PINNED_FIELDS {
-            failures += pin(&baseline, &fresh, &key, field);
-        }
-        // Informational only — wall clock drifts with hardware.
-        for field in ["ns_per_op", "gate_ns_per_op"] {
-            match (lookup(&baseline, &key, field), lookup(&fresh, &key, field)) {
-                (Some(b), Some(f)) if b > 0.0 => println!(
-                    "info: {key} {field} {f:.0} (baseline {b:.0}, {:+.1}%)",
-                    (f - b) / b * 100.0
-                ),
-                (_, Some(f)) => println!("info: {key} {field} {f:.0} (no baseline value)"),
-                (_, None) => println!("info: {key} {field} not recorded in {fresh_path}"),
-            }
-        }
+    let gates: Vec<_> = GATES.iter().filter(|(key, ..)| in_scope(key)).collect();
+    if gates.is_empty() {
+        eprintln!("bench_check: no gated key in the fresh file");
+        return ExitCode::FAILURE;
     }
-
-    failures += pin(&baseline, &fresh, "slack/12", "schedules_checked");
-    if let Some(ns) = lookup(&fresh, "slack/12", "ns_per_point") {
-        println!("info: slack/12 ns_per_point {ns:.0}");
+    let failures: u32 = gates
+        .iter()
+        .map(|&&row| check(baseline.as_deref(), &fresh, row))
+        .sum();
+    for &(key, field) in INFO.iter().filter(|(key, _)| in_scope(key)) {
+        let Some(f) = lookup(&fresh, key, field) else {
+            continue;
+        };
+        match baseline.as_deref().and_then(|b| lookup(b, key, field)) {
+            Some(b) if b > 0.0 => println!(
+                "info: {key} {field} {f} (baseline {b}, {:+.1}%)",
+                (f - b) / b * 100.0
+            ),
+            _ => println!("info: {key} {field} {f} (ungated)"),
+        }
     }
 
     if failures > 0 {

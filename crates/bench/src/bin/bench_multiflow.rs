@@ -25,7 +25,7 @@
 //! Per cell it emits wall-clock totals for both arms, the shard
 //! stats, and a `summary/{n}x{K}` object with `speedup`
 //! (joint ÷ sharded), `sharded_clean` and `joint_clean` rates.
-//! Writes `BENCH_multiflow.json`; `bench_check --multiflow` gates the
+//! Writes `BENCH_multiflow.json`; `bench_check` gates the
 //! speedup floor at the 2048x128 cell and pins both clean rates at
 //! every cell.
 // Bench harness: panicking on a malformed fixture is intended.

@@ -101,44 +101,31 @@ impl Default for GreedyConfig {
 /// The exactness gate: a persistent [`IncrementalSimulator`] mirroring
 /// the partial schedule, updated in O(affected cohorts) per check.
 ///
-/// Instrumentation lives in a gate-scoped
-/// [`chronus_trace::MetricsRegistry`] (`chronus_core_gate_*` names);
-/// the [`GateStats`] returned by [`ExactGate::into_parts`] is a
-/// derived view over it, and the per-check latency distribution is a
-/// `chronus_core_gate_ns` histogram whose exact sum is the run's
-/// `gate_nanos`. The registry is per-run, so concurrent plans (and
-/// parallel tests) never share counters.
+/// The gate counts its own work in plain fields (one gate per run, on
+/// one thread); [`ExactGate::into_parts`] turns them and the
+/// simulator's ledger counters into the run's [`GateStats`].
 struct ExactGate {
     inc: IncrementalSimulator,
     /// Pooled delta scratch for `try_extend` (no per-candidate alloc).
     deltas: Vec<Delta>,
-    registry: chronus_trace::MetricsRegistry,
-    checks: chronus_trace::Counter,
-    full_equivalent_cells: chronus_trace::Counter,
+    checks: u64,
+    full_equivalent_cells: u64,
     /// Wall-clock nanoseconds spent inside the gate (construction,
-    /// mirroring, checks). One observation per timed segment; the
-    /// histogram sum is the exact total.
-    gate_ns: chronus_trace::Histogram,
+    /// mirroring, checks).
+    gate_nanos: u64,
 }
 
 impl ExactGate {
     fn new(instance: &UpdateInstance, ws: SimWorkspace) -> Self {
-        let registry = chronus_trace::MetricsRegistry::new();
-        let checks = registry.counter("chronus_core_gate_checks_total");
-        let full_equivalent_cells =
-            registry.counter("chronus_core_gate_full_equivalent_cells_total");
-        let gate_ns = registry.histogram("chronus_core_gate_ns");
         // chronus-lint: allow(det-wallclock) — GateStats wall-time stamp; observability only, never feeds the schedule
         let t0 = Instant::now();
         let inc = IncrementalSimulator::with_workspace(instance, ws);
-        gate_ns.record(t0.elapsed().as_nanos() as u64);
         ExactGate {
             inc,
             deltas: Vec::new(),
-            registry,
-            checks,
-            full_equivalent_cells,
-            gate_ns,
+            checks: 0,
+            full_equivalent_cells: 0,
+            gate_nanos: t0.elapsed().as_nanos() as u64,
         }
     }
 
@@ -149,17 +136,17 @@ impl ExactGate {
         let t0 = Instant::now();
         let d = self.inc.apply(flow, switch, t);
         self.inc.commit(d); // never undone: recycle its undo buffers
-        self.gate_ns.record(t0.elapsed().as_nanos() as u64);
+        self.gate_nanos += t0.elapsed().as_nanos() as u64;
     }
 
     /// One gate check of the mirrored schedule as-is.
     fn check_current(&mut self) -> bool {
         // chronus-lint: allow(det-wallclock) — GateStats wall-time stamp; observability only, never feeds the schedule
         let t0 = Instant::now();
-        self.checks.inc();
-        self.full_equivalent_cells.add(self.inc.live_cells());
+        self.checks += 1;
+        self.full_equivalent_cells += self.inc.live_cells();
         let ok = self.inc.verdict() == Verdict::Consistent;
-        self.gate_ns.record(t0.elapsed().as_nanos() as u64);
+        self.gate_nanos += t0.elapsed().as_nanos() as u64;
         ok
     }
 
@@ -176,8 +163,8 @@ impl ExactGate {
     ) -> bool {
         // chronus-lint: allow(det-wallclock) — GateStats wall-time stamp; observability only, never feeds the schedule
         let t0 = Instant::now();
-        self.checks.inc();
-        self.full_equivalent_cells.add(self.inc.live_cells());
+        self.checks += 1;
+        self.full_equivalent_cells += self.inc.live_cells();
         debug_assert!(self.deltas.is_empty());
         for &v in switches {
             self.deltas.push(self.inc.apply(flow, v, t));
@@ -195,30 +182,21 @@ impl ExactGate {
                 self.inc.undo(d);
             }
         }
-        self.gate_ns.record(t0.elapsed().as_nanos() as u64);
+        self.gate_nanos += t0.elapsed().as_nanos() as u64;
         ok
     }
 
-    /// Tears the gate down into its instrumentation plus the reusable
-    /// workspace buffers. The returned [`GateStats`] is derived from
-    /// the gate's registry — the counters and the stats view are the
-    /// same numbers by construction.
+    /// Tears the gate down into its counters, its wall-clock total and
+    /// the reusable workspace buffers.
     fn into_parts(self) -> (GateStats, u64, SimWorkspace) {
-        let counter = |name| self.registry.counter(name);
-        let ledger_applies = counter("chronus_core_gate_ledger_applies_total");
-        let ledger_undos = counter("chronus_core_gate_ledger_undos_total");
-        let cells_touched = counter("chronus_core_gate_cells_touched_total");
-        ledger_applies.add(self.inc.applies());
-        ledger_undos.add(self.inc.undos());
-        cells_touched.add(self.inc.cell_visits());
         let stats = GateStats {
-            checks: self.checks.get(),
-            ledger_applies: ledger_applies.get(),
-            ledger_undos: ledger_undos.get(),
-            cells_touched: cells_touched.get(),
-            full_equivalent_cells: self.full_equivalent_cells.get(),
+            checks: self.checks,
+            ledger_applies: self.inc.applies(),
+            ledger_undos: self.inc.undos(),
+            cells_touched: self.inc.cell_visits(),
+            full_equivalent_cells: self.full_equivalent_cells,
         };
-        (stats, self.gate_ns.sum(), self.inc.into_workspace())
+        (stats, self.gate_nanos, self.inc.into_workspace())
     }
 }
 

@@ -396,7 +396,8 @@ fn plan_shards(
     workspace: &mut SimWorkspace,
 ) -> Result<Vec<GreedyOutcome>, ScheduleError> {
     let lanes = if config.parallel {
-        instances.len().min(rayon::current_num_threads()).max(1)
+        let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+        instances.len().min(cores).max(1)
     } else {
         1
     };
@@ -411,12 +412,12 @@ fn plan_shards(
     };
     let mut slots: Vec<Option<Result<GreedyOutcome, ScheduleError>>> =
         (0..instances.len()).map(|_| None).collect();
-    rayon::scope(|scope| {
+    std::thread::scope(|scope| {
         let (tx, rx) = mpsc::channel();
         for first in 1..lanes {
             let tx = tx.clone();
             let lane = &lane;
-            scope.spawn(move |_| {
+            scope.spawn(move || {
                 let _ = tx.send(lane(first, &mut SimWorkspace::default()));
             });
         }

@@ -1,14 +1,16 @@
-//! The daemon's scoped metrics registry: every series is prefixed
-//! `chronus_daemon_` so a scrape of the daemon composes with the
-//! engine's `chronus_engine_*` series on one endpoint.
+//! The daemon's metric handles: every series is prefixed
+//! `chronus_daemon_` and registered on the resident engine's registry
+//! ([`chronus_engine::EngineMetrics::registry`]), the one registry a
+//! `chronusd` process records into. A scrape renders it whole, the
+//! `chronus_daemon_*` block sorting before the `chronus_engine_*` one,
+//! and flight dumps embed the same registry.
 
 use chronus_trace::{Counter, Gauge, Histogram, MetricsRegistry};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// All daemon instruments, registered once at startup on a scoped
+/// All daemon instruments, registered once at startup on the engine's
 /// [`MetricsRegistry`] (handles are lock-free on the hot path).
 pub struct DaemonMetrics {
-    registry: MetricsRegistry,
     /// Seqlock epoch over the five cache gauges: odd while
     /// [`DaemonMetrics::set_cache`] is mid-write, even when the set is
     /// coherent. Scrapes render under an even-epoch check so hit,
@@ -41,8 +43,6 @@ pub struct DaemonMetrics {
     pub restore_rolled_back: Counter,
     /// Journal lines that failed to parse during replay.
     pub journal_corrupt_lines: Counter,
-    /// Arm records appended to the journal.
-    pub journal_arm_records: Counter,
     /// Journal compactions (periodic, explicit and final).
     pub snapshots: Counter,
     /// IPC connections accepted.
@@ -92,16 +92,14 @@ pub struct DaemonMetrics {
     /// the winning `engine.plan` span id.
     pub slo_latency_ns: Histogram,
     /// SLO-bad events (latency objective missed, planning failed, or
-    /// the update rolled back).
+    /// the update rolled back). The good ones are the latency
+    /// histogram's count minus these.
     pub slo_bad: Counter,
-    /// SLO-good events.
-    pub slo_good: Counter,
 }
 
 impl DaemonMetrics {
-    /// Registers every instrument on a fresh scoped registry.
-    pub fn new() -> Self {
-        let registry = MetricsRegistry::new();
+    /// Registers every instrument on `registry`.
+    pub fn new(registry: &MetricsRegistry) -> Self {
         let c = |name: &str| registry.counter(name);
         let g = |name: &str| registry.gauge(name);
         let h = |name: &str| registry.histogram(name);
@@ -119,7 +117,6 @@ impl DaemonMetrics {
             restore_rearmed: c("chronus_daemon_restore_rearmed_total"),
             restore_rolled_back: c("chronus_daemon_restore_rolled_back_total"),
             journal_corrupt_lines: c("chronus_daemon_journal_corrupt_lines_total"),
-            journal_arm_records: c("chronus_daemon_journal_arm_records_total"),
             snapshots: c("chronus_daemon_snapshots_total"),
             connections: c("chronus_daemon_connections_total"),
             requests: c("chronus_daemon_requests_total"),
@@ -143,16 +140,14 @@ impl DaemonMetrics {
             flight_dropped: g("chronus_daemon_flight_dropped"),
             slo_latency_ns: h("chronus_daemon_slo_latency_ns"),
             slo_bad: c("chronus_daemon_slo_bad_total"),
-            slo_good: c("chronus_daemon_slo_good_total"),
             cache_epoch: AtomicU64::new(0),
-            registry,
         }
     }
 
-    /// Registers (or fetches) the per-tenant burn-rate gauge for
-    /// `window` (`"5m"`/`"1h"`), value in thousandths so a Prometheus
-    /// integer gauge can carry a fractional burn rate.
-    pub fn slo_burn_gauge(&self, tenant: &str, window: &str) -> Gauge {
+    /// Registers (or fetches) on `registry` the per-tenant burn-rate
+    /// gauge for `window` (`"5m"`/`"1h"`), value in thousandths so a
+    /// Prometheus integer gauge can carry a fractional burn rate.
+    pub fn slo_burn_gauge(registry: &MetricsRegistry, tenant: &str, window: &str) -> Gauge {
         let slug: String = tenant
             .chars()
             .map(|c| {
@@ -163,13 +158,7 @@ impl DaemonMetrics {
                 }
             })
             .collect();
-        self.registry
-            .gauge(&format!("chronus_daemon_slo_burn_{window}_x1000_{slug}"))
-    }
-
-    /// The scoped registry backing every instrument.
-    pub fn registry(&self) -> &MetricsRegistry {
-        &self.registry
+        registry.gauge(&format!("chronus_daemon_slo_burn_{window}_x1000_{slug}"))
     }
 
     /// Updates the three per-class depth gauges and the peak.
@@ -195,29 +184,23 @@ impl DaemonMetrics {
         self.cache_epoch.fetch_add(1, Ordering::Release);
     }
 
-    /// Renders the Prometheus text for this registry under the cache
-    /// seqlock: the render is retried until it lands entirely inside
-    /// one even epoch, so the five `chronus_daemon_cache_*` gauges in
-    /// the output always come from a single [`DaemonMetrics::set_cache`]
-    /// call.
-    pub fn render_consistent(&self) -> String {
+    /// Renders the Prometheus text for `registry` (the one these
+    /// handles live on) under the cache seqlock: the render is retried
+    /// until it lands entirely inside one even epoch, so the five
+    /// `chronus_daemon_cache_*` gauges in the output always come from a
+    /// single [`DaemonMetrics::set_cache`] call.
+    pub fn render_consistent(&self, registry: &MetricsRegistry) -> String {
         loop {
             let before = self.cache_epoch.load(Ordering::Acquire);
             if before % 2 == 1 {
                 std::hint::spin_loop();
                 continue;
             }
-            let text = self.registry.to_prometheus();
+            let text = registry.to_prometheus();
             if self.cache_epoch.load(Ordering::Acquire) == before {
                 return text;
             }
         }
-    }
-}
-
-impl Default for DaemonMetrics {
-    fn default() -> Self {
-        Self::new()
     }
 }
 
@@ -227,11 +210,12 @@ mod tests {
 
     #[test]
     fn every_series_is_daemon_scoped() {
-        let m = DaemonMetrics::new();
+        let registry = MetricsRegistry::new();
+        let m = DaemonMetrics::new(&registry);
         m.submitted.inc();
         m.set_queue_depths(1, 2, 3);
         m.queue_wait_ns.record(42);
-        let snap = m.registry().snapshot();
+        let snap = registry.snapshot();
         assert!(!snap.metrics.is_empty());
         for name in snap.metrics.keys() {
             assert!(
@@ -245,9 +229,9 @@ mod tests {
 
     #[test]
     fn slo_burn_gauge_slugs_tenant_names() {
-        let m = DaemonMetrics::new();
-        m.slo_burn_gauge("Team-A/prod", "5m").set(1500);
-        let snap = m.registry().snapshot();
+        let registry = MetricsRegistry::new();
+        DaemonMetrics::slo_burn_gauge(&registry, "Team-A/prod", "5m").set(1500);
+        let snap = registry.snapshot();
         assert_eq!(
             snap.gauge("chronus_daemon_slo_burn_5m_x1000_team_a_prod"),
             Some(1500)
@@ -272,7 +256,8 @@ mod tests {
         use std::sync::atomic::AtomicBool;
         use std::sync::Arc;
 
-        let m = Arc::new(DaemonMetrics::new());
+        let registry = MetricsRegistry::new();
+        let m = Arc::new(DaemonMetrics::new(&registry));
         m.set_cache(0, 0, 0, 0, 0);
         let stop = Arc::new(AtomicBool::new(false));
 
@@ -293,7 +278,7 @@ mod tests {
 
         let mut last = 0i64;
         for _ in 0..500 {
-            let text = m.render_consistent();
+            let text = m.render_consistent(&registry);
             let hits = scrape_gauge(&text, "chronus_daemon_cache_hits");
             for name in [
                 "chronus_daemon_cache_misses",

@@ -286,15 +286,10 @@ impl Inner {
             .record_with_exemplar(latency_ns, span_id);
         if obs.bad {
             self.metrics.slo_bad.inc();
-        } else {
-            self.metrics.slo_good.inc();
         }
-        self.metrics
-            .slo_burn_gauge(tenant, "5m")
-            .set((obs.burn.short * 1000.0) as i64);
-        self.metrics
-            .slo_burn_gauge(tenant, "1h")
-            .set((obs.burn.long * 1000.0) as i64);
+        let registry = self.engine.metrics().registry();
+        DaemonMetrics::slo_burn_gauge(registry, tenant, "5m").set((obs.burn.short * 1000.0) as i64);
+        DaemonMetrics::slo_burn_gauge(registry, tenant, "1h").set((obs.burn.long * 1000.0) as i64);
         if obs.crossed {
             chronus_trace::instant!(
                 "daemon.slo_burn",
@@ -415,7 +410,6 @@ impl Inner {
                         return;
                     }
                 };
-                self.metrics.journal_arm_records.inc();
                 self.metrics.armed.inc();
                 self.metrics.journal_live.set(live as i64);
                 lock(&self.statuses).update(job.id, |s| {
@@ -464,9 +458,10 @@ pub struct Daemon {
 }
 
 impl Daemon {
-    /// Boots the daemon: opens (and replays) the journal, restores
-    /// armed updates through the re-arm-or-rollback policy, starts the
-    /// resident engine, the planning workers and (when configured) the
+    /// Boots the daemon: opens (and replays) the journal, builds the
+    /// resident engine (whose registry the daemon's metrics share),
+    /// restores armed updates through the re-arm-or-rollback policy,
+    /// then starts the planning workers and (when configured) the
     /// periodic snapshotter.
     pub fn start(config: DaemonConfig) -> Result<Daemon, String> {
         let journal_path = config.journal_path();
@@ -483,7 +478,8 @@ impl Daemon {
         let started = Instant::now();
         let now_ns = base_ns + started.elapsed().as_nanos() as Nanos;
 
-        let metrics = DaemonMetrics::new();
+        let engine = Engine::new(config.engine());
+        let metrics = DaemonMetrics::new(engine.metrics().registry());
         metrics.journal_corrupt_lines.add(replay.corrupt_lines);
 
         // Restore pass: every live record is re-armed within its
@@ -560,7 +556,6 @@ impl Daemon {
         }
         metrics.journal_live.set(armed.len() as i64);
 
-        let engine = Engine::new(config.engine());
         let worker_count = config.workers.max(1);
         let snapshot_interval_ms = config.snapshot_interval_ms;
         let inner = Arc::new(Inner {
@@ -583,15 +578,16 @@ impl Daemon {
             restore,
         });
 
-        // This daemon's registry backs the process-global forensic
-        // dumps from here on (last daemon started wins, which is what
-        // restart-in-one-process tests want). Registered before the
-        // restore-rollback trigger fires so a dump taken for the
-        // rollback embeds the SLO exemplar recorded above.
+        // This daemon's registry (the engine's, shared) backs the
+        // process-global forensic dumps from here on (last daemon
+        // started wins, which is what restart-in-one-process tests
+        // want). Registered before the restore-rollback trigger fires
+        // so a dump taken for the rollback embeds the SLO exemplar
+        // recorded above.
         {
             let inner = Arc::clone(&inner);
             FlightRecorder::set_metrics_source(Box::new(move || {
-                inner.metrics.registry().to_json()
+                inner.engine.metrics().registry().to_json()
             }));
         }
         if rollback_trigger {
@@ -650,8 +646,8 @@ impl Daemon {
         &self.inner.config
     }
 
-    /// The daemon's scoped metrics (crate-internal: the IPC layer
-    /// counts connections and protocol errors on it).
+    /// The daemon's metric handles (crate-internal: the IPC layer
+    /// counts connections and protocol errors on them).
     pub(crate) fn metrics(&self) -> &DaemonMetrics {
         &self.inner.metrics
     }
@@ -797,20 +793,20 @@ impl Daemon {
         self.inner.compact_journal()
     }
 
-    /// Prometheus text exposition: the daemon's `chronus_daemon_*`
-    /// series (cache gauges refreshed from the engine, rendered under
-    /// the cache seqlock so the five gauges are never a torn mix of
-    /// two refreshes) followed by the engine's `chronus_engine_*`
-    /// series.
+    /// Prometheus text exposition of the one registry: the daemon's
+    /// `chronus_daemon_*` series (cache gauges refreshed from the
+    /// engine's cache) sort before the engine's `chronus_engine_*`
+    /// ones. The render runs under the cache seqlock so the five cache
+    /// gauges are never a torn mix of two refreshes.
     pub fn metrics_text(&self) -> String {
         let inner = &self.inner;
-        let report = inner.engine.report();
+        let cache = inner.engine.cache();
         inner.metrics.set_cache(
-            report.cache_hits,
-            report.cache_misses,
-            report.cache_evictions,
-            report.cache_entries,
-            report.cache_bytes,
+            cache.hits(),
+            cache.misses(),
+            cache.evictions(),
+            cache.len() as u64,
+            cache.approx_bytes() as u64,
         );
         if FlightRecorder::is_on() {
             inner
@@ -828,9 +824,9 @@ impl Daemon {
                 .sum();
             inner.metrics.flight_dropped.set(dropped as i64);
         }
-        let mut out = inner.metrics.render_consistent();
-        out.push_str(&inner.engine.metrics().registry().to_prometheus());
-        out
+        inner
+            .metrics
+            .render_consistent(inner.engine.metrics().registry())
     }
 
     /// The live operational overview behind `chronusctl top`: queue
@@ -855,7 +851,6 @@ impl Daemon {
         );
 
         // The admission lock is taken once for depths and buckets.
-        let report = inner.engine.report();
         let ((h, n, l), levels) = {
             let q = lock(&inner.admission);
             (q.depths(), q.bucket_levels(now))
@@ -886,17 +881,17 @@ impl Daemon {
             Value::from_u64_exact(self.armed_len() as u64),
         );
 
+        let timenet = inner.engine.cache();
+        let (hits, misses) = (timenet.hits(), timenet.misses());
         let mut cache = Map::new();
-        cache.insert("hits".to_string(), Value::from_u64_exact(report.cache_hits));
-        cache.insert(
-            "misses".to_string(),
-            Value::from_u64_exact(report.cache_misses),
-        );
+        cache.insert("hits".to_string(), Value::from_u64_exact(hits));
+        cache.insert("misses".to_string(), Value::from_u64_exact(misses));
         cache.insert(
             "entries".to_string(),
-            Value::from_u64_exact(report.cache_entries),
+            Value::from_u64_exact(timenet.len() as u64),
         );
-        cache.insert("hit_rate".to_string(), Value::from(report.cache_hit_rate()));
+        let hit_rate = hits as f64 / (hits + misses).max(1) as f64;
+        cache.insert("hit_rate".to_string(), Value::from(hit_rate));
         obj.insert("cache".to_string(), Value::Object(cache));
 
         let mut plan = Map::new();

@@ -4,11 +4,13 @@
 //! [`CtlClient`] exactly as `chronusctl` would — 50 mixed-priority
 //! submissions, a deliberately rate-limited tenant, watches, a
 //! snapshot, a Prometheus scrape — then drains and asserts a clean
-//! exit with the socket file removed.
+//! exit with the socket file removed. A second test pins the scrape's
+//! metric names, each to the reader that needs it.
 
-use chronus_daemon::{run_server, CtlClient, Daemon, DaemonConfig, Priority};
+use chronus_daemon::{run_server, CtlClient, Daemon, DaemonConfig, Priority, UpdateState};
 use serde_json::Value;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 fn temp_dir(tag: &str) -> PathBuf {
@@ -128,6 +130,17 @@ fn fifty_submissions_scrape_and_drain_cleanly() {
     assert_eq!(sample("chronus_daemon_admitted_total"), 51.0);
     assert_eq!(sample("chronus_daemon_shed_rate_limited_total"), 1.0);
     assert_eq!(sample("chronus_daemon_armed_total"), 51.0);
+    assert_eq!(sample("chronus_daemon_planned_total"), 51.0);
+    assert_eq!(sample("chronus_daemon_completed_total"), 0.0);
+    assert_eq!(sample("chronus_daemon_journal_live"), 51.0);
+    assert!(sample("chronus_daemon_connections_total") >= 1.0);
+    for class in ["high", "normal", "low"] {
+        assert_eq!(sample(&format!("chronus_daemon_queue_depth_{class}")), 0.0);
+    }
+    for window in ["5m", "1h"] {
+        let burn = format!("chronus_daemon_slo_burn_{window}_x1000_tenant_0");
+        assert!(sample(&burn) >= 0.0);
+    }
     // The repeated instance makes the warm cache pay off.
     assert!(
         sample("chronus_daemon_cache_hits") >= 1.0,
@@ -158,4 +171,123 @@ fn fifty_submissions_scrape_and_drain_cleanly() {
     if let Some(dir) = socket.parent() {
         let _ = std::fs::remove_dir_all(dir);
     }
+}
+
+/// Every metric family a scrape carries, in scrape order, each with the
+/// reader that needs it. Per-tenant SLO burn gauges appear once per
+/// window, without their tenant suffix. The list is sorted, so the
+/// daemon block renders before the engine block.
+const FAMILIES: &[&str] = &[
+    "chronus_daemon_admitted_total",              // CI daemon-smoke step
+    "chronus_daemon_armed_total",                 // fifty_submissions_scrape_and_drain_cleanly
+    "chronus_daemon_cache_bytes",                 // scrape_never_tears_the_cache_gauges
+    "chronus_daemon_cache_entries",               // scrape_never_tears_the_cache_gauges
+    "chronus_daemon_cache_evictions",             // benchmark/
+    "chronus_daemon_cache_hits",                  // benchmark/
+    "chronus_daemon_cache_misses",                // benchmark/
+    "chronus_daemon_completed_total",             // fifty_submissions_scrape_and_drain_cleanly
+    "chronus_daemon_confirmed_total", // armed_schedules_survive_a_crash_and_rearm_within_slack
+    "chronus_daemon_connections_total", // fifty_submissions_scrape_and_drain_cleanly
+    "chronus_daemon_failed_total",    // operator alert: failure
+    "chronus_daemon_flight_dropped",  // benchmark/
+    "chronus_daemon_flight_dumps",    // benchmark/
+    "chronus_daemon_flight_suppressed", // operator alert: loss
+    "chronus_daemon_journal_corrupt_lines_total", // operator alert: loss
+    "chronus_daemon_journal_live",    // armed_schedules_survive_a_crash_and_rearm_within_slack
+    "chronus_daemon_plan_ns",         // benchmark/, top
+    "chronus_daemon_planned_total",   // fifty_submissions_scrape_and_drain_cleanly
+    "chronus_daemon_proto_errors_total", // overlong_line_is_refused_and_fabric_sized_lines_still_arm
+    "chronus_daemon_queue_depth_high",   // fifty_submissions_scrape_and_drain_cleanly
+    "chronus_daemon_queue_depth_low",    // fifty_submissions_scrape_and_drain_cleanly
+    "chronus_daemon_queue_depth_normal", // fifty_submissions_scrape_and_drain_cleanly
+    "chronus_daemon_queue_peak",         // benchmark/
+    "chronus_daemon_queue_wait_ns",      // benchmark/
+    "chronus_daemon_requests_total",     // benchmark/
+    "chronus_daemon_restore_rearmed_total", // armed_schedules_survive_a_crash_and_rearm_within_slack
+    "chronus_daemon_restore_rolled_back_total", // operator alert: failure
+    "chronus_daemon_shed_draining_total",   // operator alert: loss
+    "chronus_daemon_shed_queue_full_total", // benchmark/
+    "chronus_daemon_shed_rate_limited_total", // benchmark/
+    "chronus_daemon_slo_bad_total",         // operator alert: failure
+    "chronus_daemon_slo_burn_1h_x1000_",    // fifty_submissions_scrape_and_drain_cleanly
+    "chronus_daemon_slo_burn_5m_x1000_",    // CI daemon-smoke step
+    "chronus_daemon_slo_latency_ns", // restore_rollback_writes_a_forensic_dump_that_joins_the_journal
+    "chronus_daemon_snapshots_total", // benchmark/
+    "chronus_daemon_submit_to_settle_ns", // benchmark/
+    "chronus_daemon_submitted_total", // fifty_submissions_scrape_and_drain_cleanly
+    "chronus_daemon_tail_shed_total", // operator alert: loss
+    "chronus_engine_certs_failed_total", // benchmark/
+    "chronus_engine_certs_issued_total", // plans_a_batch_in_submission_order
+    "chronus_engine_certs_skipped_total", // disabled_verification_skips_certificates
+    "chronus_engine_deadline_timeouts_total", // benchmark/
+    "chronus_engine_greedy_arena_bytes", // workspaces_are_reused_by_single_plans_and_batches
+    "chronus_engine_greedy_failures_total", // stage_bookkeeping_and_rates
+    "chronus_engine_greedy_skips_total", // stage_bookkeeping_and_rates
+    "chronus_engine_greedy_stage_ns", // benchmark/
+    "chronus_engine_greedy_wins_total", // benchmark/
+    "chronus_engine_requests_completed_total", // benchmark/
+    "chronus_engine_shard_conflicts_total", // shard_counters_roll_up_and_render_conditionally
+    "chronus_engine_shard_cross_links", // shard_counters_roll_up_and_render_conditionally
+    "chronus_engine_shard_joint_fallbacks_total", // shard_counters_roll_up_and_render_conditionally
+    "chronus_engine_shard_replan_rounds_total", // shard_counters_roll_up_and_render_conditionally
+    "chronus_engine_shard_shards_planned_total", // shard_counters_roll_up_and_render_conditionally
+    "chronus_engine_shard_shared_links", // shard_counters_roll_up_and_render_conditionally
+    "chronus_engine_sharded_failures_total", // stage_bookkeeping_and_rates
+    "chronus_engine_sharded_skips_total", // stage_bookkeeping_and_rates
+    "chronus_engine_sharded_stage_ns", // stage_bookkeeping_and_rates
+    "chronus_engine_sharded_wins_total", // benchmark/
+    "chronus_engine_slack_certified_total", // benchmark/
+    "chronus_engine_slack_dilated_total", // slack_stage_ships_the_pinned_plans
+    "chronus_engine_slack_schedules_checked_total", // slack_stage_ships_the_pinned_plans
+    "chronus_engine_slack_stage_ns", // benchmark/
+    "chronus_engine_slack_steps",    // slack_policy_dilates_plans_to_the_target
+    "chronus_engine_slack_target_missed_total", // benchmark/
+    "chronus_engine_slack_uncertifiable_total", // operator alert: failure
+    "chronus_engine_tree_failures_total", // stage_bookkeeping_and_rates
+    "chronus_engine_tree_skips_total", // stage_bookkeeping_and_rates
+    "chronus_engine_tree_stage_ns",  // stage_bookkeeping_and_rates
+    "chronus_engine_tree_wins_total", // benchmark/
+    "chronus_engine_two_phase_failures_total", // stage_bookkeeping_and_rates
+    "chronus_engine_two_phase_skips_total", // stage_bookkeeping_and_rates
+    "chronus_engine_two_phase_stage_ns", // stage_bookkeeping_and_rates
+    "chronus_engine_two_phase_wins_total", // benchmark/
+];
+
+/// Adding a metric family, or removing one, must edit [`FAMILIES`] and
+/// name who reads it.
+#[test]
+fn scrape_families_are_the_pinned_list() {
+    let state = temp_dir("families");
+    let daemon = Daemon::start(DaemonConfig {
+        snapshot_dir: state.clone(),
+        workers: 1,
+        ..DaemonConfig::default()
+    })
+    .expect("daemon start");
+    let id = daemon
+        .submit(
+            "tenant",
+            Priority::Normal,
+            None,
+            Arc::new(chronus_net::motivating_example()),
+        )
+        .expect("admitted");
+    let status = daemon.watch(id, Duration::from_secs(30)).expect("known");
+    assert_eq!(status.state, UpdateState::Armed, "{status:?}");
+
+    let text = daemon.metrics_text();
+    let scraped: Vec<&str> = text
+        .lines()
+        .filter_map(|l| l.strip_prefix("# TYPE "))
+        .filter_map(|l| l.split(' ').next())
+        .map(|name| match name.strip_suffix("tenant") {
+            Some(burn) if burn.starts_with("chronus_daemon_slo_burn_") => burn,
+            _ => name,
+        })
+        .collect();
+    assert_eq!(scraped, FAMILIES, "scrape families changed:\n{text}");
+    assert!(FAMILIES.windows(2).all(|w| w[0] < w[1]), "list is sorted");
+
+    daemon.shutdown();
+    let _ = std::fs::remove_dir_all(state);
 }

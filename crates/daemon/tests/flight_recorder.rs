@@ -11,10 +11,12 @@
 //! and keep an exited thread's events when a later thread adopts
 //! them), and embeds a metrics snapshot whose SLO
 //! latency histogram carries the rolled-back updates' span ids as
-//! exemplars — the dump-to-journal join an operator pivots on.
+//! exemplars — the dump-to-journal join an operator pivots on. A
+//! second forensic test checks that an engine-triggered dump carries
+//! the engine's counters, its own request included.
 //!
-//! The second test drives `top` and `tail` over a Unix socket exactly
-//! as `chronusctl` would. The third plans multi-flow updates under the
+//! The live test drives `top` and `tail` over a Unix socket exactly
+//! as `chronusctl` would. The last plans multi-flow updates under the
 //! sharded stage, which starts short-lived threads for every request,
 //! and checks the ring registry stops growing.
 
@@ -187,6 +189,60 @@ fn restore_rollback_writes_a_forensic_dump_that_joins_the_journal() {
     );
 
     daemon.shutdown();
+    FlightRecorder::disable();
+    let _ = std::fs::remove_dir_all(snapshot_dir);
+    let _ = std::fs::remove_dir_all(flight_dir);
+}
+
+/// A spent deadline degrades the request to two-phase and fires the
+/// `deadline-expired` trigger. The dump embeds the one registry the
+/// daemon and its engine share, taken after the request was counted.
+#[test]
+fn deadline_dump_embeds_the_engine_counters_of_its_own_request() {
+    let _l = lock();
+    let snapshot_dir = temp_dir("deadline-state");
+    let flight_dir = temp_dir("deadline-flight");
+    FlightRecorder::enable(4096);
+    FlightRecorder::set_dump_dir(&flight_dir);
+    FlightRecorder::set_min_dump_interval_ms(0);
+
+    let daemon = Daemon::start(config(&snapshot_dir, BASE)).expect("daemon start");
+    let id = daemon
+        .submit(
+            "tenant",
+            Priority::Normal,
+            Some(Duration::ZERO),
+            Arc::new(motivating_example()),
+        )
+        .expect("admitted");
+    let status = daemon.watch(id, SETTLE).expect("settles");
+    assert!(status.state.is_settled(), "{status:?}");
+
+    let dump_path = std::fs::read_dir(&flight_dir)
+        .expect("flight dir exists after the trigger")
+        .filter_map(|e| e.ok())
+        .map(|e| e.path())
+        .find(|p| p.to_string_lossy().contains("deadline-expired"))
+        .expect("deadline dump written");
+    let doc = std::fs::read_to_string(&dump_path).expect("read dump");
+    let parsed: Value = serde_json::from_str(&doc).expect("dump is valid JSON");
+    let counters = parsed
+        .get("chronusMeta")
+        .and_then(|m| m.get("metrics"))
+        .and_then(|m| m.get("counters"))
+        .expect("metrics counters embedded in the dump");
+    for name in [
+        "chronus_engine_deadline_timeouts_total",
+        "chronus_engine_requests_completed_total",
+    ] {
+        assert_eq!(
+            counters.get(name).and_then(Value::as_u64_exact),
+            Some(1),
+            "{name} in {counters:?}"
+        );
+    }
+
+    drop(daemon);
     FlightRecorder::disable();
     let _ = std::fs::remove_dir_all(snapshot_dir);
     let _ = std::fs::remove_dir_all(flight_dir);

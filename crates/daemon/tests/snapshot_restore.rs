@@ -47,6 +47,15 @@ fn priority_for(i: usize) -> Priority {
     }
 }
 
+/// The value of the unlabelled series `name` in the daemon's scrape.
+fn sample(daemon: &Daemon, name: &str) -> u64 {
+    let text = daemon.metrics_text();
+    text.lines()
+        .find_map(|l| l.strip_prefix(name)?.strip_prefix(' '))
+        .and_then(|v| v.parse().ok())
+        .unwrap_or_else(|| panic!("no sample for {name}:\n{text}"))
+}
+
 /// Submits `n` certified updates and waits until every one is armed.
 /// Returns the assigned ids.
 fn arm_batch(daemon: &Daemon, n: usize) -> Vec<u64> {
@@ -98,6 +107,8 @@ fn armed_schedules_survive_a_crash_and_rearm_within_slack() {
     daemon.confirm(ids[0]).expect("confirm first");
     daemon.confirm(ids[1]).expect("confirm second");
     assert_eq!(daemon.armed_len(), 10);
+    assert_eq!(sample(&daemon, "chronus_daemon_confirmed_total"), 2);
+    assert_eq!(sample(&daemon, "chronus_daemon_journal_live"), 10);
 
     // Crash: drop without drain. The WAL is all that survives.
     drop(daemon);
@@ -126,6 +137,8 @@ fn armed_schedules_survive_a_crash_and_rearm_within_slack() {
     assert_eq!(restore.lost, 0);
     assert_eq!(restore.corrupt_lines, 0);
     assert_eq!(daemon.armed_len(), 10);
+    assert_eq!(sample(&daemon, "chronus_daemon_restore_rearmed_total"), 10);
+    assert_eq!(sample(&daemon, "chronus_daemon_journal_live"), 10);
 
     for &id in &ids[2..] {
         let status = daemon

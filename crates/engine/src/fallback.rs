@@ -340,6 +340,7 @@ pub fn plan_with_chain(
     let mut attempts = Vec::with_capacity(Stage::CHAIN.len());
     let mut winner: Option<(Stage, PlanKind, Option<Certificate>)> = None;
     let mut deadline_exceeded = false;
+    let mut cert_refused = false;
 
     // The opt-in sharded pre-stage: multi-flow requests are split by
     // topology partition and planned shard-by-shard over a shared-link
@@ -429,7 +430,6 @@ pub fn plan_with_chain(
                 };
                 match greedy_schedule_in(instance, cfg, ws) {
                     Ok(out) => {
-                        metrics.record_gate(&out.gate);
                         metrics.record_greedy_arena(out.arena_bytes);
                         winner = Some((stage, PlanKind::Timed(out.schedule), out.certificate));
                         StageOutcome::Won
@@ -511,9 +511,9 @@ pub fn plan_with_chain(
                             violation = violation.to_string()
                         );
                         // A refused certificate is a planner/certifier
-                        // disagreement worth a forensic dump (rate
-                        // limited and inert unless the recorder is on).
-                        chronus_trace::FlightRecorder::trigger("cert-refused");
+                        // disagreement worth a forensic dump, taken
+                        // once this request is counted (below).
+                        cert_refused = true;
                         None
                     }
                 }
@@ -573,7 +573,6 @@ pub fn plan_with_chain(
     metrics.record_certification(verify.enabled, certificate.is_some());
     if deadline_exceeded {
         chronus_trace::instant!("engine.deadline_expired", request = req.id.0);
-        chronus_trace::FlightRecorder::trigger("deadline-expired");
     }
     if plan_span.is_recording() {
         plan_span.record("winner", winner_stage.to_string());
@@ -599,6 +598,14 @@ pub fn plan_with_chain(
         span_id,
     };
     metrics.record_completion(&planned);
+    // Forensic dumps (rate limited, inert unless the recorder is on)
+    // fire once this request is counted, so they embed its counters.
+    if cert_refused {
+        chronus_trace::FlightRecorder::trigger("cert-refused");
+    }
+    if deadline_exceeded {
+        chronus_trace::FlightRecorder::trigger("deadline-expired");
+    }
     planned
 }
 
@@ -815,7 +822,7 @@ mod tests {
         let planned = plan(&req(Duration::from_secs(30)), &cache, &metrics, &unverified);
         assert_eq!(planned.winner, Stage::Greedy);
         assert!(planned.certificate.is_none());
-        assert_eq!(metrics.report(&cache).certs.skipped, 1);
+        assert_eq!(metrics.report().certs.skipped, 1);
     }
 
     #[test]

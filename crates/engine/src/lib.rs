@@ -19,8 +19,9 @@
 //!   certifies none;
 //! - [`UpdateWatchdog`]: the deployment-side deadline tracker turning
 //!   that certified tolerance into re-arm-or-rollback decisions;
-//! - [`PlanReport`]: per-stage latencies and win counts, cache hit
-//!   rates and deadline casualties.
+//! - [`PlanReport`]: per-stage latencies and win counts, certifier and
+//!   slack outcomes and deadline casualties, read off the engine's
+//!   metrics registry ([`EngineMetrics`]).
 //!
 //! Concurrency is observationally pure: every chain stage is
 //! deterministic, so a batch planned on N lanes yields exactly the

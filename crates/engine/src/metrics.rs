@@ -7,24 +7,24 @@
 //! over the registry — the same numbers are exportable as Prometheus
 //! text or a JSON snapshot via [`EngineMetrics::registry`].
 //!
-//! One registry per [`crate::Engine`] instance (not process-global)
-//! keeps concurrent engines — and the test suite's parallel engine
-//! tests — from bleeding counts into each other; callers that want a
-//! whole-process rollup absorb each snapshot into
-//! [`MetricsRegistry::global`].
+//! The registry is the only one a `chronusd` process records into:
+//! the daemon registers its `chronus_daemon_*` instruments on it too,
+//! so one scrape and every flight dump see both. One registry per
+//! [`crate::Engine`] instance (not process-global) keeps concurrent
+//! engines — and the test suite's parallel engine tests — from
+//! bleeding counts into each other; callers that want a whole-process
+//! rollup absorb each snapshot into [`MetricsRegistry::global`].
 
-use crate::cache::TimeNetCache;
 use crate::fallback::{PlannedUpdate, Stage, StageOutcome};
 use chronus_net::TimeStep;
-use chronus_timenet::GateStats;
 use chronus_trace::{Counter, Gauge, Histogram, MetricsRegistry, MetricsSnapshot};
 use chronus_verify::SlackCertificate;
 use std::fmt;
 use std::time::Duration;
 
-/// Cached handles for one fallback stage's instruments.
+/// Cached handles for one fallback stage's instruments. A stage's
+/// attempts are its latency histogram's count.
 struct StageHandles {
-    attempts: Counter,
     wins: Counter,
     failures: Counter,
     skips: Counter,
@@ -35,7 +35,6 @@ impl StageHandles {
     fn new(registry: &MetricsRegistry, stage: &str) -> Self {
         let name = |suffix: &str| format!("chronus_engine_{stage}_{suffix}");
         StageHandles {
-            attempts: registry.counter(&name("attempts_total")),
             wins: registry.counter(&name("wins_total")),
             failures: registry.counter(&name("failures_total")),
             skips: registry.counter(&name("skips_total")),
@@ -45,7 +44,7 @@ impl StageHandles {
 
     fn stats(&self) -> StageStats {
         StageStats {
-            attempts: self.attempts.get(),
+            attempts: self.nanos.count(),
             wins: self.wins.get(),
             failures: self.failures.get(),
             skips: self.skips.get(),
@@ -68,12 +67,7 @@ pub struct EngineMetrics {
     shard_joint_fallbacks: Counter,
     shard_cross_links: Gauge,
     shard_shared_links: Gauge,
-    gate_checks: Counter,
     greedy_arena_bytes: Gauge,
-    gate_ledger_applies: Counter,
-    gate_ledger_undos: Counter,
-    gate_cells_touched: Counter,
-    gate_full_equivalent_cells: Counter,
     certs_issued: Counter,
     certs_failed: Counter,
     certs_skipped: Counter,
@@ -118,12 +112,7 @@ impl EngineMetrics {
             shard_joint_fallbacks: counter("chronus_engine_shard_joint_fallbacks_total"),
             shard_cross_links: registry.gauge("chronus_engine_shard_cross_links"),
             shard_shared_links: registry.gauge("chronus_engine_shard_shared_links"),
-            gate_checks: counter("chronus_engine_gate_checks_total"),
             greedy_arena_bytes: registry.gauge("chronus_engine_greedy_arena_bytes"),
-            gate_ledger_applies: counter("chronus_engine_gate_ledger_applies_total"),
-            gate_ledger_undos: counter("chronus_engine_gate_ledger_undos_total"),
-            gate_cells_touched: counter("chronus_engine_gate_cells_touched_total"),
-            gate_full_equivalent_cells: counter("chronus_engine_gate_full_equivalent_cells_total"),
             certs_issued: counter("chronus_engine_certs_issued_total"),
             certs_failed: counter("chronus_engine_certs_failed_total"),
             certs_skipped: counter("chronus_engine_certs_skipped_total"),
@@ -148,7 +137,7 @@ impl EngineMetrics {
         &self.registry
     }
 
-    /// Point-in-time snapshot of every `chronus_engine_*` instrument.
+    /// Point-in-time snapshot of every instrument in the registry.
     pub fn snapshot(&self) -> MetricsSnapshot {
         self.registry.snapshot()
     }
@@ -182,7 +171,6 @@ impl EngineMetrics {
     /// Records a stage that ran to an outcome.
     pub fn record_attempt(&self, stage: Stage, outcome: &StageOutcome, elapsed: Duration) {
         let s = self.stage(stage);
-        s.attempts.inc();
         s.nanos.record(elapsed.as_nanos() as u64);
         match outcome {
             StageOutcome::Won => s.wins.inc(),
@@ -194,17 +182,6 @@ impl EngineMetrics {
     /// Records a stage skipped by deadline pressure.
     pub fn record_skip(&self, stage: Stage) {
         self.stage(stage).skips.inc();
-    }
-
-    /// Folds one planning run's exact-gate counters into the engine
-    /// totals.
-    pub fn record_gate(&self, stats: &GateStats) {
-        self.gate_checks.add(stats.checks);
-        self.gate_ledger_applies.add(stats.ledger_applies);
-        self.gate_ledger_undos.add(stats.ledger_undos);
-        self.gate_cells_touched.add(stats.cells_touched);
-        self.gate_full_equivalent_cells
-            .add(stats.full_equivalent_cells);
     }
 
     /// Records one greedy run's simulation-arena high-water mark (the
@@ -260,9 +237,8 @@ impl EngineMetrics {
         }
     }
 
-    /// Derives a [`PlanReport`] view over the registry, folding in the
-    /// shared cache's counters.
-    pub fn report(&self, cache: &TimeNetCache) -> PlanReport {
+    /// Derives a [`PlanReport`] view over the registry.
+    pub fn report(&self) -> PlanReport {
         PlanReport {
             sharded: self.sharded.stats(),
             greedy: self.greedy.stats(),
@@ -275,13 +251,6 @@ impl EngineMetrics {
                 joint_fallbacks: self.shard_joint_fallbacks.get(),
                 cross_links_peak: self.shard_cross_links.get().max(0) as u64,
                 shared_links_peak: self.shard_shared_links.get().max(0) as u64,
-            },
-            gate: GateStats {
-                checks: self.gate_checks.get(),
-                ledger_applies: self.gate_ledger_applies.get(),
-                ledger_undos: self.gate_ledger_undos.get(),
-                cells_touched: self.gate_cells_touched.get(),
-                full_equivalent_cells: self.gate_full_equivalent_cells.get(),
             },
             certs: CertStats {
                 issued: self.certs_issued.get(),
@@ -298,11 +267,6 @@ impl EngineMetrics {
             arena_bytes: self.greedy_arena_bytes.get().max(0) as u64,
             completed: self.completed.get(),
             timeouts: self.timeouts.get(),
-            cache_hits: cache.hits(),
-            cache_misses: cache.misses(),
-            cache_evictions: cache.evictions(),
-            cache_entries: cache.len() as u64,
-            cache_bytes: cache.approx_bytes() as u64,
         }
     }
 }
@@ -325,10 +289,10 @@ pub struct StageStats {
 impl StageStats {
     /// Mean latency per attempt, zero when the stage never ran.
     pub fn mean_latency(&self) -> Duration {
-        if self.attempts == 0 {
-            Duration::ZERO
-        } else {
-            self.total / self.attempts as u32
+        match self.total.as_nanos().checked_div(u128::from(self.attempts)) {
+            // The mean is at most `total`, so it fits a `Duration`.
+            Some(nanos) => Duration::from_nanos(nanos as u64),
+            None => Duration::ZERO,
         }
     }
 }
@@ -385,7 +349,7 @@ pub struct SlackStats {
 }
 
 /// Point-in-time engine report: per-stage latencies and win counts,
-/// cache effectiveness and deadline casualties.
+/// certifier and slack outcomes, and deadline casualties.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct PlanReport {
     /// Sharded-stage counters (all zero on unsharded engines).
@@ -398,10 +362,6 @@ pub struct PlanReport {
     pub two_phase: StageStats,
     /// Sharded-stage reservation counters.
     pub shard: ShardStats,
-    /// Aggregated exact-gate counters across all greedy-stage runs:
-    /// checks, ledger traffic, and the cell-visit volume a full
-    /// re-simulation would have cost instead.
-    pub gate: GateStats,
     /// Independent-certifier counters across completed requests.
     pub certs: CertStats,
     /// Slack-stage counters across completed requests.
@@ -414,30 +374,9 @@ pub struct PlanReport {
     /// Requests whose deadline expired before every optimizing stage
     /// could run.
     pub timeouts: u64,
-    /// Time-extended-window cache hits.
-    pub cache_hits: u64,
-    /// Time-extended-window cache misses (materializations).
-    pub cache_misses: u64,
-    /// Windows evicted by the cache's capacity bound (zero when
-    /// unbounded).
-    pub cache_evictions: u64,
-    /// Distinct memoized windows.
-    pub cache_entries: u64,
-    /// Approximate bytes held by the cache.
-    pub cache_bytes: u64,
 }
 
 impl PlanReport {
-    /// Cache hit rate in `[0, 1]`; zero before any lookup.
-    pub fn cache_hit_rate(&self) -> f64 {
-        let total = self.cache_hits + self.cache_misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.cache_hits as f64 / total as f64
-        }
-    }
-
     /// Fraction of completed requests that fell through to the
     /// two-phase fallback.
     pub fn fallback_rate(&self) -> f64 {
@@ -506,31 +445,10 @@ impl fmt::Display for PlanReport {
                 self.slack.schedules_checked
             )?;
         }
-        writeln!(
-            f,
-            "  exact gate: {} checks, \
-             {} applies, {} undos, {} cells touched (full-sim equivalent {})",
-            self.gate.checks,
-            self.gate.ledger_applies,
-            self.gate.ledger_undos,
-            self.gate.cells_touched,
-            self.gate.full_equivalent_cells
-        )?;
-        writeln!(
+        write!(
             f,
             "  greedy resources: arena high-water ~{} B",
             self.arena_bytes
-        )?;
-        write!(
-            f,
-            "  timenet cache: {} hits / {} misses ({:.0}% hit), {} windows \
-             ({} evicted), ~{} B",
-            self.cache_hits,
-            self.cache_misses,
-            self.cache_hit_rate() * 100.0,
-            self.cache_entries,
-            self.cache_evictions,
-            self.cache_bytes
         )
     }
 }
@@ -542,7 +460,6 @@ mod tests {
     #[test]
     fn stage_bookkeeping_and_rates() {
         let m = EngineMetrics::new();
-        let cache = TimeNetCache::new();
         m.record_attempt(Stage::Greedy, &StageOutcome::Won, Duration::from_micros(10));
         m.record_attempt(
             Stage::Greedy,
@@ -553,13 +470,12 @@ mod tests {
         m.record_certification(true, true);
         m.record_certification(true, false);
         m.record_certification(false, false);
-        let r = m.report(&cache);
+        let r = m.report();
         assert_eq!(r.greedy.attempts, 2);
         assert_eq!(r.greedy.wins, 1);
         assert_eq!(r.greedy.failures, 1);
         assert_eq!(r.tree.skips, 1);
         assert_eq!(r.greedy.mean_latency(), Duration::from_micros(20));
-        assert_eq!(r.cache_hit_rate(), 0.0);
         assert_eq!(
             r.certs,
             CertStats {
@@ -571,15 +487,52 @@ mod tests {
         let text = r.to_string();
         assert!(text.contains("greedy"), "{text}");
         assert!(text.contains("certifier: 1 issued"), "{text}");
-        assert!(text.contains("timenet cache"), "{text}");
+
+        // Every stage has the same four families, and its report row
+        // reads them back.
+        let m = EngineMetrics::new();
+        let slugs = ["sharded", "greedy", "tree", "two_phase"];
+        for stage in Stage::CHAIN {
+            for outcome in [
+                StageOutcome::Won,
+                StageOutcome::Failed("x".into()),
+                StageOutcome::Skipped("x".into()),
+            ] {
+                m.record_attempt(stage, &outcome, Duration::from_micros(1));
+            }
+            m.record_skip(stage);
+        }
+        let r = m.report();
+        let snap = m.snapshot();
+        for (s, slug) in [r.sharded, r.greedy, r.tree, r.two_phase].iter().zip(slugs) {
+            assert_eq!((s.attempts, s.wins, s.failures, s.skips), (3, 1, 1, 2));
+            let name = |suffix: &str| format!("chronus_engine_{slug}_{suffix}");
+            assert_eq!(snap.counter(&name("wins_total")), Some(1));
+            assert_eq!(snap.counter(&name("failures_total")), Some(1));
+            assert_eq!(snap.counter(&name("skips_total")), Some(2));
+            assert_eq!(snap.histogram(&name("stage_ns")), Some((3_000, 3)));
+        }
+    }
+
+    #[test]
+    fn mean_latency_survives_attempt_counts_past_u32() {
+        let s = StageStats {
+            attempts: 1 << 32,
+            wins: 0,
+            failures: 0,
+            skips: 0,
+            total: Duration::from_secs(1 << 32),
+        };
+        assert_eq!(s.mean_latency(), Duration::from_secs(1));
+        let never_ran = StageStats { attempts: 0, ..s };
+        assert_eq!(never_ran.mean_latency(), Duration::ZERO);
     }
 
     #[test]
     fn shard_counters_roll_up_and_render_conditionally() {
         let m = EngineMetrics::new();
-        let cache = TimeNetCache::new();
         // An unsharded engine's report hides the sharded rows.
-        let quiet = m.report(&cache).to_string();
+        let quiet = m.report().to_string();
         assert!(!quiet.contains("sharded"), "{quiet}");
         assert!(!quiet.contains("shards:"), "{quiet}");
 
@@ -600,7 +553,7 @@ mod tests {
             conflicts: 0,
             fell_back_joint: true,
         });
-        let r = m.report(&cache);
+        let r = m.report();
         assert_eq!(r.sharded.attempts, 1);
         assert_eq!(r.sharded.wins, 1);
         assert_eq!(
@@ -633,30 +586,25 @@ mod tests {
     #[test]
     fn report_is_a_view_over_the_registry() {
         let m = EngineMetrics::new();
-        let cache = TimeNetCache::new();
         m.record_attempt(Stage::Greedy, &StageOutcome::Won, Duration::from_micros(10));
         m.record_certification(true, true);
 
         // The exact same numbers are visible through the registry.
         let snap = m.snapshot();
-        assert_eq!(
-            snap.counter("chronus_engine_greedy_attempts_total"),
-            Some(1)
-        );
         assert_eq!(snap.counter("chronus_engine_greedy_wins_total"), Some(1));
         assert_eq!(snap.counter("chronus_engine_certs_issued_total"), Some(1));
         assert_eq!(
             snap.histogram("chronus_engine_greedy_stage_ns"),
             Some((10_000, 1))
         );
-        let r = m.report(&cache);
+        let r = m.report();
         assert_eq!(r.greedy.attempts, 1);
         assert_eq!(r.greedy.total, Duration::from_micros(10));
 
         // And the Prometheus rendering carries them too.
         let prom = m.registry().to_prometheus();
         assert!(
-            prom.contains("chronus_engine_greedy_attempts_total 1"),
+            prom.contains("chronus_engine_greedy_wins_total 1"),
             "{prom}"
         );
         assert!(
@@ -667,9 +615,7 @@ mod tests {
         // Two engines' registries are fully isolated.
         let other = EngineMetrics::new();
         assert_eq!(
-            other
-                .snapshot()
-                .counter("chronus_engine_greedy_attempts_total"),
+            other.snapshot().counter("chronus_engine_greedy_wins_total"),
             Some(0)
         );
     }

@@ -217,9 +217,9 @@ impl Engine {
         self.plan_batch(requests)
     }
 
-    /// Snapshot of the engine's planning metrics and cache state.
+    /// Snapshot of the engine's planning metrics.
     pub fn report(&self) -> PlanReport {
-        self.metrics.report(&self.cache)
+        self.metrics.report()
     }
 
     /// The engine's live metrics (its scoped registry lives inside;
@@ -262,8 +262,9 @@ mod tests {
         assert_eq!(report.certs.failed + report.certs.skipped, 0);
         // All requests share one cache key: workers racing on the
         // cold key wait for the one that materializes it.
-        assert_eq!(report.cache_entries, 1);
-        assert_eq!((report.cache_hits, report.cache_misses), (7, 1));
+        let cache = engine.cache();
+        assert_eq!(cache.len(), 1);
+        assert_eq!((cache.hits(), cache.misses()), (7, 1));
     }
 
     #[test]
@@ -334,18 +335,9 @@ mod tests {
             let plans = engine.plan_instances(vec![inst]);
             assert_eq!(plans.len(), 1);
         }
-        let report = engine.report();
-        assert!(
-            report.cache_entries <= 2,
-            "entries {}",
-            report.cache_entries
-        );
-        assert!(
-            report.cache_evictions >= 2,
-            "evictions {}",
-            report.cache_evictions
-        );
-        assert!(report.to_string().contains("evicted"));
+        let cache = engine.cache();
+        assert!(cache.len() <= 2, "entries {}", cache.len());
+        assert!(cache.evictions() >= 2, "evictions {}", cache.evictions());
     }
 
     #[test]
@@ -385,6 +377,12 @@ mod tests {
         assert_eq!(report.slack.uncertifiable, 0);
         assert!(report.slack.schedules_checked > 0);
         assert!(report.to_string().contains("slack: 4 certified"));
+        // One certified tolerance per plan, each at least the target.
+        let steps = engine
+            .metrics()
+            .snapshot()
+            .histogram("chronus_engine_slack_steps");
+        assert!(matches!(steps, Some((sum, 4)) if sum >= 4), "{steps:?}");
     }
 
     #[test]

@@ -126,6 +126,7 @@ fn fifty_flow_batch_plans_and_certifies() {
     assert_eq!(report.greedy.wins, 50);
     // Six distinct shapes → six memoized windows, each materialized
     // once: workers racing on a cold key wait for the one building it.
-    assert_eq!(report.cache_entries, 6);
-    assert_eq!((report.cache_hits, report.cache_misses), (44, 6));
+    let cache = engine.cache();
+    assert_eq!(cache.len(), 6);
+    assert_eq!((cache.hits(), cache.misses()), (44, 6));
 }

@@ -7,8 +7,9 @@
 //! (Prometheus-safe: `[a-zA-Z_][a-zA-Z0-9_]*`).
 //!
 //! Registries are values, not ambient state: the engine owns one per
-//! instance and the exact gate one per run, so tests that assert
-//! exact counts stay deterministic under parallel execution. A
+//! instance (a daemon registers its own instruments on its engine's,
+//! so a `chronusd` process records into exactly one), and tests that
+//! assert exact counts stay deterministic under parallel execution. A
 //! process-global registry ([`MetricsRegistry::global`]) exists for
 //! whole-process dumps; scoped registries can [`MetricsRegistry::absorb`]
 //! into it.
@@ -448,8 +449,8 @@ impl MetricsRegistry {
 
     /// Folds a scoped registry's snapshot into this one: counters and
     /// histogram contents add, gauges take the maximum (peak
-    /// semantics). Used to roll per-engine/per-gate registries up
-    /// into the global one.
+    /// semantics). Used to roll per-engine registries up into the
+    /// global one.
     pub fn absorb(&self, snapshot: &MetricsSnapshot) {
         for (name, value) in &snapshot.metrics {
             match value {
