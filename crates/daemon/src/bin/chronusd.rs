@@ -69,7 +69,7 @@ fn main() -> ExitCode {
              flags: --config FILE --socket PATH --workers N --queue-bound N\n\
              \x20      --tenant-rate R --tenant-burst B --snapshot-dir DIR\n\
              \x20      --snapshot-interval-ms MS --step-ns NS --rearm-margin-ns NS\n\
-             \x20      --base-epoch-ns NS --cache-windows N --default-deadline-ms MS\n\
+             \x20      --base-epoch-ns NS --default-deadline-ms MS --engine-shards N\n\
              \x20      --flight-dir DIR --ring-slots N --slo-latency-ms MS\n\
              \x20      --slo-availability F --slo-burn-threshold X"
         );

@@ -44,10 +44,11 @@ pub struct DaemonConfig {
     /// Epoch anchor for the daemon's monotonic clock; `None` anchors
     /// to the wall clock at startup. Tests pin this for determinism.
     pub base_epoch_ns: Option<Nanos>,
-    /// Bound on the engine's memoized time-extended-network cache, in
-    /// windows. Each window is hundreds of KB in a worker's malloc
-    /// arena, so on small instances this bound is most of the daemon's
-    /// resident set (DESIGN.md §8); the default matches `queue_bound`.
+    /// Default 64. The daemon no longer reads it (it builds no
+    /// time-extended windows), and no flag or config key sets it.
+    /// `benchmark/src/layers.rs` sizes its own
+    /// `chronus_engine::TimeNetCache` and its warm-up from it; the field
+    /// goes when that cache does.
     pub cache_windows: usize,
     /// Target shard count for the engine's sharded multi-flow
     /// pre-stage; `0` or `1` disables sharding and every request is
@@ -161,7 +162,6 @@ impl DaemonConfig {
             "base_epoch_ns" => {
                 self.base_epoch_ns = Some(value.parse().map_err(|_| bad("nanoseconds"))?)
             }
-            "cache_windows" => self.cache_windows = value.parse().map_err(|_| bad("a count"))?,
             "engine_shards" => self.engine_shards = value.parse().map_err(|_| bad("a count"))?,
             "default_deadline_ms" => {
                 self.default_deadline_ms = value.parse().map_err(|_| bad("milliseconds"))?
@@ -227,11 +227,10 @@ impl DaemonConfig {
 
     /// The engine configuration the daemon boots its resident engine
     /// with: slack certification on (the journal stores the certified
-    /// tolerance) and a bounded warm cache.
+    /// tolerance).
     pub fn engine(&self) -> EngineConfig {
-        let cfg = EngineConfig::with_workers(self.workers.max(1))
-            .with_slack(SlackPolicy::default())
-            .with_cache_capacity(self.cache_windows.max(1));
+        let cfg =
+            EngineConfig::with_workers(self.workers.max(1)).with_slack(SlackPolicy::default());
         if self.engine_shards > 1 {
             cfg.with_sharding(chronus_engine::ShardingConfig {
                 shards: self.engine_shards,
@@ -310,5 +309,18 @@ mod tests {
         assert!(DaemonConfig::from_value(&v)
             .unwrap_err()
             .contains("wrokers"));
+    }
+
+    #[test]
+    fn cache_windows_is_no_longer_a_key() {
+        // The old `chronusd` flag reaches `apply_flag` with its dashes
+        // turned into underscores, as the config-file key does.
+        let err = DaemonConfig::default()
+            .apply_flag("cache_windows", "4")
+            .unwrap_err();
+        assert!(err.contains("unknown config key"), "{err}");
+        let v = serde_json::from_str(r#"{"cache_windows": 4}"#).unwrap();
+        let err = DaemonConfig::from_value(&v).unwrap_err();
+        assert!(err.contains("unknown config key"), "{err}");
     }
 }

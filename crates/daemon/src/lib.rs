@@ -13,10 +13,10 @@
 //!   per-tenant token-bucket rate limiting and bounded queues with
 //!   explicit shed responses, all counted in a `chronus_daemon_*`
 //!   scoped metrics registry.
-//! - **Warm state** ([`service`]): one resident [`chronus_engine::Engine`]
-//!   serves every request, so the memoized time-extended-network
-//!   cache stays hot across submissions, with hit/miss/eviction
-//!   gauges on the scrape.
+//! - **Resident engine** ([`service`]): one resident [`chronus_engine::Engine`]
+//!   serves every request, recycling its simulation workspaces
+//!   across submissions and recording into the one metrics registry
+//!   the scrape renders.
 //! - **Write-ahead journal** ([`journal`]): every certified, armed
 //!   schedule is appended (schedule + certificate + slack + arm
 //!   epoch) before the daemon acknowledges it. On restart the journal

@@ -794,20 +794,10 @@ impl Daemon {
     }
 
     /// Prometheus text exposition of the one registry: the daemon's
-    /// `chronus_daemon_*` series (cache gauges refreshed from the
-    /// engine's cache) sort before the engine's `chronus_engine_*`
-    /// ones. The render runs under the cache seqlock so the five cache
-    /// gauges are never a torn mix of two refreshes.
+    /// `chronus_daemon_*` series sort before the engine's
+    /// `chronus_engine_*` ones.
     pub fn metrics_text(&self) -> String {
         let inner = &self.inner;
-        let cache = inner.engine.cache();
-        inner.metrics.set_cache(
-            cache.hits(),
-            cache.misses(),
-            cache.evictions(),
-            cache.len() as u64,
-            cache.approx_bytes() as u64,
-        );
         if FlightRecorder::is_on() {
             inner
                 .metrics
@@ -824,15 +814,13 @@ impl Daemon {
                 .sum();
             inner.metrics.flight_dropped.set(dropped as i64);
         }
-        inner
-            .metrics
-            .render_consistent(inner.engine.metrics().registry())
+        inner.engine.metrics().registry().to_prometheus()
     }
 
     /// The live operational overview behind `chronusctl top`: queue
-    /// depths, per-tenant token-bucket levels, warm-cache hit rates,
-    /// plan-latency quantiles, SLO burn rates and flight-recorder
-    /// health, all in one JSON object.
+    /// depths, per-tenant token-bucket levels, plan-latency quantiles,
+    /// SLO burn rates and flight-recorder health, all in one JSON
+    /// object.
     pub fn top(&self) -> Value {
         let inner = &self.inner;
         let now = inner.now_ns();
@@ -880,19 +868,6 @@ impl Daemon {
             "armed".to_string(),
             Value::from_u64_exact(self.armed_len() as u64),
         );
-
-        let timenet = inner.engine.cache();
-        let (hits, misses) = (timenet.hits(), timenet.misses());
-        let mut cache = Map::new();
-        cache.insert("hits".to_string(), Value::from_u64_exact(hits));
-        cache.insert("misses".to_string(), Value::from_u64_exact(misses));
-        cache.insert(
-            "entries".to_string(),
-            Value::from_u64_exact(timenet.len() as u64),
-        );
-        let hit_rate = hits as f64 / (hits + misses).max(1) as f64;
-        cache.insert("hit_rate".to_string(), Value::from(hit_rate));
-        obj.insert("cache".to_string(), Value::Object(cache));
 
         let mut plan = Map::new();
         for (label, q) in [("p50_ns", 0.5), ("p90_ns", 0.9), ("p99_ns", 0.99)] {

@@ -114,7 +114,6 @@ fn fifty_submissions_scrape_and_drain_cleanly() {
         "# TYPE chronus_daemon_admitted_total counter",
         "# TYPE chronus_daemon_shed_rate_limited_total counter",
         "# TYPE chronus_daemon_queue_wait_ns histogram",
-        "# TYPE chronus_daemon_cache_hits gauge",
         "# TYPE chronus_engine_requests_completed_total counter",
     ] {
         assert!(text.contains(series), "scrape missing `{series}`:\n{text}");
@@ -141,11 +140,6 @@ fn fifty_submissions_scrape_and_drain_cleanly() {
         let burn = format!("chronus_daemon_slo_burn_{window}_x1000_tenant_0");
         assert!(sample(&burn) >= 0.0);
     }
-    // The repeated instance makes the warm cache pay off.
-    assert!(
-        sample("chronus_daemon_cache_hits") >= 1.0,
-        "resident cache saw no hits:\n{text}"
-    );
 
     // Aggregate status view.
     let all = client.status_all().expect("status all");
@@ -180,11 +174,6 @@ fn fifty_submissions_scrape_and_drain_cleanly() {
 const FAMILIES: &[&str] = &[
     "chronus_daemon_admitted_total",              // CI daemon-smoke step
     "chronus_daemon_armed_total",                 // fifty_submissions_scrape_and_drain_cleanly
-    "chronus_daemon_cache_bytes",                 // scrape_never_tears_the_cache_gauges
-    "chronus_daemon_cache_entries",               // scrape_never_tears_the_cache_gauges
-    "chronus_daemon_cache_evictions",             // benchmark/
-    "chronus_daemon_cache_hits",                  // benchmark/
-    "chronus_daemon_cache_misses",                // benchmark/
     "chronus_daemon_completed_total",             // fifty_submissions_scrape_and_drain_cleanly
     "chronus_daemon_confirmed_total", // armed_schedules_survive_a_crash_and_rearm_within_slack
     "chronus_daemon_connections_total", // fifty_submissions_scrape_and_drain_cleanly

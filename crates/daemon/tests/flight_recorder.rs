@@ -263,7 +263,7 @@ fn connect(socket: &Path) -> CtlClient {
 }
 
 /// `top` and `tail` live over a real Unix socket: top reports queues,
-/// cache, SLO burn and recorder state; tail replays `engine.plan`
+/// SLO burn and recorder state; tail replays `engine.plan`
 /// events from the ring; dump writes an operator-initiated file.
 #[test]
 fn top_and_tail_are_live_over_the_socket() {
@@ -312,9 +312,10 @@ fn top_and_tail_are_live_over_the_socket() {
     // top: one JSON object with the live operational surface.
     let top = client.top().expect("top");
     assert_eq!(top.get("state").and_then(Value::as_str), Some("running"));
-    for key in ["queues", "tenants", "updates", "cache", "slo", "flight"] {
+    for key in ["queues", "tenants", "updates", "slo", "flight"] {
         assert!(top.get(key).is_some(), "top missing `{key}`: {top:?}");
     }
+    assert!(top.get("cache").is_none(), "{top:?}");
     assert_eq!(
         top.get("armed").and_then(Value::as_u64_exact),
         Some(ids.len() as u64)

@@ -1,34 +1,27 @@
-//! Memoized time-extended-network construction.
+//! Memoized time-extended-network construction, kept off every
+//! request path.
 //!
-//! Materializing `G_T` is the one piece of planning work that is a
-//! pure function of `(topology, flow, horizon)`: batches that replan
-//! the same flow (retries, deadline re-submissions, emulator reruns)
-//! rebuild an identical window every time. The engine shares one
-//! [`TimeNetCache`] across all planning threads and memoizes the owned
-//! [`MaterializedTimeNet`] snapshot per key.
+//! No planner and no daemon path uses this module: every planner
+//! works from the `UpdateInstance` directly, and the engine builds no
+//! `G_T` window while planning. The type stays only because the
+//! benchmark's traced in-process replay still times a lookup through
+//! [`TimeNetCache`] / [`CacheKey`] / [`crate::planning_horizon`];
+//! ROADMAP item 1(a) drops those timings and deletes this module.
 //!
-//! A long-running service (the `chronusd` daemon) keeps one engine —
-//! and hence one cache — resident across its whole lifetime, so the
-//! cache optionally takes a capacity bound: when set, inserting past
-//! it evicts the oldest window (FIFO), counted by
-//! [`TimeNetCache::evictions`]. Unbounded remains the default for
-//! batch use.
+//! [`TimeNetCache`] memoizes the owned [`MaterializedTimeNet`] snapshot
+//! per `(topology, flow, horizon)` key across threads. It optionally
+//! takes a capacity bound: when set, inserting past it evicts the
+//! oldest window (FIFO), counted by [`TimeNetCache::evictions`].
 // `flows[0]`: the engine plans single-flow instances (the cache key
 // is per-flow by design).
 #![allow(clippy::indexing_slicing)]
 
+use crate::pool::lock;
 use chronus_net::{Flow, Network, TimeStep, UpdateInstance};
 use chronus_timenet::{MaterializedTimeNet, TimeExtendedNetwork};
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
-
-/// Locks `m`, recovering a poisoned guard: the engine's mutexes
-/// protect plain collections that every update leaves coherent, so a
-/// thread that panicked while holding one abandoned nothing half-done.
-pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
-}
+use std::sync::{Arc, Mutex, OnceLock};
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;

@@ -25,7 +25,6 @@
 // batches are split into one request per flow upstream.
 #![allow(clippy::indexing_slicing)]
 
-use crate::cache::{CacheKey, TimeNetCache};
 use crate::metrics::EngineMetrics;
 use crate::pool::EngineConfig;
 use crate::request::{RequestId, UpdateRequest};
@@ -169,12 +168,11 @@ pub struct PlannedUpdate {
     pub attempts: Vec<StageAttempt>,
     /// Total planning wall-clock time for this request.
     pub elapsed: Duration,
-    /// `true` when the time-extended window came from the shared cache.
+    /// Always `true`: planning built no time-extended window, so there
+    /// was no window lookup to miss. Kept until
+    /// [`crate::TimeNetCache`] goes, for callers that still subtract a
+    /// lookup's cost from [`PlannedUpdate::elapsed`].
     pub cache_hit: bool,
-    /// `|V_T|` of the request's time-extended window.
-    pub te_nodes: usize,
-    /// `|E_T|` of the request's time-extended window.
-    pub te_links: usize,
     /// `true` when the deadline expired before every optimizing stage
     /// could run (the plan is then the two-phase fallback).
     pub deadline_exceeded: bool,
@@ -240,9 +238,10 @@ impl fmt::Display for PlanError {
 
 impl std::error::Error for PlanError {}
 
-/// The planning horizon used for the cached time-extended window: the
-/// instance's total path delay, the natural upper bound on how far
-/// into past and future a consistent migration can reach.
+/// The horizon a [`crate::TimeNetCache`] window for `instance` is keyed
+/// on: the instance's total path delay, the natural upper bound on how
+/// far into past and future a consistent migration can reach. No
+/// planning stage reads it.
 pub fn planning_horizon(instance: &UpdateInstance) -> TimeStep {
     instance.total_path_delay().max(1) as TimeStep
 }
@@ -305,10 +304,10 @@ fn buy_slack(
     best
 }
 
-/// Walks the fallback chain for one request against a shared cache,
-/// recording per-stage metrics. This is the worker-side entry point;
-/// it is deterministic for a fixed request whenever the deadline does
-/// not bite (every stage is itself deterministic).
+/// Walks the fallback chain for one request, recording per-stage
+/// metrics. This is the worker-side entry point; it is deterministic
+/// for a fixed request whenever the deadline does not bite (every
+/// stage is itself deterministic).
 ///
 /// Of `config` it reads `verify` (certification), `slack` (the
 /// post-win slack stage) and `sharding` (the opt-in multi-flow
@@ -317,7 +316,6 @@ fn buy_slack(
 /// does not re-allocate the load ledger per request.
 pub fn plan_with_chain(
     req: &UpdateRequest,
-    cache: &TimeNetCache,
     metrics: &EngineMetrics,
     ws: &mut SimWorkspace,
     config: &EngineConfig,
@@ -331,11 +329,6 @@ pub fn plan_with_chain(
         flows = instance.flows.len()
     )
     .entered();
-
-    // Memoized time-extended window: the planning context shared by
-    // identical re-plans of the same (topology, flow, horizon).
-    let key = CacheKey::for_instance(instance, planning_horizon(instance));
-    let (timenet, cache_hit) = cache.get_or_materialize(key, instance);
 
     let mut attempts = Vec::with_capacity(Stage::CHAIN.len());
     let mut winner: Option<(Stage, PlanKind, Option<Certificate>)> = None;
@@ -576,7 +569,6 @@ pub fn plan_with_chain(
     }
     if plan_span.is_recording() {
         plan_span.record("winner", winner_stage.to_string());
-        plan_span.record("cache_hit", cache_hit);
         plan_span.record("deadline_exceeded", deadline_exceeded);
         plan_span.record("certified", certificate.is_some());
     }
@@ -588,9 +580,7 @@ pub fn plan_with_chain(
         winner: winner_stage,
         attempts,
         elapsed: started.elapsed(),
-        cache_hit,
-        te_nodes: timenet.nodes.len(),
-        te_links: timenet.links.len(),
+        cache_hit: true,
         deadline_exceeded,
         certificate,
         slack,
@@ -609,17 +599,16 @@ pub fn plan_with_chain(
     planned
 }
 
-/// Plans `requests` one by one on the calling thread against a fresh
-/// cache — the reference behaviour the concurrent engine must
+/// Plans `requests` one by one on the calling thread with fresh
+/// metrics — the reference behaviour the concurrent engine must
 /// reproduce plan-for-plan (see the equivalence property test).
 pub fn plan_sequential(requests: &[UpdateRequest]) -> Vec<PlannedUpdate> {
-    let cache = TimeNetCache::new();
     let metrics = EngineMetrics::new();
     let mut ws = SimWorkspace::default();
     let config = EngineConfig::default();
     requests
         .iter()
-        .map(|r| plan_with_chain(r, &cache, &metrics, &mut ws, &config))
+        .map(|r| plan_with_chain(r, &metrics, &mut ws, &config))
         .collect()
 }
 
@@ -639,17 +628,10 @@ mod tests {
     /// One chain walk on fresh buffers under `config`.
     fn plan(
         request: &UpdateRequest,
-        cache: &TimeNetCache,
         metrics: &EngineMetrics,
         config: &EngineConfig,
     ) -> PlannedUpdate {
-        plan_with_chain(
-            request,
-            cache,
-            metrics,
-            &mut SimWorkspace::default(),
-            config,
-        )
+        plan_with_chain(request, metrics, &mut SimWorkspace::default(), config)
     }
 
     /// k=4 fat tree with one pod-local migration per pod — fully
@@ -692,11 +674,10 @@ mod tests {
     #[test]
     fn sharded_stage_wins_multi_flow_requests_when_configured() {
         let inst = separable_instance();
-        let cache = TimeNetCache::new();
         let metrics = EngineMetrics::new();
         let request = UpdateRequest::new(1, Arc::new(inst.clone()), Duration::from_secs(30));
         let sharded = EngineConfig::default().with_sharding(ShardingConfig::default());
-        let planned = plan(&request, &cache, &metrics, &sharded);
+        let planned = plan(&request, &metrics, &sharded);
         assert_eq!(planned.winner, Stage::Sharded);
         assert_eq!(planned.attempts.len(), 4);
         for stage in [Stage::Greedy, Stage::Tree, Stage::TwoPhase] {
@@ -715,17 +696,16 @@ mod tests {
             Verdict::Consistent
         );
         // Without a sharding config the attempt list stays three-stage.
-        let unsharded = plan(&request, &cache, &metrics, &EngineConfig::default());
+        let unsharded = plan(&request, &metrics, &EngineConfig::default());
         assert!(unsharded.attempt(Stage::Sharded).is_none());
         assert_eq!(unsharded.attempts.len(), 3);
     }
 
     #[test]
     fn sharded_stage_skips_single_flow_requests() {
-        let cache = TimeNetCache::new();
         let metrics = EngineMetrics::new();
         let sharded = EngineConfig::default().with_sharding(ShardingConfig::default());
-        let planned = plan(&req(Duration::from_secs(30)), &cache, &metrics, &sharded);
+        let planned = plan(&req(Duration::from_secs(30)), &metrics, &sharded);
         assert_eq!(planned.winner, Stage::Greedy);
         assert_eq!(planned.attempts.len(), 4);
         assert_eq!(
@@ -736,11 +716,9 @@ mod tests {
 
     #[test]
     fn greedy_wins_the_motivating_example() {
-        let cache = TimeNetCache::new();
         let metrics = EngineMetrics::new();
         let planned = plan(
             &req(Duration::from_secs(30)),
-            &cache,
             &metrics,
             &EngineConfig::default(),
         );
@@ -768,14 +746,8 @@ mod tests {
 
     #[test]
     fn zero_deadline_degrades_to_two_phase() {
-        let cache = TimeNetCache::new();
         let metrics = EngineMetrics::new();
-        let planned = plan(
-            &req(Duration::ZERO),
-            &cache,
-            &metrics,
-            &EngineConfig::default(),
-        );
+        let planned = plan(&req(Duration::ZERO), &metrics, &EngineConfig::default());
         assert_eq!(planned.winner, Stage::TwoPhase);
         assert!(planned.deadline_exceeded);
         assert!(matches!(planned.plan, PlanKind::TwoPhase(_)));
@@ -789,14 +761,8 @@ mod tests {
 
     #[test]
     fn two_phase_plan_reports_plan_error_instead_of_panicking() {
-        let cache = TimeNetCache::new();
         let metrics = EngineMetrics::new();
-        let planned = plan(
-            &req(Duration::ZERO),
-            &cache,
-            &metrics,
-            &EngineConfig::default(),
-        );
+        let planned = plan(&req(Duration::ZERO), &metrics, &EngineConfig::default());
         assert_eq!(planned.winner, Stage::TwoPhase);
         let err = planned
             .timed_schedule()
@@ -813,13 +779,12 @@ mod tests {
 
     #[test]
     fn disabled_verification_skips_certificates() {
-        let cache = TimeNetCache::new();
         let metrics = EngineMetrics::new();
         let unverified = EngineConfig {
             verify: VerifyConfig::disabled(),
             ..EngineConfig::default()
         };
-        let planned = plan(&req(Duration::from_secs(30)), &cache, &metrics, &unverified);
+        let planned = plan(&req(Duration::from_secs(30)), &metrics, &unverified);
         assert_eq!(planned.winner, Stage::Greedy);
         assert!(planned.certificate.is_none());
         assert_eq!(metrics.report().certs.skipped, 1);
@@ -847,12 +812,7 @@ mod tests {
     fn slack_searches(instance: UpdateInstance) -> (PlannedUpdate, usize) {
         let request = UpdateRequest::new(9, Arc::new(instance), Duration::from_secs(30));
         let config = EngineConfig::default().with_slack(SlackPolicy::default());
-        let planned = plan(
-            &request,
-            &TimeNetCache::new(),
-            &EngineMetrics::new(),
-            &config,
-        );
+        let planned = plan(&request, &EngineMetrics::new(), &config);
         // Other tests of this binary may be planning concurrently; keep
         // only the searches whose grandparent is this plan's span.
         let records = chronus_trace::Collector::drain();

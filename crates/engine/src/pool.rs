@@ -1,11 +1,10 @@
-//! The engine proper: shared planning state (config, metrics, cache,
-//! reusable workspaces) that plans on its callers' threads.
+//! The engine proper: shared planning state (config, metrics, reusable
+//! workspaces) that plans on its callers' threads.
 // The one `expect` asserts that every batch slot was filled (a lane
 // that panicked has already re-raised through the scope); a failure
 // is a bug, and panicking the caller is the designed response.
 #![allow(clippy::expect_used)]
 
-use crate::cache::{lock, TimeNetCache};
 use crate::fallback::{plan_with_chain, PlannedUpdate, SlackPolicy};
 use crate::metrics::{EngineMetrics, PlanReport};
 use crate::request::UpdateRequest;
@@ -14,9 +13,16 @@ use chronus_net::UpdateInstance;
 use chronus_timenet::SimWorkspace;
 use chronus_verify::VerifyConfig;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::thread;
 use std::time::Duration;
+
+/// Locks `m`, recovering a poisoned guard: the engine's mutexes
+/// protect plain collections that every update leaves coherent, so a
+/// thread that panicked while holding one abandoned nothing half-done.
+pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// Engine construction parameters.
 #[derive(Clone, Debug)]
@@ -37,12 +43,6 @@ pub struct EngineConfig {
     /// target. `None` (the default) skips the stage — plans ship
     /// exactly as the planners produced them.
     pub slack: Option<SlackPolicy>,
-    /// Bound on the shared time-extended-network cache, in windows;
-    /// the oldest window is evicted past it (see
-    /// [`TimeNetCache::bounded`]). `None` (the default) keeps the
-    /// cache unbounded, which suits batch runs; long-running services
-    /// should bound it.
-    pub cache_capacity: Option<usize>,
     /// Sharded multi-flow planning: when set, multi-flow requests run
     /// the sharded pre-stage — topology partitioning plus per-shard
     /// parallel planning over a shared-link capacity-reservation
@@ -58,7 +58,6 @@ impl Default for EngineConfig {
             default_deadline: Duration::from_secs(5),
             verify: VerifyConfig::default(),
             slack: None,
-            cache_capacity: None,
             sharding: None,
         }
     }
@@ -80,13 +79,6 @@ impl EngineConfig {
         self
     }
 
-    /// Bounds the time-extended-network cache (builder style).
-    #[must_use]
-    pub fn with_cache_capacity(mut self, windows: usize) -> Self {
-        self.cache_capacity = Some(windows);
-        self
-    }
-
     /// Enables the sharded multi-flow pre-stage (builder style).
     #[must_use]
     pub fn with_sharding(mut self, sharding: ShardingConfig) -> Self {
@@ -98,8 +90,7 @@ impl EngineConfig {
 /// A concurrent batched update-planning engine.
 ///
 /// The engine is shared state and owns no threads: the configuration,
-/// one metrics sink, one time-extended-network cache and a stack of
-/// reusable simulation workspaces. [`Engine::plan_one`] plans on the
+/// one metrics sink and a stack of reusable simulation workspaces. [`Engine::plan_one`] plans on the
 /// calling thread; [`Engine::plan_batch`] spreads a batch over
 /// `workers` scoped lanes that end with the call.
 ///
@@ -114,7 +105,6 @@ impl EngineConfig {
 /// println!("{}", engine.report());
 /// ```
 pub struct Engine {
-    cache: TimeNetCache,
     metrics: EngineMetrics,
     config: EngineConfig,
     /// Idle workspaces, at most `config.workers` of them: the greedy
@@ -131,10 +121,6 @@ impl Engine {
     pub fn new(config: EngineConfig) -> Self {
         assert!(config.workers > 0, "engine needs at least one worker");
         Engine {
-            cache: match config.cache_capacity {
-                Some(cap) => TimeNetCache::bounded(cap),
-                None => TimeNetCache::new(),
-            },
             metrics: EngineMetrics::new(),
             workspaces: Mutex::new(Vec::new()),
             config,
@@ -159,7 +145,7 @@ impl Engine {
     }
 
     fn plan_in(&self, request: &UpdateRequest, ws: &mut SimWorkspace) -> PlannedUpdate {
-        plan_with_chain(request, &self.cache, &self.metrics, ws, &self.config)
+        plan_with_chain(request, &self.metrics, ws, &self.config)
     }
 
     /// Plans a single request on the calling thread.
@@ -227,11 +213,6 @@ impl Engine {
     pub fn metrics(&self) -> &EngineMetrics {
         &self.metrics
     }
-
-    /// The shared time-extended-network cache (for inspection).
-    pub fn cache(&self) -> &TimeNetCache {
-        &self.cache
-    }
 }
 
 #[cfg(test)]
@@ -260,11 +241,6 @@ mod tests {
         assert_eq!(report.completed, 8);
         assert_eq!(report.certs.issued, 8);
         assert_eq!(report.certs.failed + report.certs.skipped, 0);
-        // All requests share one cache key: workers racing on the
-        // cold key wait for the one that materializes it.
-        let cache = engine.cache();
-        assert_eq!(cache.len(), 1);
-        assert_eq!((cache.hits(), cache.misses()), (7, 1));
     }
 
     #[test]
@@ -323,21 +299,6 @@ mod tests {
         assert!((1..=2).contains(&idle), "{idle} idle workspaces");
         assert_eq!(arena(), settled, "batch lanes recycle too");
         assert_eq!(engine.report().completed, 200 + 24);
-    }
-
-    #[test]
-    fn bounded_cache_keeps_resident_state_capped() {
-        use chronus_net::reversal_instance;
-        let engine = Engine::new(EngineConfig::with_workers(1).with_cache_capacity(2));
-        // Distinct topologies -> distinct cache keys.
-        for n in [4, 5, 6, 7] {
-            let inst = Arc::new(reversal_instance(n, 2, 1));
-            let plans = engine.plan_instances(vec![inst]);
-            assert_eq!(plans.len(), 1);
-        }
-        let cache = engine.cache();
-        assert!(cache.len() <= 2, "entries {}", cache.len());
-        assert!(cache.evictions() >= 2, "evictions {}", cache.evictions());
     }
 
     #[test]

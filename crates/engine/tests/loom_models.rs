@@ -10,9 +10,10 @@
 //! 1. **cursor lanes** — the lanes of a batch claim indices off one
 //!    atomic cursor and fill every answer slot exactly once, while a
 //!    second batch takes from and returns to the same workspace stack;
-//! 2. **cache insert race** — two planning threads racing a cold cache
-//!    key both leave with the one window either of them built and the
-//!    map keeps one entry.
+//! 2. **cache insert race** — two threads racing a cold
+//!    `TimeNetCache` key both leave with the one window either of them
+//!    built and the map keeps one entry (no planning path uses the
+//!    cache; the model stays as long as the type does).
 
 #![cfg(loom)]
 

@@ -4,7 +4,7 @@
 
 use chronus_engine::{
     plan_with_chain, EngineConfig, EngineMetrics, PlannedUpdate, ShardingConfig, SlackPolicy,
-    TimeNetCache, UpdateRequest,
+    UpdateRequest,
 };
 use chronus_net::topology::{fat_tree, LinkParams};
 use chronus_net::{
@@ -23,7 +23,6 @@ fn plan(id: u64, instance: UpdateInstance, config: &EngineConfig) -> PlannedUpda
     let request = UpdateRequest::new(id, Arc::new(instance), Duration::from_secs(600));
     plan_with_chain(
         &request,
-        &TimeNetCache::new(),
         &EngineMetrics::new(),
         &mut SimWorkspace::default(),
         config,

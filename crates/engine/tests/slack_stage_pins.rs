@@ -12,8 +12,7 @@
 //! plan.
 
 use chronus_engine::{
-    plan_with_chain, EngineConfig, EngineMetrics, ShardingConfig, SlackPolicy, TimeNetCache,
-    UpdateRequest,
+    plan_with_chain, EngineConfig, EngineMetrics, ShardingConfig, SlackPolicy, UpdateRequest,
 };
 use chronus_net::routing::{random_simple_path, seeded_rng};
 use chronus_net::topology::{self, fat_tree, LinkParams, TopologyConfig};
@@ -172,13 +171,12 @@ fn slack_stage_ships_the_pinned_plans() {
             shards: 8,
             ..ShardingConfig::default()
         });
-    let cache = TimeNetCache::new();
     let metrics = EngineMetrics::new();
     let mut ws = SimWorkspace::default();
     let mut hash = Fnv::new();
     for (id, inst) in pool.into_iter().enumerate() {
         let req = UpdateRequest::new(id as u64, Arc::new(inst), Duration::from_secs(600));
-        let planned = plan_with_chain(&req, &cache, &metrics, &mut ws, &config);
+        let planned = plan_with_chain(&req, &metrics, &mut ws, &config);
         hash.u64(planned.winner as u64);
         if let Some(schedule) = planned.plan.schedule() {
             hash.u64(schedule.len() as u64);

@@ -9,8 +9,7 @@
 //! reversals of several sizes) are submitted to a 4-worker
 //! `chronus-engine`. Each request walks the greedy → tree → two-phase
 //! fallback chain under its deadline; the batch report shows which
-//! stage won, the time-extended-network cache hit rate and per-stage
-//! latencies. Every emitted schedule is certified by the exact fluid
+//! stage won and per-stage latencies. Every emitted schedule is certified by the exact fluid
 //! simulator, then replayed on the discrete-event emulator through the
 //! `Engine` update driver — the full controller path from "please move
 //! these flows" to packets on the wire.

@@ -52,13 +52,6 @@ fn percentile_ms(text: &str, series: &str, q: f64) -> f64 {
     f64::INFINITY
 }
 
-fn counter(text: &str, series: &str) -> f64 {
-    text.lines()
-        .find_map(|l| l.strip_prefix(&format!("{series} ")))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0.0)
-}
-
 fn main() {
     let seed: u64 = std::env::args()
         .nth(1)
@@ -133,11 +126,10 @@ fn main() {
         shed_queue,
         armed
     );
-    let hits = counter(&text, "chronus_daemon_cache_hits");
-    let misses = counter(&text, "chronus_daemon_cache_misses");
     println!(
-        "warm cache: {hits} hits / {misses} misses ({:.0}% hit rate)",
-        100.0 * hits / (hits + misses).max(1.0)
+        "planning: p50 <= {:.3} ms, p99 <= {:.3} ms",
+        percentile_ms(&text, "chronus_daemon_plan_ns", 0.50),
+        percentile_ms(&text, "chronus_daemon_plan_ns", 0.99),
     );
     println!("latency percentiles (log2-bucket upper bounds):");
     for series in [

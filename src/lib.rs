@@ -40,7 +40,7 @@
 //! - [`daemon`] — `chronusd`, the long-running update service: a
 //!   Unix-socket line-JSON IPC server wrapping the engine with
 //!   priority-class admission queues, per-tenant token-bucket rate
-//!   limits, a warm resident planning cache, and a write-ahead
+//!   limits, one resident planning engine, and a write-ahead
 //!   journal of certified armed schedules that the restart path
 //!   re-arms within certified slack or rolls back (plus the
 //!   `chronusctl` CLI client).
