@@ -2,12 +2,13 @@
 //!
 //! The sharded planner (`chronus_core::shard`) exists to make K-flow
 //! updates on fabric-scale topologies *faster* without giving up the
-//! joint proof: pods plan in parallel against reserved slices of the
-//! shared links, and the per-shard certificates compose into one
-//! sealed joint certificate. This bench measures exactly that claim:
-//! the same K-flow instances planned **sharded** (pod partition,
-//! parallel workers, composed certificate) and **jointly** (one
-//! monolithic greedy run), both arms with certification on, on
+//! joint proof: pods plan uncertified in parallel against reserved
+//! slices of the shared links, and the merged schedule gets one
+//! verdict-only check against the whole instance. This bench measures
+//! exactly that claim: the same K-flow instances planned **sharded**
+//! (pod partition, parallel workers, the joint check's certificate) and
+//! **jointly** (one monolithic greedy run), both arms with
+//! certification on, on
 //! fat-tree fabrics at the nominal scales n ∈ {512, 2048} (arity 20 →
 //! 500 switches, arity 40 → 2000 switches) and K ∈ {8, 32, 128} flows.
 //!

@@ -8,7 +8,7 @@
 //! parallel**, coordinating only where shards genuinely interact: the
 //! shared links, links loaded by flows of two or more shards.
 //!
-//! ## The reservation protocol (reserve → plan → commit)
+//! ## The reservation protocol (reserve → plan → check)
 //!
 //! 1. **Reserve.** A [`ReservationTable`] grants every shard a slice
 //!    of each shared link's capacity. When the shards' *static needs*
@@ -19,21 +19,21 @@
 //!    full static need (headroom 1, betting that shard peaks do not
 //!    coincide in time) and the proportional fair share (headroom 0,
 //!    guaranteed additive), tightening every round.
-//! 2. **Plan.** Each populated shard plans its own flows with the
-//!    ordinary greedy scheduler against a network whose shared links
-//!    are clamped to the shard's grant — so the shard's exact gate
+//! 2. **Plan.** Each populated shard plans its own flows, uncertified,
+//!    with the ordinary greedy scheduler against a network whose shared
+//!    links are clamped to the shard's grant — so the shard's exact gate
 //!    enforces the reservation with no new machinery.
-//! 3. **Commit.** The per-shard certificates are composed
-//!    (`chronus_verify::compose_certificates`) into a joint proof that
-//!    re-checks exactly the shared links. A composition failure is a
+//! 3. **Check.** The merged schedule gets one verdict-only
+//!    certification against the original instance. A refusal is a
 //!    **conflict** — two optimistic grants overlapped in time — and
 //!    triggers a replan round with less headroom; after
-//!    [`ShardingConfig::max_rounds`] the planner falls back to the
-//!    joint greedy, so sharding never loses feasibility, only time.
+//!    [`MAX_ROUNDS`] rounds the planner falls back to the joint greedy,
+//!    so sharding never loses feasibility, only time.
 //!
-//! With certification disabled there are no certificates to compose,
-//! so only safe (statically additive) grants are used; contended
-//! instances go straight to the joint path.
+//! The joint check runs whatever `greedy.verify` says, as the exact
+//! gate does; `greedy.verify.enabled` only decides whether the outcome
+//! carries the resulting certificate (link bounds, no boundary
+//! witnesses).
 //!
 //! Single-shard cases — one flow, one populated shard, or `shards <=
 //! 1` — delegate verbatim to [`greedy_schedule_in`], so their
@@ -49,9 +49,20 @@ use crate::ScheduleError;
 use chronus_net::partition::{split_instance, SharedLink};
 use chronus_net::{Capacity, SwitchId, TimeStep, UpdateInstance};
 use chronus_timenet::{Schedule, SimWorkspace};
-use chronus_verify::{compose_certificates, Certificate};
+use chronus_verify::{certify_with, Certificate, VerifyConfig};
 use std::collections::BTreeMap;
 use std::sync::mpsc;
+
+/// Planning rounds on contended shared links before falling back to
+/// the joint greedy. Round 0 grants full static needs; the last round
+/// grants proportional fair shares.
+const MAX_ROUNDS: usize = 3;
+
+/// The joint check: a verdict plus link bounds, no boundary witnesses.
+const JOINT_CHECK: VerifyConfig = VerifyConfig {
+    enabled: true,
+    witnesses: false,
+};
 
 /// Tuning knobs for [`shard_schedule_with`].
 #[derive(Clone, Copy, Debug)]
@@ -59,23 +70,9 @@ pub struct ShardingConfig {
     /// Target shard count; the partitioner may produce fewer (it
     /// never splits a fat-tree pod). `<= 1` disables sharding.
     pub shards: usize,
-    /// Planning rounds before falling back to the joint greedy. Round
-    /// 0 is the most optimistic; the last round grants proportional
-    /// fair shares.
-    pub max_rounds: usize,
-    /// Initial optimism in `[0, 1]`: how far above its fair share a
-    /// contending shard's first-round grant reaches toward its full
-    /// static need (the augmentation-speed knob — more headroom means
-    /// faster schedules when shard peaks interleave, more replans when
-    /// they collide).
-    pub headroom: f64,
-    /// Plan shards on parallel worker threads (default true; the
-    /// merged result is identical either way — shard plans are
-    /// independent given their grants).
-    pub parallel: bool,
-    /// Per-shard planner configuration. `verify.enabled` also gates
-    /// the optimistic rounds: without certificates conflicts cannot be
-    /// detected, so only statically safe grants are used.
+    /// Planner configuration for the delegated and joint-fallback
+    /// runs. Shards plan with it uncertified; `verify.enabled` decides
+    /// whether a sharded outcome carries the joint check's certificate.
     pub greedy: GreedyConfig,
 }
 
@@ -83,9 +80,6 @@ impl Default for ShardingConfig {
     fn default() -> Self {
         ShardingConfig {
             shards: 8,
-            max_rounds: 3,
-            headroom: 1.0,
-            parallel: true,
             greedy: GreedyConfig::default(),
         }
     }
@@ -102,7 +96,7 @@ pub struct ShardStats {
     pub shared_links: usize,
     /// Replan rounds consumed beyond the first (0 = first try stuck).
     pub replan_rounds: usize,
-    /// Reservation conflicts detected by certificate composition.
+    /// Reservation conflicts: merged schedules the joint check refused.
     pub conflicts: usize,
     /// Whether the planner gave up on sharding and planned jointly.
     pub fell_back_joint: bool,
@@ -115,9 +109,9 @@ pub struct ShardOutcome {
     pub schedule: Schedule,
     /// Makespan across all shards (latest update step).
     pub makespan: TimeStep,
-    /// The joint certificate: composed from the per-shard proofs on
-    /// the sharded path, the ordinary greedy certificate on delegated
-    /// or fallback paths, `None` when certification is disabled.
+    /// The joint check's certificate on the sharded path, the ordinary
+    /// greedy certificate on delegated or fallback paths, `None` when
+    /// `greedy.verify` is disabled.
     pub certificate: Option<Certificate>,
     /// How the plan came together.
     pub stats: ShardStats,
@@ -257,23 +251,16 @@ pub fn shard_schedule_in(
     }
 
     let mut table = ReservationTable::new(split.shared_links.clone(), split.partition.shards);
-    let verify_on = config.greedy.verify.enabled;
-    let conservative = table.conservative();
-    // Without certificates, conflicts are undetectable — only take the
-    // sharded path when static needs make every grant safe.
-    let rounds = if conservative {
-        1
-    } else if verify_on {
-        config.max_rounds.max(1)
-    } else {
-        0
+    let rounds = if table.conservative() { 1 } else { MAX_ROUNDS };
+    let shard_greedy = GreedyConfig {
+        verify: VerifyConfig::disabled(),
+        ..config.greedy
     };
-
     for round in 0..rounds {
-        let headroom = if rounds <= 1 || conservative {
+        let headroom = if rounds == 1 {
             1.0
         } else {
-            config.headroom.clamp(0.0, 1.0) * (rounds - 1 - round) as f64 / (rounds - 1) as f64
+            (rounds - 1 - round) as f64 / (rounds - 1) as f64
         };
         table.grant_round(headroom);
         stats.replan_rounds = round;
@@ -282,42 +269,34 @@ pub fn shard_schedule_in(
         for &s in &populated {
             shard_instances.push(shard_instance(instance, &split.flow_shards[s], s, &table)?);
         }
-        let outcomes = match plan_shards(&shard_instances, &config, workspace) {
+        let outcomes = match plan_shards(&shard_instances, shard_greedy, workspace) {
             Ok(o) => o,
             // A shard failing at these grants will not pass tighter
             // ones — contention only grows as headroom shrinks — so
             // fall straight back to the joint planner.
             Err(_) => break,
         };
-
-        if verify_on {
-            let certs: Vec<Certificate> = outcomes
-                .iter()
-                .filter_map(|o| o.certificate.clone())
-                .collect();
-            if certs.len() != outcomes.len() {
-                break; // a shard lost its certificate: cannot compose
+        let mut schedule = Schedule::new();
+        for o in &outcomes {
+            for (flow, switch, t) in o.schedule.iter() {
+                schedule.set(flow, switch, t);
             }
-            match compose_certificates(instance, &certs) {
-                Ok(joint_cert) => {
-                    let out = merged(&outcomes, Some(joint_cert), stats);
-                    span.record("fell_back_joint", false);
-                    return Ok(out);
-                }
-                Err(_) => {
-                    stats.conflicts += 1;
-                    continue;
-                }
+        }
+        match certify_with(instance, &schedule, &JOINT_CHECK) {
+            Ok(certificate) => {
+                span.record("fell_back_joint", false);
+                return Ok(ShardOutcome {
+                    schedule,
+                    makespan: outcomes.iter().map(|o| o.makespan).max().unwrap_or(0),
+                    certificate: config.greedy.verify.enabled.then_some(certificate),
+                    stats,
+                });
             }
-        } else {
-            // Conservative grants are additive: no composition needed.
-            let out = merged(&outcomes, None, stats);
-            span.record("fell_back_joint", false);
-            return Ok(out);
+            Err(_) => stats.conflicts += 1,
         }
     }
 
-    // Out of rounds (or conflicts undetectable): joint fallback.
+    // Out of rounds: joint fallback.
     stats.fell_back_joint = true;
     span.record("fell_back_joint", true);
     let joint = greedy_schedule_in(instance, config.greedy, workspace)?;
@@ -332,8 +311,8 @@ pub fn shard_schedule_in(
 /// fixed routes, so a shard's planner never looks at a link outside
 /// its flows' initial and final paths — but the simulator's
 /// per-candidate cost scales with the network it is handed. Keeping
-/// the full switch numbering (so certificates compose against the
-/// original instance) while dropping every untouched link makes each
+/// the full switch numbering (so the merged schedule is checked against
+/// the original instance) while dropping every untouched link makes each
 /// shard pay for its own region, not the whole fabric.
 fn shard_instance(
     instance: &UpdateInstance,
@@ -380,9 +359,9 @@ fn shard_instance(
     UpdateInstance::new(builder.build(), flows).map_err(ScheduleError::from)
 }
 
-/// Plans every shard instance, in parallel when configured. Results
-/// come back in shard order regardless of completion order, so the
-/// merged schedule is deterministic.
+/// Plans every shard instance in parallel. Results come back in shard
+/// order regardless of completion order, so the merged schedule is
+/// deterministic.
 ///
 /// Parallel means one lane per core, not one thread per shard: lane
 /// `l` of `n` plans shards `l`, `l + n`, … on one workspace. The
@@ -392,22 +371,18 @@ fn shard_instance(
 /// (worker threads only pay off when there are cores to run them).
 fn plan_shards(
     instances: &[UpdateInstance],
-    config: &ShardingConfig,
+    greedy: GreedyConfig,
     workspace: &mut SimWorkspace,
 ) -> Result<Vec<GreedyOutcome>, ScheduleError> {
-    let lanes = if config.parallel {
-        let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-        instances.len().min(cores).max(1)
-    } else {
-        1
-    };
+    let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+    let lanes = instances.len().min(cores).max(1);
     let lane = |first: usize, ws: &mut SimWorkspace| -> Vec<_> {
         instances
             .iter()
             .enumerate()
             .skip(first)
             .step_by(lanes)
-            .map(|(i, inst)| (i, greedy_schedule_in(inst, config.greedy, ws)))
+            .map(|(i, inst)| (i, greedy_schedule_in(inst, greedy, ws)))
             .collect()
     };
     let mut slots: Vec<Option<Result<GreedyOutcome, ScheduleError>>> =
@@ -438,28 +413,6 @@ fn plan_shards(
             })
         })
         .collect()
-}
-
-/// Merges per-shard outcomes into one joint outcome. Flows are
-/// disjoint across shards, so the schedule union is a plain merge.
-fn merged(
-    outcomes: &[GreedyOutcome],
-    certificate: Option<Certificate>,
-    stats: ShardStats,
-) -> ShardOutcome {
-    let mut schedule = Schedule::new();
-    for o in outcomes {
-        for (flow, switch, t) in o.schedule.iter() {
-            schedule.set(flow, switch, t);
-        }
-    }
-    let makespan = outcomes.iter().map(|o| o.makespan).max().unwrap_or(0);
-    ShardOutcome {
-        schedule,
-        makespan,
-        certificate,
-        stats,
-    }
 }
 
 fn from_joint(joint: GreedyOutcome, stats: ShardStats) -> ShardOutcome {
@@ -530,22 +483,6 @@ mod tests {
     }
 
     #[test]
-    fn sequential_and_parallel_merge_identically() {
-        let inst = separable_instance();
-        let seq = shard_schedule_with(
-            &inst,
-            ShardingConfig {
-                parallel: false,
-                ..ShardingConfig::default()
-            },
-        )
-        .unwrap();
-        let par = shard_schedule_with(&inst, ShardingConfig::default()).unwrap();
-        assert_eq!(seq.schedule, par.schedule);
-        assert_eq!(seq.makespan, par.makespan);
-    }
-
-    #[test]
     fn single_flow_delegates_byte_identically() {
         let inst = chronus_net::motivating_example();
         let sharded = shard_schedule(&inst).unwrap();
@@ -610,14 +547,14 @@ mod tests {
         if out.stats.shards == 2 {
             assert_eq!(out.stats.shared_links, 1);
             // Optimistic grants of 100 + 100 over 150 either collided
-            // (conflict then fallback) or the composition proved the
+            // (conflict then fallback) or the joint check proved the
             // handoff clean — both are legal, silence is not.
             assert!(out.stats.conflicts > 0 || !out.stats.fell_back_joint);
         }
     }
 
     #[test]
-    fn verify_disabled_takes_sharded_path_only_when_safe() {
+    fn verify_disabled_shards_without_a_certificate() {
         let inst = separable_instance();
         let cfg = ShardingConfig {
             greedy: GreedyConfig {
@@ -628,8 +565,9 @@ mod tests {
         };
         let out = shard_schedule_with(&inst, cfg).unwrap();
         assert!(out.certificate.is_none());
-        // Separable: no shared links at all, so the sharded path ran.
+        // The joint check still ran and accepted the sharded plan.
         assert!(!out.stats.fell_back_joint);
+        assert_eq!(out.schedule, shard_schedule(&inst).unwrap().schedule);
         // The emitted schedule is still consistent.
         assert!(chronus_verify::certify(&inst, &out.schedule).is_ok());
     }

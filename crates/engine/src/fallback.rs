@@ -1,11 +1,12 @@
-//! The planning fallback chain: sharded → greedy → tree → two-phase.
+//! The planning fallback chain: sharded → greedy → tree → two-phase,
+//! and the seal every timed plan passes before it ships.
 //!
 //! Every request walks the same chain, cheapest-best first:
 //!
 //! 0. **Sharded** (opt-in, multi-flow only) — partitions the topology,
-//!    reserves shared-link capacity per shard, and plans the shards in
-//!    parallel, composing their certificates into one sealed proof.
-//!    Runs only when the engine was configured with a
+//!    reserves shared-link capacity per shard, plans the shards in
+//!    parallel and checks the merged schedule against the whole
+//!    instance. Runs only when the engine was configured with a
 //!    [`ShardingConfig`] and the request carries more than one flow.
 //! 1. **Greedy** (paper Algorithm 2) — the Chronus scheduler; when it
 //!    succeeds the flow migrates with no rule-space overhead.
@@ -17,13 +18,16 @@
 //!    consistency at the cost of doubled rules; the chain's
 //!    consistency-preserving last resort.
 //!
+//! Stages 0–2 propose uncertified timed schedules. Each proposal goes
+//! through one **seal**: the slack stage when a [`SlackPolicy`] is
+//! configured, a single certification otherwise. A proposal the seal
+//! refuses fails its stage and the chain moves on, so no plan carries
+//! a certificate for a schedule the seal did not certify.
+//!
 //! The deadline governs the *optimizing* stages only: a request whose
 //! budget runs out before greedy or tree finishes skips ahead and
 //! still leaves with a consistent two-phase plan — deadline pressure
 //! degrades plan quality, never correctness.
-// `flows[0]`: the chain plans single-flow instances; multi-flow
-// batches are split into one request per flow upstream.
-#![allow(clippy::indexing_slicing)]
 
 use crate::metrics::EngineMetrics;
 use crate::pool::EngineConfig;
@@ -34,7 +38,10 @@ use chronus_core::shard::shard_schedule_in;
 use chronus_core::tree::{check_feasibility, Feasibility};
 use chronus_net::{TimeStep, UpdateInstance};
 use chronus_timenet::{Schedule, SimWorkspace};
-use chronus_verify::{certify_two_phase, slack_certificate, Certificate, SlackCertificate};
+use chronus_verify::{
+    certify_two_phase, certify_with, slack_certificate, Certificate, SlackCertificate,
+    VerifyConfig, Violation,
+};
 use std::fmt;
 use std::time::{Duration, Instant};
 
@@ -123,14 +130,15 @@ pub struct StageAttempt {
     pub elapsed: Duration,
 }
 
-/// A two-phase plan for a batch member: the per-flow rule plan plus
-/// the ingress flip time the engine chose for it.
+/// A two-phase plan for a request: one rule plan per flow plus the
+/// ingress flip time every flow shares.
 #[derive(Clone, Debug)]
 pub struct TpBatchPlan {
-    /// The duplicate-rules + stamp-flip plan.
-    pub plan: TpPlan,
-    /// When the ingress stamp flips, in time steps: after the old
-    /// generation's in-flight packets can no longer interleave.
+    /// The duplicate-rules + stamp-flip plans, one per flow, in the
+    /// instance's flow order.
+    pub plans: Vec<TpPlan>,
+    /// When the ingress stamps flip, in time steps: after every flow's
+    /// old-generation in-flight packets can no longer interleave.
     pub flip_time: TimeStep,
 }
 
@@ -247,12 +255,15 @@ pub fn planning_horizon(instance: &UpdateInstance) -> TimeStep {
 }
 
 /// The ingress flip time the engine assigns to two-phase plans: one
-/// step past the initial path's total delay, so every old-generation
-/// packet in flight at the flip has drained past any shared link.
+/// step past the longest initial path's total delay, so every
+/// old-generation packet in flight at the flip has drained past any
+/// shared link.
 pub fn tp_flip_time(instance: &UpdateInstance) -> TimeStep {
-    let phi_init = instance.flows[0]
-        .initial
-        .total_delay(&instance.network)
+    let phi_init = instance
+        .flows
+        .iter()
+        .map(|f| f.initial.total_delay(&instance.network).unwrap_or(0))
+        .max()
         .unwrap_or(0);
     (phi_init + 1) as TimeStep
 }
@@ -267,10 +278,11 @@ fn stage_span_name(stage: Stage) -> &'static str {
     }
 }
 
-/// The slack stage: dilates a winning timed schedule until its slack
+/// The slack stage: dilates a timed schedule until its slack
 /// certificate meets the policy target (or the factor cap), returning
 /// the schedule to ship, its slack certificate, the consistency
-/// certificate matching it, and the factor applied.
+/// certificate matching it, and the factor applied — or, when no
+/// factor certifies, the first factor's violation.
 ///
 /// A factor whose search could not afford even the k = 1 cube ends the
 /// loop: that cube offers every entry `{0, +1}` whatever its step, so
@@ -280,14 +292,19 @@ fn buy_slack(
     instance: &UpdateInstance,
     schedule: &Schedule,
     policy: &SlackPolicy,
-) -> Option<(Schedule, SlackCertificate, Certificate, TimeStep)> {
+) -> Result<(Schedule, SlackCertificate, Certificate, TimeStep), Violation> {
     let mut best: Option<(Schedule, SlackCertificate, Certificate, TimeStep)> = None;
+    let mut refusal = None;
     for factor in 1..=policy.max_dilation.max(1) {
         let candidate = schedule.dilated(factor);
-        let Ok((cert, slack)) = slack_certificate(instance, &candidate) else {
+        let (cert, slack) = match slack_certificate(instance, &candidate) {
+            Ok(found) => found,
             // A dilation should never break a consistent plan, but if
             // a factor fails to certify, skip it rather than ship it.
-            continue;
+            Err(violation) => {
+                refusal.get_or_insert(violation);
+                continue;
+            }
         };
         let done = slack.slack_steps >= policy.target_steps
             || (slack.budget_exhausted && slack.slack_steps == 0);
@@ -301,7 +318,123 @@ fn buy_slack(
             break;
         }
     }
-    best
+    match (best, refusal) {
+        (Some(found), _) => Ok(found),
+        (None, Some(violation)) => Err(violation),
+        (None, None) => unreachable!("factor 1 always runs"),
+    }
+}
+
+/// A plan ready to ship: a sealed timed schedule (dilated by the slack
+/// stage's factor) or the two-phase fallback, with its certificates.
+struct Sealed {
+    plan: PlanKind,
+    certificate: Option<Certificate>,
+    slack: Option<SlackCertificate>,
+    dilation: TimeStep,
+}
+
+/// The seal: the one certification a timed proposal gets before it
+/// ships — [`buy_slack`] under a slack policy, a single certification
+/// under `config.verify` otherwise, nothing when both are off. A
+/// refusal is counted, traced as `engine.cert_refused` and returned.
+/// Its time is its own: `engine.stage.slack`, not the stage's attempt.
+fn seal(
+    req: &UpdateRequest,
+    schedule: Schedule,
+    config: &EngineConfig,
+    metrics: &EngineMetrics,
+) -> Result<Sealed, Violation> {
+    let (instance, verify) = (&*req.instance, &config.verify);
+    if !verify.enabled && config.slack.is_none() {
+        return Ok(Sealed {
+            plan: PlanKind::Timed(schedule),
+            certificate: None,
+            slack: None,
+            dilation: 1,
+        });
+    }
+    let started = Instant::now();
+    let mut span = chronus_trace::span!("engine.stage.slack").entered();
+    let sealed = match &config.slack {
+        None => certify_with(instance, &schedule, verify).map(|cert| Sealed {
+            plan: PlanKind::Timed(schedule),
+            certificate: Some(cert),
+            slack: None,
+            dilation: 1,
+        }),
+        Some(policy) => {
+            buy_slack(instance, &schedule, policy).map(|(shipped, slack, cert, factor)| {
+                let target_met = slack.slack_steps >= policy.target_steps;
+                if span.is_recording() {
+                    span.record("slack_steps", slack.slack_steps);
+                    span.record("dilation", factor);
+                    span.record("target_met", target_met);
+                }
+                metrics.record_slack(&slack, factor, target_met);
+                Sealed {
+                    plan: PlanKind::Timed(shipped),
+                    certificate: verify.enabled.then_some(cert),
+                    slack: Some(slack),
+                    dilation: factor,
+                }
+            })
+        }
+    };
+    if let Err(violation) = &sealed {
+        // A planner/certifier disagreement.
+        span.record("outcome", "uncertifiable");
+        metrics.record_slack_failure();
+        chronus_trace::instant!(
+            "engine.cert_refused",
+            request = req.id.0,
+            violation = violation.to_string()
+        );
+    }
+    drop(span);
+    metrics.record_slack_elapsed(started.elapsed());
+    sealed
+}
+
+/// Runs one optimizing stage: an uncertified timed schedule, or why
+/// the stage could not plan.
+fn propose(
+    stage: Stage,
+    instance: &UpdateInstance,
+    config: &EngineConfig,
+    metrics: &EngineMetrics,
+    ws: &mut SimWorkspace,
+    span: &mut chronus_trace::EnteredSpan,
+) -> Result<Schedule, String> {
+    let uncertified = GreedyConfig {
+        verify: VerifyConfig::disabled(),
+        ..GreedyConfig::default()
+    };
+    match stage {
+        Stage::Sharded => {
+            let mut cfg = config.sharding.unwrap_or_default();
+            cfg.greedy.verify = VerifyConfig::disabled();
+            let out = shard_schedule_in(instance, cfg, ws).map_err(|e| e.to_string())?;
+            metrics.record_shard(&out.stats);
+            if span.is_recording() {
+                span.record("shards", out.stats.shards as u64);
+                span.record("fell_back_joint", out.stats.fell_back_joint);
+            }
+            Ok(out.schedule)
+        }
+        Stage::Greedy => {
+            let out = greedy_schedule_in(instance, uncertified, ws).map_err(|e| e.to_string())?;
+            metrics.record_greedy_arena(out.arena_bytes);
+            Ok(out.schedule)
+        }
+        Stage::Tree => match check_feasibility(instance) {
+            Feasibility::Feasible { schedule, .. } => Ok(schedule),
+            Feasibility::Infeasible { witness: Some(w) } => Err(format!("infeasible: {w:?}")),
+            Feasibility::Infeasible { witness: None } => Err("infeasible".into()),
+            Feasibility::Unknown => Err("search budget exhausted".into()),
+        },
+        Stage::TwoPhase => unreachable!("two-phase is not an optimizing stage"),
+    }
 }
 
 /// Walks the fallback chain for one request, recording per-stage
@@ -309,11 +442,11 @@ fn buy_slack(
 /// for a fixed request whenever the deadline does not bite (every
 /// stage is itself deterministic).
 ///
-/// Of `config` it reads `verify` (certification), `slack` (the
-/// post-win slack stage) and `sharding` (the opt-in multi-flow
-/// pre-stage). `ws` carries the greedy gate's simulation buffers: the
-/// engine recycles them across requests, so steady-state planning
-/// does not re-allocate the load ledger per request.
+/// Of `config` it reads `verify` (certification), `slack` (the seal's
+/// slack policy) and `sharding` (the opt-in multi-flow stage). `ws`
+/// carries the greedy gate's simulation buffers: the engine recycles
+/// them across requests, so steady-state planning does not re-allocate
+/// the load ledger per request.
 pub fn plan_with_chain(
     req: &UpdateRequest,
     metrics: &EngineMetrics,
@@ -331,136 +464,53 @@ pub fn plan_with_chain(
     .entered();
 
     let mut attempts = Vec::with_capacity(Stage::CHAIN.len());
-    let mut winner: Option<(Stage, PlanKind, Option<Certificate>)> = None;
+    let mut winner: Option<(Stage, Sealed)> = None;
     let mut deadline_exceeded = false;
     let mut cert_refused = false;
 
-    // The opt-in sharded pre-stage: multi-flow requests are split by
-    // topology partition and planned shard-by-shard over a shared-link
-    // capacity-reservation table. The attempt is recorded only when
-    // sharding is configured, so unsharded engines keep the familiar
-    // three-stage attempt list.
-    if let Some(shard_cfg) = &config.sharding {
-        let stage = Stage::Sharded;
-        if instance.flows.len() < 2 {
-            attempts.push(StageAttempt {
-                stage,
-                outcome: StageOutcome::Skipped("single-flow request".into()),
-                elapsed: Duration::ZERO,
-            });
+    // The sharded stage is recorded only when sharding is configured,
+    // so unsharded engines keep the three-stage attempt list.
+    let sharded = config.sharding.map(|_| Stage::Sharded);
+    for stage in sharded.into_iter().chain([Stage::Greedy, Stage::Tree]) {
+        let skipped = if winner.is_some() {
+            Some("earlier stage won")
+        } else if stage == Stage::Sharded && instance.flows.len() < 2 {
+            Some("single-flow request")
         } else if started.elapsed() >= req.deadline {
             deadline_exceeded = true;
             metrics.record_skip(stage);
-            attempts.push(StageAttempt {
-                stage,
-                outcome: StageOutcome::Skipped("deadline exhausted".into()),
-                elapsed: Duration::ZERO,
-            });
+            Some("deadline exhausted")
         } else {
-            let stage_start = Instant::now();
-            let mut stage_span = chronus_trace::span!(stage_span_name(stage)).entered();
-            let mut cfg = *shard_cfg;
-            cfg.greedy.verify = *verify;
-            let outcome = match shard_schedule_in(instance, cfg, ws) {
-                Ok(out) => {
-                    metrics.record_shard(&out.stats);
-                    if stage_span.is_recording() {
-                        stage_span.record("shards", out.stats.shards as u64);
-                        stage_span.record("fell_back_joint", out.stats.fell_back_joint);
-                    }
-                    winner = Some((stage, PlanKind::Timed(out.schedule), out.certificate));
-                    StageOutcome::Won
-                }
-                Err(e) => StageOutcome::Failed(e.to_string()),
-            };
-            let elapsed = stage_start.elapsed();
-            if stage_span.is_recording() {
-                stage_span.record(
-                    "outcome",
-                    match &outcome {
-                        StageOutcome::Won => "won",
-                        StageOutcome::Failed(_) => "failed",
-                        StageOutcome::Skipped(_) => "skipped",
-                    },
-                );
-            }
-            drop(stage_span);
-            metrics.record_attempt(stage, &outcome, elapsed);
+            None
+        };
+        if let Some(why) = skipped {
             attempts.push(StageAttempt {
                 stage,
-                outcome,
-                elapsed,
+                outcome: StageOutcome::Skipped(why.into()),
+                elapsed: Duration::ZERO,
             });
+            continue;
         }
-    }
 
-    for stage in [Stage::Greedy, Stage::Tree] {
-        if winner.is_some() {
-            attempts.push(StageAttempt {
-                stage,
-                outcome: StageOutcome::Skipped("earlier stage won".into()),
-                elapsed: Duration::ZERO,
-            });
-            continue;
-        }
-        if started.elapsed() >= req.deadline {
-            deadline_exceeded = true;
-            metrics.record_skip(stage);
-            attempts.push(StageAttempt {
-                stage,
-                outcome: StageOutcome::Skipped("deadline exhausted".into()),
-                elapsed: Duration::ZERO,
-            });
-            continue;
-        }
         let stage_start = Instant::now();
         let mut stage_span = chronus_trace::span!(stage_span_name(stage)).entered();
-        let outcome = match stage {
-            Stage::Greedy => {
-                let cfg = GreedyConfig {
-                    verify: *verify,
-                    ..GreedyConfig::default()
-                };
-                match greedy_schedule_in(instance, cfg, ws) {
-                    Ok(out) => {
-                        metrics.record_greedy_arena(out.arena_bytes);
-                        winner = Some((stage, PlanKind::Timed(out.schedule), out.certificate));
-                        StageOutcome::Won
-                    }
-                    Err(e) => StageOutcome::Failed(e.to_string()),
-                }
+        let proposal = propose(stage, instance, config, metrics, ws, &mut stage_span);
+        let elapsed = stage_start.elapsed();
+        stage_span.record("outcome", if proposal.is_ok() { "won" } else { "failed" });
+        drop(stage_span);
+
+        let outcome = match proposal.map(|schedule| seal(req, schedule, config, metrics)) {
+            Err(why) => StageOutcome::Failed(why),
+            Ok(Ok(sealed)) => {
+                winner = Some((stage, sealed));
+                StageOutcome::Won
             }
-            Stage::Tree => match check_feasibility(instance) {
-                Feasibility::Feasible {
-                    schedule,
-                    certificate,
-                } => {
-                    let cert = verify.enabled.then_some(*certificate);
-                    winner = Some((stage, PlanKind::Timed(schedule), cert));
-                    StageOutcome::Won
-                }
-                Feasibility::Infeasible { witness } => StageOutcome::Failed(match witness {
-                    Some(w) => format!("infeasible: {w:?}"),
-                    None => "infeasible".into(),
-                }),
-                Feasibility::Unknown => StageOutcome::Failed("search budget exhausted".into()),
-            },
-            Stage::Sharded | Stage::TwoPhase => {
-                unreachable!("sharded handled above, two-phase below")
+            Ok(Err(violation)) => {
+                // A forensic dump is taken once this request is counted.
+                cert_refused = true;
+                StageOutcome::Failed(format!("certifier refused: {violation}"))
             }
         };
-        let elapsed = stage_start.elapsed();
-        if stage_span.is_recording() {
-            stage_span.record(
-                "outcome",
-                match &outcome {
-                    StageOutcome::Won => "won",
-                    StageOutcome::Failed(_) => "failed",
-                    StageOutcome::Skipped(_) => "skipped",
-                },
-            );
-        }
-        drop(stage_span);
         metrics.record_attempt(stage, &outcome, elapsed);
         attempts.push(StageAttempt {
             stage,
@@ -471,7 +521,7 @@ pub fn plan_with_chain(
 
     // The consistency-preserving last resort: two-phase always plans,
     // deadline or not — it is the reason a request cannot fail.
-    let (winner_stage, plan, certificate) = match winner {
+    let (winner, shipped) = match winner {
         Some(found) => {
             attempts.push(StageAttempt {
                 stage: Stage::TwoPhase,
@@ -484,16 +534,10 @@ pub fn plan_with_chain(
             let stage_start = Instant::now();
             let mut stage_span = chronus_trace::span!(stage_span_name(Stage::TwoPhase)).entered();
             let flip_time = tp_flip_time(instance);
-            let tp = TpBatchPlan {
-                plan: tp_plan(&instance.flows[0]),
-                flip_time,
-            };
-            // The two-phase fallback is consistency-preserving by
-            // construction, but the certifier can still refuse to vouch
-            // for a flip window that transiently congests a shared
-            // link; that legitimate `None` is what `certs.failed`
-            // counts — the refusal itself is preserved on the trace
-            // via the violation's `Display` rendering.
+            // Consistency-preserving by construction, but the certifier
+            // can still refuse a flip window that transiently congests a
+            // shared link; that legitimate `None` is what `certs.failed`
+            // counts, and the violation goes on the trace.
             let certificate = if verify.enabled {
                 match certify_two_phase(instance, flip_time) {
                     Ok(cert) => Some(cert),
@@ -503,9 +547,6 @@ pub fn plan_with_chain(
                             request = req.id.0,
                             violation = violation.to_string()
                         );
-                        // A refused certificate is a planner/certifier
-                        // disagreement worth a forensic dump, taken
-                        // once this request is counted (below).
                         cert_refused = true;
                         None
                     }
@@ -522,69 +563,43 @@ pub fn plan_with_chain(
                 outcome: StageOutcome::Won,
                 elapsed,
             });
-            (Stage::TwoPhase, PlanKind::TwoPhase(tp), certificate)
+            let tp = TpBatchPlan {
+                plans: instance.flows.iter().map(tp_plan).collect(),
+                flip_time,
+            };
+            let shipped = Sealed {
+                plan: PlanKind::TwoPhase(tp),
+                certificate,
+                slack: None,
+                dilation: 1,
+            };
+            (Stage::TwoPhase, shipped)
         }
     };
 
-    // The slack stage: timed winners get a certified timing tolerance,
-    // dilated as allowed until the policy target is met. Two-phase
-    // plans have no timed schedule to perturb and skip the stage.
-    let mut plan = plan;
-    let mut certificate = certificate;
-    let mut slack = None;
-    let mut dilation = 1;
-    if let (Some(policy), PlanKind::Timed(schedule)) = (&config.slack, &plan) {
-        let stage_start = Instant::now();
-        let mut slack_span = chronus_trace::span!("engine.stage.slack").entered();
-        match buy_slack(instance, schedule, policy) {
-            Some((shipped, slack_cert, cert, factor)) => {
-                let target_met = slack_cert.slack_steps >= policy.target_steps;
-                if slack_span.is_recording() {
-                    slack_span.record("slack_steps", slack_cert.slack_steps);
-                    slack_span.record("dilation", factor);
-                    slack_span.record("target_met", target_met);
-                }
-                metrics.record_slack(&slack_cert, factor, target_met);
-                plan = PlanKind::Timed(shipped);
-                if verify.enabled {
-                    certificate = Some(cert);
-                }
-                slack = Some(slack_cert);
-                dilation = factor;
-            }
-            None => {
-                // Even the undilated winner failed to re-certify — a
-                // planner/certifier disagreement worth surfacing.
-                slack_span.record("outcome", "uncertifiable");
-                metrics.record_slack_failure();
-            }
-        }
-        drop(slack_span);
-        metrics.record_slack_elapsed(stage_start.elapsed());
-    }
-
-    metrics.record_certification(verify.enabled, certificate.is_some());
+    let certified = shipped.certificate.is_some();
+    metrics.record_certification(verify.enabled, certified);
     if deadline_exceeded {
         chronus_trace::instant!("engine.deadline_expired", request = req.id.0);
     }
     if plan_span.is_recording() {
-        plan_span.record("winner", winner_stage.to_string());
+        plan_span.record("winner", winner.to_string());
         plan_span.record("deadline_exceeded", deadline_exceeded);
-        plan_span.record("certified", certificate.is_some());
+        plan_span.record("certified", certified);
     }
     let span_id = plan_span.id().unwrap_or(0);
     drop(plan_span);
     let planned = PlannedUpdate {
         id: req.id,
-        plan,
-        winner: winner_stage,
+        plan: shipped.plan,
+        winner,
         attempts,
         elapsed: started.elapsed(),
         cache_hit: true,
         deadline_exceeded,
-        certificate,
-        slack,
-        dilation,
+        certificate: shipped.certificate,
+        slack: shipped.slack,
+        dilation: shipped.dilation,
         span_id,
     };
     metrics.record_completion(&planned);
@@ -632,73 +647,6 @@ mod tests {
         config: &EngineConfig,
     ) -> PlannedUpdate {
         plan_with_chain(request, metrics, &mut SimWorkspace::default(), config)
-    }
-
-    /// k=4 fat tree with one pod-local migration per pod — fully
-    /// pod-separable, so the sharded stage plans it without
-    /// reservations (mirrors `chronus_core::shard`'s fixture).
-    fn separable_instance() -> UpdateInstance {
-        use chronus_net::topology::{fat_tree, LinkParams};
-        use chronus_net::{Flow, FlowId, Path};
-        let net = fat_tree(
-            4,
-            LinkParams {
-                capacity: 1000,
-                delay: 1,
-            },
-        );
-        let by_name = |n: &str| {
-            net.switches()
-                .find(|&s| net.switch_name(s) == Some(n))
-                .unwrap()
-        };
-        let mut flows = Vec::new();
-        for pod in 0..4u32 {
-            let e0 = by_name(&format!("edge{}", 2 * pod));
-            let e1 = by_name(&format!("edge{}", 2 * pod + 1));
-            let a0 = by_name(&format!("agg{}", 2 * pod));
-            let a1 = by_name(&format!("agg{}", 2 * pod + 1));
-            flows.push(
-                Flow::new(
-                    FlowId(pod),
-                    100,
-                    Path::new(vec![e0, a0, e1]),
-                    Path::new(vec![e0, a1, e1]),
-                )
-                .unwrap(),
-            );
-        }
-        UpdateInstance::new(net, flows).unwrap()
-    }
-
-    #[test]
-    fn sharded_stage_wins_multi_flow_requests_when_configured() {
-        let inst = separable_instance();
-        let metrics = EngineMetrics::new();
-        let request = UpdateRequest::new(1, Arc::new(inst.clone()), Duration::from_secs(30));
-        let sharded = EngineConfig::default().with_sharding(ShardingConfig::default());
-        let planned = plan(&request, &metrics, &sharded);
-        assert_eq!(planned.winner, Stage::Sharded);
-        assert_eq!(planned.attempts.len(), 4);
-        for stage in [Stage::Greedy, Stage::Tree, Stage::TwoPhase] {
-            assert!(matches!(
-                planned.attempt(stage).unwrap().outcome,
-                StageOutcome::Skipped(_)
-            ));
-        }
-        // The composed certificate seals the schedule against the
-        // original joint instance.
-        let cert = planned.certificate.as_ref().expect("composed certificate");
-        assert_eq!(cert.check(&inst), Ok(()));
-        let schedule = planned.timed_schedule().expect("timed plan");
-        assert_eq!(
-            FluidSimulator::check(&inst, schedule).verdict(),
-            Verdict::Consistent
-        );
-        // Without a sharding config the attempt list stays three-stage.
-        let unsharded = plan(&request, &metrics, &EngineConfig::default());
-        assert!(unsharded.attempt(Stage::Sharded).is_none());
-        assert_eq!(unsharded.attempts.len(), 3);
     }
 
     #[test]
@@ -788,6 +736,20 @@ mod tests {
         assert_eq!(planned.winner, Stage::Greedy);
         assert!(planned.certificate.is_none());
         assert_eq!(metrics.report().certs.skipped, 1);
+    }
+
+    #[test]
+    fn the_seal_refuses_an_inconsistent_proposal() {
+        let request = req(Duration::from_secs(30));
+        let naive = Schedule::all_at_zero(&request.instance);
+        let metrics = EngineMetrics::new();
+        for config in [
+            EngineConfig::default(),
+            EngineConfig::default().with_slack(SlackPolicy::default()),
+        ] {
+            let refused = seal(&request, naive.clone(), &config, &metrics);
+            assert!(matches!(refused, Err(Violation::ForwardingLoop { .. })));
+        }
     }
 
     #[test]

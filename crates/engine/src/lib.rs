@@ -7,14 +7,17 @@
 //! - [`Engine`]: shared planning state with no threads of its own —
 //!   one [`UpdateRequest`] is planned on the thread that brought it, a
 //!   batch on `workers` scoped lanes, answered in submission order;
-//! - the **fallback chain** ([`plan_with_chain`]): greedy scheduler →
-//!   tree feasibility search → two-phase baseline, so every request
-//!   leaves with a consistency-preserving plan — deadline pressure
-//!   degrades plan *quality* (rule overhead), never correctness;
-//! - the **slack stage** ([`SlackPolicy`]): timed winners ship with a
-//!   slack certificate — the certified timing tolerance ±Δ — dilating
-//!   the schedule to buy tolerance when the planner's packing
-//!   certifies none;
+//! - the **fallback chain** ([`plan_with_chain`]): (sharded →) greedy
+//!   scheduler → tree feasibility search → two-phase baseline, so every
+//!   request leaves with a consistency-preserving plan — deadline
+//!   pressure degrades plan *quality* (rule overhead), never
+//!   correctness;
+//! - the **seal**: each timed proposal is certified once before it
+//!   ships, and a refused one fails its stage. Under a [`SlackPolicy`]
+//!   the seal is the slack stage: timed winners ship with a slack
+//!   certificate — the certified timing tolerance ±Δ — dilating the
+//!   schedule to buy tolerance when the planner's packing certifies
+//!   none;
 //! - [`UpdateWatchdog`]: the deployment-side deadline tracker turning
 //!   that certified tolerance into re-arm-or-rollback decisions;
 //! - [`PlanReport`]: per-stage latencies and win counts, certifier and

@@ -218,13 +218,14 @@ impl EngineMetrics {
         self.slack_steps.record(cert.slack_steps.max(0) as u64);
     }
 
-    /// Records a slack stage where even the undilated winner failed to
-    /// re-certify (a planner/certifier disagreement).
+    /// Records a timed proposal the seal refused (a planner/certifier
+    /// disagreement; the proposing stage failed).
     pub fn record_slack_failure(&self) {
         self.slack_uncertifiable.inc();
     }
 
-    /// Records the wall-clock cost of one slack stage.
+    /// Records the wall-clock cost of one seal (the slack stage, or the
+    /// single certification without a slack policy).
     pub fn record_slack_elapsed(&self, elapsed: Duration) {
         self.slack_nanos.record(elapsed.as_nanos() as u64);
     }
@@ -319,7 +320,7 @@ pub struct ShardStats {
     pub shards_planned: u64,
     /// Replan rounds burned beyond each run's first attempt.
     pub replan_rounds: u64,
-    /// Reservation conflicts caught by certificate composition.
+    /// Reservation conflicts caught by the sharded planner's joint check.
     pub conflicts: u64,
     /// Runs that gave up on sharding and planned jointly.
     pub joint_fallbacks: u64,
@@ -341,8 +342,7 @@ pub struct SlackStats {
     /// Plans that shipped below the policy's slack target even at the
     /// maximum dilation factor.
     pub target_missed: u64,
-    /// Slack stages where even the undilated winner failed to
-    /// re-certify.
+    /// Timed proposals the seal refused; each failed its stage.
     pub uncertifiable: u64,
     /// Perturbed schedules certified across all slack searches.
     pub schedules_checked: u64,

@@ -392,7 +392,7 @@ mod tests {
                 FluidSimulator::check(&inst, schedule).verdict(),
                 Verdict::Consistent
             );
-            let cert = p.certificate.as_ref().expect("composed certificate");
+            let cert = p.certificate.as_ref().expect("sealed certificate");
             assert_eq!(cert.check(&inst), Ok(()));
         }
         let report = engine.report();

@@ -2,10 +2,14 @@
 //! equivalent to sequential planning, deadlines degrade rather than
 //! fail, and batches leave fully certified.
 
+use chronus_baselines::tp::RuleOp;
 use chronus_engine::{
     plan_sequential, Engine, EngineConfig, PlanKind, Stage, StageOutcome, UpdateRequest,
 };
-use chronus_net::{motivating_example, reversal_instance, UpdateInstance};
+use chronus_net::{
+    motivating_example, reversal_instance, Flow, FlowId, NetworkBuilder, Path, SwitchId,
+    UpdateInstance,
+};
 use chronus_timenet::{FluidSimulator, Verdict};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -124,4 +128,53 @@ fn fifty_flow_batch_plans_and_certifies() {
     let report = engine.report();
     assert_eq!(report.completed, 50);
     assert_eq!(report.greedy.wins, 50);
+}
+
+/// Two copies of the too-fast-shortcut instance on disjoint switches:
+/// flow 0 on s0..s3 (φ(p_init) = 3), flow 1 on s4..s7 with slower links
+/// (φ(p_init) = 6). Neither can be timed.
+fn two_stuck_flows() -> UpdateInstance {
+    let s = SwitchId;
+    let mut b = NetworkBuilder::with_switches(8);
+    for (base, delay) in [(0u32, 1u64), (4, 2)] {
+        b.add_link(s(base), s(base + 1), 1, delay).unwrap();
+        b.add_link(s(base + 1), s(base + 2), 1, delay).unwrap();
+        b.add_link(s(base + 2), s(base + 3), 1, delay).unwrap();
+        b.add_link(s(base), s(base + 2), 1, 1).unwrap();
+    }
+    let flows = [0u32, 4]
+        .into_iter()
+        .enumerate()
+        .map(|(i, base)| {
+            Flow::new(
+                FlowId(i as u32),
+                1,
+                Path::new(vec![s(base), s(base + 1), s(base + 2), s(base + 3)]),
+                Path::new(vec![s(base), s(base + 2), s(base + 3)]),
+            )
+            .unwrap()
+        })
+        .collect();
+    UpdateInstance::new(b.build(), flows).unwrap()
+}
+
+#[test]
+fn multi_flow_two_phase_plans_every_flow() {
+    let inst = two_stuck_flows();
+    let engine = Engine::new(EngineConfig::default());
+    let planned = engine.plan_one(UpdateRequest::new(
+        3,
+        Arc::new(inst.clone()),
+        Duration::from_secs(30),
+    ));
+    assert_eq!(planned.winner, Stage::TwoPhase);
+    let PlanKind::TwoPhase(tp) = &planned.plan else {
+        panic!("two-phase plan expected");
+    };
+    assert_eq!(tp.plans.len(), 2);
+    for (plan, flow) in tp.plans.iter().zip(&inst.flows) {
+        assert_eq!(plan.phase2, RuleOp::FlipStamp(flow.source()));
+    }
+    // The flip waits for the slower flow's old generation to drain.
+    assert_eq!(tp.flip_time, 7);
 }

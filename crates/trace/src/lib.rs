@@ -9,9 +9,8 @@
 //!    `shims/README.md` for the pattern). Spans carry a name, `key =
 //!    value` fields and monotonic start/stop nanos; parent linkage
 //!    comes from a per-thread span stack. Recording only happens while
-//!    a [`Collector`] is installed — the uninstalled fast path is one
-//!    relaxed atomic load — and with the crate's `trace` feature off
-//!    the macros compile to nothing at all.
+//!    a [`Collector`] is installed or the flight recorder is on — the
+//!    fast path with both off is two relaxed atomic loads.
 //! 2. **Metrics** ([`MetricsRegistry`], [`Counter`], [`Gauge`],
 //!    [`Histogram`]) — a registry of named lock-free instruments
 //!    following the `chronus_<crate>_<name>` naming scheme, with
@@ -66,9 +65,7 @@ pub fn now_ns() -> u64 {
 /// Returns a [`Span`]; call [`Span::entered`] to push it on the
 /// thread's span stack so nested spans link to it as children, and
 /// drop the guard to record the stop time. Field values are only
-/// evaluated while a [`Collector`] is installed. With the `trace`
-/// feature off this expands to an inert no-op.
-#[cfg(feature = "trace")]
+/// evaluated while the span is recording.
 #[macro_export]
 macro_rules! span {
     ($name:expr $(, $key:ident = $val:expr)* $(,)?) => {{
@@ -81,19 +78,8 @@ macro_rules! span {
     }};
 }
 
-/// Inert `span!` (the `trace` feature is off): no clock read, no
-/// collector probe, no field evaluation.
-#[cfg(not(feature = "trace"))]
-#[macro_export]
-macro_rules! span {
-    ($name:expr $(, $key:ident = $val:expr)* $(,)?) => {{
-        $crate::Span::disabled()
-    }};
-}
-
 /// Records a zero-duration instant event on the current span stack:
 /// `instant!("emu.flowmod", switch = 3)`.
-#[cfg(feature = "trace")]
 #[macro_export]
 macro_rules! instant {
     ($name:expr $(, $key:ident = $val:expr)* $(,)?) => {{
@@ -103,13 +89,6 @@ macro_rules! instant {
             $crate::Collector::record_instant($name, __chronus_fields);
         }
     }};
-}
-
-/// Inert `instant!` (the `trace` feature is off).
-#[cfg(not(feature = "trace"))]
-#[macro_export]
-macro_rules! instant {
-    ($name:expr $(, $key:ident = $val:expr)* $(,)?) => {{}};
 }
 
 /// `tracing`-compatible alias for [`span!`] (INFO level collapses to

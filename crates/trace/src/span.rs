@@ -3,11 +3,8 @@
 
 use crate::collector::{thread_id, Collector, SpanKind, SpanRecord};
 use crate::fields::FieldValue;
-
-#[cfg(feature = "trace")]
 use std::cell::RefCell;
 
-#[cfg(feature = "trace")]
 thread_local! {
     /// The per-thread stack of entered span ids: the top is the
     /// parent of whatever opens next on this thread.
@@ -15,24 +12,15 @@ thread_local! {
 }
 
 /// The id of the innermost entered span on this thread, if any.
-#[cfg(feature = "trace")]
 pub(crate) fn current_span_id() -> Option<u64> {
     STACK.with(|s| s.borrow().last().copied())
-}
-
-/// Inert stand-in when the `trace` feature is off.
-#[cfg(not(feature = "trace"))]
-pub(crate) fn current_span_id() -> Option<u64> {
-    None
 }
 
 /// A span in its open (not yet entered) state. Created by the
 /// [`crate::span!`] macro; a span created while no [`Collector`] is
 /// installed is inert and costs nothing beyond one atomic load.
-#[cfg(feature = "trace")]
 pub struct Span(Option<ActiveSpan>);
 
-#[cfg(feature = "trace")]
 struct ActiveSpan {
     id: u64,
     parent: Option<u64>,
@@ -48,7 +36,6 @@ struct ActiveSpan {
     ring_argc: u8,
 }
 
-#[cfg(feature = "trace")]
 impl Span {
     /// Opens a span named `name`, parented to the thread's innermost
     /// entered span. Recording state is decided here, once: the span
@@ -75,11 +62,6 @@ impl Span {
     /// The span's process-unique id, when it is recording.
     pub fn id(&self) -> Option<u64> {
         self.0.as_ref().map(|a| a.id)
-    }
-
-    /// An inert span that records nothing.
-    pub fn disabled() -> Self {
-        Span(None)
     }
 
     /// `true` when this span will be recorded on drop.
@@ -121,46 +103,6 @@ impl Span {
     }
 }
 
-/// Inert [`Span`] when the `trace` feature is off: every method is a
-/// no-op so instrumentation sites compile unchanged.
-#[cfg(not(feature = "trace"))]
-pub struct Span;
-
-#[cfg(not(feature = "trace"))]
-impl Span {
-    /// Inert span (the only kind in a `trace`-less build).
-    pub fn new(_name: &'static str) -> Self {
-        Span
-    }
-
-    /// Inert span.
-    pub fn disabled() -> Self {
-        Span
-    }
-
-    /// Always `false`.
-    #[inline]
-    pub fn is_recording(&self) -> bool {
-        false
-    }
-
-    /// Always `None` in a `trace`-less build.
-    pub fn id(&self) -> Option<u64> {
-        None
-    }
-
-    /// No-op.
-    pub fn push_field(&mut self, _key: &'static str, _value: impl Into<FieldValue>) {}
-
-    /// No-op.
-    pub fn record(&mut self, _key: &'static str, _value: impl Into<FieldValue>) {}
-
-    /// Inert guard.
-    pub fn entered(self) -> EnteredSpan {
-        EnteredSpan { span: self }
-    }
-}
-
 /// Guard for an entered span; dropping it pops the thread's span
 /// stack and records the span (when a collector is installed).
 pub struct EnteredSpan {
@@ -188,7 +130,6 @@ impl EnteredSpan {
     }
 }
 
-#[cfg(feature = "trace")]
 impl Drop for EnteredSpan {
     fn drop(&mut self) {
         if let Some(a) = self.span.0.take() {
@@ -227,7 +168,7 @@ impl Drop for EnteredSpan {
     }
 }
 
-#[cfg(all(test, feature = "trace"))]
+#[cfg(test)]
 mod tests {
     use super::*;
     use std::sync::PoisonError;

@@ -41,7 +41,6 @@
 mod boundary;
 mod certificate;
 pub mod codec;
-mod compose;
 mod mutate;
 mod slack;
 mod sweep;
@@ -54,7 +53,6 @@ pub use codec::{
     certificate_from_value, certificate_to_value, slack_from_value, slack_to_value,
     violation_from_value, violation_to_value, CertCodecError,
 };
-pub use compose::compose_certificates;
 pub use mutate::{apply_mutation, find_rejected_mutant, mutations, Mutation};
 pub use slack::{check_slack, slack_certificate, SlackCertificate};
 pub use trace::{analyze, analyze_two_phase, Analysis, Certifier};
