@@ -1,4 +1,4 @@
-//! **OR** — order-replacement updates (Ludwig et al. [15]).
+//! **OR** — order-replacement updates (Ludwig et al. \[15\]).
 //!
 //! OR partitions the switches needing updates into *rounds*. Within a
 //! round the controller fires all updates at once and waits for
@@ -8,7 +8,7 @@
 //! multigraph in which already-updated switches use their new edge,
 //! untouched switches their old edge, and switches in `S` *both*
 //! edges, must be acyclic. Minimizing the number of rounds under this
-//! condition is NP-hard [15]; the paper solves it with branch and
+//! condition is NP-hard \[15\]; the paper solves it with branch and
 //! bound, with a greedy maximal-round heuristic as fallback — both are
 //! implemented here.
 //!
@@ -90,27 +90,6 @@ impl OrOutcome {
         }
         schedule
     }
-
-    /// [`OrOutcome::execute`] followed by the independent static
-    /// certifier: returns the realized schedule together with either
-    /// its consistency [`chronus_verify::Certificate`] or the
-    /// [`chronus_verify::Violation`] the draw produced. OR ignores
-    /// capacities, so on tight links the violation is typically
-    /// congestion — the Figs. 6–8 effect, now with a machine-checkable
-    /// counterexample naming the link and interval.
-    pub fn execute_certified(
-        &self,
-        instance: &UpdateInstance,
-        latency_range: (TimeStep, TimeStep),
-        rng: &mut StdRng,
-    ) -> (
-        Schedule,
-        Result<chronus_verify::Certificate, chronus_verify::Violation>,
-    ) {
-        let schedule = self.execute(instance.flow(), latency_range, rng);
-        let verdict = chronus_verify::certify(instance, &schedule);
-        (schedule, verdict)
-    }
 }
 
 /// Is the round set `candidate` safe to fire given `already_updated`?
@@ -185,7 +164,7 @@ fn round_is_loop_free(
 /// pending switch that keeps the multigraph acyclic. Terminates
 /// because updating a switch whose new next-hop chain is already
 /// final is always eventually admissible (the classic backward
-/// induction of [15]).
+/// induction of \[15\]).
 pub fn or_rounds_greedy(instance: &UpdateInstance) -> Result<OrOutcome, ScheduleError> {
     let flow = single_flow(instance)?;
     let mut updated: BTreeSet<SwitchId> = BTreeSet::new();
@@ -219,7 +198,7 @@ pub fn or_rounds_greedy(instance: &UpdateInstance) -> Result<OrOutcome, Schedule
 
 /// Exact minimum-round OR plan by iterative-deepening branch and bound
 /// (the paper's method), falling back to the greedy plan when the
-/// budget expires. Minimizing rounds is NP-hard [15], so the budget
+/// budget expires. Minimizing rounds is NP-hard \[15\], so the budget
 /// matters on large pending sets — exactly the effect Fig. 10 shows.
 pub fn or_rounds(instance: &UpdateInstance, cfg: OrConfig) -> Result<OrOutcome, ScheduleError> {
     let _span = chronus_trace::span!("baselines.or_rounds", flows = instance.flows.len()).entered();
@@ -476,29 +455,6 @@ mod tests {
             congested > 0,
             "OR must congest for some interleavings on unit capacities"
         );
-    }
-
-    #[test]
-    fn execute_certified_agrees_with_the_simulator() {
-        // The certified execution path must give the simulator's
-        // verdict on every draw, and certified draws must carry a
-        // re-validating proof while rejected ones name a real link.
-        let inst = motivating_example();
-        let out = or_rounds(&inst, OrConfig::default()).unwrap();
-        for seed in 0..20 {
-            let mut rng = StdRng::seed_from_u64(seed);
-            let (schedule, verdict) = out.execute_certified(&inst, (0, 4), &mut rng);
-            let report = FluidSimulator::check(&inst, &schedule);
-            match verdict {
-                Ok(cert) => {
-                    assert!(report.congestion_free(), "seed {seed}: {report}");
-                    assert_eq!(cert.check(&inst), Ok(()));
-                }
-                Err(v) => {
-                    assert!(!report.congestion_free(), "seed {seed}: spurious {v}");
-                }
-            }
-        }
     }
 
     #[test]

@@ -6,17 +6,8 @@ use std::collections::BinaryHeap;
 
 use crate::clock::{HardwareClock, Nanos};
 
-/// A scheduled trigger: an opaque payload armed for a local-clock
-/// time.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Trigger<T> {
-    /// Local-clock time at which the switch should act.
-    pub local_time: Nanos,
-    /// What to do (e.g. a FlowMod to apply).
-    pub payload: T,
-}
-
-/// Heap entry: a [`Trigger`] plus the bookkeeping the executor needs —
+/// Heap entry: an opaque payload armed for a local-clock time, plus
+/// the bookkeeping the executor needs —
 /// an arming sequence number (FIFO among equal trigger times) and
 /// whether the trigger was armed for a local time that had already
 /// passed (a *late* arm, whose reported firing instant is clamped).

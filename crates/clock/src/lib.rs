@@ -2,7 +2,7 @@
 //!
 //! Timed SDN updates presuppose switches that can apply a rule at a
 //! scheduled time with microsecond accuracy (Mizrahi et al., Time4
-//! [16][18], TimeFlip [17]). This crate simulates that substrate:
+//! \[16\]\[18\], TimeFlip \[17\]). This crate simulates that substrate:
 //!
 //! - [`clock`] — per-switch hardware clocks with an offset and a
 //!   frequency-drift error model;
@@ -29,5 +29,5 @@ pub mod executor;
 pub mod sync;
 
 pub use clock::{HardwareClock, Nanos};
-pub use executor::{ScheduledExecutor, Trigger};
+pub use executor::ScheduledExecutor;
 pub use sync::{two_way_sync, SyncConfig, SyncOutcome};

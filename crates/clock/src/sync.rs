@@ -73,6 +73,7 @@ fn half_floor(x: Nanos) -> Nanos {
 /// Runs `cfg.rounds` two-way exchanges starting at true time
 /// `start`, applies the best round's offset estimate to `clock`, and
 /// reports the residual error.
+// chronus-lint: allow(dead-pub) — read by tests/fault_tolerance.rs
 pub fn two_way_sync(
     clock: &mut HardwareClock,
     start: Nanos,

@@ -113,11 +113,6 @@ pub struct DependencySet {
 }
 
 impl DependencySet {
-    /// `true` if the relation contains a cycle (Algorithm 2 line 7).
-    pub fn has_cycle(&self) -> bool {
-        self.cycle.is_some()
-    }
-
     /// The updatable switches at this step: the head (first element)
     /// of every acyclic chain — "Pick the first element v̂ from o"
     /// (Algorithm 2 line 10). For a component that is a DAG rather
@@ -455,7 +450,7 @@ mod tests {
         let inst = chronus_net::UpdateInstance::single(net, flow.clone()).unwrap();
         let pending = pending_of(&flow);
         let deps = dependency_set(&inst, &flow, &Schedule::new(), &pending, 0);
-        assert!(deps.has_cycle(), "fast shortcut must self-depend");
+        assert!(deps.cycle.is_some(), "fast shortcut must self-depend");
         assert_eq!(deps.cycle, Some(vec![sid(0)]));
     }
 
@@ -479,7 +474,7 @@ mod tests {
         let inst = chronus_net::UpdateInstance::single(net, flow.clone()).unwrap();
         let pending = pending_of(&flow);
         let deps = dependency_set(&inst, &flow, &Schedule::new(), &pending, 0);
-        assert!(!deps.has_cycle());
+        assert!(deps.cycle.is_none());
         assert!(deps.edges.is_empty());
         assert_eq!(deps.heads(), vec![sid(0)]);
     }
@@ -505,7 +500,7 @@ mod tests {
     fn chain_merging_produces_topological_chains() {
         let pending: BTreeSet<SwitchId> = [sid(1), sid(2), sid(3), sid(7)].into();
         let set = build_set(vec![(sid(1), sid(2)), (sid(2), sid(3))], &pending);
-        assert!(!set.has_cycle());
+        assert!(set.cycle.is_none());
         // One merged chain 1 → 2 → 3, one singleton (7).
         assert_eq!(set.chains.len(), 2);
         let big = set.chains.iter().find(|c| c.len() == 3).unwrap();
@@ -517,7 +512,7 @@ mod tests {
     fn cycle_detection_in_merge() {
         let pending: BTreeSet<SwitchId> = [sid(1), sid(2)].into();
         let set = build_set(vec![(sid(1), sid(2)), (sid(2), sid(1))], &pending);
-        assert!(set.has_cycle());
+        assert!(set.cycle.is_some());
         let c = set.cycle.unwrap();
         assert_eq!(c.len(), 2);
     }

@@ -55,6 +55,7 @@ impl ExecutionPlan {
     }
 
     /// Total number of rule updates in the plan.
+    // chronus-lint: allow(dead-pub) — read by tests/paper_example.rs
     pub fn total_updates(&self) -> usize {
         self.steps.iter().map(ExecStep::update_count).sum()
     }
@@ -78,6 +79,7 @@ impl ExecutionPlan {
     /// Steps earlier than 0 cannot occur (schedules are validated to
     /// be non-negative); the offset of step `t` is simply
     /// `t × step_duration`.
+    // chronus-lint: allow(dead-pub) — read by tests/substrate_integration.rs
     pub fn trigger_offsets(&self, step_duration: Duration) -> Vec<(Duration, &ExecStep)> {
         self.steps
             .iter()

@@ -21,7 +21,7 @@
 //! the partial schedule extended by it simulates clean; since the
 //! final schedule *is* the last accepted partial schedule, the result
 //! is consistent by induction. The local checks remain as cheap
-//! pre-filters (and can be toggled off for the ablation benches).
+//! pre-filters in front of it.
 //!
 //! ## Prefix safety
 //!
@@ -57,21 +57,8 @@ use std::time::Instant;
 
 /// Tuning knobs for [`greedy_schedule_with`]; the defaults reproduce
 /// the paper's Algorithm 2 plus the exactness gate.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, Default)]
 pub struct GreedyConfig {
-    /// Run Algorithm 4 as a pre-filter before the exact gate
-    /// (default true). Ablation: turning it off makes the exact gate
-    /// do all the work — same schedules, more simulator calls.
-    pub loop_precheck: bool,
-    /// Restrict each step's candidates to dependency-chain heads
-    /// (default true, the paper's rule). Ablation: with false, every
-    /// pending switch is tried every step.
-    pub heads_only: bool,
-    /// Use the exact simulator gate (default true). Turning it off
-    /// yields the paper's *unguarded* greedy: schedules may then
-    /// violate consistency in corner cases — the ablation bench
-    /// measures how often.
-    pub exact_gate: bool,
     /// Fail immediately when Algorithm 3 reports a dependency cycle
     /// (the paper's Algorithm 2 lines 7–8). Default false: cycles are
     /// often transient (they dissolve as old flow drains), so the
@@ -84,18 +71,6 @@ pub struct GreedyConfig {
     /// to the outcome as a [`chronus_verify::Certificate`]. Disable
     /// for hot benchmark loops.
     pub verify: chronus_verify::VerifyConfig,
-}
-
-impl Default for GreedyConfig {
-    fn default() -> Self {
-        GreedyConfig {
-            loop_precheck: true,
-            heads_only: true,
-            exact_gate: true,
-            fail_on_cycle: false,
-            verify: chronus_verify::VerifyConfig::default(),
-        }
-    }
 }
 
 /// The exactness gate: a persistent [`IncrementalSimulator`] mirroring
@@ -226,7 +201,7 @@ pub struct GreedyOutcome {
     /// cell-visit savings over full re-simulation.
     pub gate: GateStats,
     /// Wall-clock nanoseconds spent inside the exact gate (simulator
-    /// construction plus every check). Zero when the gate is disabled.
+    /// construction plus every check).
     pub gate_nanos: u64,
     /// The independent certifier's proof of consistency, when
     /// certification was enabled (see [`GreedyConfig::verify`]).
@@ -276,24 +251,11 @@ pub fn greedy_schedule_in(
     config: GreedyConfig,
     workspace: &mut SimWorkspace,
 ) -> Result<GreedyOutcome, ScheduleError> {
-    let mut span = chronus_trace::span!(
-        "core.greedy",
-        flows = instance.flows.len(),
-        exact_gate = config.exact_gate
-    )
-    .entered();
-    let mut gate = config
-        .exact_gate
-        .then(|| ExactGate::new(instance, std::mem::take(workspace)));
+    let mut span = chronus_trace::span!("core.greedy", flows = instance.flows.len()).entered();
+    let mut gate = ExactGate::new(instance, std::mem::take(workspace));
     let result = greedy_loop(instance, config, &mut gate);
-    let (gate_stats, gate_nanos) = match gate {
-        Some(g) => {
-            let (stats, nanos, ws) = g.into_parts();
-            *workspace = ws;
-            (stats, nanos)
-        }
-        None => (GateStats::default(), 0),
-    };
+    let (gate_stats, gate_nanos, ws) = gate.into_parts();
+    *workspace = ws;
     let simulator_calls = gate_stats.checks as usize;
     let arena_bytes = workspace.arena_bytes();
     if span.is_recording() {
@@ -322,7 +284,7 @@ pub fn greedy_schedule_in(
 fn greedy_loop(
     instance: &UpdateInstance,
     config: GreedyConfig,
-    gate: &mut Option<ExactGate>,
+    gate: &mut ExactGate,
 ) -> Result<(Schedule, Vec<RoundTrace>), ScheduleError> {
     let problem = MutpProblem::new(instance)?;
 
@@ -348,21 +310,17 @@ fn greedy_loop(
     for (fi, flow) in instance.flows.iter().enumerate() {
         for v in problem.fresh_switches(fi) {
             schedule.set(flow.id, v, 0);
-            if let Some(g) = gate.as_mut() {
-                g.mirror_set(flow.id, v, 0);
-            }
+            gate.mirror_set(flow.id, v, 0);
             pending[fi].remove(&v);
         }
     }
     // The fresh pre-pass must itself be clean (it is, since fresh
     // switches see no traffic yet), but verify once under the gate.
-    if let Some(g) = gate.as_mut() {
-        if !schedule.is_empty() && !g.check_current() {
-            return Err(ScheduleError::Infeasible {
-                blocked: None,
-                reason: "activating fresh final-path switches failed".into(),
-            });
-        }
+    if !schedule.is_empty() && !gate.check_current() {
+        return Err(ScheduleError::Infeasible {
+            blocked: None,
+            reason: "activating fresh final-path switches failed".into(),
+        });
     }
 
     let drain = problem.drain_bound();
@@ -414,29 +372,21 @@ fn greedy_loop(
                     && failed_at
                         .get(&(fi, v))
                         .is_none_or(|&ft| last_commit_t > ft || t >= ft + cooldown)
-                    && !(config.loop_precheck && scan.creates_loop(v, t))
+                    && !scan.creates_loop(v, t)
             };
             candidates.clear();
             seen.clear();
-            if config.heads_only {
-                for v in deps.heads() {
-                    if seen.insert(v) && admissible(v) {
-                        candidates.push(v);
-                    }
+            for v in deps.heads() {
+                if seen.insert(v) && admissible(v) {
+                    candidates.push(v);
                 }
-                // If the heads alone make no progress for a while, the
-                // robust mode widens to all pending switches so the
-                // exact gate gets the final say.
-                if idle_steps > 0 {
-                    for &v in pending[fi].iter() {
-                        if seen.insert(v) && admissible(v) {
-                            candidates.push(v);
-                        }
-                    }
-                }
-            } else {
+            }
+            // If the heads alone make no progress for a while, the
+            // robust mode widens to all pending switches so the exact
+            // gate gets the final say.
+            if idle_steps > 0 {
                 for &v in pending[fi].iter() {
-                    if admissible(v) {
+                    if seen.insert(v) && admissible(v) {
                         candidates.push(v);
                     }
                 }
@@ -451,30 +401,19 @@ fn greedy_loop(
             // Fast path: commit the whole candidate batch at once —
             // "update as many switches as possible" (§IV) — and fall
             // back to one-by-one only if the joint commit fails.
-            if candidates.len() > 1 {
-                if let Some(g) = gate.as_mut() {
-                    if g.try_extend(&mut schedule, flow.id, &candidates, t) {
-                        for &v in &candidates {
-                            pending[fi].remove(&v);
-                            trace.committed.push((flow.id, v));
-                        }
-                        last_commit_t = t;
-                        continue;
-                    }
+            if candidates.len() > 1 && gate.try_extend(&mut schedule, flow.id, &candidates, t) {
+                for &v in &candidates {
+                    pending[fi].remove(&v);
+                    trace.committed.push((flow.id, v));
                 }
+                last_commit_t = t;
+                continue;
             }
 
             for &v in &candidates {
                 // Exact gate: commit only if the extended partial
                 // schedule simulates clean.
-                let ok = match gate.as_mut() {
-                    Some(g) => g.try_extend(&mut schedule, flow.id, std::slice::from_ref(&v), t),
-                    None => {
-                        schedule.set(flow.id, v, t);
-                        true
-                    }
-                };
-                if ok {
+                if gate.try_extend(&mut schedule, flow.id, std::slice::from_ref(&v), t) {
                     pending[fi].remove(&v);
                     trace.committed.push((flow.id, v));
                     last_commit_t = t;
@@ -610,39 +549,6 @@ mod tests {
         let out = greedy_schedule(&inst).expect("diamond is feasible");
         assert_consistent(&inst, &out.schedule);
         assert_eq!(out.schedule.get(FlowId(0), sid(2)), Some(0));
-    }
-
-    #[test]
-    fn ablation_configs_still_produce_valid_schedules_here() {
-        let inst = motivating_example();
-        for cfg in [
-            GreedyConfig {
-                loop_precheck: false,
-                ..Default::default()
-            },
-            GreedyConfig {
-                heads_only: false,
-                ..Default::default()
-            },
-        ] {
-            let out = greedy_schedule_with(&inst, cfg).expect("feasible");
-            assert_consistent(&inst, &out.schedule);
-        }
-    }
-
-    #[test]
-    fn unguarded_mode_matches_paper_checks_on_example() {
-        // Without the exact gate, Algorithms 3+4 alone must still
-        // handle the paper's own example correctly.
-        let inst = motivating_example();
-        let cfg = GreedyConfig {
-            exact_gate: false,
-            ..Default::default()
-        };
-        let out = greedy_schedule_with(&inst, cfg).expect("feasible");
-        let report = FluidSimulator::check(&inst, &out.schedule);
-        assert_eq!(report.verdict(), Verdict::Consistent, "{report}");
-        assert_eq!(out.simulator_calls, 0);
     }
 
     #[test]

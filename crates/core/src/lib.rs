@@ -48,10 +48,10 @@ pub mod deps;
 mod error;
 pub mod exec;
 pub mod greedy;
+// chronus-lint: allow(dead-pub) — read by crates/core/src/scan.rs
 pub mod loopcheck;
 mod problem;
 pub(crate) mod scan;
-pub mod sequential;
 pub mod shard;
 pub mod tree;
 

@@ -33,6 +33,7 @@ use chronus_timenet::Schedule;
 /// walk backward along still-active old-path in-links; report a loop
 /// if `v`'s new next-hop `v'` appears on that upstream chain before
 /// the source is reached.
+// chronus-lint: allow(dead-pub) — read by crates/core/src/scan.rs
 pub fn creates_forwarding_loop(
     instance: &UpdateInstance,
     flow: &Flow,

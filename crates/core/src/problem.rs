@@ -120,18 +120,6 @@ impl<'a> MutpProblem<'a> {
             .filter(|&v| f.old_rule(v).is_none())
             .collect()
     }
-
-    /// Switches whose rule's *action* changes (both old and new rules
-    /// exist) — the updates Chronus performs in place without extra
-    /// table space (§II-A).
-    pub fn action_rewrite_switches(&self, fi: usize) -> Vec<SwitchId> {
-        let f = &self.instance.flows[fi];
-        self.pending[fi]
-            .iter()
-            .copied()
-            .filter(|&v| f.old_rule(v).is_some())
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -151,7 +139,6 @@ mod tests {
         // All four updated switches are on both paths in this example
         // except none are fresh (v4 and v3 lie on the old path too).
         assert!(p.fresh_switches(0).is_empty());
-        assert_eq!(p.action_rewrite_switches(0).len(), 4);
         assert_eq!(p.flows().len(), 1);
         assert!(std::ptr::eq(p.instance(), &inst));
     }
@@ -175,7 +162,6 @@ mod tests {
         let inst = UpdateInstance::single(b.build(), f).unwrap();
         let p = MutpProblem::new(&inst).unwrap();
         assert_eq!(p.fresh_switches(0), vec![s(2)]);
-        assert_eq!(p.action_rewrite_switches(0), vec![s(0)]);
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //!
 //! ## The reservation protocol (reserve → plan → check)
 //!
-//! 1. **Reserve.** A [`ReservationTable`] grants every shard a slice
+//! 1. **Reserve.** A `ReservationTable` grants every shard a slice
 //!    of each shared link's capacity. When the shards' *static needs*
 //!    (the per-shard sum of flow demands occupying the link — an upper
 //!    bound on any transient peak, since paths are simple) all fit
@@ -27,7 +27,7 @@
 //!    certification against the original instance. A refusal is a
 //!    **conflict** — two optimistic grants overlapped in time — and
 //!    triggers a replan round with less headroom; after
-//!    [`MAX_ROUNDS`] rounds the planner falls back to the joint greedy,
+//!    `MAX_ROUNDS` rounds the planner falls back to the joint greedy,
 //!    so sharding never loses feasibility, only time.
 //!
 //! The joint check runs whatever `greedy.verify` says, as the exact
@@ -184,19 +184,12 @@ impl ReservationTable {
     }
 }
 
-/// Plans `instance` with default sharding configuration.
+/// Plans `instance` with explicit sharding configuration.
 ///
 /// # Errors
 /// See [`crate::greedy::greedy_schedule`]; sharding adds no failure
 /// modes of its own (exhausted rounds fall back to the joint greedy).
-pub fn shard_schedule(instance: &UpdateInstance) -> Result<ShardOutcome, ScheduleError> {
-    shard_schedule_with(instance, ShardingConfig::default())
-}
-
-/// Plans `instance` with explicit sharding configuration.
-///
-/// # Errors
-/// See [`shard_schedule`].
+// chronus-lint: allow(dead-pub) — read by crates/core/tests/shard_pins.rs
 pub fn shard_schedule_with(
     instance: &UpdateInstance,
     config: ShardingConfig,
@@ -210,7 +203,7 @@ pub fn shard_schedule_with(
 /// thread plans itself (further parallel lanes own their own).
 ///
 /// # Errors
-/// See [`shard_schedule`].
+/// See [`shard_schedule_with`].
 pub fn shard_schedule_in(
     instance: &UpdateInstance,
     config: ShardingConfig,
@@ -470,7 +463,7 @@ mod tests {
     #[test]
     fn separable_instance_plans_without_conflicts() {
         let inst = separable_instance();
-        let out = shard_schedule(&inst).unwrap();
+        let out = shard_schedule_with(&inst, ShardingConfig::default()).unwrap();
         assert!(out.stats.shards >= 2);
         assert_eq!(out.stats.conflicts, 0);
         assert!(!out.stats.fell_back_joint);
@@ -485,7 +478,7 @@ mod tests {
     #[test]
     fn single_flow_delegates_byte_identically() {
         let inst = chronus_net::motivating_example();
-        let sharded = shard_schedule(&inst).unwrap();
+        let sharded = shard_schedule_with(&inst, ShardingConfig::default()).unwrap();
         let joint = greedy_schedule_with(&inst, GreedyConfig::default()).unwrap();
         assert_eq!(sharded.schedule, joint.schedule);
         assert_eq!(sharded.makespan, joint.makespan);
@@ -567,7 +560,12 @@ mod tests {
         assert!(out.certificate.is_none());
         // The joint check still ran and accepted the sharded plan.
         assert!(!out.stats.fell_back_joint);
-        assert_eq!(out.schedule, shard_schedule(&inst).unwrap().schedule);
+        assert_eq!(
+            out.schedule,
+            shard_schedule_with(&inst, ShardingConfig::default())
+                .unwrap()
+                .schedule
+        );
         // The emitted schedule is still consistent.
         assert!(chronus_verify::certify(&inst, &out.schedule).is_ok());
     }

@@ -46,6 +46,7 @@ pub mod config;
 pub mod journal;
 mod metrics;
 pub mod proto;
+// chronus-lint: allow(dead-pub) — read by crates/daemon/tests/request_line_bound.rs
 pub mod server;
 pub mod service;
 pub mod signal;

@@ -23,7 +23,7 @@ pub struct ChronusDriver {
 /// The OR execution model: rounds fired over the control channel,
 /// landing after a random installation latency; a barrier separates
 /// rounds ("our algorithm sleeps for a while, which is a random number
-/// from the data of [9], so as to simulate the asynchronous nature of
+/// from the data of \[9\], so as to simulate the asynchronous nature of
 /// data plane", §V-A).
 #[derive(Clone, Debug)]
 pub struct OrDriver {

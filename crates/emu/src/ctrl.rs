@@ -1,5 +1,5 @@
 //! The faulty control plane: reliable delivery state for timed
-//! updates under an injected [`FaultPlan`].
+//! updates under an injected [`chronus_faults::FaultPlan`].
 //!
 //! Without faults installed, the emulator's Chronus driver pushes each
 //! timed `ApplyFlowMod` straight onto the event queue — an idealized
@@ -9,7 +9,7 @@
 //! a lossy channel (the [`FaultInjector`] decides each message's
 //! fate), retransmitted with exponential backoff until acknowledged
 //! ([`ReliableOutbox`]), deduplicated at the switch agent, fired by
-//! the switch's own [`ScheduledExecutor`], and watched over by a
+//! the switch's own [`chronus_clock::ScheduledExecutor`], and watched over by a
 //! controller-side deadline check that re-sends within the certified
 //! slack window or falls back to the two-phase rollback path.
 

@@ -57,16 +57,6 @@ impl HopRing {
             .filter_map(|i| self.hops.get(i % HOP_RING_CAPACITY).copied())
             .collect()
     }
-
-    /// `true` when the remembered tail revisits a switch — the
-    /// signature of a forwarding loop (a loop-free walk never repeats
-    /// a node within the ring window).
-    pub fn has_revisit(&self) -> bool {
-        let hops = self.hops();
-        hops.iter()
-            .enumerate()
-            .any(|(i, h)| hops.iter().skip(i + 1).any(|other| other == h))
-    }
 }
 
 /// Everything that can happen in the emulation.
@@ -261,13 +251,11 @@ mod tests {
     fn hop_ring_keeps_last_n_in_order() {
         let mut r = HopRing::new();
         assert!(r.is_empty());
-        assert!(!r.has_revisit());
         for i in 0..3 {
             r.push(SwitchId(i));
         }
         assert_eq!(r.len(), 3);
         assert_eq!(r.hops(), vec![SwitchId(0), SwitchId(1), SwitchId(2)]);
-        assert!(!r.has_revisit(), "distinct hops are loop-free");
         // Overflow evicts the oldest: after 12 pushes of distinct ids
         // only the last HOP_RING_CAPACITY remain, oldest first.
         let mut r = HopRing::new();
@@ -277,16 +265,6 @@ mod tests {
         assert_eq!(r.len(), HOP_RING_CAPACITY);
         let expect: Vec<SwitchId> = (4..12).map(SwitchId).collect();
         assert_eq!(r.hops(), expect);
-        assert!(!r.has_revisit());
-    }
-
-    #[test]
-    fn hop_ring_flags_revisits() {
-        let mut r = HopRing::new();
-        r.push(SwitchId(2));
-        r.push(SwitchId(3));
-        r.push(SwitchId(2));
-        assert!(r.has_revisit(), "a two-switch bounce repeats a node");
     }
 
     #[test]

@@ -23,7 +23,7 @@
 //!   from their own trigger executors, and a controller watchdog
 //!   re-sends missed updates within the certified slack window or
 //!   falls back to two-phase rollback;
-//! - [`emulator`] — the simulation loop tying everything together;
+//! - [`Emulator`] — the simulation loop tying everything together;
 //! - [`report`] — bandwidth series and loss accounting, the data
 //!   behind Fig. 6.
 //!
@@ -49,17 +49,15 @@
     deny(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing)
 )]
 
-pub mod analysis;
 pub mod controller;
 pub mod ctrl;
-pub mod emulator;
+mod emulator;
 pub mod event;
 pub mod link;
 pub mod report;
 pub mod switchdev;
 pub mod traffic;
 
-pub use analysis::{skew_tolerance, SkewTolerance};
 pub use controller::{EngineDriver, UpdateDriver};
 pub use ctrl::CtrlPayload;
 pub use emulator::{EmuConfig, Emulator};

@@ -75,12 +75,6 @@ impl EmuLink {
     pub fn totals(&self) -> WindowCounters {
         self.total
     }
-
-    /// The instantaneous queueing delay a chunk arriving at `now`
-    /// would experience.
-    pub fn backlog_at(&self, now: Nanos) -> Nanos {
-        (self.busy_until - now).max(0)
-    }
 }
 
 #[cfg(test)]
@@ -98,7 +92,6 @@ mod tests {
         // Second chunk right away queues behind the first.
         let arrival2 = l.transmit(0, 1_000).unwrap();
         assert_eq!(arrival2, 2_000_000 + 1_000_000);
-        assert_eq!(l.backlog_at(0), 2_000_000);
     }
 
     #[test]

@@ -130,6 +130,7 @@ impl EmuReport {
     }
 
     /// Peak offered bandwidth across all links.
+    // chronus-lint: allow(dead-pub) — read by tests/emulator_vs_model.rs
     pub fn global_peak_offered_mbps(&self) -> f64 {
         self.bandwidth
             .keys()

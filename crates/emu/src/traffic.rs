@@ -26,11 +26,6 @@ impl CbrSource {
     pub fn interval(&self) -> Nanos {
         (self.chunk_bytes as Nanos * 8 * 1_000_000_000) / self.rate_bps as Nanos
     }
-
-    /// Number of chunks emitted in `duration` ns.
-    pub fn chunks_in(&self, duration: Nanos) -> u64 {
-        (duration / self.interval()) as u64
-    }
 }
 
 /// Picks a chunk size giving roughly `chunks_per_unit` emissions per
@@ -56,7 +51,6 @@ mod tests {
             chunk_bytes: 10_000, // 10 KB -> 100 chunks/s
         };
         assert_eq!(s.interval(), 10_000_000); // 10 ms
-        assert_eq!(s.chunks_in(1_000_000_000), 100);
     }
 
     #[test]

@@ -81,7 +81,7 @@ impl Default for SlackPolicy {
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub enum Stage {
     /// The sharded multi-flow planner (opt-in; multi-flow requests
-    /// under an engine configured with a [`ShardingConfig`]).
+    /// under an engine configured with a [`crate::ShardingConfig`]).
     Sharded,
     /// The greedy scheduler (paper Algorithm 2).
     Greedy,
@@ -208,6 +208,7 @@ pub struct PlannedUpdate {
 
 impl PlannedUpdate {
     /// The attempt record for `stage`, if the chain reached it.
+    // chronus-lint: allow(dead-pub) — read by crates/engine/tests/one_seal.rs
     pub fn attempt(&self, stage: Stage) -> Option<&StageAttempt> {
         self.attempts.iter().find(|a| a.stage == stage)
     }
@@ -617,6 +618,7 @@ pub fn plan_with_chain(
 /// Plans `requests` one by one on the calling thread with fresh
 /// metrics — the reference behaviour the concurrent engine must
 /// reproduce plan-for-plan (see the equivalence property test).
+// chronus-lint: allow(dead-pub) — read by crates/engine/tests/engine_props.rs
 pub fn plan_sequential(requests: &[UpdateRequest]) -> Vec<PlannedUpdate> {
     let metrics = EngineMetrics::new();
     let mut ws = SimWorkspace::default();

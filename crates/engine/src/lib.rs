@@ -18,8 +18,6 @@
 //!   certificate — the certified timing tolerance ±Δ — dilating the
 //!   schedule to buy tolerance when the planner's packing certifies
 //!   none;
-//! - [`UpdateWatchdog`]: the deployment-side deadline tracker turning
-//!   that certified tolerance into re-arm-or-rollback decisions;
 //! - [`PlanReport`]: per-stage latencies and win counts, certifier and
 //!   slack outcomes and deadline casualties, read off the engine's
 //!   metrics registry ([`EngineMetrics`]).
@@ -51,7 +49,6 @@ mod fallback;
 mod metrics;
 mod pool;
 mod request;
-mod watchdog;
 
 // Off every request path (see the module doc); exported until the
 // benchmark's traced replay stops timing a window lookup.
@@ -66,4 +63,3 @@ pub use pool::{Engine, EngineConfig};
 // them so `EngineConfig::with_sharding` callers need no chronus-core dep.
 pub use chronus_core::shard::ShardingConfig;
 pub use request::{RequestId, UpdateRequest};
-pub use watchdog::{UpdateWatchdog, WatchdogVerdict};

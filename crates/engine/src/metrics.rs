@@ -376,18 +376,6 @@ pub struct PlanReport {
     pub timeouts: u64,
 }
 
-impl PlanReport {
-    /// Fraction of completed requests that fell through to the
-    /// two-phase fallback.
-    pub fn fallback_rate(&self) -> f64 {
-        if self.completed == 0 {
-            0.0
-        } else {
-            self.two_phase.wins as f64 / self.completed as f64
-        }
-    }
-}
-
 impl fmt::Display for PlanReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(

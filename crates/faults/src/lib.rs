@@ -13,22 +13,23 @@
 //!   / delay, per-switch install stragglers, clock-desync spikes, and
 //!   switch reboots. Zero-rate plans draw no randomness, so fault-free
 //!   and zero-rate runs are byte-identical.
-//! - [`delivery`] — a reliable control-plane protocol: acks,
-//!   per-message retransmission timers with exponential backoff, and
+//! - `delivery` — a reliable control-plane protocol
+//!   ([`ReliableOutbox`], [`DedupFilter`]): acks, per-message
+//!   retransmission timers with exponential backoff, and
 //!   epoch-numbered envelopes the receiver dedups.
-//! - [`watchdog`] — the recovery decision: re-arm a missed trigger
-//!   within the certified slack window ([`SlackBudget`]) or fall back
-//!   to the two-phase rollback path.
+//! - `watchdog` — the recovery decision ([`RecoveryPolicy`]): re-arm
+//!   a missed trigger within the certified slack window
+//!   ([`SlackBudget`]) or fall back to the two-phase rollback path.
 //! - [`stats`] — `chronus_faults_*` instruments over a
 //!   `chronus-trace` metrics registry, plus the plain [`FaultSummary`]
 //!   view.
 //!
 //! The crate is deliberately transport-agnostic: everything here is a
 //! pure state machine over simulated timestamps. The emulator
-//! (`chronus-emu`) wires these pieces to its event queue; the engine
-//! (`chronus-engine`) wraps the policy in its runtime watchdog stage;
-//! the certifier (`chronus-verify`) produces the slack certificates
-//! the budgets come from.
+//! (`chronus-emu`) wires these pieces to its event queue and drives
+//! the policy from its controller watchdog; the certifier
+//! (`chronus-verify`) produces the slack certificates the budgets
+//! come from.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -37,10 +38,10 @@
     deny(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing)
 )]
 
-pub mod delivery;
+mod delivery;
 pub mod plan;
 pub mod stats;
-pub mod watchdog;
+mod watchdog;
 
 pub use delivery::{DedupFilter, Envelope, MsgId, ReliableConfig, ReliableOutbox, TimeoutVerdict};
 pub use plan::{ChannelFate, ClockSpike, FaultInjector, FaultPlan, RebootEvent};

@@ -112,6 +112,7 @@ impl FaultPlan {
     }
 
     /// Adds a clock-desync spike to the plan (builder style).
+    // chronus-lint: allow(dead-pub) — read by tests/fault_tolerance.rs
     pub fn with_spike(mut self, at: Nanos, switch: SwitchId, offset_ns: Nanos) -> Self {
         self.spikes.push(ClockSpike {
             at,
@@ -119,16 +120,6 @@ impl FaultPlan {
             offset_ns,
         });
         self
-    }
-
-    /// True when no fault class can ever fire.
-    pub fn is_quiet(&self) -> bool {
-        self.drop_prob <= 0.0
-            && self.dup_prob <= 0.0
-            && self.delay_prob <= 0.0
-            && self.straggler_prob <= 0.0
-            && self.spikes.is_empty()
-            && self.reboots.is_empty()
     }
 }
 
@@ -326,7 +317,6 @@ mod tests {
         let plan = FaultPlan::quiet(0)
             .with_reboot(1_000, SwitchId(2), 500)
             .with_spike(2_000, SwitchId(1), -300);
-        assert!(!plan.is_quiet());
         let inj = FaultInjector::new(plan);
         assert_eq!(inj.reboots().len(), 1);
         assert_eq!(inj.spikes().len(), 1);

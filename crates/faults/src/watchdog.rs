@@ -45,12 +45,6 @@ impl SlackBudget {
     pub fn zero() -> Self {
         SlackBudget { delta_ns: 0 }
     }
-
-    /// Does the budget cover a measured deviation (e.g. the post-sync
-    /// residual clock error from `two_way_sync`)?
-    pub fn covers(&self, deviation_ns: Nanos) -> bool {
-        deviation_ns.abs() <= self.delta_ns
-    }
 }
 
 /// What the watchdog should do about one missed trigger.
@@ -144,13 +138,7 @@ mod tests {
     }
 
     #[test]
-    fn budget_covers_symmetric_deviations() {
-        let b = SlackBudget::new(1_000);
-        assert!(b.covers(0));
-        assert!(b.covers(1_000));
-        assert!(b.covers(-1_000));
-        assert!(!b.covers(1_001));
-        assert!(!b.covers(-1_001));
+    fn budget_clamps_negative_deltas() {
         // Negative construction clamps to zero.
         assert_eq!(SlackBudget::new(-5).delta_ns, 0);
     }

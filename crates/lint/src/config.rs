@@ -266,6 +266,9 @@ pub struct LintConfig {
     pub cast_modules: Vec<String>,
     /// Integer type names the cast rule watches.
     pub cast_types: Vec<String>,
+    /// `[dead_pub] readers`: extra roots scanned only for the names
+    /// they read. `None` (no `[dead_pub]` table) turns the rule off.
+    pub dead_pub_readers: Option<Vec<String>>,
     /// Grandfathered findings.
     pub baseline: Vec<BaselineEntry>,
 }
@@ -369,6 +372,9 @@ impl LintConfig {
             .iter()
             .map(|s| s.to_string())
             .collect();
+        }
+        if let Some(dp) = doc.table("dead_pub") {
+            cfg.dead_pub_readers = Some(strings(dp, "readers"));
         }
         for t in doc.tables("baseline") {
             let rule = string(t, "rule").ok_or("baseline needs `rule`")?;

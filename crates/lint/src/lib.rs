@@ -6,7 +6,7 @@
 //! allocator. This crate is the static side of that story: a
 //! self-contained analyzer (hand-rolled lexer, no external deps, same
 //! offline philosophy as `shims/serde_json`) that walks every
-//! workspace crate and checks four rule families:
+//! workspace crate and checks these rule families:
 //!
 //! | rule | what it denies |
 //! |------|----------------|
@@ -14,6 +14,8 @@
 //! | `hot-alloc` | allocating calls in manifest-listed hot functions |
 //! | `det-wallclock`, `det-hash` | wall-clock reads and owned hash containers in schedule-producing modules |
 //! | `safety-comment`, `forbid-unsafe`, `cast-paren` | unaudited `unsafe`, missing crate-root forbids, bare narrowing casts in bit-math |
+//! | `no-stdio` | `println!`/`eprintln!`/`dbg!` in library crates |
+//! | `dead-pub` | a library's `pub` item that no non-test code names (workspace-wide) |
 //!
 //! Configuration lives in the committed `lint.toml` (rule scopes, the
 //! hot-function manifest, the baseline); inline escapes are
@@ -55,18 +57,36 @@ pub struct Report {
 pub fn run(root: &Path, cfg: &LintConfig) -> Result<Report, String> {
     let files = workspace::collect(root, cfg)?;
     let mut findings = Vec::new();
+    let mut dead_pub = cfg
+        .dead_pub_readers
+        .as_ref()
+        .map(|readers| (readers, rules::dead_pub::Index::default()));
     for f in &files {
-        let src = std::fs::read_to_string(&f.path)
-            .map_err(|e| format!("read {}: {e}", f.path.display()))?;
-        lint_source(
+        let src = read(&f.path)?;
+        let lexed = lexer::lex(&src);
+        let model = model::scan(&lexed, &f.module);
+        let sup = suppress::Suppressions::collect(&lexed.comments);
+        let ctx = rules::FileCtx {
             cfg,
-            &f.rel,
-            &f.module,
-            f.is_test_file,
-            f.is_crate_root,
-            &src,
-            &mut findings,
-        );
+            rel: &f.rel,
+            module: &f.module,
+            is_test_file: f.is_test_file,
+            is_crate_root: f.is_crate_root,
+            lexed: &lexed,
+            model: &model,
+            sup: &sup,
+        };
+        rules::run_all(&ctx, &mut findings);
+        if let Some((_, index)) = dead_pub.as_mut() {
+            index.add_file(&ctx, &mut findings);
+        }
+    }
+    if let Some((readers, mut index)) = dead_pub {
+        for path in workspace::rust_files(root, readers)? {
+            let lexed = lexer::lex(&read(&path)?);
+            index.add_reader(&lexed, &model::scan(&lexed, ""));
+        }
+        index.finish(&mut findings);
     }
     let (mut live, baselined) = diag::apply_baseline(findings, &cfg.baseline);
     diag::sort(&mut live);
@@ -77,30 +97,8 @@ pub fn run(root: &Path, cfg: &LintConfig) -> Result<Report, String> {
     })
 }
 
-/// Lints one in-memory source file — the unit the fixture tests call.
-pub fn lint_source(
-    cfg: &LintConfig,
-    rel: &str,
-    module: &str,
-    is_test_file: bool,
-    is_crate_root: bool,
-    src: &str,
-    out: &mut Vec<Finding>,
-) {
-    let lexed = lexer::lex(src);
-    let model = model::scan(&lexed, module);
-    let sup = suppress::Suppressions::collect(&lexed.comments);
-    let ctx = rules::FileCtx {
-        cfg,
-        rel,
-        module,
-        is_test_file,
-        is_crate_root,
-        lexed: &lexed,
-        model: &model,
-        sup: &sup,
-    };
-    rules::run_all(&ctx, out);
+fn read(path: &Path) -> Result<String, String> {
+    std::fs::read_to_string(path).map_err(|e| format!("read {}: {e}", path.display()))
 }
 
 /// Walks upward from `start` to find the directory holding

@@ -1,10 +1,13 @@
-//! The rule families. Each rule is a free function over a
+//! The rule families. Each per-file rule is a free function over a
 //! [`FileCtx`] — one lexed, scanned, suppression-resolved source file
 //! plus the workspace config — appending [`Finding`]s to a shared
-//! vector. Rules never read the filesystem; everything they need is
-//! in the context, which keeps them unit-testable on string fixtures.
+//! vector. [`dead_pub`] is the one cross-file rule: it folds every
+//! file's context into an index and reports once the workspace is
+//! read. Rules never read the filesystem; everything they need is in
+//! the context, which keeps them unit-testable on string fixtures.
 
 pub mod casts;
+pub mod dead_pub;
 pub mod determinism;
 pub mod hot_alloc;
 pub mod lock_order;

@@ -27,7 +27,7 @@ pub fn collect(root: &Path, cfg: &LintConfig) -> Result<Vec<SourceFile>, String>
     for r in &cfg.roots {
         let dir = root.join(r);
         if dir.is_dir() {
-            walk(&dir, root, cfg, &mut rels)?;
+            walk(&dir, root, &cfg.exclude, &mut rels)?;
         }
     }
     rels.sort();
@@ -46,7 +46,18 @@ pub fn collect(root: &Path, cfg: &LintConfig) -> Result<Vec<SourceFile>, String>
     Ok(out)
 }
 
-fn walk(dir: &Path, root: &Path, cfg: &LintConfig, out: &mut Vec<String>) -> Result<(), String> {
+/// Every `.rs` file under the `dirs` (relative to `root`; a missing
+/// one is an error), with no exclusions. Deterministic order.
+pub fn rust_files(root: &Path, dirs: &[String]) -> Result<Vec<PathBuf>, String> {
+    let mut rels = Vec::new();
+    for d in dirs {
+        walk(&root.join(d), root, &[], &mut rels)?;
+    }
+    rels.sort();
+    Ok(rels.into_iter().map(|rel| root.join(rel)).collect())
+}
+
+fn walk(dir: &Path, root: &Path, exclude: &[String], out: &mut Vec<String>) -> Result<(), String> {
     let entries = std::fs::read_dir(dir).map_err(|e| format!("read_dir {}: {e}", dir.display()))?;
     for entry in entries {
         let entry = entry.map_err(|e| format!("read_dir {}: {e}", dir.display()))?;
@@ -60,15 +71,14 @@ fn walk(dir: &Path, root: &Path, cfg: &LintConfig, out: &mut Vec<String>) -> Res
         if name.starts_with('.') || name == "target" {
             continue;
         }
-        if cfg
-            .exclude
+        if exclude
             .iter()
             .any(|ex| rel == *ex || rel.starts_with(&format!("{ex}/")))
         {
             continue;
         }
         if path.is_dir() {
-            walk(&path, root, cfg, out)?;
+            walk(&path, root, exclude, out)?;
         } else if rel.ends_with(".rs") {
             out.push(rel);
         }

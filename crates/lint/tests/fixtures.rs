@@ -55,6 +55,7 @@ fn bad_fixtures_reproduce_goldens() {
         "unsafe_bad",
         "casts_bad",
         "stdio_bad",
+        "dead_pub_bad",
     ] {
         let report = run_case(case);
         assert!(
@@ -76,6 +77,7 @@ fn good_fixtures_lint_clean() {
         "unsafe_good",
         "casts_good",
         "stdio_good",
+        "dead_pub_good",
     ] {
         let report = run_case(case);
         assert_golden(case, &report);

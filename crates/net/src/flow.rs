@@ -114,12 +114,6 @@ impl Flow {
         set
     }
 
-    /// `true` if the initial and final path are hop-for-hop identical
-    /// (no update needed at all).
-    pub fn is_noop(&self) -> bool {
-        self.initial == self.fin
-    }
-
     /// Switches appearing on either path, sorted.
     pub fn touched_switches(&self) -> BTreeSet<SwitchId> {
         self.initial
@@ -276,7 +270,6 @@ mod tests {
         assert!(!ups.contains(&SwitchId(1)));
         assert_eq!(f.source(), SwitchId(0));
         assert_eq!(f.destination(), SwitchId(3));
-        assert!(!f.is_noop());
         assert_eq!(f.touched_switches().len(), 4);
     }
 
@@ -284,7 +277,6 @@ mod tests {
     fn noop_flow_needs_no_updates() {
         let p = Path::new(ids(&[0, 1, 3]));
         let f = Flow::new(FlowId(1), 1, p.clone(), p).unwrap();
-        assert!(f.is_noop());
         assert!(f.switches_to_update().is_empty());
     }
 

@@ -45,7 +45,6 @@
 
 pub mod codec;
 mod error;
-pub mod export;
 mod flow;
 mod ids;
 mod instance;
@@ -66,8 +65,7 @@ pub use instance::{
 pub use link::Link;
 pub use network::{Network, NetworkBuilder};
 pub use partition::{
-    network_with_capacities, partition_network, split_instance, Partition, PartitionMethod,
-    ShardedInstance, SharedLink,
+    partition_network, split_instance, Partition, PartitionMethod, ShardedInstance, SharedLink,
 };
 pub use path::Path;
 

@@ -107,24 +107,9 @@ impl Network {
             .map(|i| &self.links[i.index()])
     }
 
-    /// Out-degree of `u` (0 for unknown switches).
-    pub fn out_degree(&self, u: SwitchId) -> usize {
-        self.out_links.get(u.index()).map_or(0, Vec::len)
-    }
-
-    /// In-degree of `v` (0 for unknown switches).
-    pub fn in_degree(&self, v: SwitchId) -> usize {
-        self.in_links.get(v.index()).map_or(0, Vec::len)
-    }
-
     /// The maximum link delay in the network (0 if there are no links).
     pub fn max_delay(&self) -> Delay {
         self.links.iter().map(|l| l.delay).max().unwrap_or(0)
-    }
-
-    /// The minimum link capacity in the network (`None` if no links).
-    pub fn min_capacity(&self) -> Option<Capacity> {
-        self.links.iter().map(|l| l.capacity).min()
     }
 }
 
@@ -302,10 +287,9 @@ mod tests {
         assert_eq!(net.capacity(a, b), Some(5));
         assert_eq!(net.delay(b, c), Some(2));
         assert_eq!(net.delay(c, b), None);
-        assert_eq!(net.out_degree(a), 2);
-        assert_eq!(net.in_degree(c), 2);
+        assert_eq!(net.out_links(a).count(), 2);
+        assert_eq!(net.in_links(c).count(), 2);
         assert_eq!(net.max_delay(), 4);
-        assert_eq!(net.min_capacity(), Some(3));
         assert_eq!(net.switch_name(a), Some("a"));
         assert_eq!(net.switch_name(SwitchId(9)), None);
         assert!(net.contains_switch(c));

@@ -25,7 +25,7 @@
 // indexing cannot go out of bounds here.
 #![allow(clippy::indexing_slicing)]
 
-use crate::{Capacity, Network, NetworkBuilder, SwitchId, UpdateInstance};
+use crate::{Capacity, Network, SwitchId, UpdateInstance};
 use std::collections::{BTreeMap, VecDeque};
 
 /// How [`partition_network`] derived the shard assignment.
@@ -104,13 +104,6 @@ pub struct ShardedInstance {
     pub flow_shards: Vec<Vec<usize>>,
     /// Links loaded by two or more shards, with per-shard needs.
     pub shared_links: Vec<SharedLink>,
-}
-
-impl ShardedInstance {
-    /// Shards that actually own at least one flow.
-    pub fn populated_shards(&self) -> usize {
-        self.flow_shards.iter().filter(|f| !f.is_empty()).count()
-    }
 }
 
 /// Partitions `net` into up to `target` shards.
@@ -414,31 +407,6 @@ pub fn split_instance(instance: &UpdateInstance, target: usize) -> ShardedInstan
     }
 }
 
-/// Rebuilds `net` with the capacities in `overrides` replacing the
-/// originals (all other links and every switch carry over verbatim,
-/// preserving switch ids). This is how a shard's planning view clamps
-/// shared links to the shard's reservation.
-pub fn network_with_capacities(
-    net: &Network,
-    overrides: &BTreeMap<(SwitchId, SwitchId), Capacity>,
-) -> Network {
-    let mut b = NetworkBuilder::new();
-    for s in net.switches() {
-        b.add_switch(net.switch_name(s).unwrap_or("").to_string());
-    }
-    for l in net.links() {
-        let capacity = overrides
-            .get(&(l.src, l.dst))
-            .copied()
-            .unwrap_or(l.capacity)
-            .max(1);
-        // The source network already validated these links; a rebuild
-        // with a positive capacity cannot fail.
-        let _ = b.add_link(l.src, l.dst, capacity, l.delay);
-    }
-    b.build()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -583,7 +551,7 @@ mod tests {
                 .unwrap()
         };
         assert_ne!(shard_of_flow(0), shard_of_flow(1));
-        assert!(split.populated_shards() >= 2);
+        assert!(split.flow_shards.iter().filter(|f| !f.is_empty()).count() >= 2);
         // Shared links exist (the cross-pod flow overlaps both pods)
         // and carry consistent need bounds.
         assert!(!split.shared_links.is_empty());
@@ -611,28 +579,5 @@ mod tests {
         net.switches()
             .find(|&s| net.switch_name(s) == Some(n))
             .unwrap()
-    }
-
-    #[test]
-    fn capacity_overrides_rebuild_preserves_structure() {
-        let net = fat_tree(4, params());
-        let l = *net.links().next().unwrap();
-        let mut overrides = BTreeMap::new();
-        overrides.insert((l.src, l.dst), 123 as Capacity);
-        let rebuilt = network_with_capacities(&net, &overrides);
-        assert_eq!(rebuilt.switch_count(), net.switch_count());
-        assert_eq!(rebuilt.link_count(), net.link_count());
-        assert_eq!(rebuilt.capacity(l.src, l.dst), Some(123));
-        // Names and ids carry over.
-        for s in net.switches() {
-            assert_eq!(rebuilt.switch_name(s), net.switch_name(s));
-        }
-        // A non-overridden link keeps its capacity and delay.
-        let other = net
-            .links()
-            .find(|x| x.endpoints() != l.endpoints())
-            .unwrap();
-        assert_eq!(rebuilt.capacity(other.src, other.dst), Some(other.capacity));
-        assert_eq!(rebuilt.delay(other.src, other.dst), Some(other.delay));
     }
 }

@@ -166,15 +166,6 @@ impl Path {
     pub fn suffix_from(&self, v: SwitchId) -> Option<&[SwitchId]> {
         self.position(v).map(|i| &self.hops[i..])
     }
-
-    /// The minimum link capacity along the path, or `None` if any link
-    /// is missing (the `Λ.cons` quantity of paper Algorithm 1).
-    pub fn bottleneck_capacity(&self, net: &Network) -> Option<u64> {
-        self.edges()
-            .map(|(u, v)| net.capacity(u, v))
-            .collect::<Option<Vec<_>>>()
-            .map(|caps| caps.into_iter().min().unwrap_or(u64::MAX))
-    }
 }
 
 impl fmt::Display for Path {
@@ -270,17 +261,15 @@ mod tests {
     }
 
     #[test]
-    fn delays_and_bottleneck() {
+    fn delays_along_a_path() {
         let net = chain(4); // delays 1, 2, 3 along the chain
         let p = Path::new(ids(&[0, 1, 2, 3]));
         assert_eq!(p.total_delay(&net), Some(6));
         assert_eq!(p.prefix_delay(&net, SwitchId(0)), Some(0));
         assert_eq!(p.prefix_delay(&net, SwitchId(2)), Some(3));
         assert_eq!(p.prefix_delay(&net, SwitchId(9)), None);
-        assert_eq!(p.bottleneck_capacity(&net), Some(10));
         let bad = Path::new(ids(&[0, 2]));
         assert_eq!(bad.total_delay(&net), None);
-        assert_eq!(bad.bottleneck_capacity(&net), None);
     }
 
     #[test]

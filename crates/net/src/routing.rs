@@ -1,5 +1,5 @@
-//! Routing algorithms: BFS, delay-weighted Dijkstra, Yen's k-shortest
-//! simple paths, and seeded random simple paths.
+//! Routing algorithms: delay-weighted Dijkstra and seeded random
+//! simple paths.
 //!
 //! The experiment harness uses [`shortest_path_delay`] for initial
 //! routes and [`random_simple_path`] for the paper's "final path is
@@ -16,37 +16,7 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, HashSet, VecDeque};
-
-/// Shortest path by hop count (BFS). Returns `None` if `dst` is
-/// unreachable from `src` or either switch is unknown.
-pub fn shortest_path_hops(net: &Network, src: SwitchId, dst: SwitchId) -> Option<Path> {
-    if !net.contains_switch(src) || !net.contains_switch(dst) {
-        return None;
-    }
-    if src == dst {
-        return None;
-    }
-    let n = net.switch_count();
-    let mut prev: Vec<Option<SwitchId>> = vec![None; n];
-    let mut visited = vec![false; n];
-    let mut queue = VecDeque::new();
-    visited[src.index()] = true;
-    queue.push_back(src);
-    while let Some(u) = queue.pop_front() {
-        if u == dst {
-            break;
-        }
-        for l in net.out_links(u) {
-            if !visited[l.dst.index()] {
-                visited[l.dst.index()] = true;
-                prev[l.dst.index()] = Some(u);
-                queue.push_back(l.dst);
-            }
-        }
-    }
-    reconstruct(&prev, src, dst)
-}
+use std::collections::{BinaryHeap, HashMap};
 
 /// Shortest path by total transmission delay (Dijkstra). Returns `None`
 /// if unreachable.
@@ -91,111 +61,6 @@ fn reconstruct(prev: &[Option<SwitchId>], src: SwitchId, dst: SwitchId) -> Optio
     }
     hops.reverse();
     Some(Path::new(hops))
-}
-
-/// Yen's algorithm: the `k` delay-shortest *simple* paths from `src` to
-/// `dst`, in non-decreasing delay order. Returns fewer than `k` paths
-/// if the graph does not contain that many.
-pub fn k_shortest_paths(net: &Network, src: SwitchId, dst: SwitchId, k: usize) -> Vec<Path> {
-    let Some(first) = shortest_path_delay(net, src, dst) else {
-        return Vec::new();
-    };
-    let mut result = vec![first];
-    let mut candidates: Vec<(Delay, Path)> = Vec::new();
-
-    while result.len() < k {
-        let last = result.last().expect("result is non-empty").clone();
-        for i in 0..last.len() - 1 {
-            let spur = last.hops()[i];
-            let root = &last.hops()[..=i];
-
-            // Edges removed: the outgoing edge each previous path takes
-            // after sharing this root, plus all root nodes except spur.
-            // chronus-lint: allow(det-hash) — membership-only ban set for the filtered Dijkstra; never iterated
-            let mut banned_edges: HashSet<(SwitchId, SwitchId)> = HashSet::new();
-            for p in &result {
-                if p.len() > i && &p.hops()[..=i] == root {
-                    banned_edges.insert((p.hops()[i], p.hops()[i + 1]));
-                }
-            }
-            // chronus-lint: allow(det-hash) — membership-only ban set for the filtered Dijkstra; never iterated
-            let banned_nodes: HashSet<SwitchId> = root[..i].iter().copied().collect();
-
-            if let Some(spur_path) =
-                shortest_path_delay_filtered(net, spur, dst, &banned_nodes, &banned_edges)
-            {
-                let mut hops = root[..i].to_vec();
-                hops.extend_from_slice(spur_path.hops());
-                let total = Path::new(hops);
-                if total.validate(net).is_ok() {
-                    let d = total.total_delay(net).expect("validated path has delay");
-                    if !result.contains(&total) && !candidates.iter().any(|(_, p)| p == &total) {
-                        candidates.push((d, total));
-                    }
-                }
-            }
-        }
-        if candidates.is_empty() {
-            break;
-        }
-        // Tie-break equal-delay candidates on fewest hops first, then
-        // lexicographic switch ids. Comparing hop ids alone let a
-        // longer path whose first hops had smaller ids win over a
-        // shorter one (0→2→3→9 beat 0→5→9), inverting the canonical
-        // Yen order; a single min-select also avoids re-sorting the
-        // whole pool every iteration.
-        let best_idx = candidates
-            .iter()
-            .enumerate()
-            .min_by(|(_, (da, pa)), (_, (db, pb))| {
-                da.cmp(db)
-                    .then(pa.len().cmp(&pb.len()))
-                    .then_with(|| pa.hops().cmp(pb.hops()))
-            })
-            .map(|(idx, _)| idx)
-            .expect("candidates is non-empty");
-        let (_, best) = candidates.swap_remove(best_idx);
-        result.push(best);
-    }
-    result
-}
-
-fn shortest_path_delay_filtered(
-    net: &Network,
-    src: SwitchId,
-    dst: SwitchId,
-    banned_nodes: &HashSet<SwitchId>,
-    banned_edges: &HashSet<(SwitchId, SwitchId)>,
-) -> Option<Path> {
-    if src == dst {
-        return None;
-    }
-    let n = net.switch_count();
-    let mut dist: Vec<Delay> = vec![Delay::MAX; n];
-    let mut prev: Vec<Option<SwitchId>> = vec![None; n];
-    let mut heap = BinaryHeap::new();
-    dist[src.index()] = 0;
-    heap.push(Reverse((0u64, src)));
-    while let Some(Reverse((d, u))) = heap.pop() {
-        if d > dist[u.index()] {
-            continue;
-        }
-        for l in net.out_links(u) {
-            if banned_nodes.contains(&l.dst) || banned_edges.contains(&(u, l.dst)) {
-                continue;
-            }
-            let nd = d.saturating_add(l.delay);
-            if nd < dist[l.dst.index()] {
-                dist[l.dst.index()] = nd;
-                prev[l.dst.index()] = Some(u);
-                heap.push(Reverse((nd, l.dst)));
-            }
-        }
-    }
-    if dist[dst.index()] == Delay::MAX {
-        return None;
-    }
-    reconstruct(&prev, src, dst)
 }
 
 /// A seeded random *simple* path from `src` to `dst`: a loop-erased
@@ -336,25 +201,6 @@ mod tests {
     }
 
     #[test]
-    fn bfs_finds_fewest_hops() {
-        let net = topology::line(5, LinkParams::default());
-        let p = shortest_path_hops(&net, SwitchId(0), SwitchId(4)).unwrap();
-        assert_eq!(p.len(), 5);
-        assert_eq!(p.source(), SwitchId(0));
-        assert_eq!(p.destination(), SwitchId(4));
-    }
-
-    #[test]
-    fn bfs_handles_unreachable_and_bad_input() {
-        let mut b = NetworkBuilder::with_switches(3);
-        b.add_link(SwitchId(0), SwitchId(1), 1, 1).unwrap();
-        let net = b.build();
-        assert!(shortest_path_hops(&net, SwitchId(0), SwitchId(2)).is_none());
-        assert!(shortest_path_hops(&net, SwitchId(0), SwitchId(0)).is_none());
-        assert!(shortest_path_hops(&net, SwitchId(0), SwitchId(9)).is_none());
-    }
-
-    #[test]
     fn dijkstra_prefers_low_delay() {
         let net = diamond_weighted();
         let p = shortest_path_delay(&net, SwitchId(0), SwitchId(3)).unwrap();
@@ -362,76 +208,41 @@ mod tests {
         assert_eq!(p.total_delay(&net), Some(2));
     }
 
-    #[test]
-    fn dijkstra_matches_petgraph() {
-        let net = topology::random_connected(topology::TopologyConfig::simulation(20, 3), 15);
-        let (g, nodes) = topology::to_petgraph(&net);
-        let dist = petgraph::algo::dijkstra(&g, nodes[0], None, |e| *e.weight());
-        for (target, node) in nodes.iter().enumerate().skip(1) {
-            let ours = shortest_path_delay(&net, SwitchId(0), SwitchId(target as u32))
-                .and_then(|p| p.total_delay(&net));
-            let theirs = dist.get(node).copied();
-            assert_eq!(ours, theirs, "distance mismatch to node {target}");
+    /// All-pairs shortest delays by Floyd–Warshall: an oracle that
+    /// shares no code with the Dijkstra under test.
+    fn floyd_warshall(net: &Network) -> Vec<Vec<Option<Delay>>> {
+        let n = net.switch_count();
+        let mut d = vec![vec![None; n]; n];
+        for (i, row) in d.iter_mut().enumerate() {
+            row[i] = Some(0);
         }
-    }
-
-    #[test]
-    fn yen_yields_distinct_sorted_paths() {
-        let net = topology::grid(3, 3, LinkParams::default());
-        let ps = k_shortest_paths(&net, SwitchId(0), SwitchId(8), 5);
-        assert!(ps.len() >= 3);
-        let mut last = 0;
-        for p in &ps {
-            assert!(p.validate(&net).is_ok());
-            let d = p.total_delay(&net).unwrap();
-            assert!(d >= last, "paths must be sorted by delay");
-            last = d;
+        for l in net.links() {
+            let cell = &mut d[l.src.index()][l.dst.index()];
+            *cell = Some(cell.map_or(l.delay, |c: Delay| c.min(l.delay)));
         }
-        for i in 0..ps.len() {
-            for j in i + 1..ps.len() {
-                assert_ne!(ps[i], ps[j], "paths must be distinct");
+        for k in 0..n {
+            for i in 0..n {
+                for j in 0..n {
+                    if let (Some(a), Some(b)) = (d[i][k], d[k][j]) {
+                        if d[i][j].is_none_or(|c| a + b < c) {
+                            d[i][j] = Some(a + b);
+                        }
+                    }
+                }
             }
         }
+        d
     }
 
     #[test]
-    fn yen_breaks_equal_delay_ties_on_hop_count_then_ids() {
-        // Diamond with a tail: after the unique shortest path
-        // A = 0→1→3 (delay 2), the very first Yen iteration puts TWO
-        // equal-delay(4) candidates in the pool at once —
-        //   B: 0→2→3    (spur at 0; 3 hops)
-        //   E: 0→1→4→3  (spur at 1; 4 hops, but smaller second-hop id)
-        // Comparing hop ids lexicographically picked E first (1 < 2);
-        // the canonical order is fewest hops first.
-        let mut b = NetworkBuilder::with_switches(5);
-        b.add_link(SwitchId(0), SwitchId(1), 10, 1).unwrap();
-        b.add_link(SwitchId(1), SwitchId(3), 10, 1).unwrap();
-        b.add_link(SwitchId(0), SwitchId(2), 10, 2).unwrap();
-        b.add_link(SwitchId(2), SwitchId(3), 10, 2).unwrap();
-        b.add_link(SwitchId(1), SwitchId(4), 10, 1).unwrap();
-        b.add_link(SwitchId(4), SwitchId(3), 10, 2).unwrap();
-        let net = b.build();
-        let ps = k_shortest_paths(&net, SwitchId(0), SwitchId(3), 3);
-        let hops: Vec<&[SwitchId]> = ps.iter().map(|p| p.hops()).collect();
-        assert_eq!(
-            hops,
-            vec![
-                &[SwitchId(0), SwitchId(1), SwitchId(3)][..],
-                &[SwitchId(0), SwitchId(2), SwitchId(3)][..],
-                &[SwitchId(0), SwitchId(1), SwitchId(4), SwitchId(3)][..],
-            ]
-        );
-        for p in &ps {
-            assert!(p.validate(&net).is_ok());
+    fn dijkstra_matches_floyd_warshall() {
+        let net = topology::random_connected(topology::TopologyConfig::simulation(20, 3), 15);
+        let dist = floyd_warshall(&net);
+        for (target, &theirs) in dist[0].iter().enumerate().skip(1) {
+            let ours = shortest_path_delay(&net, SwitchId(0), SwitchId(target as u32))
+                .and_then(|p| p.total_delay(&net));
+            assert_eq!(ours, theirs, "distance mismatch to node {target}");
         }
-    }
-
-    #[test]
-    fn yen_on_unreachable_is_empty() {
-        let mut b = NetworkBuilder::with_switches(2);
-        b.add_link(SwitchId(1), SwitchId(0), 1, 1).unwrap();
-        let net = b.build();
-        assert!(k_shortest_paths(&net, SwitchId(0), SwitchId(1), 3).is_empty());
     }
 
     #[test]

@@ -3,10 +3,9 @@
 //! The paper evaluates on (a) a small 10-switch Mininet topology with
 //! 500 Mbps links and (b) large synthetic topologies of up to 6 000
 //! switches with random final paths. This module provides deterministic
-//! generators for the classic shapes (line, ring, grid, star, binary
-//! tree, full mesh, fat-tree) plus seeded random generators
-//! (Erdős–Rényi-style `random_connected` and Waxman) used by the
-//! experiment harness.
+//! generators for the classic shapes (line, ring, grid, fat-tree) plus
+//! the seeded Erdős–Rényi-style `random_connected` generator used by
+//! the experiment harness.
 //!
 //! All generators produce *duplex* links (both directions, identical
 //! capacity/delay), matching the Mininet links of §V-A.
@@ -18,7 +17,6 @@
 #![allow(clippy::indexing_slicing, clippy::expect_used)]
 
 use crate::{Capacity, Delay, Network, NetworkBuilder, SwitchId};
-use petgraph::graph::{DiGraph, NodeIndex};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -46,14 +44,6 @@ impl LinkParams {
     /// Creates link parameters.
     pub fn new(capacity: Capacity, delay: Delay) -> Self {
         LinkParams { capacity, delay }
-    }
-
-    /// The paper's Mininet setting: 500 Mbps links.
-    pub fn mininet() -> Self {
-        LinkParams {
-            capacity: 500,
-            delay: 1,
-        }
     }
 }
 
@@ -92,24 +82,11 @@ pub fn ring(n: usize, p: LinkParams) -> Network {
     b.build()
 }
 
-/// A star: switch 0 is the hub, switches `1..n` are leaves.
-///
-/// # Panics
-/// Panics if `n < 2`.
-pub fn star(n: usize, p: LinkParams) -> Network {
-    assert!(n >= 2, "star topology needs at least two switches");
-    let mut b = NetworkBuilder::with_switches(n);
-    for i in 1..n {
-        b.add_duplex_link(SwitchId(0), SwitchId(i as u32), p.capacity, p.delay)
-            .expect("star links are unique");
-    }
-    b.build()
-}
-
 /// A `rows × cols` grid with 4-neighbour connectivity.
 ///
 /// # Panics
 /// Panics if either dimension is zero or the grid has < 2 switches.
+// chronus-lint: allow(dead-pub) — read by examples/failure_recovery.rs
 pub fn grid(rows: usize, cols: usize, p: LinkParams) -> Network {
     assert!(rows * cols >= 2, "grid needs at least two switches");
     let mut b = NetworkBuilder::with_switches(rows * cols);
@@ -124,46 +101,6 @@ pub fn grid(rows: usize, cols: usize, p: LinkParams) -> Network {
                 b.add_duplex_link(id(r, c), id(r + 1, c), p.capacity, p.delay)
                     .expect("grid links are unique");
             }
-        }
-    }
-    b.build()
-}
-
-/// A complete binary tree with `n` switches (heap layout: children of
-/// `i` are `2i+1` and `2i+2`).
-///
-/// # Panics
-/// Panics if `n < 2`.
-pub fn binary_tree(n: usize, p: LinkParams) -> Network {
-    assert!(n >= 2, "binary tree needs at least two switches");
-    let mut b = NetworkBuilder::with_switches(n);
-    for i in 0..n {
-        for child in [2 * i + 1, 2 * i + 2] {
-            if child < n {
-                b.add_duplex_link(
-                    SwitchId(i as u32),
-                    SwitchId(child as u32),
-                    p.capacity,
-                    p.delay,
-                )
-                .expect("tree links are unique");
-            }
-        }
-    }
-    b.build()
-}
-
-/// A full mesh over `n` switches (every ordered pair linked).
-///
-/// # Panics
-/// Panics if `n < 2`.
-pub fn full_mesh(n: usize, p: LinkParams) -> Network {
-    assert!(n >= 2, "mesh needs at least two switches");
-    let mut b = NetworkBuilder::with_switches(n);
-    for i in 0..n {
-        for j in i + 1..n {
-            b.add_duplex_link(SwitchId(i as u32), SwitchId(j as u32), p.capacity, p.delay)
-                .expect("mesh links are unique");
         }
     }
     b.build()
@@ -233,6 +170,7 @@ pub struct TopologyConfig {
 impl TopologyConfig {
     /// A config with the paper's large-scale simulation flavour:
     /// `n` switches, uniform 500-capacity links, delays in `[1, 10]`.
+    // chronus-lint: allow(dead-pub) — read by tests/substrate_props.rs
     pub fn simulation(n: usize, seed: u64) -> Self {
         TopologyConfig {
             switches: n,
@@ -294,103 +232,38 @@ pub fn random_connected(cfg: TopologyConfig, extra_links: usize) -> Network {
     b.build()
 }
 
-/// A Waxman random graph: nodes placed uniformly in the unit square;
-/// an edge `(u, v)` appears with probability
-/// `α · exp(−dist(u,v) / (β · L))` where `L = √2`. A spanning tree is
-/// added first so the result is always connected.
-///
-/// # Panics
-/// Panics if `cfg.switches < 2`, the delay range is empty, or
-/// `alpha`/`beta` are outside `(0, 1]`.
-pub fn waxman(cfg: TopologyConfig, alpha: f64, beta: f64) -> Network {
-    assert!(
-        cfg.switches >= 2,
-        "waxman topology needs at least two switches"
-    );
-    assert!(alpha > 0.0 && alpha <= 1.0, "alpha must be in (0, 1]");
-    assert!(beta > 0.0 && beta <= 1.0, "beta must be in (0, 1]");
-    let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let n = cfg.switches;
-    let pos: Vec<(f64, f64)> = (0..n)
-        .map(|_| (rng.gen::<f64>(), rng.gen::<f64>()))
-        .collect();
-    let l = std::f64::consts::SQRT_2;
+/// `true` if every switch can reach every other switch: everything is
+/// reachable from switch 0 along links, and switch 0 from everything
+/// (the same search against link direction).
+// chronus-lint: allow(dead-pub) — read by tests/substrate_props.rs
+pub fn is_strongly_connected(net: &Network) -> bool {
+    let Some(root) = net.switches().next() else {
+        return true;
+    };
+    reaches_all(net, root, |u| net.out_links(u).map(|l| l.dst))
+        && reaches_all(net, root, |u| net.in_links(u).map(|l| l.src))
+}
 
-    let mut b = NetworkBuilder::with_switches(n);
-    let delay = |rng: &mut StdRng| rng.gen_range(cfg.delay_range.0..=cfg.delay_range.1);
-    let capacity = |rng: &mut StdRng| rng.gen_range(cfg.capacity_range.0..=cfg.capacity_range.1);
-    // Connectivity backbone.
-    for i in 1..n {
-        let j = rng.gen_range(0..i);
-        let d = delay(&mut rng);
-        let c = capacity(&mut rng);
-        b.add_duplex_link(SwitchId(i as u32), SwitchId(j as u32), c, d)
-            .expect("tree links are unique");
-    }
-    for i in 0..n {
-        for j in i + 1..n {
-            let (su, sv) = (SwitchId(i as u32), SwitchId(j as u32));
-            if b.has_link(su, sv) {
-                continue;
-            }
-            let dist = ((pos[i].0 - pos[j].0).powi(2) + (pos[i].1 - pos[j].1).powi(2)).sqrt();
-            let prob = alpha * (-dist / (beta * l)).exp();
-            if rng.gen::<f64>() < prob {
-                let d = delay(&mut rng);
-                let c = capacity(&mut rng);
-                b.add_duplex_link(su, sv, c, d)
-                    .expect("checked for duplicates");
+/// Breadth-first search from `root`, stepping from `u` to every switch
+/// `next(u)` yields; `true` when it visits every switch.
+fn reaches_all<I: Iterator<Item = SwitchId>>(
+    net: &Network,
+    root: SwitchId,
+    next: impl Fn(SwitchId) -> I,
+) -> bool {
+    let mut seen = vec![false; net.switch_count()];
+    seen[root.index()] = true;
+    let mut queue = std::collections::VecDeque::from([root]);
+    let mut visited = 1;
+    while let Some(u) = queue.pop_front() {
+        for v in next(u) {
+            if !std::mem::replace(&mut seen[v.index()], true) {
+                visited += 1;
+                queue.push_back(v);
             }
         }
     }
-    b.build()
-}
-
-/// The 10-switch topology used for the paper's Mininet experiments
-/// (§V-A): two parallel 5-hop chains between a shared source and
-/// destination, cross-linked in the middle, 500 Mbps everywhere.
-///
-/// Returns the network plus `(source, destination)`.
-pub fn mininet_ten_switch(p: LinkParams) -> (Network, (SwitchId, SwitchId)) {
-    let mut b = NetworkBuilder::with_switches(10);
-    let v = |i: u32| SwitchId(i);
-    // Chain A: v1 v2 v3 v4 v5 v10 ; chain B: v1 v6 v7 v8 v9 v10.
-    for (u, w) in [(0, 1), (1, 2), (2, 3), (3, 4), (4, 9)] {
-        b.add_duplex_link(v(u), v(w), p.capacity, p.delay)
-            .expect("chain A links are unique");
-    }
-    for (u, w) in [(0, 5), (5, 6), (6, 7), (7, 8), (8, 9)] {
-        b.add_duplex_link(v(u), v(w), p.capacity, p.delay)
-            .expect("chain B links are unique");
-    }
-    // Cross links so that mixed paths (and transient loops) exist.
-    for (u, w) in [(1, 6), (2, 7), (3, 8)] {
-        b.add_duplex_link(v(u), v(w), p.capacity, p.delay)
-            .expect("cross links are unique");
-    }
-    (b.build(), (v(0), v(9)))
-}
-
-/// Converts a [`Network`] into a petgraph [`DiGraph`] whose edge
-/// weights are link delays. Used by generators and tests for
-/// connectivity and shortest-path cross-checks.
-pub fn to_petgraph(net: &Network) -> (DiGraph<SwitchId, Delay>, Vec<NodeIndex>) {
-    let mut g = DiGraph::new();
-    let nodes: Vec<NodeIndex> = net.switches().map(|s| g.add_node(s)).collect();
-    for l in net.links() {
-        g.add_edge(nodes[l.src.index()], nodes[l.dst.index()], l.delay);
-    }
-    (g, nodes)
-}
-
-/// `true` if every switch can reach every other switch (strong
-/// connectivity, checked through petgraph's SCC decomposition).
-pub fn is_strongly_connected(net: &Network) -> bool {
-    if net.switch_count() == 0 {
-        return true;
-    }
-    let (g, _) = to_petgraph(net);
-    petgraph::algo::kosaraju_scc(&g).len() == 1
+    visited == seen.len()
 }
 
 #[cfg(test)]
@@ -416,35 +289,11 @@ mod tests {
     }
 
     #[test]
-    fn star_shape() {
-        let net = star(5, LinkParams::default());
-        assert_eq!(net.link_count(), 8);
-        assert_eq!(net.out_degree(SwitchId(0)), 4);
-        assert_eq!(net.out_degree(SwitchId(1)), 1);
-        assert!(is_strongly_connected(&net));
-    }
-
-    #[test]
     fn grid_shape() {
         let net = grid(2, 3, LinkParams::default());
         assert_eq!(net.switch_count(), 6);
         // 2*3 grid: horizontal 2 rows * 2 = 4, vertical 3 cols * 1 = 3; 7 duplex.
         assert_eq!(net.link_count(), 14);
-        assert!(is_strongly_connected(&net));
-    }
-
-    #[test]
-    fn binary_tree_shape() {
-        let net = binary_tree(7, LinkParams::default());
-        assert_eq!(net.link_count(), 12); // 6 tree edges, duplex
-        assert_eq!(net.out_degree(SwitchId(0)), 2);
-        assert!(is_strongly_connected(&net));
-    }
-
-    #[test]
-    fn full_mesh_shape() {
-        let net = full_mesh(4, LinkParams::default());
-        assert_eq!(net.link_count(), 12);
         assert!(is_strongly_connected(&net));
     }
 
@@ -473,21 +322,29 @@ mod tests {
     }
 
     #[test]
-    fn waxman_is_connected() {
-        let cfg = TopologyConfig::simulation(25, 7);
-        let net = waxman(cfg, 0.6, 0.4);
-        assert!(is_strongly_connected(&net));
-        assert!(net.link_count() >= 2 * 24);
-    }
-
-    #[test]
-    fn mininet_topology() {
-        let (net, (src, dst)) = mininet_ten_switch(LinkParams::mininet());
-        assert_eq!(net.switch_count(), 10);
-        assert_eq!(src, SwitchId(0));
-        assert_eq!(dst, SwitchId(9));
-        assert!(is_strongly_connected(&net));
-        assert_eq!(net.capacity(src, SwitchId(1)), Some(500));
+    fn one_way_links_are_not_strongly_connected() {
+        // A one-way chain 0 → 1 → 2: everything is reachable from 0,
+        // but nothing reaches 0 back.
+        let mut b = NetworkBuilder::with_switches(3);
+        b.add_link(SwitchId(0), SwitchId(1), 1, 1).unwrap();
+        b.add_link(SwitchId(1), SwitchId(2), 1, 1).unwrap();
+        assert!(!is_strongly_connected(&b.build()));
+        // A ring 0 ⇄ 1 ⇄ 2 with a sink 3 fed from 2: 3 is reachable
+        // from 0 but has no way out.
+        let mut b = NetworkBuilder::with_switches(4);
+        for (u, v) in [(0, 1), (1, 2), (2, 0)] {
+            b.add_duplex_link(SwitchId(u), SwitchId(v), 1, 1).unwrap();
+        }
+        b.add_link(SwitchId(2), SwitchId(3), 1, 1).unwrap();
+        assert!(!is_strongly_connected(&b.build()));
+        // Closing the sink's way back makes the graph strongly connected.
+        let mut b = NetworkBuilder::with_switches(4);
+        for (u, v) in [(0, 1), (1, 2), (2, 0)] {
+            b.add_duplex_link(SwitchId(u), SwitchId(v), 1, 1).unwrap();
+        }
+        b.add_link(SwitchId(2), SwitchId(3), 1, 1).unwrap();
+        b.add_link(SwitchId(3), SwitchId(1), 1, 1).unwrap();
+        assert!(is_strongly_connected(&b.build()));
     }
 
     #[test]

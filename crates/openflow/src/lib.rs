@@ -14,8 +14,8 @@
 //!   Chronus relies on to avoid rule duplication) and a configurable
 //!   capacity limit (the "limited flow table space" that motivates
 //!   avoiding two-phase headroom);
-//! - [`messages`] — the controller-to-switch messages Algorithm 5
-//!   sends: `FlowMod` (add/modify/delete), `BarrierRequest`/
+//! - [`OfMessage`] — the controller-to-switch messages Algorithm 5
+//!   sends: [`FlowMod`] (add/modify/delete), `BarrierRequest`/
 //!   `BarrierReply`, and counter-polling stats messages;
 //! - [`render`] — pretty-printing of flow tables in the layout of the
 //!   paper's Table II.
@@ -27,7 +27,7 @@
     deny(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing)
 )]
 
-pub mod messages;
+mod messages;
 pub mod render;
 pub mod table;
 pub mod types;

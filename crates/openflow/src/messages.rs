@@ -122,14 +122,6 @@ impl OfMessage {
             OfMessage::StatsReply { xid, .. } | OfMessage::PacketIn { xid, .. } => *xid,
         }
     }
-
-    /// `true` for messages travelling controller → switch.
-    pub fn is_controller_to_switch(&self) -> bool {
-        matches!(
-            self,
-            OfMessage::FlowMod(_) | OfMessage::BarrierRequest(_) | OfMessage::StatsRequest(_)
-        )
-    }
 }
 
 impl fmt::Display for OfMessage {
@@ -161,7 +153,6 @@ mod tests {
         assert_eq!(add.command, FlowModCommand::Add);
         let m = OfMessage::FlowMod(add);
         assert_eq!(m.xid(), 1);
-        assert!(m.is_controller_to_switch());
 
         let modify = FlowMod::modify(2, RuleId(3), vec![Action::Output(1)]);
         assert_eq!(modify.command, FlowModCommand::ModifyActions);
@@ -171,7 +162,6 @@ mod tests {
         assert_eq!(del.command, FlowModCommand::Delete);
         assert!(del.actions.is_empty());
 
-        assert!(!OfMessage::BarrierReply(9).is_controller_to_switch());
         assert_eq!(OfMessage::BarrierRequest(7).xid(), 7);
         assert_eq!(
             OfMessage::StatsReply {

@@ -89,6 +89,7 @@ impl FlowTable {
     }
 
     /// A table holding at most `capacity` rules.
+    // chronus-lint: allow(dead-pub) — read by tests/substrate_integration.rs
     pub fn with_capacity_limit(capacity: usize) -> Self {
         FlowTable {
             rules: Vec::new(),
@@ -105,11 +106,6 @@ impl FlowTable {
     /// `true` if no rules are installed.
     pub fn is_empty(&self) -> bool {
         self.rules.is_empty()
-    }
-
-    /// The configured capacity, if bounded.
-    pub fn capacity_limit(&self) -> Option<usize> {
-        self.capacity
     }
 
     /// Installs a rule.
@@ -177,14 +173,6 @@ impl FlowTable {
         Ok(self.rules.remove(pos))
     }
 
-    /// Removes every rule matching a predicate, returning how many
-    /// were removed (used by the two-phase cleanup).
-    pub fn remove_where(&mut self, mut pred: impl FnMut(&FlowRule) -> bool) -> usize {
-        let before = self.rules.len();
-        self.rules.retain(|r| !pred(r));
-        before - self.rules.len()
-    }
-
     /// The rule a packet would hit, without updating counters.
     pub fn lookup(&self, pkt: &Packet) -> Option<&FlowRule> {
         self.rules
@@ -229,12 +217,6 @@ impl FlowTable {
     pub fn rule(&self, id: RuleId) -> Option<&FlowRule> {
         self.rules.iter().find(|r| r.id == id)
     }
-
-    /// Sum of byte counters across all rules (the per-switch total the
-    /// statistics module samples).
-    pub fn total_bytes(&self) -> u64 {
-        self.rules.iter().map(|r| r.counters.bytes).sum()
-    }
 }
 
 #[cfg(test)]
@@ -265,7 +247,6 @@ mod tests {
         assert_eq!(actions, vec![Action::Output(1)]);
         assert_eq!(t.rule(r1).unwrap().counters.packets, 1);
         assert_eq!(t.rule(r1).unwrap().counters.bytes, 1500);
-        assert_eq!(t.total_bytes(), 1500);
     }
 
     #[test]
@@ -298,7 +279,6 @@ mod tests {
         t.add(1, Match::default(), vec![Action::Drop]).unwrap();
         let err = t.add(1, Match::default(), vec![Action::Drop]).unwrap_err();
         assert_eq!(err, TableError::TableFull { capacity: 2 });
-        assert_eq!(t.capacity_limit(), Some(2));
     }
 
     #[test]
@@ -319,7 +299,7 @@ mod tests {
     }
 
     #[test]
-    fn remove_and_remove_where() {
+    fn remove_by_id() {
         let mut t = FlowTable::new();
         let a = t
             .add(1, dst("10.0.1.0/24"), vec![Action::Output(1)])
@@ -331,9 +311,6 @@ mod tests {
         assert_eq!(removed.id, a);
         assert_eq!(t.len(), 1);
         assert!(t.remove(a).is_err());
-        let n = t.remove_where(|r| r.priority == 2);
-        assert_eq!(n, 1);
-        assert!(t.is_empty());
     }
 
     #[test]
@@ -371,8 +348,14 @@ mod tests {
         };
         t.add(5, old, vec![Action::Output(1)]).unwrap();
         t.add(5, new, vec![Action::Output(2)]).unwrap();
-        let p_old = Packet::new(0, 0, ip(10, 0, 9, 1)).with_vlan(1);
-        let p_new = Packet::new(0, 0, ip(10, 0, 9, 1)).with_vlan(2);
+        let p_old = Packet {
+            vlan: Some(1),
+            ..Packet::new(0, 0, ip(10, 0, 9, 1))
+        };
+        let p_new = Packet {
+            vlan: Some(2),
+            ..Packet::new(0, 0, ip(10, 0, 9, 1))
+        };
         assert_eq!(t.lookup(&p_old).unwrap().actions, vec![Action::Output(1)]);
         assert_eq!(t.lookup(&p_new).unwrap().actions, vec![Action::Output(2)]);
         assert_eq!(t.len(), 2, "two-phase doubles the rules");

@@ -47,16 +47,11 @@ impl Ipv4Prefix {
         }
     }
 
-    /// Prefix length in bits (a /0 is `is_any`, not "empty" — there is
-    /// deliberately no `is_empty`).
+    /// Prefix length in bits (a /0 matches any address; it is not
+    /// "empty" — there is deliberately no `is_empty`).
     #[allow(clippy::len_without_is_empty)]
     pub fn len(&self) -> u8 {
         self.len
-    }
-
-    /// `true` for the zero-length prefix.
-    pub fn is_any(&self) -> bool {
-        self.len == 0
     }
 
     /// The masked network address.
@@ -145,12 +140,6 @@ impl Packet {
             vlan: None,
             bytes: 1500,
         }
-    }
-
-    /// Returns a copy stamped with a VLAN tag.
-    pub fn with_vlan(mut self, vlan: VlanId) -> Self {
-        self.vlan = Some(vlan);
-        self
     }
 }
 
@@ -297,13 +286,17 @@ mod tests {
             dst: Some(Ipv4Prefix::new(ip(10, 0, 2, 0), 24)),
             vlan: Some(5),
         };
-        let hit = Packet::new(1, ip(10, 0, 1, 1), ip(10, 0, 2, 9)).with_vlan(5);
+        let tagged = |pkt: Packet| Packet {
+            vlan: Some(5),
+            ..pkt
+        };
+        let hit = tagged(Packet::new(1, ip(10, 0, 1, 1), ip(10, 0, 2, 9)));
         assert!(m.matches(&hit));
-        let wrong_port = Packet::new(2, ip(10, 0, 1, 1), ip(10, 0, 2, 9)).with_vlan(5);
+        let wrong_port = tagged(Packet::new(2, ip(10, 0, 1, 1), ip(10, 0, 2, 9)));
         assert!(!m.matches(&wrong_port));
         let no_vlan = Packet::new(1, ip(10, 0, 1, 1), ip(10, 0, 2, 9));
         assert!(!m.matches(&no_vlan));
-        let wrong_dst = Packet::new(1, ip(10, 0, 1, 1), ip(10, 0, 3, 9)).with_vlan(5);
+        let wrong_dst = tagged(Packet::new(1, ip(10, 0, 1, 1), ip(10, 0, 3, 9)));
         assert!(!m.matches(&wrong_dst));
         assert_eq!(m.dst_len(), 24);
         assert!(Match::default().matches(&no_vlan));

@@ -24,6 +24,7 @@ pub struct Enumeration {
 
 impl Enumeration {
     /// The minimum makespan among discovered schedules.
+    // chronus-lint: allow(dead-pub) — read by tests/cross_solver.rs
     pub fn optimal_makespan(&self) -> Option<TimeStep> {
         self.schedules
             .iter()

@@ -3,7 +3,7 @@
 //! The paper obtains OPT by solving the integer program (3) with
 //! branch and bound. This crate provides two equivalent routes:
 //!
-//! - [`search::optimal_schedule`] — an iterative-deepening branch-and-
+//! - [`optimal_schedule`] — an iterative-deepening branch-and-
 //!   bound over the discrete schedule space: for growing makespan
 //!   bounds it runs a time-ordered DFS in which, once every update at
 //!   steps `≤ t` is decided, all simulation events at steps `≤ t` are
@@ -28,7 +28,8 @@
 )]
 
 pub mod enumerate;
+// chronus-lint: allow(dead-pub) — read by tests/cross_solver.rs
 pub mod ilp;
-pub mod search;
+mod search;
 
 pub use search::{optimal_schedule, optimal_schedule_with, OptConfig, OptOutcome};

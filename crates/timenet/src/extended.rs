@@ -101,16 +101,6 @@ impl<'a> TimeExtendedNetwork<'a> {
         self.t_max += n as TimeStep;
     }
 
-    /// Number of time steps in the window (`|T|`).
-    pub fn step_count(&self) -> usize {
-        (self.t_max - self.t_min + 1) as usize
-    }
-
-    /// Number of nodes `|V_T| = |V| · |T|`.
-    pub fn node_count(&self) -> usize {
-        self.base.switch_count() * self.step_count()
-    }
-
     /// `true` if `v(t)` lies in the window.
     pub fn contains(&self, node: TeNode) -> bool {
         self.base.contains_switch(node.switch) && node.time >= self.t_min && node.time <= self.t_max
@@ -247,11 +237,6 @@ impl MaterializedTimeNet {
         self.t_max
     }
 
-    /// Number of time steps in the window (`|T|`).
-    pub fn step_count(&self) -> usize {
-        (self.t_max - self.t_min + 1) as usize
-    }
-
     /// Outgoing links of `u(t)` (linear scan; the snapshot is meant
     /// for reuse, not asymptotics).
     pub fn out_links(&self, node: TeNode) -> impl Iterator<Item = &TeLink> + '_ {
@@ -293,8 +278,6 @@ mod tests {
     fn window_and_counts() {
         let net = topology::line(3, LinkParams::default()); // 4 duplex links
         let te = TimeExtendedNetwork::new(&net, -2, 3);
-        assert_eq!(te.step_count(), 6);
-        assert_eq!(te.node_count(), 18);
         // Each link has delay 1: departures from -2..=2 stay in window.
         assert_eq!(te.link_count(), 4 * 5);
         assert_eq!(te.nodes().count(), 18);
@@ -369,8 +352,7 @@ mod tests {
         let mat = te.materialize();
         assert_eq!(mat.t_min(), te.t_min());
         assert_eq!(mat.t_max(), te.t_max());
-        assert_eq!(mat.step_count(), te.step_count());
-        assert_eq!(mat.nodes.len(), te.node_count());
+        assert_eq!(mat.nodes.len(), te.nodes().count());
         assert_eq!(mat.links.len(), te.link_count());
         // Every materialized link is reproducible on demand, and
         // per-node adjacency agrees.

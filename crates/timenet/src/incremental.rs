@@ -657,6 +657,7 @@ impl IncrementalSimulator {
     }
 
     /// Current `(loops, blackholes, undelivered)` cohort counts.
+    // chronus-lint: allow(dead-pub) — read by crates/timenet/tests/incremental_props.rs
     pub fn event_counts(&self) -> (usize, usize, usize) {
         (self.loops, self.blackholes, self.undelivered)
     }

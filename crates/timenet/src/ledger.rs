@@ -104,7 +104,7 @@ impl LinkInterner {
 /// congestion events or load series skip empty words instead of
 /// visiting every cell. [`LoadLedger::add`] and [`LoadLedger::sub`]
 /// keep a count of overloaded cells and a dense per-step overload
-/// multiset ([`StepCounts`]), giving O(1) congestion verdicts and O(1)
+/// multiset (`StepCounts`), giving O(1) congestion verdicts and O(1)
 /// "any overload at time ≤ t" range queries without rescanning the
 /// surface.
 #[derive(Debug)]

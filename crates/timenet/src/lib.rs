@@ -32,7 +32,7 @@ pub mod codec;
 mod extended;
 mod incremental;
 mod ledger;
-pub mod occupancy;
+mod occupancy;
 mod report;
 mod schedule;
 mod simulate;

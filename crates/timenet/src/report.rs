@@ -127,6 +127,7 @@ impl SimulationReport {
     }
 
     /// `true` if the schedule was loop-free (it may still congest).
+    // chronus-lint: allow(dead-pub) — read by tests/paper_example.rs
     pub fn loop_free(&self) -> bool {
         self.loops.is_empty()
     }
@@ -137,41 +138,6 @@ impl SimulationReport {
     /// using the time-extended network").
     pub fn congested_te_link_count(&self) -> usize {
         self.congestion.len()
-    }
-
-    /// Number of distinct *physical* links that congested at least once.
-    pub fn congested_link_count(&self) -> usize {
-        let mut links: Vec<(SwitchId, SwitchId)> =
-            self.congestion.iter().map(|c| (c.src, c.dst)).collect();
-        links.sort_unstable();
-        links.dedup();
-        links.len()
-    }
-
-    /// The worst overload ratio `load / capacity` observed, or `None`
-    /// if no congestion occurred. Used by the Fig. 6 emulation to
-    /// report peak bandwidth consumption.
-    pub fn max_overload_ratio(&self) -> Option<f64> {
-        self.congestion
-            .iter()
-            .map(|c| c.load as f64 / c.capacity as f64)
-            .max_by(f64::total_cmp)
-    }
-
-    /// Peak load ever observed on `⟨src, dst⟩` (0 if never loaded).
-    pub fn peak_load(&self, src: SwitchId, dst: SwitchId) -> Capacity {
-        self.link_loads
-            .get(&(src, dst))
-            .and_then(|m| m.values().copied().max())
-            .unwrap_or(0)
-    }
-
-    /// The load series of one link as `(time, load)` pairs.
-    pub fn load_series(&self, src: SwitchId, dst: SwitchId) -> Vec<(TimeStep, Capacity)> {
-        self.link_loads
-            .get(&(src, dst))
-            .map(|m| m.iter().map(|(&t, &l)| (t, l)).collect())
-            .unwrap_or_default()
     }
 }
 
@@ -231,23 +197,6 @@ mod tests {
         r.congestion.push(event(0, 1, 4));
         r.congestion.push(event(2, 3, 3));
         assert_eq!(r.congested_te_link_count(), 3);
-        assert_eq!(r.congested_link_count(), 2);
-        assert_eq!(r.max_overload_ratio(), Some(2.0));
-    }
-
-    #[test]
-    fn load_series_and_peak() {
-        let mut r = SimulationReport::default();
-        r.link_loads
-            .entry((SwitchId(0), SwitchId(1)))
-            .or_default()
-            .extend([(0, 1), (1, 2)]);
-        assert_eq!(r.peak_load(SwitchId(0), SwitchId(1)), 2);
-        assert_eq!(r.peak_load(SwitchId(1), SwitchId(0)), 0);
-        assert_eq!(
-            r.load_series(SwitchId(0), SwitchId(1)),
-            vec![(0, 1), (1, 2)]
-        );
     }
 
     #[test]

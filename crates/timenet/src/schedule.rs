@@ -26,6 +26,7 @@ impl Schedule {
     }
 
     /// Builds a single-flow schedule from `(switch, time)` pairs.
+    // chronus-lint: allow(dead-pub) — read by crates/verify/tests/edge_cases.rs
     pub fn from_pairs(flow: FlowId, pairs: impl IntoIterator<Item = (SwitchId, TimeStep)>) -> Self {
         let mut s = Self::new();
         for (v, t) in pairs {
@@ -87,6 +88,7 @@ impl Schedule {
 
     /// Number of *distinct* time points used — the paper reports update
     /// time in rounds/steps.
+    // chronus-lint: allow(dead-pub) — read by tests/paper_example.rs
     pub fn distinct_steps(&self) -> usize {
         let mut ts: Vec<TimeStep> = self.times.values().copied().collect();
         ts.sort_unstable();
@@ -102,15 +104,6 @@ impl Schedule {
             map.entry(t).or_default().push((f, v));
         }
         map
-    }
-
-    /// All switches scheduled for `flow`.
-    pub fn switches_for(&self, flow: FlowId) -> Vec<(SwitchId, TimeStep)> {
-        self.times
-            .iter()
-            .filter(|((f, _), _)| *f == flow)
-            .map(|(&(_, v), &t)| (v, t))
-            .collect()
     }
 
     /// Checks the schedule against an instance:
@@ -139,22 +132,11 @@ impl Schedule {
         Ok(())
     }
 
-    /// Shifts every assignment by `delta` steps (used to renormalize
-    /// schedules so the earliest update is at step 0).
+    /// Shifts every assignment by `delta` steps.
     pub fn shift(&mut self, delta: TimeStep) {
         for t in self.times.values_mut() {
             *t += delta;
         }
-    }
-
-    /// Renormalizes so the earliest update happens at step 0; returns
-    /// the shift applied. No-op on empty schedules.
-    pub fn normalize(&mut self) -> TimeStep {
-        let Some(min) = self.times.values().copied().min() else {
-            return 0;
-        };
-        self.shift(-min);
-        -min
     }
 
     /// Multiplies every assigned step by `factor`, stretching the gaps
@@ -252,17 +234,6 @@ mod tests {
     }
 
     #[test]
-    fn normalize_shifts_to_zero() {
-        let mut s = Schedule::from_pairs(FlowId(0), [(sid(1), 4), (sid(2), 6)]);
-        let shift = s.normalize();
-        assert_eq!(shift, -4);
-        assert_eq!(s.get(FlowId(0), sid(1)), Some(0));
-        assert_eq!(s.get(FlowId(0), sid(2)), Some(2));
-        let mut empty = Schedule::new();
-        assert_eq!(empty.normalize(), 0);
-    }
-
-    #[test]
     fn dilate_stretches_gaps_preserving_order() {
         let s = Schedule::from_pairs(FlowId(0), [(sid(1), 0), (sid(2), 1), (sid(3), 2)]);
         let d = s.dilated(3);
@@ -280,15 +251,6 @@ mod tests {
     fn dilate_rejects_zero_factor() {
         let mut s = Schedule::from_pairs(FlowId(0), [(sid(1), 1)]);
         s.dilate(0);
-    }
-
-    #[test]
-    fn switches_for_filters_by_flow() {
-        let mut s = Schedule::new();
-        s.set(FlowId(0), sid(1), 0);
-        s.set(FlowId(1), sid(2), 1);
-        assert_eq!(s.switches_for(FlowId(0)), vec![(sid(1), 0)]);
-        assert_eq!(s.switches_for(FlowId(1)), vec![(sid(2), 1)]);
     }
 
     #[test]

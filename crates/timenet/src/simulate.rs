@@ -303,15 +303,14 @@ mod tests {
         let report = FluidSimulator::check(&inst, &s);
         // Old cohorts occupy <0,1> at steps -3..=-1 (emission up to the
         // last pre-update step); new cohorts occupy <0,2> from 0 on.
-        let old_entry = report.load_series(sid(0), sid(1));
-        assert!(old_entry.iter().all(|&(t, l)| t < 0 && l == 1));
-        let new_entry = report.load_series(sid(0), sid(2));
-        assert!(new_entry.iter().all(|&(t, l)| t >= 0 && l == 1));
+        let series = |u: u32, v: u32| &report.link_loads[&(sid(u), sid(v))];
+        assert!(series(0, 1).iter().all(|(&t, &l)| t < 0 && l == 1));
+        let new_entry = series(0, 2);
+        assert!(new_entry.iter().all(|(&t, &l)| t >= 0 && l == 1));
         assert!(!new_entry.is_empty());
         // Shared tail: loaded every step in a contiguous range, never
         // above capacity.
-        let tail = report.load_series(sid(2), sid(3));
-        assert!(tail.iter().all(|&(_, l)| l <= 1));
+        assert!(series(2, 3).values().all(|&l| l <= 1));
     }
 
     #[test]

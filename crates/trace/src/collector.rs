@@ -35,7 +35,7 @@ pub struct SpanRecord {
     pub start_ns: u64,
     /// Monotonic stop nanos (equals `start_ns` for instants).
     pub end_ns: u64,
-    /// Dense id of the recording thread (see [`thread_id`]).
+    /// Dense id of the recording thread (see `thread_id`).
     pub thread: u64,
     /// Complete span or instant event.
     pub kind: SpanKind,
@@ -67,6 +67,7 @@ impl Collector {
     /// guard dropped turns recording off, so scope one collector per
     /// process (tests that need one serialize on their own lock).
     #[must_use = "recording stops when the guard is dropped"]
+    // chronus-lint: allow(dead-pub) — read by examples/trace_update.rs
     pub fn install() -> CollectorGuard {
         SINK.lock().unwrap_or_else(PoisonError::into_inner).clear();
         ENABLED.store(true, Ordering::SeqCst);

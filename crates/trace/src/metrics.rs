@@ -395,22 +395,6 @@ impl MetricsRegistry {
         }
     }
 
-    /// Current value of the counter `name`, `None` if absent.
-    pub fn counter_value(&self, name: &str) -> Option<u64> {
-        match self.lock().get(name) {
-            Some(Instrument::Counter(c)) => Some(c.load(Ordering::Relaxed)),
-            _ => None,
-        }
-    }
-
-    /// Current value of the gauge `name`, `None` if absent.
-    pub fn gauge_value(&self, name: &str) -> Option<i64> {
-        match self.lock().get(name) {
-            Some(Instrument::Gauge(g)) => Some(g.load(Ordering::Relaxed)),
-            _ => None,
-        }
-    }
-
     /// Captures every instrument's current value.
     pub fn snapshot(&self) -> MetricsSnapshot {
         let map = self.lock();
@@ -520,7 +504,6 @@ mod tests {
         c.inc();
         c.add(4);
         assert_eq!(c.get(), 5);
-        assert_eq!(reg.counter_value("chronus_test_ops_total"), Some(5));
         // Same name → same underlying counter.
         reg.counter("chronus_test_ops_total").inc();
         assert_eq!(c.get(), 6);
@@ -530,7 +513,7 @@ mod tests {
         assert_eq!(g.add(-1), 2);
         g.max(10);
         g.max(7);
-        assert_eq!(reg.gauge_value("chronus_test_depth"), Some(10));
+        assert_eq!(g.get(), 10);
 
         let h = reg.histogram("chronus_test_latency_ns");
         for v in [0, 1, 3, 1000, 1_000_000] {

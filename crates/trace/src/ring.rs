@@ -58,7 +58,7 @@ use crate::fields::FieldValue;
 use crate::json;
 use crate::timeline::TimelineExporter;
 use std::cell::RefCell;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::atomic::{fence, AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 
@@ -513,6 +513,7 @@ impl FlightRecorder {
 
     /// Minimum spacing between triggered dumps (default 2 s); a
     /// trigger storm inside the window is counted, not dumped.
+    // chronus-lint: allow(dead-pub) — read by crates/daemon/tests/flight_recorder.rs
     pub fn set_min_dump_interval_ms(ms: u64) {
         MIN_DUMP_INTERVAL_NS.store(ms.saturating_mul(1_000_000), Ordering::Relaxed);
     }
@@ -719,12 +720,6 @@ impl FlightRecorder {
         std::fs::rename(&tmp, &path)?;
         LAST_DUMP_NS.store(crate::now_ns(), Ordering::Relaxed);
         Ok(path)
-    }
-
-    /// Writes the current snapshot to an explicit path (golden tests;
-    /// prefer [`FlightRecorder::force_dump`] in the daemon).
-    pub fn write_snapshot(reason: &str, path: &Path) -> std::io::Result<()> {
-        std::fs::write(path, Self::snapshot_json(reason).as_bytes())
     }
 }
 

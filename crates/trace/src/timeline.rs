@@ -65,6 +65,7 @@ impl TimelineExporter {
     /// Stages every record: complete spans become `"X"` duration
     /// events carrying `span_id`/`parent_id` plus their fields as
     /// args; instants become thread-scoped `"i"` events.
+    // chronus-lint: allow(dead-pub) — read by examples/trace_update.rs
     pub fn add_spans(&mut self, records: &[SpanRecord]) {
         for record in records {
             self.add_span(record);
@@ -189,6 +190,7 @@ impl TimelineExporter {
     }
 
     /// Writes [`TimelineExporter::to_json`] to `path`.
+    // chronus-lint: allow(dead-pub) — read by examples/trace_update.rs
     pub fn write_to(&self, path: &Path) -> std::io::Result<()> {
         let mut file = std::fs::File::create(path)?;
         file.write_all(self.to_json().as_bytes())?;

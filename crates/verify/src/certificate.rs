@@ -134,16 +134,6 @@ impl Certificate {
         Ok(())
     }
 
-    /// Peak certified load on a link over steps ≥ 0; zero when the
-    /// link carries no transient traffic.
-    pub fn peak_load(&self, src: SwitchId, dst: SwitchId) -> Capacity {
-        self.link_bounds
-            .iter()
-            .find(|b| b.src == src && b.dst == dst)
-            .map(|b| b.peak)
-            .unwrap_or(0)
-    }
-
     /// Highest `peak / capacity` ratio across the certified links.
     pub fn peak_utilization(&self) -> f64 {
         self.link_bounds
@@ -326,7 +316,6 @@ mod tests {
     fn check_accepts_consistent_certificate() {
         let inst = tiny_instance();
         assert_eq!(cert().check(&inst), Ok(()));
-        assert_eq!(cert().peak_load(SwitchId(0), SwitchId(1)), 2);
     }
 
     #[test]

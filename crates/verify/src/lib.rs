@@ -10,12 +10,12 @@
 //!
 //! 1. **interval arithmetic** for congestion-freedom — each flow's
 //!    cohorts are traced symbolically over whole emission intervals
-//!    ([`mod@trace`]), yielding per-link half-open load intervals that a
-//!    sweep-line sums against capacities ([`mod@sweep`]); and
+//!    (`trace`), yielding per-link half-open load intervals that a
+//!    sweep-line sums against capacities (`sweep`); and
 //! 2. a **symbolic loop/blackhole analysis** — the same interval trace
 //!    proves every cohort either reaches its destination or pinpoints
 //!    the revisited/ruleless switch, with per-boundary forwarding
-//!    graphs and topological-order witnesses ([`mod@boundary`])
+//!    graphs and topological-order witnesses (`boundary`)
 //!    recorded as diagnostics.
 //!
 //! The result is either a machine-checkable [`Certificate`]
@@ -214,6 +214,7 @@ pub fn certify_two_phase(
 /// Per-step congestion events (`t ≥ 0`) the analysis implies, sorted
 /// by `(time, src, dst)` — shaped like the simulator's event list for
 /// differential comparison.
+// chronus-lint: allow(dead-pub) — read by crates/verify/tests/differential.rs
 pub fn congestion_surface(
     instance: &UpdateInstance,
     analysis: &Analysis,

@@ -100,6 +100,7 @@ pub fn mutations(schedule: &Schedule) -> Vec<Mutation> {
 /// first one the certifier rejects, with its violation. `None` means
 /// every mutant in the pool happened to stay consistent (possible on
 /// trivially slack instances).
+// chronus-lint: allow(dead-pub) — read by examples/certify_schedule.rs
 pub fn find_rejected_mutant(
     instance: &UpdateInstance,
     schedule: &Schedule,

@@ -81,6 +81,7 @@ impl SlackCertificate {
     /// Does the certificate cover a measured deviation — e.g. the
     /// post-sync residual clock error from `two_way_sync` — under the
     /// given step length?
+    // chronus-lint: allow(dead-pub) — read by tests/fault_tolerance.rs
     pub fn covers_residual(&self, residual_ns: i128, step_ns: i128) -> bool {
         residual_ns.abs() <= self.delta_ns(step_ns)
     }

@@ -80,25 +80,22 @@ pub struct Analysis {
 }
 
 impl Analysis {
-    /// `true` when no loop, blackhole or hop-budget event exists (the
-    /// congestion side is judged separately by the sweep).
-    pub fn forwarding_clean(&self) -> bool {
-        self.loops.is_empty() && self.blackholes.is_empty() && self.undelivered.is_empty()
-    }
-
     /// Expands loop spans into exact `(flow, emitted_at, switch, time)`
     /// events, one per cohort, in emission order per span.
+    // chronus-lint: allow(dead-pub) — read by crates/verify/tests/differential.rs
     pub fn loop_events(&self) -> Vec<(FlowId, TimeStep, SwitchId, TimeStep)> {
         expand(&self.loops)
     }
 
     /// Expands blackhole spans into `(flow, emitted_at, switch, time)`
     /// events.
+    // chronus-lint: allow(dead-pub) — read by crates/verify/tests/differential.rs
     pub fn blackhole_events(&self) -> Vec<(FlowId, TimeStep, SwitchId, TimeStep)> {
         expand(&self.blackholes)
     }
 
     /// Expands hop-budget spans into `(flow, emitted_at)` pairs.
+    // chronus-lint: allow(dead-pub) — read by crates/verify/tests/differential.rs
     pub fn undelivered_events(&self) -> Vec<(FlowId, TimeStep)> {
         let mut out = Vec::new();
         for &(f, lo, hi) in &self.undelivered {
@@ -112,6 +109,7 @@ impl Analysis {
     /// Expands the interval contributions into the dense per-link load
     /// series the simulator reports, for surface-level differential
     /// comparison.
+    // chronus-lint: allow(dead-pub) — read by crates/verify/tests/differential.rs
     pub fn load_series(&self) -> BTreeMap<(SwitchId, SwitchId), BTreeMap<TimeStep, Capacity>> {
         let mut out: BTreeMap<(SwitchId, SwitchId), BTreeMap<TimeStep, Capacity>> = BTreeMap::new();
         for c in &self.contributions {

@@ -6,7 +6,7 @@ use chronus::clock::{two_way_sync, HardwareClock, ScheduledExecutor, SyncConfig}
 use chronus::core::exec::ExecutionPlan;
 use chronus::core::greedy::greedy_schedule;
 use chronus::net::routing::seeded_rng;
-use chronus::net::{motivating_example, FlowId, SwitchId};
+use chronus::net::{motivating_example, SwitchId};
 use chronus::openflow::{Action, FlowMod, FlowTable, Ipv4Prefix, Match, Packet};
 use std::time::Duration;
 
@@ -133,8 +133,7 @@ fn schedule_statistics_match_problem_structure() {
     let inst = motivating_example();
     let out = greedy_schedule(&inst).expect("feasible");
     assert_eq!(out.schedule.len(), 4);
-    assert_eq!(out.schedule.switches_for(FlowId(0)).len(), 4);
     assert!(out.schedule.distinct_steps() >= 3, "paper needs ≥ 3 steps");
-    let mut normalized = out.schedule.clone();
-    assert_eq!(normalized.normalize(), 0, "greedy starts at step 0");
+    let earliest = out.schedule.iter().map(|(_, _, t)| t).min();
+    assert_eq!(earliest, Some(0), "greedy starts at step 0");
 }

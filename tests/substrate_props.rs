@@ -2,9 +2,7 @@
 //! prefixes, clocks, topologies, routing and schedules.
 
 use chronus::clock::HardwareClock;
-use chronus::net::routing::{
-    k_shortest_paths, random_simple_path, seeded_rng, shortest_path_delay, shortest_path_hops,
-};
+use chronus::net::routing::{random_simple_path, seeded_rng, shortest_path_delay};
 use chronus::net::topology::{self, TopologyConfig};
 use chronus::net::SwitchId;
 use chronus::openflow::{Action, FlowTable, Ipv4Prefix, Match, Packet};
@@ -87,30 +85,22 @@ proptest! {
         prop_assert_eq!(p.destination(), dst);
     }
 
-    /// The delay-shortest path is never longer (in delay) than the
-    /// hop-shortest path, and Yen's first path is the shortest.
+    /// The delay-shortest path is never longer (in delay) than a
+    /// random simple path between the same switches.
     #[test]
     fn routing_consistency(n in 4usize..20, seed in 0u64..300) {
         let cfg = TopologyConfig::simulation(n, seed);
         let net = topology::random_connected(cfg, n / 2);
         let (src, dst) = (SwitchId(0), SwitchId((n - 1) as u32));
         let by_delay = shortest_path_delay(&net, src, dst).expect("connected");
-        let by_hops = shortest_path_hops(&net, src, dst).expect("connected");
+        let mut rng = seeded_rng(seed);
+        let random = random_simple_path(&net, src, dst, &mut rng).expect("connected");
         let d1 = by_delay.total_delay(&net).expect("valid");
-        let d2 = by_hops.total_delay(&net).expect("valid");
+        let d2 = random.total_delay(&net).expect("valid");
         prop_assert!(d1 <= d2);
-        prop_assert!(by_hops.len() <= by_delay.len());
-        let yen = k_shortest_paths(&net, src, dst, 3);
-        prop_assert_eq!(yen.first(), Some(&by_delay));
-        for w in yen.windows(2) {
-            prop_assert!(
-                w[0].total_delay(&net).expect("valid")
-                    <= w[1].total_delay(&net).expect("valid")
-            );
-        }
     }
 
-    /// Schedule shift/normalize algebra.
+    /// Shifting moves the makespan and the earliest assignment alike.
     #[test]
     fn schedule_shift_algebra(
         pairs in prop::collection::vec((0u32..20, 0i64..50), 1..12),
@@ -125,12 +115,8 @@ proptest! {
         let mut shifted = s.clone();
         shifted.shift(delta);
         prop_assert_eq!(shifted.makespan().expect("non-empty"), makespan_before + delta);
-        let applied = shifted.normalize();
-        prop_assert_eq!(shifted.makespan().expect("non-empty"),
-            makespan_before + delta + applied);
-        // After normalization the earliest assignment sits at 0.
-        let min = shifted.iter().map(|(_, _, t)| t).min().expect("non-empty");
-        prop_assert_eq!(min, 0);
+        let earliest = |s: &Schedule| s.iter().map(|(_, _, t)| t).min().expect("non-empty");
+        prop_assert_eq!(earliest(&shifted), earliest(&s) + delta);
     }
 
     /// Capacity-1 tables reject a second add but always accept
