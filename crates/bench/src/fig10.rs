@@ -119,7 +119,6 @@ pub fn run(opts: &RunOptions, sizes: &[usize]) -> Vec<RuntimePoint> {
                 &inst,
                 OptConfig {
                     budget: opts.budget,
-                    ..Default::default()
                 },
             ) {
                 Ok(_) => {}

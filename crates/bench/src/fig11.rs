@@ -71,7 +71,6 @@ pub fn run(opts: &RunOptions, switches: usize) -> UpdateTimes {
                 &inst,
                 OptConfig {
                     budget: opts.budget,
-                    ..Default::default()
                 },
             ) {
                 times.opt.push(opt.makespan + 1);

@@ -97,7 +97,6 @@ pub fn run(opts: &RunOptions, n: usize, flows_per_instance: usize) -> MultiflowP
     };
     let sim_cfg = SimulatorConfig {
         record_loads: false,
-        ..SimulatorConfig::default()
     };
     for i in 0..(opts.runs * opts.instances / 4).max(8) {
         let Some(inst) = multiflow_instance(n, flows_per_instance, opts.seed + i as u64) else {

@@ -37,7 +37,6 @@ pub struct SweepPoint {
 fn simulate_quiet(instance: &UpdateInstance, schedule: &Schedule) -> (bool, usize) {
     let cfg = SimulatorConfig {
         record_loads: false,
-        ..SimulatorConfig::default()
     };
     let report = FluidSimulator::with_config(instance, cfg).run(schedule);
     (report.congestion_free(), report.congested_te_link_count())
@@ -94,7 +93,6 @@ pub fn run_sweep(opts: &RunOptions, sizes: &[usize]) -> Vec<SweepPoint> {
                         &inst,
                         OptConfig {
                             budget: opts.budget,
-                            ..Default::default()
                         },
                     );
                     if opt.is_ok() {

@@ -19,10 +19,13 @@
 //! dynamic-flow simulator of `chronus-timenet` before it is returned —
 //! the crate never hands out a schedule that violates Definition 2
 //! (loop-freedom) or Definition 3 (congestion-freedom). On top of
-//! that gate, every solver re-proves its result with the *independent*
-//! static certifier of `chronus-verify` (interval arithmetic, zero
-//! shared code with the simulator) and attaches the resulting
-//! [`chronus_verify::Certificate`] to its outcome.
+//! that gate, the schedulers ([`greedy`], [`shard`]) re-prove their
+//! result with the *independent* static certifier of `chronus-verify`
+//! (interval arithmetic, zero shared code with the simulator) and
+//! attach the resulting [`chronus_verify::Certificate`] to their
+//! outcome, unless their config turns certification off. The
+//! [`tree`] check only decides feasibility: its witness carries no
+//! certificate, and a caller that ships it certifies it.
 //!
 //! ## Quickstart
 //!

@@ -26,17 +26,18 @@
 //!   the paper's conditions inspect);
 //! - [`quick_infeasible`] applies the paper's Case-1 argument to
 //!   detours that provably cannot ever be scheduled;
-//! - [`check_feasibility`] gives the full decision: the greedy
-//!   scheduler serves as a fast constructive witness, and a
-//!   memoized depth-first search over update orders (each candidate
-//!   verified by the exact simulator, waiting up to one full drain
-//!   period) settles the instances the greedy's myopia misses.
+//! - [`check_feasibility`] gives the full decision: after
+//!   [`quick_infeasible`], a memoized depth-first search over update
+//!   orders (each candidate verified by the exact simulator, waiting
+//!   up to one full drain period) either finds a witness schedule or
+//!   exhausts the orders. It neither consults the greedy scheduler nor
+//!   certifies its witness: callers that ship the witness seal it
+//!   themselves, as the engine does.
 // The search operates on per-switch order vectors whose indices come
 // from the instance's update items; `expect` unwraps search-stack
 // invariants (a popped frame always has a live parent).
 #![allow(clippy::indexing_slicing, clippy::expect_used)]
 
-use crate::greedy::{greedy_schedule_with, GreedyConfig, GreedyOutcome};
 use crate::MutpProblem;
 use chronus_net::{Capacity, Delay, Flow, SwitchId, TimeStep, UpdateInstance};
 use chronus_timenet::{FluidSimulator, Schedule, SimulatorConfig, Verdict};
@@ -68,7 +69,9 @@ impl Crossing {
     /// The paper's admissibility test for this crossing: the shared
     /// segment holds both streams, or the new route is no faster.
     pub fn admissible(&self, demand: Capacity) -> bool {
-        if self.cons >= 2 * demand {
+        // `cons / 2 ≥ d` is `cons ≥ 2d` for unsigned integers, without
+        // the overflow of `2 * demand`.
+        if self.cons / 2 >= demand {
             return true;
         }
         match self.phi_old {
@@ -187,13 +190,11 @@ pub fn quick_infeasible(instance: &UpdateInstance) -> Option<Crossing> {
 /// Outcome of [`check_feasibility`].
 #[derive(Clone, Debug)]
 pub enum Feasibility {
-    /// A consistent schedule exists; the witness is attached together
-    /// with the independent certifier's proof of its consistency.
+    /// A consistent schedule exists; the simulator-verified witness is
+    /// attached (uncertified: the caller seals what it ships).
     Feasible {
         /// The witness schedule.
         schedule: Schedule,
-        /// `chronus-verify`'s proof that the witness is consistent.
-        certificate: Box<chronus_verify::Certificate>,
     },
     /// No consistent schedule exists.
     Infeasible {
@@ -202,9 +203,7 @@ pub enum Feasibility {
         witness: Option<Crossing>,
     },
     /// The search budget was exhausted before a decision was reached
-    /// (only possible on instances with very large pending sets) —
-    /// or, signalling a bug in the simulator or the certifier, the
-    /// independent certifier rejected a simulator-verified witness.
+    /// (only possible on instances with very large pending sets).
     Unknown,
 }
 
@@ -217,78 +216,36 @@ impl Feasibility {
     /// The witness schedule, for [`Feasibility::Feasible`].
     pub fn schedule(&self) -> Option<&Schedule> {
         match self {
-            Feasibility::Feasible { schedule, .. } => Some(schedule),
+            Feasibility::Feasible { schedule } => Some(schedule),
             _ => None,
         }
     }
 }
 
-/// Certifies a simulator-verified witness with the independent static
-/// certifier and seals it into [`Feasibility::Feasible`]. A rejection
-/// here means the simulator and the certifier disagree — a bug in one
-/// of them — so the decision is downgraded to
-/// [`Feasibility::Unknown`] rather than vouched for.
-fn seal_feasible(instance: &UpdateInstance, schedule: Schedule) -> Feasibility {
-    match chronus_verify::certify(instance, &schedule) {
-        Ok(cert) => Feasibility::Feasible {
-            schedule,
-            certificate: Box::new(cert),
-        },
-        Err(_) => Feasibility::Unknown,
-    }
-}
-
-/// Search budget for the exhaustive fallback of [`check_feasibility`].
-#[derive(Clone, Copy, Debug)]
-pub struct TreeConfig {
-    /// Maximum simulator invocations before giving up with
-    /// [`Feasibility::Unknown`].
-    pub max_simulations: usize,
-}
-
-impl Default for TreeConfig {
-    fn default() -> Self {
-        TreeConfig {
-            max_simulations: 200_000,
-        }
-    }
-}
+/// Simulator invocations [`check_feasibility`]'s search may spend
+/// before giving up with [`Feasibility::Unknown`].
+const MAX_SIMULATIONS: usize = 200_000;
 
 /// Decides whether *any* congestion- and loop-free timed update
 /// sequence exists for the instance (the question the paper's
 /// Algorithm 1 answers), returning a witness schedule when one exists.
 pub fn check_feasibility(instance: &UpdateInstance) -> Feasibility {
-    check_feasibility_with(instance, TreeConfig::default())
-}
-
-/// [`check_feasibility`] with an explicit search budget.
-pub fn check_feasibility_with(instance: &UpdateInstance, cfg: TreeConfig) -> Feasibility {
     // Fast negative path: the paper's delay/capacity conditions.
     if let Some(witness) = quick_infeasible(instance) {
         return Feasibility::Infeasible {
             witness: Some(witness),
         };
     }
-    // Fast positive path: the greedy scheduler usually finds a witness
-    // (certification deferred to `seal_feasible` to avoid running the
-    // certifier twice).
-    let greedy_cfg = GreedyConfig {
-        verify: chronus_verify::VerifyConfig::disabled(),
-        ..GreedyConfig::default()
-    };
-    if let Ok(GreedyOutcome { schedule, .. }) = greedy_schedule_with(instance, greedy_cfg) {
-        return seal_feasible(instance, schedule);
-    }
-    // Exhaustive fallback: memoized DFS over update orders.
+    // Memoized DFS over update orders.
     let Ok(problem) = MutpProblem::new(instance) else {
         return Feasibility::Infeasible { witness: None };
     };
-    let mut searcher = match Searcher::new(instance, &problem, cfg) {
+    let mut searcher = match Searcher::new(instance, &problem, MAX_SIMULATIONS) {
         Ok(s) => s,
         Err(TooManyPending) => return Feasibility::Unknown,
     };
     match searcher.solve() {
-        SearchResult::Found(schedule) => seal_feasible(instance, schedule),
+        SearchResult::Found(schedule) => Feasibility::Feasible { schedule },
         SearchResult::Exhausted => Feasibility::Infeasible { witness: None },
         SearchResult::BudgetSpent => Feasibility::Unknown,
     }
@@ -325,7 +282,7 @@ impl<'a> Searcher<'a> {
     fn new(
         instance: &'a UpdateInstance,
         problem: &MutpProblem<'a>,
-        cfg: TreeConfig,
+        budget: usize,
     ) -> Result<Self, TooManyPending> {
         let mut items = Vec::new();
         let mut base = Schedule::new();
@@ -347,14 +304,13 @@ impl<'a> Searcher<'a> {
         }
         let sim_cfg = SimulatorConfig {
             record_loads: false,
-            ..SimulatorConfig::default()
         };
         Ok(Searcher {
             instance,
             sim: FluidSimulator::with_config(instance, sim_cfg),
             items,
             drain: problem.drain_bound(),
-            budget: cfg.max_simulations,
+            budget,
             used: 0,
             // chronus-lint: allow(det-hash) — membership-only memo, see field declaration
             failed: HashSet::new(),
@@ -427,14 +383,25 @@ mod tests {
     }
 
     fn shared_tail(shortcut_delay: u64) -> UpdateInstance {
+        shared_tail_with(shortcut_delay, 1, 1)
+    }
+
+    /// Old path 0→1→2→3 (unit delays), new path 0→2→3 over a shortcut
+    /// of `shortcut_delay`; every link has capacity `capacity`.
+    fn shared_tail_with(
+        shortcut_delay: u64,
+        capacity: Capacity,
+        demand: Capacity,
+    ) -> UpdateInstance {
         let mut b = NetworkBuilder::with_switches(4);
-        b.add_link(sid(0), sid(1), 1, 1).unwrap();
-        b.add_link(sid(1), sid(2), 1, 1).unwrap();
-        b.add_link(sid(2), sid(3), 1, 1).unwrap();
-        b.add_link(sid(0), sid(2), 1, shortcut_delay).unwrap();
+        b.add_link(sid(0), sid(1), capacity, 1).unwrap();
+        b.add_link(sid(1), sid(2), capacity, 1).unwrap();
+        b.add_link(sid(2), sid(3), capacity, 1).unwrap();
+        b.add_link(sid(0), sid(2), capacity, shortcut_delay)
+            .unwrap();
         let flow = Flow::new(
             FlowId(0),
-            1,
+            demand,
             Path::new(vec![sid(0), sid(1), sid(2), sid(3)]),
             Path::new(vec![sid(0), sid(2), sid(3)]),
         )
@@ -505,17 +472,16 @@ mod tests {
             }
             other => panic!("expected infeasible, got {other:?}"),
         }
-        let f = check_feasibility(&motivating_example());
-        assert!(f.is_feasible());
-        if let Feasibility::Feasible {
-            schedule,
-            certificate,
-        } = f
-        {
-            let report = FluidSimulator::check(&motivating_example(), &schedule);
-            assert_eq!(report.verdict(), Verdict::Consistent);
-            // The attached proof re-validates independently.
-            assert_eq!(certificate.check(&motivating_example()), Ok(()));
+        let inst = motivating_example();
+        match check_feasibility(&inst) {
+            Feasibility::Feasible { schedule } => {
+                let report = FluidSimulator::check(&inst, &schedule);
+                assert_eq!(report.verdict(), Verdict::Consistent, "{report}");
+                // The independent certifier agrees with the search.
+                let certificate = chronus_verify::certify(&inst, &schedule).expect("certifies");
+                assert_eq!(certificate.check(&inst), Ok(()));
+            }
+            other => panic!("expected feasible, got {other:?}"),
         }
     }
 
@@ -524,39 +490,43 @@ mod tests {
         // Equal-delay variant: phi_new == phi_old is admissible (the
         // new stream arrives exactly as the old one ends).
         let inst = shared_tail(2);
-        if let Feasibility::Feasible { schedule, .. } = check_feasibility(&inst) {
+        if let Feasibility::Feasible { schedule } = check_feasibility(&inst) {
             let report = FluidSimulator::check(&inst, &schedule);
             assert_eq!(report.verdict(), Verdict::Consistent, "{report}");
+            assert!(chronus_verify::certify(&inst, &schedule).is_ok());
         } else {
             panic!("equal-delay shortcut should be feasible");
         }
     }
 
     #[test]
-    fn dfs_fallback_handles_greedy_myopia() {
-        // Force the DFS path by giving the searcher a tiny instance and
-        // bypassing the greedy fast path via direct construction.
-        let inst = motivating_example();
-        let problem = MutpProblem::new(&inst).unwrap();
-        let mut searcher = match Searcher::new(&inst, &problem, TreeConfig::default()) {
-            Ok(s) => s,
-            Err(_) => panic!("4 pending switches fit in the mask"),
-        };
-        match searcher.solve() {
-            SearchResult::Found(s) => {
-                let report = FluidSimulator::check(&inst, &s);
-                assert_eq!(report.verdict(), Verdict::Consistent, "{report}");
-            }
-            _ => panic!("DFS must solve the motivating example"),
+    fn admissibility_survives_demands_past_half_the_range() {
+        // `2 * demand` does not fit in a `Capacity`: the capacity test
+        // must answer "cannot hold both streams" and leave the
+        // decision to the φ condition.
+        let demand = Capacity::MAX / 2 + 1;
+        for (shortcut_delay, admissible) in [(1, false), (2, true), (3, true)] {
+            let inst = shared_tail_with(shortcut_delay, Capacity::MAX, demand);
+            let cs = crossings(&inst, inst.flow());
+            assert_eq!(cs.len(), 1);
+            assert_eq!(cs[0].cons, Capacity::MAX);
+            assert_eq!(
+                cs[0].admissible(demand),
+                admissible,
+                "φ(p) = {shortcut_delay}"
+            );
+            assert_eq!(quick_infeasible(&inst).is_some(), !admissible);
         }
+        // Half the range still fits twice.
+        let inst = shared_tail_with(1, Capacity::MAX, Capacity::MAX / 2);
+        assert!(crossings(&inst, inst.flow())[0].admissible(Capacity::MAX / 2));
     }
 
     #[test]
     fn budget_exhaustion_reports_unknown() {
         let inst = motivating_example();
-        let cfg = TreeConfig { max_simulations: 1 };
         let problem = MutpProblem::new(&inst).unwrap();
-        let mut searcher = match Searcher::new(&inst, &problem, cfg) {
+        let mut searcher = match Searcher::new(&inst, &problem, 1) {
             Ok(s) => s,
             Err(_) => panic!("fits"),
         };

@@ -57,24 +57,21 @@ use std::time::{Duration, Instant};
 /// certificate's tolerance grows with the factor — makespan traded for
 /// robustness against exactly the timing faults `chronus-faults`
 /// injects.
-#[derive(Clone, Copy, Debug)]
-pub struct SlackPolicy {
+///
+/// The policy is fixed — its parameters are the associated constants —
+/// so the value only says "on": [`crate::EngineConfig::slack`] holds
+/// one to run the stage.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct SlackPolicy {}
+
+impl SlackPolicy {
     /// Certified tolerance (in steps) a plan should reach; the engine
     /// stops dilating once a factor certifies at least this much.
-    pub target_steps: TimeStep,
-    /// Largest dilation factor to try (1 = never dilate). When even
-    /// this factor misses the target, the best-slack candidate ships
-    /// anyway and the miss is counted in the metrics.
-    pub max_dilation: TimeStep,
-}
-
-impl Default for SlackPolicy {
-    fn default() -> Self {
-        SlackPolicy {
-            target_steps: 1,
-            max_dilation: 4,
-        }
-    }
+    pub const TARGET_STEPS: TimeStep = 1;
+    /// Largest dilation factor to try. When even this factor misses
+    /// the target, the best-slack candidate ships anyway and the miss
+    /// is counted in the metrics.
+    pub const MAX_DILATION: TimeStep = 4;
 }
 
 /// A stage of the fallback chain, in chain order.
@@ -292,11 +289,10 @@ fn stage_span_name(stage: Stage) -> &'static str {
 fn buy_slack(
     instance: &UpdateInstance,
     schedule: &Schedule,
-    policy: &SlackPolicy,
 ) -> Result<(Schedule, SlackCertificate, Certificate, TimeStep), Violation> {
     let mut best: Option<(Schedule, SlackCertificate, Certificate, TimeStep)> = None;
     let mut refusal = None;
-    for factor in 1..=policy.max_dilation.max(1) {
+    for factor in 1..=SlackPolicy::MAX_DILATION {
         let candidate = schedule.dilated(factor);
         let (cert, slack) = match slack_certificate(instance, &candidate) {
             Ok(found) => found,
@@ -307,7 +303,7 @@ fn buy_slack(
                 continue;
             }
         };
-        let done = slack.slack_steps >= policy.target_steps
+        let done = slack.slack_steps >= SlackPolicy::TARGET_STEPS
             || (slack.budget_exhausted && slack.slack_steps == 0);
         let improves = best
             .as_ref()
@@ -364,23 +360,21 @@ fn seal(
             slack: None,
             dilation: 1,
         }),
-        Some(policy) => {
-            buy_slack(instance, &schedule, policy).map(|(shipped, slack, cert, factor)| {
-                let target_met = slack.slack_steps >= policy.target_steps;
-                if span.is_recording() {
-                    span.record("slack_steps", slack.slack_steps);
-                    span.record("dilation", factor);
-                    span.record("target_met", target_met);
-                }
-                metrics.record_slack(&slack, factor, target_met);
-                Sealed {
-                    plan: PlanKind::Timed(shipped),
-                    certificate: verify.enabled.then_some(cert),
-                    slack: Some(slack),
-                    dilation: factor,
-                }
-            })
-        }
+        Some(_) => buy_slack(instance, &schedule).map(|(shipped, slack, cert, factor)| {
+            let target_met = slack.slack_steps >= SlackPolicy::TARGET_STEPS;
+            if span.is_recording() {
+                span.record("slack_steps", slack.slack_steps);
+                span.record("dilation", factor);
+                span.record("target_met", target_met);
+            }
+            metrics.record_slack(&slack, factor, target_met);
+            Sealed {
+                plan: PlanKind::Timed(shipped),
+                certificate: verify.enabled.then_some(cert),
+                slack: Some(slack),
+                dilation: factor,
+            }
+        }),
     };
     if let Err(violation) = &sealed {
         // A planner/certifier disagreement.
@@ -429,7 +423,7 @@ fn propose(
             Ok(out.schedule)
         }
         Stage::Tree => match check_feasibility(instance) {
-            Feasibility::Feasible { schedule, .. } => Ok(schedule),
+            Feasibility::Feasible { schedule } => Ok(schedule),
             Feasibility::Infeasible { witness: Some(w) } => Err(format!("infeasible: {w:?}")),
             Feasibility::Infeasible { witness: None } => Err("infeasible".into()),
             Feasibility::Unknown => Err("search budget exhausted".into()),

@@ -38,10 +38,10 @@ pub struct EngineConfig {
     /// can opt out with [`VerifyConfig::disabled`].
     pub verify: VerifyConfig,
     /// Slack policy for timed winners: when set, every timed plan is
-    /// shipped with a slack certificate, dilating the schedule within
-    /// the policy's factor cap until the certified tolerance meets the
-    /// target. `None` (the default) skips the stage — plans ship
-    /// exactly as the planners produced them.
+    /// shipped with a slack certificate, dilating the schedule up to
+    /// [`SlackPolicy::MAX_DILATION`] until the certified tolerance
+    /// meets [`SlackPolicy::TARGET_STEPS`]. `None` (the default) skips
+    /// the stage — plans ship exactly as the planners produced them.
     pub slack: Option<SlackPolicy>,
     /// Sharded multi-flow planning: when set, multi-flow requests run
     /// the sharded pre-stage — topology partitioning plus per-shard

@@ -6,7 +6,10 @@ use chronus_engine::{
     Stage, StageOutcome, UpdateRequest,
 };
 use chronus_net::topology::{fat_tree, LinkParams};
-use chronus_net::{motivating_example, reversal_instance, Flow, FlowId, Path, UpdateInstance};
+use chronus_net::{
+    motivating_example, reversal_instance, Flow, FlowId, InstanceGenerator,
+    InstanceGeneratorConfig, Path, UpdateInstance,
+};
 use chronus_timenet::{FluidSimulator, SimWorkspace, Verdict};
 use chronus_trace::{Collector, SpanRecord};
 use std::sync::Arc;
@@ -45,9 +48,13 @@ fn separable_instance() -> UpdateInstance {
     UpdateInstance::new(net, flows).expect("separable instance")
 }
 
-/// Plans `instance` with the collector on and counts the
-/// `verify.certify` spans anywhere under the request's `engine.plan`.
-fn certifications(instance: UpdateInstance, config: &EngineConfig) -> (PlannedUpdate, usize) {
+/// Plans `instance` with the collector on and counts the spans with
+/// each of `names` anywhere under the request's `engine.plan`.
+fn spans_under_plan<const N: usize>(
+    instance: UpdateInstance,
+    config: &EngineConfig,
+    names: [&str; N],
+) -> (PlannedUpdate, [usize; N]) {
     let request = UpdateRequest::new(1, Arc::new(instance), Duration::from_secs(600));
     let planned = plan_with_chain(
         &request,
@@ -66,11 +73,14 @@ fn certifications(instance: UpdateInstance, config: &EngineConfig) -> (PlannedUp
         }
         false
     };
-    let count = records
-        .iter()
-        .filter(|r| r.name == "verify.certify" && under_plan(r))
-        .count();
-    (planned, count)
+    let count = |name: &str| {
+        records
+            .iter()
+            .filter(|r| r.name == name && under_plan(r))
+            .count()
+    };
+    let counts = names.map(count);
+    (planned, counts)
 }
 
 #[test]
@@ -79,18 +89,39 @@ fn each_shipped_schedule_is_certified_once_per_dilation_factor() {
     let slack = EngineConfig::default().with_slack(SlackPolicy::default());
 
     // 14 entries: the slack cube is over budget, so factor 1 ships.
-    let (planned, count) = certifications(reversal_instance(16, 2, 1), &slack);
+    let (planned, [count]) =
+        spans_under_plan(reversal_instance(16, 2, 1), &slack, ["verify.certify"]);
     assert_eq!((planned.winner, planned.dilation), (Stage::Greedy, 1));
     assert_eq!(count, 1, "greedy win, one factor");
 
     // Factors 1 and 2 are tried; each nominal schedule is certified once.
-    let (planned, count) = certifications(motivating_example(), &slack);
+    let (planned, [count]) = spans_under_plan(motivating_example(), &slack, ["verify.certify"]);
     assert_eq!((planned.winner, planned.dilation), (Stage::Greedy, 2));
     assert_eq!(count, 2, "greedy win, two factors");
 
+    // Tree wins: greedy refuses some of the first five paper instances
+    // of this seed and the tree search plans them. The search certifies
+    // nothing and runs no greedy of its own.
+    let mut generator = InstanceGenerator::new(InstanceGeneratorConfig::paper(10, 21));
+    let mut tree_wins = 0;
+    for _ in 0..5 {
+        let Some(instance) = generator.generate() else {
+            continue;
+        };
+        let (planned, [count, greedy]) =
+            spans_under_plan(instance, &slack, ["verify.certify", "core.greedy"]);
+        if planned.winner != Stage::Tree {
+            continue;
+        }
+        tree_wins += 1;
+        assert_eq!((planned.dilation, count), (2, 2), "tree win, two factors");
+        assert_eq!(greedy, 1, "tree win: greedy plans once, as its own stage");
+    }
+    assert!(tree_wins > 0, "the first five draws hold a tree win");
+
     // A sharded win: the merged schedule's joint verdict, then the seal.
     let sharded = slack.with_sharding(ShardingConfig::default());
-    let (planned, count) = certifications(separable_instance(), &sharded);
+    let (planned, [count]) = spans_under_plan(separable_instance(), &sharded, ["verify.certify"]);
     assert_eq!(planned.winner, Stage::Sharded);
     let factors = planned.dilation as usize;
     eprintln!("sharded win: {count} certifications, dilation {factors}");

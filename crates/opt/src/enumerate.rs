@@ -69,7 +69,6 @@ pub fn enumerate_consistent_schedules(
         instance,
         SimulatorConfig {
             record_loads: false,
-            ..SimulatorConfig::default()
         },
     );
 

@@ -18,7 +18,11 @@
 //!   (asserted in the integration tests).
 //!
 //! Both solvers accept a wall-clock budget, mirroring the paper's
-//! 600-second cap in the Fig. 10 running-time experiment.
+//! 600-second cap in the Fig. 10 running-time experiment. The budget
+//! is [`OptConfig`]'s only field: [`optimal_schedule`] explores
+//! makespans up to the greedy's (or the instance's search horizon when
+//! the greedy fails) and always certifies its optimum with
+//! `chronus-verify`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -27,22 +27,12 @@ use std::time::{Duration, Instant};
 pub struct OptConfig {
     /// Wall-clock budget (the paper caps OPT at 600 s in Fig. 10).
     pub budget: Duration,
-    /// Hard cap on the makespan explored; defaults to the greedy
-    /// makespan (OPT can never need more) or the instance's search
-    /// horizon when the greedy fails.
-    pub max_makespan: Option<TimeStep>,
-    /// Post-hoc certification of the winning schedule by the
-    /// independent static certifier (`chronus-verify`); enabled by
-    /// default, disable for hot benchmark loops.
-    pub verify: chronus_verify::VerifyConfig,
 }
 
 impl Default for OptConfig {
     fn default() -> Self {
         OptConfig {
             budget: Duration::from_secs(600),
-            max_makespan: None,
-            verify: chronus_verify::VerifyConfig::default(),
         }
     }
 }
@@ -58,28 +48,29 @@ pub struct OptOutcome {
     pub simulator_calls: usize,
     /// Search states expanded.
     pub states: usize,
-    /// The independent certifier's proof of consistency, when
-    /// certification was enabled (see [`OptConfig::verify`]).
-    pub certificate: Option<chronus_verify::Certificate>,
+    /// The independent certifier's proof of consistency.
+    pub certificate: chronus_verify::Certificate,
 }
 
-/// Runs the independent certifier over the winning schedule per the
-/// config, surfacing a rejection as
-/// [`ScheduleError::CertificationFailed`].
-fn certify_outcome(
+/// Seals the winning schedule with the independent certifier,
+/// surfacing a rejection as [`ScheduleError::CertificationFailed`].
+fn certified(
     instance: &UpdateInstance,
-    schedule: &Schedule,
-    cfg: &chronus_verify::VerifyConfig,
-) -> Result<Option<chronus_verify::Certificate>, ScheduleError> {
-    if !cfg.enabled {
-        return Ok(None);
-    }
-    match chronus_verify::certify_with(instance, schedule, cfg) {
-        Ok(cert) => Ok(Some(cert)),
-        Err(violation) => Err(ScheduleError::CertificationFailed {
+    schedule: Schedule,
+    stats: &Stats,
+) -> Result<OptOutcome, ScheduleError> {
+    let certificate = chronus_verify::certify(instance, &schedule).map_err(|violation| {
+        ScheduleError::CertificationFailed {
             violation: Box::new(violation),
-        }),
-    }
+        }
+    })?;
+    Ok(OptOutcome {
+        makespan: schedule.makespan().unwrap_or(0),
+        schedule,
+        simulator_calls: stats.sims,
+        states: stats.states,
+        certificate,
+    })
 }
 
 /// Solves MUTP exactly with the default 600 s budget.
@@ -106,13 +97,9 @@ pub fn optimal_schedule_with(
 
     // Upper bound from the greedy (OPT ≤ greedy); fall back to the
     // sound search horizon when the greedy cannot find a witness.
-    let greedy = greedy_schedule(instance).ok();
-    let ub = cfg.max_makespan.unwrap_or_else(|| {
-        greedy
-            .as_ref()
-            .map(|g| g.makespan)
-            .unwrap_or_else(|| problem.search_horizon())
-    });
+    let ub = greedy_schedule(instance)
+        .map(|g| g.makespan)
+        .unwrap_or_else(|_| problem.search_horizon());
 
     let mut base = Schedule::new();
     let mut items: Vec<(usize, SwitchId)> = Vec::new();
@@ -156,15 +143,7 @@ pub fn optimal_schedule_with(
         // Only fresh activations (or nothing at all).
         stats.sims += 1;
         if inc.verdict() == Verdict::Consistent {
-            let makespan = base.makespan().unwrap_or(0);
-            let certificate = certify_outcome(instance, &base, &cfg.verify)?;
-            return Ok(OptOutcome {
-                schedule: base,
-                makespan,
-                simulator_calls: stats.sims,
-                states: stats.states,
-                certificate,
-            });
+            return certified(instance, base, &stats);
         }
         return Err(ScheduleError::Infeasible {
             blocked: None,
@@ -195,17 +174,7 @@ pub fn optimal_schedule_with(
         let full = (1u64 << items.len()) - 1;
         let mut schedule = base.clone();
         match searcher.step(0, full, &mut schedule) {
-            Outcome::Found => {
-                let makespan = schedule.makespan().unwrap_or(0);
-                let certificate = certify_outcome(instance, &schedule, &cfg.verify)?;
-                return Ok(OptOutcome {
-                    schedule,
-                    makespan,
-                    simulator_calls: stats.sims,
-                    states: stats.states,
-                    certificate,
-                });
-            }
+            Outcome::Found => return certified(instance, schedule, &stats),
             Outcome::Exhausted => continue,
             Outcome::TimedOut => {
                 return Err(ScheduleError::TimedOut {
@@ -215,20 +184,10 @@ pub fn optimal_schedule_with(
         }
     }
 
-    match greedy {
-        // The greedy found a schedule but the deepening loop was capped
-        // below its makespan by config: report the greedy's as optimal
-        // within the explored bound is *wrong*, so surface infeasible
-        // within the bound instead.
-        Some(_) if cfg.max_makespan.is_some() => Err(ScheduleError::Infeasible {
-            blocked: None,
-            reason: format!("no schedule with makespan <= {ub}"),
-        }),
-        _ => Err(ScheduleError::Infeasible {
-            blocked: None,
-            reason: "exhausted the full schedule space".into(),
-        }),
-    }
+    Err(ScheduleError::Infeasible {
+        blocked: None,
+        reason: "exhausted the full schedule space".into(),
+    })
 }
 
 #[derive(Default)]
@@ -466,22 +425,9 @@ mod tests {
         let inst = motivating_example();
         let cfg = OptConfig {
             budget: Duration::from_nanos(1),
-            ..Default::default()
         };
         let err = optimal_schedule_with(&inst, cfg).unwrap_err();
         assert!(matches!(err, ScheduleError::TimedOut { .. }));
-    }
-
-    #[test]
-    fn makespan_cap_below_optimum_is_infeasible() {
-        let inst = motivating_example();
-        let cfg = OptConfig {
-            budget: Duration::from_secs(60),
-            max_makespan: Some(1), // optimum is 2
-            ..Default::default()
-        };
-        let err = optimal_schedule_with(&inst, cfg).unwrap_err();
-        assert!(matches!(err, ScheduleError::Infeasible { .. }), "{err}");
     }
 
     #[test]
@@ -509,7 +455,6 @@ mod tests {
                 &inst,
                 OptConfig {
                     budget: Duration::from_secs(10),
-                    ..Default::default()
                 },
             );
             match (greedy, opt) {

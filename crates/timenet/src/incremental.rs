@@ -44,16 +44,13 @@
 use crate::arena::{SimArena, StepCounts};
 use crate::ledger::{LinkInterner, LoadLedger};
 use crate::report::Verdict;
+use crate::simulate::HORIZON_SLACK;
 use crate::Schedule;
 use chronus_net::{Capacity, Flow, FlowId, SwitchId, TimeStep, UpdateInstance};
 use std::collections::BTreeMap;
 
 /// Sentinel in a visit row: "this cohort never consults that switch".
 const NO_VISIT: TimeStep = TimeStep::MIN;
-
-/// The horizon slack steps, mirroring
-/// [`crate::SimulatorConfig::horizon_slack`]'s default.
-const DEFAULT_SLACK: TimeStep = 2;
 
 /// A resolved forwarding rule: the next hop plus the interned link
 /// that carries it (`None` when the network lacks the link — a
@@ -69,7 +66,6 @@ pub(crate) struct HopRule {
 pub(crate) struct LinkRef {
     pub idx: u32,
     pub delay: TimeStep,
-    pub capacity: Capacity,
 }
 
 /// Per-switch rule state of one flow.
@@ -101,13 +97,9 @@ impl FlowTable {
         let mut rules = vec![RuleEntry::default(); net.switch_count()];
         let resolve = |u: SwitchId, next: SwitchId| HopRule {
             next,
-            link: interner.get(u, next).map(|idx| {
-                let l = interner.link(idx);
-                LinkRef {
-                    idx,
-                    delay: l.delay,
-                    capacity: l.capacity,
-                }
+            link: interner.get(u, next).map(|idx| LinkRef {
+                idx,
+                delay: interner.link(idx).delay,
             }),
         };
         for w in flow.initial.hops().windows(2) {
@@ -217,15 +209,6 @@ pub(crate) enum TraceEnd {
     Blackholed { switch: SwitchId, time: TimeStep },
     /// Exhausted the hop bound without any of the above.
     Undelivered,
-    /// Fail-fast mode only: the hop overloaded a link; tracing stopped
-    /// immediately with the offending cell's details.
-    CongestionAbort {
-        src: SwitchId,
-        dst: SwitchId,
-        time: TimeStep,
-        load: Capacity,
-        capacity: Capacity,
-    },
 }
 
 /// Traces the cohort of `table`'s flow emitted at `tau`, adding every
@@ -239,7 +222,6 @@ pub(crate) fn trace_cohort(
     ledger: &mut LoadLedger,
     stamps: &mut VisitStamps,
     hops: &mut Vec<HopRec>,
-    fail_fast: bool,
 ) -> TraceEnd {
     hops.clear();
     stamps.begin();
@@ -251,7 +233,6 @@ pub(crate) fn trace_cohort(
         ledger,
         stamps,
         hops,
-        fail_fast,
         |_| false,
     )
 }
@@ -273,7 +254,6 @@ pub(crate) fn trace_cohort_resume(
     ledger: &mut LoadLedger,
     stamps: &mut VisitStamps,
     hops: &mut Vec<HopRec>,
-    fail_fast: bool,
     prefix_visited: impl Fn(SwitchId) -> bool,
 ) -> TraceEnd {
     let mut at = at;
@@ -297,21 +277,12 @@ pub(crate) fn trace_cohort_resume(
                 time: now,
             };
         };
-        let load = ledger.add(link.idx, now, table.demand);
+        ledger.add(link.idx, now, table.demand);
         hops.push(HopRec {
             from: at,
             link: link.idx,
             depart: now,
         });
-        if fail_fast && now >= 0 && load > link.capacity {
-            return TraceEnd::CongestionAbort {
-                src: at,
-                dst: rule.next,
-                time: now,
-                load,
-                capacity: link.capacity,
-            };
-        }
         if stamps.marked(rule.next) || prefix_visited(rule.next) {
             return TraceEnd::Looped {
                 switch: rule.next,
@@ -324,21 +295,11 @@ pub(crate) fn trace_cohort_resume(
     TraceEnd::Undelivered
 }
 
-/// A stored cohort outcome (no congestion variant: load state lives in
-/// the ledger, not per cohort).
-#[derive(Clone, Debug, PartialEq, Eq)]
-enum CohortEnd {
-    Delivered,
-    Looped { switch: SwitchId, time: TimeStep },
-    Blackholed { switch: SwitchId, time: TimeStep },
-    Undelivered,
-}
-
 /// One live cohort: its full trajectory plus how it ended.
 #[derive(Clone, Debug, PartialEq, Eq)]
 struct Cohort {
     hops: Vec<HopRec>,
-    end: CohortEnd,
+    end: TraceEnd,
 }
 
 /// Per-flow live state.
@@ -394,7 +355,7 @@ struct RetraceRec {
     tau: TimeStep,
     pos: usize,
     old_suffix: Vec<HopRec>,
-    old_end: CohortEnd,
+    old_end: TraceEnd,
 }
 
 /// Reusable buffers for [`IncrementalSimulator`] (and, transitively,
@@ -469,7 +430,6 @@ pub struct IncrementalSimulator {
     blackholes: usize,
     undelivered: usize,
     max_hops: usize,
-    slack: TimeStep,
     stamps: VisitStamps,
     /// The parts-bin: while the simulator is live it serves as the hop
     /// pool (tracing pops a buffer, retiring a cohort pushes its
@@ -531,7 +491,6 @@ impl IncrementalSimulator {
             blackholes: 0,
             undelivered: 0,
             max_hops: net.switch_count() + 2,
-            slack: DEFAULT_SLACK,
             stamps,
             arena,
             retrace_pool: Vec::new(),
@@ -552,7 +511,7 @@ impl IncrementalSimulator {
                 visit,
             });
             // Initial window: makespan 0 (empty schedule).
-            let last = sim.flows[fi].table.phi_fin + sim.slack;
+            let last = sim.flows[fi].table.phi_fin + HORIZON_SLACK;
             for tau in first_emit..=last {
                 sim.trace_and_push(fi);
                 debug_assert_eq!(sim.flows[fi].last_emit(), tau);
@@ -798,12 +757,8 @@ impl IncrementalSimulator {
             &mut self.ledger,
             &mut self.stamps,
             &mut hops,
-            false,
         );
-        Cohort {
-            hops,
-            end: cohort_end(end),
-        }
+        Cohort { hops, end }
     }
 
     /// Traces the next cohort of flow `fi` (at `last_emit + 1`) under
@@ -875,17 +830,17 @@ impl IncrementalSimulator {
         }
         self.live_cells += (cohort.hops.len() - pos) as u64;
         match cohort.end {
-            CohortEnd::Delivered => {}
-            CohortEnd::Looped { time, .. } => {
+            TraceEnd::Delivered => {}
+            TraceEnd::Looped { time, .. } => {
                 self.loops += 1;
                 self.loop_times.inc(time);
             }
-            CohortEnd::Blackholed { switch, time } => {
+            TraceEnd::Blackholed { switch, time } => {
                 Self::mark_visit(&mut fs.visit, switch, slot, time);
                 self.blackholes += 1;
                 self.blackhole_times.inc(time);
             }
-            CohortEnd::Undelivered => self.undelivered += 1,
+            TraceEnd::Undelivered => self.undelivered += 1,
         }
     }
 
@@ -898,17 +853,17 @@ impl IncrementalSimulator {
         }
         self.live_cells -= (cohort.hops.len() - pos) as u64;
         match cohort.end {
-            CohortEnd::Delivered => {}
-            CohortEnd::Looped { time, .. } => {
+            TraceEnd::Delivered => {}
+            TraceEnd::Looped { time, .. } => {
                 self.loops -= 1;
                 self.loop_times.dec(time);
             }
-            CohortEnd::Blackholed { switch, time } => {
+            TraceEnd::Blackholed { switch, time } => {
                 Self::unmark_visit(&mut fs.visit, switch, slot);
                 self.blackholes -= 1;
                 self.blackhole_times.dec(time);
             }
-            CohortEnd::Undelivered => self.undelivered -= 1,
+            TraceEnd::Undelivered => self.undelivered -= 1,
         }
     }
 
@@ -938,7 +893,7 @@ impl IncrementalSimulator {
     fn resize_windows(&mut self, new_makespan: TimeStep, delta: &mut Delta) {
         for fi in 0..self.flows.len() {
             let fs = &self.flows[fi];
-            let new_last = new_makespan + fs.table.phi_fin + self.slack;
+            let new_last = new_makespan + fs.table.phi_fin + HORIZON_SLACK;
             let old_len = fs.cohorts.len();
             let new_len = (new_last - fs.first_emit + 1) as usize;
             if new_len > old_len {
@@ -1049,10 +1004,9 @@ impl IncrementalSimulator {
                     ledger,
                     stamps,
                     &mut cohort.hops,
-                    false,
                     prefix_visited,
                 );
-                std::mem::replace(&mut cohort.end, cohort_end(end))
+                std::mem::replace(&mut cohort.end, end)
             };
             self.index_suffix(fi, slot, pos);
             delta.retraced.push(RetraceRec {
@@ -1063,20 +1017,5 @@ impl IncrementalSimulator {
             });
         }
         self.affected_scratch = affected;
-    }
-}
-
-/// Converts a live [`TraceEnd`] into the stored [`CohortEnd`]
-/// (incremental tracing never fail-fasts, so the congestion variant is
-/// unreachable).
-fn cohort_end(end: TraceEnd) -> CohortEnd {
-    match end {
-        TraceEnd::Delivered => CohortEnd::Delivered,
-        TraceEnd::Looped { switch, time } => CohortEnd::Looped { switch, time },
-        TraceEnd::Blackholed { switch, time } => CohortEnd::Blackholed { switch, time },
-        TraceEnd::Undelivered => CohortEnd::Undelivered,
-        TraceEnd::CongestionAbort { .. } => {
-            unreachable!("incremental tracing never fail-fasts")
-        }
     }
 }

@@ -11,7 +11,9 @@
 //!   dynamic-flow semantics (Definition 1) that, given an instance and
 //!   a schedule, reports every transient congestion event
 //!   (Definition 3), forwarding loop (Definition 2), blackhole and
-//!   undelivered cohort.
+//!   undelivered cohort. Its report is always exhaustive; the one
+//!   option ([`SimulatorConfig`]) is whether it also keeps the
+//!   per-link load series.
 //!
 //! The simulator is the *ground truth* of the reproduction: schedules
 //! produced by the Chronus greedy algorithm, the tree feasibility

@@ -19,14 +19,8 @@ pub fn render_occupancy(
     from: TimeStep,
     to: TimeStep,
 ) -> String {
-    let report = FluidSimulator::with_config(
-        instance,
-        SimulatorConfig {
-            record_loads: true,
-            ..SimulatorConfig::default()
-        },
-    )
-    .run(schedule);
+    let report =
+        FluidSimulator::with_config(instance, SimulatorConfig { record_loads: true }).run(schedule);
 
     let links: Vec<(SwitchId, SwitchId)> = report.link_loads.keys().copied().collect();
     let mut out = String::new();

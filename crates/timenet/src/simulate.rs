@@ -3,33 +3,27 @@
 use crate::arena::SimArena;
 use crate::incremental::{trace_cohort, FlowTable, TraceEnd, VisitStamps};
 use crate::ledger::{LinkInterner, LoadLedger};
-use crate::report::{BlackholeEvent, CongestionEvent, LoopEvent, SimulationReport};
+use crate::report::{BlackholeEvent, LoopEvent, SimulationReport};
 use crate::Schedule;
 use chronus_net::{TimeStep, UpdateInstance};
 
-/// Configuration knobs for [`FluidSimulator`].
+/// Extra emission steps simulated past the analytical horizon, as a
+/// safety margin: the analytical horizon already covers every possible
+/// transient overlap (see [`FluidSimulator`]'s horizon notes). Both
+/// simulators use it.
+pub(crate) const HORIZON_SLACK: TimeStep = 2;
+
+/// Configuration of [`FluidSimulator`].
 #[derive(Clone, Copy, Debug)]
 pub struct SimulatorConfig {
-    /// Extra emission steps simulated past the analytical horizon, as a
-    /// safety margin (default 2 — the analytical horizon already covers
-    /// every possible transient overlap, see the module docs).
-    pub horizon_slack: u64,
     /// Record the full per-link load series in the report (default
     /// true). Disable for large batch sweeps that only need verdicts.
     pub record_loads: bool,
-    /// Stop at the first violation (default false). The report then
-    /// contains at least one event and an `Inconsistent` verdict, but
-    /// is not exhaustive — the mode schedulers use as a cheap gate.
-    pub fail_fast: bool,
 }
 
 impl Default for SimulatorConfig {
     fn default() -> Self {
-        SimulatorConfig {
-            horizon_slack: 2,
-            record_loads: true,
-            fail_fast: false,
-        }
+        SimulatorConfig { record_loads: true }
     }
 }
 
@@ -52,8 +46,9 @@ impl Default for SimulatorConfig {
 ///
 /// Cohorts are emitted from `−φ(p_init)` (the oldest cohort that can
 /// still be in flight when updates begin) through
-/// `makespan + φ(p_fin) + slack` (after which every cohort follows the
-/// final path and the load pattern repeats verbatim, shifted in time).
+/// `makespan + φ(p_fin)` plus a fixed two-step margin (after which
+/// every cohort follows the final path and the load pattern repeats
+/// verbatim, shifted in time).
 /// Within that window *every* possible transient interaction is
 /// simulated, so the verdict is exact, not sampled.
 ///
@@ -96,20 +91,9 @@ impl<'a> FluidSimulator<'a> {
     /// deliberately broken schedule is how blackholes are studied); use
     /// [`Schedule::validate`] first if completeness matters.
     pub fn run(&self, schedule: &Schedule) -> SimulationReport {
-        self.run_in(schedule, &mut SimArena::default())
-    }
-
-    /// Like [`FluidSimulator::run`], drawing every buffer (the load
-    /// surface, occupancy bit rows, visit stamps, hop scratch) from
-    /// `arena` and returning them on exit — back-to-back runs over the
-    /// same arena allocate nothing in steady state.
-    pub fn run_in(&self, schedule: &Schedule, arena: &mut SimArena) -> SimulationReport {
-        let mut span = chronus_trace::span!(
-            "timenet.simulate",
-            flows = self.instance.flows.len(),
-            fail_fast = self.config.fail_fast
-        )
-        .entered();
+        let arena = &mut SimArena::default();
+        let mut span =
+            chronus_trace::span!("timenet.simulate", flows = self.instance.flows.len()).entered();
         let net = &self.instance.network;
         let interner = LinkInterner::for_instance(self.instance);
         let t_lo = self
@@ -128,80 +112,40 @@ impl<'a> FluidSimulator<'a> {
         // A simple walk visits at most |V| switches before it must
         // revisit one (pigeonhole); the bound is a defensive backstop.
         let max_hops = net.switch_count() + 2;
-        let slack = self.config.horizon_slack as TimeStep;
 
-        let aborted = 'trace: {
-            for flow in &self.instance.flows {
-                let mut table = FlowTable::build(self.instance, &interner, flow);
-                table.load_schedule(schedule);
-                let first_emit = -table.phi_init;
-                let last_emit = makespan + table.phi_fin + slack;
-                for tau in first_emit..=last_emit {
-                    match trace_cohort(
-                        &table,
-                        tau,
-                        max_hops,
-                        &mut ledger,
-                        &mut stamps,
-                        &mut hops,
-                        self.config.fail_fast,
-                    ) {
-                        TraceEnd::Delivered => {}
-                        TraceEnd::Looped { switch, time } => report.loops.push(LoopEvent {
+        for flow in &self.instance.flows {
+            let mut table = FlowTable::build(self.instance, &interner, flow);
+            table.load_schedule(schedule);
+            let first_emit = -table.phi_init;
+            let last_emit = makespan + table.phi_fin + HORIZON_SLACK;
+            for tau in first_emit..=last_emit {
+                match trace_cohort(&table, tau, max_hops, &mut ledger, &mut stamps, &mut hops) {
+                    TraceEnd::Delivered => {}
+                    TraceEnd::Looped { switch, time } => report.loops.push(LoopEvent {
+                        flow: flow.id,
+                        emitted_at: tau,
+                        switch,
+                        time,
+                    }),
+                    TraceEnd::Blackholed { switch, time } => {
+                        report.blackholes.push(BlackholeEvent {
                             flow: flow.id,
                             emitted_at: tau,
                             switch,
                             time,
-                        }),
-                        TraceEnd::Blackholed { switch, time } => {
-                            report.blackholes.push(BlackholeEvent {
-                                flow: flow.id,
-                                emitted_at: tau,
-                                switch,
-                                time,
-                            })
-                        }
-                        TraceEnd::Undelivered => report.undelivered.push((flow.id, tau)),
-                        TraceEnd::CongestionAbort {
-                            src,
-                            dst,
-                            time,
-                            load,
-                            capacity,
-                        } => {
-                            report.congestion.push(CongestionEvent {
-                                src,
-                                dst,
-                                time,
-                                load,
-                                capacity,
-                            });
-                            break 'trace true;
-                        }
+                        })
                     }
-                    if self.config.fail_fast
-                        && (!report.loops.is_empty()
-                            || !report.blackholes.is_empty()
-                            || !report.undelivered.is_empty())
-                    {
-                        break 'trace true;
-                    }
+                    TraceEnd::Undelivered => report.undelivered.push((flow.id, tau)),
                 }
             }
-            false
-        };
+        }
 
-        if !aborted {
-            // Congestion: any cell at a step ≥ 0 above capacity. Steps
-            // < 0 are the pre-update steady state, feasible by instance
-            // validation. (In fail-fast mode the inline check inside
-            // `trace_cohort` already recorded the first overload.)
-            if !self.config.fail_fast {
-                report.congestion = ledger.congestion_events(&interner);
-            }
-            if self.config.record_loads {
-                report.link_loads = ledger.link_loads(&interner);
-            }
+        // Congestion: any cell at a step ≥ 0 above capacity. Steps < 0
+        // are the pre-update steady state, feasible by instance
+        // validation.
+        report.congestion = ledger.congestion_events(&interner);
+        if self.config.record_loads {
+            report.link_loads = ledger.link_loads(&interner);
         }
 
         // Teardown: every buffer returns to the arena, which also
@@ -424,7 +368,6 @@ mod tests {
         let inst = shared_tail_instance(3);
         let cfg = SimulatorConfig {
             record_loads: false,
-            ..Default::default()
         };
         let report = FluidSimulator::with_config(&inst, cfg)
             .run(&Schedule::from_pairs(FlowId(0), [(sid(0), 0)]));

@@ -6,6 +6,7 @@ use chronus::core::tree::{check_feasibility, Feasibility};
 use chronus::net::{InstanceGenerator, InstanceGeneratorConfig};
 use chronus::opt::{optimal_schedule_with, OptConfig};
 use chronus::timenet::{FluidSimulator, Schedule, Verdict};
+use chronus::verify::certify;
 use proptest::prelude::*;
 use std::time::Duration;
 
@@ -41,10 +42,7 @@ proptest! {
     ) {
         let Some(inst) = gen_instance(switches, seed) else { return Ok(()); };
         let Ok(greedy) = greedy_schedule(&inst) else { return Ok(()); };
-        let opt = optimal_schedule_with(&inst, OptConfig {
-            budget: Duration::from_millis(500),
-            ..Default::default()
-        });
+        let opt = optimal_schedule_with(&inst, OptConfig { budget: Duration::from_millis(500) });
         if let Ok(opt) = opt {
             prop_assert!(opt.makespan <= greedy.makespan,
                 "opt {} > greedy {}", opt.makespan, greedy.makespan);
@@ -133,5 +131,39 @@ proptest! {
             .flat_map(|(_, series)| series.values())
             .sum();
         prop_assert_eq!(out_load, in_load);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(400))]
+
+    /// Algorithm 1 on its own, where greedy gives no witness: every
+    /// schedule the search returns is consistent and certifies, and
+    /// the search never refutes an instance OPT solves.
+    #[test]
+    fn tree_search_agrees_with_opt_and_the_certifier(
+        switches in 6usize..13,
+        seed in 0u64..10_000,
+    ) {
+        let Some(inst) = gen_instance(switches, seed) else { return Ok(()); };
+        if greedy_schedule(&inst).is_ok() {
+            return Ok(());
+        }
+        let tree = check_feasibility(&inst);
+        if let Feasibility::Feasible { schedule } = &tree {
+            let report = FluidSimulator::check(&inst, schedule);
+            prop_assert_eq!(report.verdict(), Verdict::Consistent, "{}", report);
+            let certified = certify(&inst, schedule);
+            prop_assert!(certified.is_ok(), "witness refused: {:?}", certified.err());
+        }
+        let opt = optimal_schedule_with(&inst, OptConfig { budget: Duration::from_secs(1) });
+        if let Ok(opt) = opt {
+            prop_assert!(
+                !matches!(tree, Feasibility::Infeasible { .. }),
+                "OPT solved in {} steps what the tree search refuted: {:?}",
+                opt.makespan + 1,
+                tree
+            );
+        }
     }
 }

@@ -30,7 +30,6 @@ fn search_and_oracle_agree_on_optimal_makespan() {
             &inst,
             OptConfig {
                 budget: Duration::from_secs(5),
-                ..Default::default()
             },
         );
         let oracle = enumerate_consistent_schedules(&inst, 5, 300_000);
@@ -68,7 +67,6 @@ fn ilp_route_matches_search_route() {
             &inst,
             OptConfig {
                 budget: Duration::from_secs(5),
-                ..Default::default()
             },
         );
         let ilp = ilp_optimal(&inst, 5, Duration::from_secs(20));

@@ -10,6 +10,7 @@ use chronus::core::tree::{check_feasibility, Feasibility};
 use chronus::net::{motivating_example, FlowId, SwitchId};
 use chronus::opt::optimal_schedule;
 use chronus::timenet::{FluidSimulator, Schedule, Verdict};
+use chronus::verify::certify;
 
 fn sid(i: u32) -> SwitchId {
     SwitchId(i)
@@ -45,12 +46,12 @@ fn optimum_is_three_steps_and_greedy_is_near_optimal() {
 fn tree_algorithm_confirms_feasibility_with_witness() {
     let inst = motivating_example();
     match check_feasibility(&inst) {
-        Feasibility::Feasible {
-            schedule,
-            certificate,
-        } => {
+        Feasibility::Feasible { schedule } => {
             let report = FluidSimulator::check(&inst, &schedule);
             assert_eq!(report.verdict(), Verdict::Consistent);
+            // The search does not certify its witness; the independent
+            // certifier must agree with it.
+            let certificate = certify(&inst, &schedule).expect("witness certifies");
             assert_eq!(certificate.check(&inst), Ok(()));
         }
         other => panic!("expected feasible, got {other:?}"),
