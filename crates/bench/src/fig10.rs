@@ -122,10 +122,9 @@ pub fn run(opts: &RunOptions, sizes: &[usize]) -> Vec<RuntimePoint> {
                 },
             ) {
                 Ok(_) => {}
-                Err(ScheduleError::Infeasible { reason, .. }) if reason.contains("at most 63") => {
+                Err(ScheduleError::TooLarge { .. } | ScheduleError::TimedOut { .. }) => {
                     opt_done = false;
                 }
-                Err(ScheduleError::TimedOut { .. }) => opt_done = false,
                 Err(_) => {}
             }
             opt_ms += t0.elapsed().as_secs_f64() * 1e3;

@@ -105,10 +105,7 @@ pub fn two_way_sync(
     let (best_rtt, estimate) = best.expect("rounds > 0");
     clock.correct_offset(estimate);
     let after = start + cfg.rounds as Nanos * cfg.round_spacing;
-    if span.is_recording() {
-        span.record("best_rtt_ns", best_rtt as i64);
-        span.record("residual_ns", clock.error_at(after) as i64);
-    }
+    span.record("best_rtt_ns", best_rtt as i64);
     SyncOutcome {
         applied_estimate: estimate,
         residual_error: clock.error_at(after),

@@ -21,6 +21,13 @@ pub enum ScheduleError {
     DependencyCycle(Vec<SwitchId>),
     /// The instance itself is malformed.
     Invalid(NetError),
+    /// The instance is too large for the exact search to attempt: its
+    /// state bitmask holds at most 63 coupled updates. Says nothing
+    /// about feasibility.
+    TooLarge {
+        /// Coupled updates the instance needs.
+        items: usize,
+    },
     /// A solver exceeded its configured wall-clock budget (the paper
     /// caps OPT/OR at 600 s in Fig. 10).
     TimedOut {
@@ -53,6 +60,10 @@ impl fmt::Display for ScheduleError {
                 Ok(())
             }
             ScheduleError::Invalid(e) => write!(f, "invalid instance: {e}"),
+            ScheduleError::TooLarge { items } => write!(
+                f,
+                "exact search supports at most 63 coupled updates, got {items}"
+            ),
             ScheduleError::TimedOut { budget_ms } => {
                 write!(f, "solver exceeded its {budget_ms} ms budget")
             }
@@ -94,6 +105,8 @@ mod tests {
         assert!(e.to_string().contains("s1 s2"));
         let e = ScheduleError::TimedOut { budget_ms: 600_000 };
         assert!(e.to_string().contains("600000 ms"));
+        let e = ScheduleError::TooLarge { items: 70 };
+        assert!(e.to_string().contains("at most 63 coupled updates, got 70"));
         let e: ScheduleError = NetError::ZeroDemand.into();
         assert!(e.to_string().contains("invalid instance"));
     }

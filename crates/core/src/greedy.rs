@@ -258,16 +258,10 @@ pub fn greedy_schedule_in(
     *workspace = ws;
     let simulator_calls = gate_stats.checks as usize;
     let arena_bytes = workspace.arena_bytes();
-    if span.is_recording() {
-        span.record("simulator_calls", simulator_calls);
-        span.record("gate_ns", gate_nanos);
-        span.record("arena_bytes", arena_bytes);
-        span.record("feasible", result.is_ok());
-    }
+    span.record("simulator_calls", simulator_calls);
     let (schedule, rounds) = result?;
     let makespan = schedule.makespan().unwrap_or(0);
     let certificate = crate::certify_outcome(instance, &schedule, &config.verify)?;
-    span.record("makespan", makespan);
     Ok(GreedyOutcome {
         schedule,
         makespan,

@@ -209,7 +209,7 @@ pub fn shard_schedule_in(
     config: ShardingConfig,
     workspace: &mut SimWorkspace,
 ) -> Result<ShardOutcome, ScheduleError> {
-    let mut span = chronus_trace::span!(
+    let _span = chronus_trace::span!(
         "core.shard",
         flows = instance.flows.len(),
         shards = config.shards
@@ -277,7 +277,6 @@ pub fn shard_schedule_in(
         }
         match certify_with(instance, &schedule, &JOINT_CHECK) {
             Ok(certificate) => {
-                span.record("fell_back_joint", false);
                 return Ok(ShardOutcome {
                     schedule,
                     makespan: outcomes.iter().map(|o| o.makespan).max().unwrap_or(0),
@@ -291,7 +290,6 @@ pub fn shard_schedule_in(
 
     // Out of rounds: joint fallback.
     stats.fell_back_joint = true;
-    span.record("fell_back_joint", true);
     let joint = greedy_schedule_in(instance, config.greedy, workspace)?;
     Ok(from_joint(joint, stats))
 }

@@ -1,12 +1,13 @@
 //! How many threads one sharded plan uses.
 //!
-//! Alone in its binary: the trace collector is process-global, and the
+//! Alone in its binary: the flight recorder is process-global, and the
 //! spans of shard lanes on other threads carry no parent to tell one
 //! plan's from another's.
 
 use chronus_core::shard::{shard_schedule_with, ShardingConfig};
 use chronus_net::topology::{fat_tree, LinkParams};
 use chronus_net::{Flow, FlowId, Path, UpdateInstance};
+use chronus_trace::FlightRecorder;
 use std::collections::BTreeSet;
 
 /// A k = 8 fat tree with one pod-local migration per pod: eight
@@ -50,21 +51,34 @@ fn eight_pod_instance() -> UpdateInstance {
 /// one of them — not on eight threads of their own.
 #[test]
 fn shards_are_planned_on_one_lane_per_core() {
-    let _guard = chronus_trace::Collector::install();
+    FlightRecorder::enable(4096);
     let out = shard_schedule_with(&eight_pod_instance(), ShardingConfig::default()).expect("plans");
     assert_eq!((out.stats.shards, out.stats.fell_back_joint), (8, false));
 
-    let records = chronus_trace::Collector::drain();
-    let caller = records
+    let snapshot = FlightRecorder::snapshot();
+    assert!(
+        snapshot.rings.iter().all(|r| r.dropped == 0),
+        "{:?}",
+        snapshot.rings
+    );
+    let shard = snapshot
+        .events
         .iter()
-        .find(|r| r.name == "core.shard")
-        .expect("the sharded plan's span")
-        .thread;
-    let shard_plans: Vec<u64> = records
+        .find(|e| e.name == "core.shard")
+        .expect("the sharded plan's span");
+    // The caller's greedy runs are children of `core.shard`; a lane's
+    // run on its own thread has no parent, but lies inside the span.
+    let shard_plans: Vec<u64> = snapshot
+        .events
         .iter()
-        .filter(|r| r.name == "core.greedy")
-        .map(|r| r.thread)
+        .filter(|e| e.name == "core.greedy")
+        .filter(|e| match e.parent {
+            Some(parent) => parent == shard.id,
+            None => e.start_ns >= shard.start_ns && e.end_ns <= shard.end_ns,
+        })
+        .map(|e| e.tid)
         .collect();
+    let caller = shard.tid;
     assert_eq!(shard_plans.len(), 8, "one greedy run per shard");
     let lanes: BTreeSet<u64> = shard_plans.into_iter().collect();
     assert!(lanes.contains(&caller), "the caller plans shards itself");

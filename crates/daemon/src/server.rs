@@ -4,7 +4,7 @@
 use crate::proto::{self, Request};
 use crate::service::{Daemon, ShutdownReport};
 use chronus_net::codec::instance_from_value;
-use chronus_trace::{FlightEvent, FlightEventKind, FlightRecorder};
+use chronus_trace::{FieldValue, FlightEvent, FlightEventKind, FlightRecorder};
 use serde_json::{Map, Value};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
@@ -231,7 +231,6 @@ fn tail_event_value(e: &FlightEvent) -> Value {
         Value::from(match e.kind {
             FlightEventKind::Span => "span",
             FlightEventKind::Instant => "instant",
-            FlightEventKind::Counter => "counter",
         }),
     );
     obj.insert("name".to_string(), Value::from(e.name));
@@ -243,8 +242,12 @@ fn tail_event_value(e: &FlightEvent) -> Value {
         obj.insert("parent".to_string(), Value::from_u64_exact(parent));
     }
     let mut args = Map::new();
-    for (k, v) in &e.args {
-        args.insert(k.to_string(), Value::from_u64_exact(*v));
+    for (k, v) in e.args() {
+        let value = match *v {
+            FieldValue::U64(word) => Value::from_u64_exact(word),
+            FieldValue::Str(name) => Value::from(name),
+        };
+        args.insert(k.to_string(), value);
     }
     obj.insert("args".to_string(), Value::Object(args));
     Value::Object(obj)

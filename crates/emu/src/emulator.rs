@@ -617,13 +617,7 @@ impl Emulator {
 
     /// Runs the emulation to completion and returns the report.
     pub fn run(mut self) -> EmuReport {
-        let mut span = chronus_trace::span!(
-            "emu.run",
-            switches = self.switches.len(),
-            flows = self.flows.len(),
-            run_for_ns = self.config.run_for as i64
-        )
-        .entered();
+        let mut span = chronus_trace::span!("emu.run").entered();
         while let Some(ev) = self.queue.pop() {
             let now = ev.at;
             match ev.event {
@@ -750,12 +744,8 @@ impl Emulator {
         }
         self.report.buffer_drops = self.links.iter().map(|l| l.totals().dropped).sum();
         self.report.peak_rule_count = self.peak_rules;
-        if span.is_recording() {
-            span.record("delivered_bytes", self.report.total_delivered());
-            span.record("ttl_drops", self.report.ttl_drops);
-            span.record("buffer_drops", self.report.buffer_drops);
-            span.record("table_misses", self.report.table_misses);
-        }
+        span.record("delivered_bytes", self.report.total_delivered());
+        span.record("ttl_drops", self.report.ttl_drops);
         self.report
     }
 

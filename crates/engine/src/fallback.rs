@@ -91,16 +91,21 @@ pub enum Stage {
 impl Stage {
     /// All stages in chain order.
     pub const CHAIN: [Stage; 4] = [Stage::Sharded, Stage::Greedy, Stage::Tree, Stage::TwoPhase];
-}
 
-impl fmt::Display for Stage {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
+    /// The stage's name: its `Display` form and its trace field value.
+    pub fn name(self) -> &'static str {
+        match self {
             Stage::Sharded => "sharded",
             Stage::Greedy => "greedy",
             Stage::Tree => "tree",
             Stage::TwoPhase => "two-phase",
-        })
+        }
+    }
+}
+
+impl fmt::Display for Stage {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.name())
     }
 }
 
@@ -362,11 +367,8 @@ fn seal(
         }),
         Some(_) => buy_slack(instance, &schedule).map(|(shipped, slack, cert, factor)| {
             let target_met = slack.slack_steps >= SlackPolicy::TARGET_STEPS;
-            if span.is_recording() {
-                span.record("slack_steps", slack.slack_steps);
-                span.record("dilation", factor);
-                span.record("target_met", target_met);
-            }
+            span.record("slack_steps", slack.slack_steps);
+            span.record("dilation", factor);
             metrics.record_slack(&slack, factor, target_met);
             Sealed {
                 plan: PlanKind::Timed(shipped),
@@ -383,7 +385,7 @@ fn seal(
         chronus_trace::instant!(
             "engine.cert_refused",
             request = req.id.0,
-            violation = violation.to_string()
+            violation = violation.kind()
         );
     }
     drop(span);
@@ -411,10 +413,7 @@ fn propose(
             cfg.greedy.verify = VerifyConfig::disabled();
             let out = shard_schedule_in(instance, cfg, ws).map_err(|e| e.to_string())?;
             metrics.record_shard(&out.stats);
-            if span.is_recording() {
-                span.record("shards", out.stats.shards as u64);
-                span.record("fell_back_joint", out.stats.fell_back_joint);
-            }
+            span.record("shards", out.stats.shards as u64);
             Ok(out.schedule)
         }
         Stage::Greedy => {
@@ -451,12 +450,7 @@ pub fn plan_with_chain(
     let verify = &config.verify;
     let started = Instant::now();
     let instance = &req.instance;
-    let mut plan_span = chronus_trace::span!(
-        "engine.plan",
-        request = req.id.0,
-        flows = instance.flows.len()
-    )
-    .entered();
+    let mut plan_span = chronus_trace::span!("engine.plan", request = req.id.0).entered();
 
     let mut attempts = Vec::with_capacity(Stage::CHAIN.len());
     let mut winner: Option<(Stage, Sealed)> = None;
@@ -540,7 +534,7 @@ pub fn plan_with_chain(
                         chronus_trace::instant!(
                             "engine.cert_refused",
                             request = req.id.0,
-                            violation = violation.to_string()
+                            violation = violation.kind()
                         );
                         cert_refused = true;
                         None
@@ -577,11 +571,7 @@ pub fn plan_with_chain(
     if deadline_exceeded {
         chronus_trace::instant!("engine.deadline_expired", request = req.id.0);
     }
-    if plan_span.is_recording() {
-        plan_span.record("winner", winner.to_string());
-        plan_span.record("deadline_exceeded", deadline_exceeded);
-        plan_span.record("certified", certified);
-    }
+    plan_span.record("winner", winner.name());
     let span_id = plan_span.id().unwrap_or(0);
     drop(plan_span);
     let planned = PlannedUpdate {
@@ -763,30 +753,34 @@ mod tests {
         }
     }
 
-    /// Plans `instance` under the default slack policy with the trace
-    /// collector on, returning the plan and how many `verify.slack`
+    /// Plans `instance` under the default slack policy with the flight
+    /// recorder on, returning the plan and how many `verify.slack`
     /// searches ran under its `engine.stage.slack` span — one per
     /// dilation factor tried.
     fn slack_searches(instance: UpdateInstance) -> (PlannedUpdate, usize) {
+        chronus_trace::FlightRecorder::enable(4096);
         let request = UpdateRequest::new(9, Arc::new(instance), Duration::from_secs(30));
         let config = EngineConfig::default().with_slack(SlackPolicy::default());
         let planned = plan(&request, &EngineMetrics::new(), &config);
         // Other tests of this binary may be planning concurrently; keep
         // only the searches whose grandparent is this plan's span.
-        let records = chronus_trace::Collector::drain();
-        let parent_of = |id: u64| records.iter().find(|r| r.id == id).and_then(|r| r.parent);
-        let searches = records
+        let snapshot = chronus_trace::FlightRecorder::snapshot();
+        let events = &snapshot.events;
+        let parent_of = |id: u64| events.iter().find(|e| e.id == id).and_then(|e| e.parent);
+        let plan_span = events.iter().find(|e| e.id == planned.span_id).unwrap();
+        // The plan ran on this thread, whose ring overwrote nothing.
+        let ring = snapshot.rings.iter().find(|r| r.tid == plan_span.tid);
+        assert_eq!(ring.map(|r| r.dropped), Some(0), "{ring:?}");
+        let searches = events
             .iter()
-            .filter(|r| r.name == "verify.slack")
-            .filter(|r| r.parent.and_then(parent_of) == Some(planned.span_id))
+            .filter(|e| e.name == "verify.slack")
+            .filter(|e| e.parent.and_then(parent_of) == Some(planned.span_id))
             .count();
         (planned, searches)
     }
 
     #[test]
     fn unaffordable_cube_ends_the_dilation_loop_after_one_search() {
-        let _guard = chronus_trace::Collector::install();
-
         // 14 schedule entries: the k = 1 cube (2^14) is over budget at
         // every factor, so factor 1 ships after a single search.
         let (planned, searches) = slack_searches(chronus_net::reversal_instance(16, 2, 1));

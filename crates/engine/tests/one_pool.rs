@@ -4,17 +4,17 @@
 
 use chronus_engine::{plan_sequential, Engine, EngineConfig, UpdateRequest};
 use chronus_net::{motivating_example, reversal_instance};
-use chronus_trace::Collector;
+use chronus_trace::FlightRecorder;
 use std::sync::{Arc, Barrier};
 use std::time::Duration;
 
 #[test]
 fn plan_one_plans_on_the_calling_thread() {
-    let _guard = Collector::install();
+    FlightRecorder::enable(4096);
     let engine = Engine::new(EngineConfig::with_workers(2));
     const REQUEST: u64 = 0xC0FFEE;
     let caller = chronus_trace::span!("test.caller").entered();
-    let caller_id = caller.id().expect("collector is on");
+    let caller_id = caller.id().expect("the flight recorder is on");
     let planned = engine.plan_one(UpdateRequest::new(
         REQUEST,
         Arc::new(motivating_example()),
@@ -24,11 +24,20 @@ fn plan_one_plans_on_the_calling_thread() {
 
     // The other test of this binary plans concurrently: pick this
     // request's span by its id.
-    let records = Collector::drain();
-    let by_id = |id: u64| records.iter().find(|r| r.id == id).expect("span recorded");
+    let snapshot = FlightRecorder::snapshot();
+    let by_id = |id: u64| {
+        snapshot
+            .events
+            .iter()
+            .find(|e| e.id == id)
+            .expect("span recorded")
+    };
     let plan_span = by_id(planned.span_id);
+    let caller = by_id(caller_id);
     assert_eq!(plan_span.name, "engine.plan");
-    assert_eq!(plan_span.thread, by_id(caller_id).thread, "caller's tid");
+    assert_eq!(plan_span.tid, caller.tid, "caller's tid");
+    let ring = snapshot.rings.iter().find(|r| r.tid == caller.tid);
+    assert_eq!(ring.map(|r| r.dropped), Some(0), "{ring:?}");
     assert_eq!(plan_span.parent, Some(caller_id), "nested in the caller");
 }
 

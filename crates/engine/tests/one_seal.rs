@@ -11,9 +11,14 @@ use chronus_net::{
     InstanceGeneratorConfig, Path, UpdateInstance,
 };
 use chronus_timenet::{FluidSimulator, SimWorkspace, Verdict};
-use chronus_trace::{Collector, SpanRecord};
+use chronus_trace::FlightRecorder;
+use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Duration;
+
+/// Ring slots per thread: this binary's threads record a few hundred
+/// events each, so none is overwritten.
+const RING_SLOTS: usize = 4096;
 
 /// k = 4 fat tree with one pod-local migration per pod: the sharded
 /// stage plans it as four shards with no shared link.
@@ -48,13 +53,16 @@ fn separable_instance() -> UpdateInstance {
     UpdateInstance::new(net, flows).expect("separable instance")
 }
 
-/// Plans `instance` with the collector on and counts the spans with
-/// each of `names` anywhere under the request's `engine.plan`.
+/// Plans `instance` with the flight recorder on and counts the spans
+/// with each of `names` anywhere under the request's `engine.plan`.
+/// The recorder stays on: the other tests of this binary may be
+/// planning concurrently, and each keeps to its own plan's subtree.
 fn spans_under_plan<const N: usize>(
     instance: UpdateInstance,
     config: &EngineConfig,
     names: [&str; N],
 ) -> (PlannedUpdate, [usize; N]) {
+    FlightRecorder::enable(RING_SLOTS);
     let request = UpdateRequest::new(1, Arc::new(instance), Duration::from_secs(600));
     let planned = plan_with_chain(
         &request,
@@ -62,30 +70,31 @@ fn spans_under_plan<const N: usize>(
         &mut SimWorkspace::default(),
         config,
     );
-    let records = Collector::drain();
-    let under_plan = |r: &SpanRecord| {
-        let mut parent = r.parent;
-        while let Some(id) = parent {
-            if id == planned.span_id {
-                return true;
-            }
-            parent = records.iter().find(|p| p.id == id).and_then(|p| p.parent);
-        }
-        false
-    };
-    let count = |name: &str| {
-        records
-            .iter()
-            .filter(|r| r.name == name && under_plan(r))
-            .count()
-    };
+    let snapshot = FlightRecorder::snapshot();
+    let parents: HashMap<u64, Option<u64>> =
+        snapshot.events.iter().map(|e| (e.id, e.parent)).collect();
+    let mine: Vec<_> = snapshot
+        .events
+        .iter()
+        .filter(|e| {
+            std::iter::successors(e.parent, |id| parents.get(id).copied().flatten())
+                .any(|id| id == planned.span_id)
+        })
+        .collect();
+    // The plan ran on this thread: its ring overwrote nothing, so no
+    // span of the plan can be missing from the count.
+    let ring = snapshot
+        .rings
+        .iter()
+        .find(|r| Some(r.tid) == mine.first().map(|e| e.tid));
+    assert_eq!(ring.map(|r| r.dropped), Some(0), "{ring:?}");
+    let count = |name: &str| mine.iter().filter(|e| e.name == name).count();
     let counts = names.map(count);
     (planned, counts)
 }
 
 #[test]
 fn each_shipped_schedule_is_certified_once_per_dilation_factor() {
-    let _guard = Collector::install();
     let slack = EngineConfig::default().with_slack(SlackPolicy::default());
 
     // 14 entries: the slack cube is over budget, so factor 1 ships.
@@ -99,9 +108,23 @@ fn each_shipped_schedule_is_certified_once_per_dilation_factor() {
     assert_eq!((planned.winner, planned.dilation), (Stage::Greedy, 2));
     assert_eq!(count, 2, "greedy win, two factors");
 
-    // Tree wins: greedy refuses some of the first five paper instances
-    // of this seed and the tree search plans them. The search certifies
-    // nothing and runs no greedy of its own.
+    // A sharded win: the merged schedule's joint verdict, then the seal.
+    let sharded = slack.with_sharding(ShardingConfig::default());
+    let (planned, [count]) = spans_under_plan(separable_instance(), &sharded, ["verify.certify"]);
+    assert_eq!(planned.winner, Stage::Sharded);
+    let factors = planned.dilation as usize;
+    eprintln!("sharded win: {count} certifications, dilation {factors}");
+    assert_eq!(count, 1 + factors, "sharded win: joint check plus the seal");
+    let certificate = planned.certificate.as_ref().expect("sealed");
+    assert_eq!(certificate.check(&separable_instance()), Ok(()));
+}
+
+/// Tree wins: greedy refuses some of the first five paper instances of
+/// this seed and the tree search plans them. The search certifies
+/// nothing and runs no greedy of its own.
+#[test]
+fn a_tree_win_is_certified_once_per_dilation_factor() {
+    let slack = EngineConfig::default().with_slack(SlackPolicy::default());
     let mut generator = InstanceGenerator::new(InstanceGeneratorConfig::paper(10, 21));
     let mut tree_wins = 0;
     for _ in 0..5 {
@@ -118,16 +141,6 @@ fn each_shipped_schedule_is_certified_once_per_dilation_factor() {
         assert_eq!(greedy, 1, "tree win: greedy plans once, as its own stage");
     }
     assert!(tree_wins > 0, "the first five draws hold a tree win");
-
-    // A sharded win: the merged schedule's joint verdict, then the seal.
-    let sharded = slack.with_sharding(ShardingConfig::default());
-    let (planned, [count]) = spans_under_plan(separable_instance(), &sharded, ["verify.certify"]);
-    assert_eq!(planned.winner, Stage::Sharded);
-    let factors = planned.dilation as usize;
-    eprintln!("sharded win: {count} certifications, dilation {factors}");
-    assert_eq!(count, 1 + factors, "sharded win: joint check plus the seal");
-    let certificate = planned.certificate.as_ref().expect("sealed");
-    assert_eq!(certificate.check(&separable_instance()), Ok(()));
 }
 
 #[test]

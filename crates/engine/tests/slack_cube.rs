@@ -12,8 +12,9 @@ use chronus_net::{
     UpdateInstance,
 };
 use chronus_timenet::SimWorkspace;
-use chronus_trace::{Collector, FieldValue};
+use chronus_trace::{FieldValue, FlightRecorder};
 use chronus_verify::{certify_with, slack_certificate, VerifyConfig, Violation};
+use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -129,26 +130,39 @@ fn counterexamples_equal_a_fresh_certification() {
 /// certification, not one per point.
 #[test]
 fn a_cube_walk_records_one_search_span_and_no_span_per_point() {
-    let _guard = Collector::install();
+    FlightRecorder::enable(4096);
     let config = EngineConfig::default().with_slack(SlackPolicy::default());
     let planned = plan(9, reversal_instance(13, 2, 1), &config);
     assert_eq!(planned.timed_schedule().expect("timed plan").len(), 12);
 
-    // The other test of this binary may be planning concurrently: keep
+    // The other tests of this binary may be planning concurrently: keep
     // what descends from this plan's span.
-    let records = Collector::drain();
-    let parent_of = |id: u64| records.iter().find(|r| r.id == id).and_then(|r| r.parent);
+    let snapshot = FlightRecorder::snapshot();
+    let parents: HashMap<u64, Option<u64>> =
+        snapshot.events.iter().map(|e| (e.id, e.parent)).collect();
     let under_plan = |id: u64| {
-        std::iter::successors(Some(id), |&id| parent_of(id)).any(|id| id == planned.span_id)
+        std::iter::successors(Some(id), |id| parents.get(id).copied().flatten())
+            .any(|id| id == planned.span_id)
     };
+    let records: Vec<_> = snapshot
+        .events
+        .iter()
+        .filter(|e| under_plan(e.id))
+        .collect();
+    // The plan ran on this thread, whose ring overwrote nothing.
+    let ring = snapshot
+        .rings
+        .iter()
+        .find(|r| Some(r.tid) == records.first().map(|e| e.tid));
+    assert_eq!(ring.map(|r| r.dropped), Some(0), "{ring:?}");
     let searches: Vec<_> = records
         .iter()
-        .filter(|r| r.name == "verify.slack" && under_plan(r.id))
+        .filter(|r| r.name == "verify.slack")
         .collect();
     let full_walks = searches
         .iter()
         .filter(|r| {
-            r.fields
+            r.args()
                 .iter()
                 .any(|(key, value)| *key == "schedules_checked" && *value == FieldValue::U64(4096))
         })

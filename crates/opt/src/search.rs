@@ -77,7 +77,9 @@ fn certified(
 ///
 /// # Errors
 /// [`ScheduleError::Infeasible`] when no consistent schedule exists,
-/// [`ScheduleError::TimedOut`] when the budget runs out first.
+/// [`ScheduleError::TimedOut`] when the budget runs out first,
+/// [`ScheduleError::TooLarge`] when the instance couples more updates
+/// than the search's bitmask holds.
 pub fn optimal_schedule(instance: &UpdateInstance) -> Result<OptOutcome, ScheduleError> {
     optimal_schedule_with(instance, OptConfig::default())
 }
@@ -118,13 +120,7 @@ pub fn optimal_schedule_with(
         }
     }
     if items.len() > 63 {
-        return Err(ScheduleError::Infeasible {
-            blocked: None,
-            reason: format!(
-                "exact search supports at most 63 coupled updates, got {}",
-                items.len()
-            ),
-        });
+        return Err(ScheduleError::TooLarge { items: items.len() });
     }
 
     // One incremental simulator answers every consistency and
@@ -418,6 +414,16 @@ mod tests {
         let inst = UpdateInstance::single(b.build(), flow).unwrap();
         let err = optimal_schedule(&inst).unwrap_err();
         assert!(matches!(err, ScheduleError::Infeasible { .. }), "{err}");
+    }
+
+    #[test]
+    fn over_63_coupled_updates_is_too_large_not_infeasible() {
+        let inst = chronus_net::reversal_instance(80, 2, 1);
+        let err = optimal_schedule(&inst).unwrap_err();
+        assert!(
+            matches!(err, ScheduleError::TooLarge { items } if items > 63),
+            "{err}"
+        );
     }
 
     #[test]

@@ -155,7 +155,6 @@ impl<'a> FluidSimulator<'a> {
         arena.put_hops(hops);
         arena.note_bytes(0);
         span.record("arena_bytes", arena.high_water_bytes());
-        span.record("occupancy_words", arena.occupancy_words());
         report
     }
 

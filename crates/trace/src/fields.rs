@@ -1,58 +1,30 @@
 //! Span and event field values.
 
-use std::fmt;
-
-/// A structured field value attached to a span, instant event or
-/// timeline event. Conversions exist for the primitive types the
-/// instrumentation sites actually record, so `span!(…, key = value)`
-/// takes the value verbatim.
-#[derive(Clone, Debug, PartialEq)]
+/// A field value attached to a span or instant event: exactly what one
+/// flight-recorder slot word can hold. Integers and bools travel as the
+/// word itself (an `i64` as its two's-complement bits, a bool as 0/1);
+/// a `&'static str` — a stage, outcome or violation kind — travels as
+/// its interned name id. There is no conversion from an owned `String`
+/// or a float, so a span site cannot record what the ring would drop:
+///
+/// ```compile_fail
+/// let winner = String::from("greedy");
+/// let _span = chronus_trace::span!("engine.plan", winner = winner);
+/// ```
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FieldValue {
-    /// Unsigned integer.
+    /// An integer or bool, as the slot word.
     U64(u64),
-    /// Signed integer.
-    I64(i64),
-    /// Floating point.
-    F64(f64),
-    /// Boolean.
-    Bool(bool),
-    /// Owned string (use sparingly on hot paths).
-    Str(String),
+    /// A static name.
+    Str(&'static str),
 }
 
 impl FieldValue {
-    /// The value as a ring-slot word, when it fits one: integers and
-    /// bools ride along in flight-recorder slots, floats and strings
-    /// don't (the ring never allocates).
-    pub(crate) fn as_ring_word(&self) -> Option<u64> {
-        match self {
-            FieldValue::U64(v) => Some(*v),
-            FieldValue::I64(v) => Some(*v as u64),
-            FieldValue::Bool(v) => Some(u64::from(*v)),
-            FieldValue::F64(_) | FieldValue::Str(_) => None,
-        }
-    }
-
     /// Encodes the value as a JSON literal (strings escaped).
-    pub fn to_json(&self) -> String {
+    pub(crate) fn to_json(self) -> String {
         match self {
             FieldValue::U64(v) => v.to_string(),
-            FieldValue::I64(v) => v.to_string(),
-            FieldValue::F64(v) => crate::json::number(*v),
-            FieldValue::Bool(v) => v.to_string(),
             FieldValue::Str(s) => crate::json::string(s),
-        }
-    }
-}
-
-impl fmt::Display for FieldValue {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            FieldValue::U64(v) => write!(f, "{v}"),
-            FieldValue::I64(v) => write!(f, "{v}"),
-            FieldValue::F64(v) => write!(f, "{v}"),
-            FieldValue::Bool(v) => write!(f, "{v}"),
-            FieldValue::Str(s) => f.write_str(s),
         }
     }
 }
@@ -74,31 +46,21 @@ impl From<usize> for FieldValue {
 }
 impl From<i64> for FieldValue {
     fn from(v: i64) -> Self {
-        FieldValue::I64(v)
+        FieldValue::U64(v as u64)
     }
 }
 impl From<i32> for FieldValue {
     fn from(v: i32) -> Self {
-        FieldValue::I64(v.into())
-    }
-}
-impl From<f64> for FieldValue {
-    fn from(v: f64) -> Self {
-        FieldValue::F64(v)
+        FieldValue::from(i64::from(v))
     }
 }
 impl From<bool> for FieldValue {
     fn from(v: bool) -> Self {
-        FieldValue::Bool(v)
+        FieldValue::U64(v.into())
     }
 }
-impl From<&str> for FieldValue {
-    fn from(v: &str) -> Self {
-        FieldValue::Str(v.to_owned())
-    }
-}
-impl From<String> for FieldValue {
-    fn from(v: String) -> Self {
+impl From<&'static str> for FieldValue {
+    fn from(v: &'static str) -> Self {
         FieldValue::Str(v)
     }
 }
@@ -110,10 +72,9 @@ mod tests {
     #[test]
     fn conversions_and_json() {
         assert_eq!(FieldValue::from(3u32), FieldValue::U64(3));
-        assert_eq!(FieldValue::from(-3i32), FieldValue::I64(-3));
-        assert_eq!(FieldValue::from(true).to_json(), "true");
+        assert_eq!(FieldValue::from(-3i32), FieldValue::U64(-3i64 as u64));
+        assert_eq!(FieldValue::from(true).to_json(), "1");
         assert_eq!(FieldValue::from("a\"b").to_json(), "\"a\\\"b\"");
-        assert_eq!(FieldValue::from(1.5f64).to_json(), "1.5");
-        assert_eq!(FieldValue::from(7usize).to_string(), "7");
+        assert_eq!(FieldValue::from(7usize).to_json(), "7");
     }
 }

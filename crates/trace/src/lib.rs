@@ -2,15 +2,17 @@
 //!
 //! Three cooperating layers, all offline and dependency-free:
 //!
-//! 1. **Spans** ([`span!`], [`Span`], [`Collector`]) — a thread-safe
-//!    structured-tracing facade shaped after the `tracing` crate's
-//!    span subset (`span!`/`info_span!` + an `entered()` guard), so
-//!    the real crate can later be swapped in shim-style (see
-//!    `shims/README.md` for the pattern). Spans carry a name, `key =
-//!    value` fields and monotonic start/stop nanos; parent linkage
-//!    comes from a per-thread span stack. Recording only happens while
-//!    a [`Collector`] is installed or the flight recorder is on — the
-//!    fast path with both off is two relaxed atomic loads.
+//! 1. **Spans into the flight recorder** ([`span!`], [`instant!`],
+//!    [`Span`], [`FlightRecorder`]) — a structured-tracing facade
+//!    shaped after the `tracing` crate's span subset (`span!` + an
+//!    `entered()` guard). Spans carry a name, up to two `key = value`
+//!    fields (integers, bools or static names: what one ring slot
+//!    holds) and monotonic start/stop nanos; parent linkage comes from
+//!    a per-thread span stack. A finished span goes into its thread's
+//!    flight-recorder ring, the one sink: the recorder is off by
+//!    default, and the fast path while it is off is one relaxed atomic
+//!    load. [`FlightRecorder::snapshot`] reassembles the rings for
+//!    tests, dumps and `chronusctl tail`.
 //! 2. **Metrics** ([`MetricsRegistry`], [`Counter`], [`Gauge`],
 //!    [`Histogram`]) — a registry of named lock-free instruments
 //!    following the `chronus_<crate>_<name>` naming scheme, with
@@ -19,9 +21,9 @@
 //!    Registries can be process-global ([`MetricsRegistry::global`])
 //!    or scoped (one per engine, one per exact gate) so per-run
 //!    snapshots stay isolated under concurrency.
-//! 3. **Timeline export** ([`TimelineExporter`]) — serializes
-//!    collected spans, discrete events and counter tracks into Chrome
-//!    trace-event JSON loadable in `chrome://tracing` or Perfetto.
+//! 3. **Timeline export** ([`TimelineExporter`]) — serializes a
+//!    [`FlightSnapshot`] plus counter tracks into Chrome trace-event
+//!    JSON loadable in `chrome://tracing` or Perfetto.
 //!
 //! `examples/trace_update.rs` at the workspace root wires all three
 //! through a full plan → verify → emulate round trip; DESIGN.md §11
@@ -34,7 +36,6 @@
     deny(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing)
 )]
 
-mod collector;
 mod fields;
 mod json;
 mod metrics;
@@ -42,7 +43,6 @@ mod ring;
 mod span;
 mod timeline;
 
-pub use collector::{Collector, CollectorGuard, SpanKind, SpanRecord};
 pub use fields::FieldValue;
 pub use metrics::{
     Counter, Gauge, Histogram, MetricValue, MetricsRegistry, MetricsSnapshot, HISTOGRAM_BUCKETS,
@@ -60,54 +60,38 @@ pub fn now_ns() -> u64 {
     EPOCH.get_or_init(Instant::now).elapsed().as_nanos() as u64
 }
 
-/// Opens a span: `span!("engine.plan", id = 7, stage = "greedy")`.
+/// Opens a span: `span!("engine.plan", request = 7, stage = "greedy")`.
 ///
 /// Returns a [`Span`]; call [`Span::entered`] to push it on the
 /// thread's span stack so nested spans link to it as children, and
 /// drop the guard to record the stop time. Field values are only
-/// evaluated while the span is recording.
+/// evaluated while the span is recording; the ring keeps the first
+/// two.
 #[macro_export]
 macro_rules! span {
     ($name:expr $(, $key:ident = $val:expr)* $(,)?) => {{
         #[allow(unused_mut)]
         let mut __chronus_span = $crate::Span::new($name);
         if __chronus_span.is_recording() {
-            $(__chronus_span.push_field(stringify!($key), $val);)*
+            $(__chronus_span.record(stringify!($key), $val);)*
         }
         __chronus_span
     }};
 }
 
 /// Records a zero-duration instant event on the current span stack:
-/// `instant!("emu.flowmod", switch = 3)`.
+/// `instant!("emu.flowmod", switch = 3)`. The fields are packed on the
+/// stack; the ring keeps the first two.
 #[macro_export]
 macro_rules! instant {
     ($name:expr $(, $key:ident = $val:expr)* $(,)?) => {{
-        if $crate::Collector::is_enabled() || $crate::FlightRecorder::is_on() {
-            let __chronus_fields: Vec<(&'static str, $crate::FieldValue)> =
-                vec![$((stringify!($key), $crate::FieldValue::from($val))),*];
-            $crate::Collector::record_instant($name, __chronus_fields);
+        if $crate::FlightRecorder::is_on() {
+            $crate::FlightRecorder::instant(
+                $name,
+                &[$((stringify!($key), $crate::FieldValue::from($val))),*],
+            );
         }
     }};
-}
-
-/// `tracing`-compatible alias for [`span!`] (INFO level collapses to
-/// the single level this facade records).
-#[macro_export]
-macro_rules! info_span {
-    ($($tt:tt)*) => { $crate::span!($($tt)*) };
-}
-
-/// `tracing`-compatible alias for [`span!`].
-#[macro_export]
-macro_rules! debug_span {
-    ($($tt:tt)*) => { $crate::span!($($tt)*) };
-}
-
-/// `tracing`-compatible alias for [`span!`].
-#[macro_export]
-macro_rules! trace_span {
-    ($($tt:tt)*) => { $crate::span!($($tt)*) };
 }
 
 pub use timeline::TimelineExporter;

@@ -1,10 +1,11 @@
-//! The flight recorder: an always-on, fixed-memory event ring.
+//! The flight recorder: an always-on, fixed-memory event ring — the
+//! one sink every span and instant event goes to.
 //!
-//! The [`Collector`](crate::Collector) answers "show me everything
-//! that happened in this short run"; the flight recorder answers "what
-//! were the last N things that happened before the process got into
-//! trouble" — continuously, in production, with bounded memory and no
-//! locks on the record path.
+//! It answers "what were the last N things that happened before the
+//! process got into trouble" — continuously, in production, with
+//! bounded memory and no locks on the record path — and, sized to hold
+//! a whole short run, "show me everything this run did" for tests and
+//! the examples' timelines.
 //!
 //! ## Ring layout
 //!
@@ -32,10 +33,11 @@
 //! threads, not by how many threads ever recorded.
 //!
 //! `meta` packs the event kind, the interned name and field keys, the
-//! dense thread id and the live-arg count; see [`pack_meta`]. Up to
-//! two numeric fields ride along in `arg0`/`arg1` — enough for the
-//! `request = id` style fields the hot spans carry — and everything
-//! else is dropped rather than allocated for.
+//! live-arg count, one "arg is a name" flag per arg and the dense
+//! thread id; see [`pack_meta`]. Up to two fields ride along in
+//! `arg0`/`arg1` — an integer as the word itself, a static name (a
+//! stage, an outcome, a violation kind) as its interned id — and
+//! everything else is dropped rather than allocated for.
 //!
 //! Overwrite-oldest semantics fall out of the layout: the ring head is
 //! a monotone event count, the slot index is `head & mask`, and the
@@ -53,7 +55,6 @@
 //! rate limit for operator-initiated dumps (SIGUSR1, `chronusctl
 //! dump`). DESIGN.md §16 catalogues the trigger taxonomy.
 
-use crate::collector::thread_id;
 use crate::fields::FieldValue;
 use crate::json;
 use crate::timeline::TimelineExporter;
@@ -69,8 +70,6 @@ pub enum FlightEventKind {
     Span,
     /// A zero-duration point event.
     Instant,
-    /// A sampled counter value (value in `args[0]`).
-    Counter,
 }
 
 /// One event reassembled from a ring by [`FlightRecorder::snapshot`].
@@ -78,22 +77,32 @@ pub enum FlightEventKind {
 pub struct FlightEvent {
     /// Global sequence stamp (process-unique, monotone).
     pub seq: u64,
-    /// Span, instant or counter.
+    /// Span or instant.
     pub kind: FlightEventKind,
     /// Interned event name.
     pub name: &'static str,
-    /// Span id (0 for counters).
+    /// Span id (instants get one too).
     pub id: u64,
     /// Parent span id, if the event had an enclosing span.
     pub parent: Option<u64>,
     /// Monotonic start nanos ([`crate::now_ns`] clock).
     pub start_ns: u64,
-    /// Monotonic end nanos (== `start_ns` for instants/counters).
+    /// Monotonic end nanos (== `start_ns` for instants).
     pub end_ns: u64,
     /// Dense id of the recording thread.
     pub tid: u64,
-    /// Up to two numeric fields that rode along in the slot.
-    pub args: Vec<(&'static str, u64)>,
+    /// The fields that rode along in the slot, inline: a snapshot
+    /// allocates nothing per event.
+    pub(crate) args: [(&'static str, FieldValue); 2],
+    pub(crate) argc: u8,
+}
+
+impl FlightEvent {
+    /// Up to two fields that rode along in the slot, in recording
+    /// order.
+    pub fn args(&self) -> &[(&'static str, FieldValue)] {
+        self.args.get(..usize::from(self.argc)).unwrap_or(&[])
+    }
 }
 
 /// Per-ring accounting attached to a snapshot.
@@ -130,29 +139,31 @@ const NAME_SHIFT: u32 = 48;
 const KEY0_SHIFT: u32 = 36;
 const KEY1_SHIFT: u32 = 24;
 const FIELD_MASK: u64 = 0xfff; // 12-bit interned-name space
-const TID_MASK: u64 = 0xff_ffff; // 24-bit thread ids
+/// Per-arg "the word is an interned name" flags, taken from the top of
+/// the thread-id field.
+const NAME_ARG_BITS: [u64; 2] = [1 << 23, 1 << 22];
+const TID_MASK: u64 = 0x3f_ffff; // 22-bit thread ids
 
-/// Packs kind/argc/name/keys/tid into the slot's meta word:
-/// `kind:2 | argc:2 | name:12 | key0:12 | key1:12 | tid:24`.
-fn pack_meta(kind: FlightEventKind, argc: u64, name: u64, key0: u64, key1: u64, tid: u64) -> u64 {
+/// Packs kind/argc/name/keys/name-flags into the slot's meta word;
+/// the writing ring adds its thread id:
+/// `kind:2 | argc:2 | name:12 | key0:12 | key1:12 | name0:1 | name1:1 | tid:22`.
+fn pack_meta(kind: FlightEventKind, argc: u64, name: u64, keys: [u64; 2], flags: u64) -> u64 {
     let k = match kind {
         FlightEventKind::Span => 0u64,
         FlightEventKind::Instant => 1,
-        FlightEventKind::Counter => 2,
     };
     (k << KIND_SHIFT)
         | ((argc & 0x3) << ARGC_SHIFT)
         | ((name & FIELD_MASK) << NAME_SHIFT)
-        | ((key0 & FIELD_MASK) << KEY0_SHIFT)
-        | ((key1 & FIELD_MASK) << KEY1_SHIFT)
-        | (tid & TID_MASK)
+        | ((keys[0] & FIELD_MASK) << KEY0_SHIFT)
+        | ((keys[1] & FIELD_MASK) << KEY1_SHIFT)
+        | flags
 }
 
 fn unpack_kind(meta: u64) -> FlightEventKind {
     match meta >> KIND_SHIFT {
         0 => FlightEventKind::Span,
-        1 => FlightEventKind::Instant,
-        _ => FlightEventKind::Counter,
+        _ => FlightEventKind::Instant,
     }
 }
 
@@ -255,19 +266,7 @@ impl ThreadRing {
 
     /// Writes one event. Owning thread only — the slot seqlock assumes
     /// a single writer.
-    #[allow(clippy::too_many_arguments)]
-    fn write(
-        &self,
-        kind: FlightEventKind,
-        name_id: u64,
-        keys: [u64; 2],
-        argc: u64,
-        id: u64,
-        parent: u64,
-        start: u64,
-        end: u64,
-        args: [u64; 2],
-    ) {
+    fn write(&self, meta: u64, id: u64, parent: u64, start: u64, end: u64, args: [u64; 2]) {
         let seq = GLOBAL_SEQ.fetch_add(1, Ordering::Relaxed);
         let n = self.head.load(Ordering::Relaxed);
         if let Some(slot) = self.slots.get((n & self.mask) as usize) {
@@ -278,10 +277,8 @@ impl ThreadRing {
             // stamp.
             slot.stamp.store(0, Ordering::Relaxed);
             fence(Ordering::Release);
-            slot.meta.store(
-                pack_meta(kind, argc, name_id, keys[0], keys[1], self.tid),
-                Ordering::Relaxed,
-            );
+            slot.meta
+                .store(meta | (self.tid & TID_MASK), Ordering::Relaxed);
             slot.id.store(id, Ordering::Relaxed);
             slot.parent.store(parent, Ordering::Relaxed);
             slot.start.store(start, Ordering::Relaxed);
@@ -311,14 +308,20 @@ impl ThreadRing {
         if s1 != s2 {
             return None;
         }
-        let argc = ((meta >> ARGC_SHIFT) & 0x3) as usize;
-        let mut args = Vec::with_capacity(argc);
-        if argc >= 1 {
-            args.push((resolve((meta >> KEY0_SHIFT) & FIELD_MASK), a0));
-        }
-        if argc >= 2 {
-            args.push((resolve((meta >> KEY1_SHIFT) & FIELD_MASK), a1));
-        }
+        let argc = ((meta >> ARGC_SHIFT) & 0x3) as u8;
+        let arg = |key: u64, word: u64, flag: u64| {
+            let value = if meta & flag != 0 {
+                FieldValue::Str(resolve(word & FIELD_MASK))
+            } else {
+                FieldValue::U64(word)
+            };
+            (resolve(key & FIELD_MASK), value)
+        };
+        let [flag0, flag1] = NAME_ARG_BITS;
+        let args = [
+            arg(meta >> KEY0_SHIFT, a0, flag0),
+            arg(meta >> KEY1_SHIFT, a1, flag1),
+        ];
         Some(FlightEvent {
             seq: s1,
             kind: unpack_kind(meta),
@@ -329,6 +332,7 @@ impl ThreadRing {
             end_ns: end,
             tid: meta & TID_MASK,
             args,
+            argc,
         })
     }
 }
@@ -342,6 +346,12 @@ static GLOBAL_SEQ: AtomicU64 = AtomicU64::new(1);
 
 /// Master on/off switch — the record-path probe.
 static RING_ON: AtomicBool = AtomicBool::new(false);
+
+/// Span and instant ids: process-unique, never 0.
+static NEXT_SPAN_ID: AtomicU64 = AtomicU64::new(1);
+
+/// Dense thread ids, handed out on a thread's first event.
+static NEXT_THREAD_ID: AtomicU64 = AtomicU64::new(0);
 
 /// Slots per ring (set by [`FlightRecorder::enable`]).
 static RING_SLOTS: AtomicU64 = AtomicU64::new(4096);
@@ -361,13 +371,18 @@ static DUMPS_SUPPRESSED: AtomicU64 = AtomicU64::new(0);
 
 thread_local! {
     static THREAD_RING: RefCell<Option<Arc<ThreadRing>>> = const { RefCell::new(None) };
+    static THREAD_ID: u64 = NEXT_THREAD_ID.fetch_add(1, Ordering::Relaxed);
 }
 
-/// `true` while the ring is recording (one relaxed load — the span
-/// fast-path probe alongside [`crate::Collector::is_enabled`]).
-#[inline]
-pub(crate) fn ring_on() -> bool {
-    RING_ON.load(Ordering::Relaxed)
+/// A small dense id for the calling thread, stable for the thread's
+/// lifetime — the `tid` of every event it records.
+fn thread_id() -> u64 {
+    THREAD_ID.with(|id| *id)
+}
+
+/// Mints a fresh process-unique span id.
+pub(crate) fn next_span_id() -> u64 {
+    NEXT_SPAN_ID.fetch_add(1, Ordering::Relaxed)
 }
 
 /// Runs `f` against the calling thread's ring, claiming one on first
@@ -404,76 +419,38 @@ fn claim_ring() -> Arc<ThreadRing> {
     ring
 }
 
-/// Intern up to two numeric args into slot form.
-fn pack_args(args: &[(&'static str, u64)]) -> ([u64; 2], [u64; 2], u64) {
-    let mut keys = [0u64; 2];
-    let mut vals = [0u64; 2];
-    let argc = args.len().min(2) as u64;
-    for (i, (k, v)) in args.iter().take(2).enumerate() {
-        if let (Some(ks), Some(vs)) = (keys.get_mut(i), vals.get_mut(i)) {
-            *ks = intern(k);
-            *vs = *v;
-        }
-    }
-    (keys, vals, argc)
-}
-
-/// Records a completed span into the calling thread's ring. No-op
-/// while the recorder is off.
-pub(crate) fn record_span_event(
+/// Records one finished span or instant into the calling thread's
+/// ring, keeping the first two `args`. No-op while the recorder is off.
+pub(crate) fn record(
+    kind: FlightEventKind,
     name: &'static str,
     id: u64,
     parent: Option<u64>,
     start_ns: u64,
     end_ns: u64,
-    args: &[(&'static str, u64)],
+    args: &[(&'static str, FieldValue)],
 ) {
-    if !ring_on() {
+    if !FlightRecorder::is_on() {
         return;
     }
-    let name_id = intern(name);
-    let (keys, vals, argc) = pack_args(args);
-    with_ring(|ring| {
-        ring.write(
-            FlightEventKind::Span,
-            name_id,
-            keys,
-            argc,
-            id,
-            parent.unwrap_or(0),
-            start_ns,
-            end_ns,
-            vals,
-        )
-    });
-}
-
-/// Records an instant event into the calling thread's ring.
-pub(crate) fn record_instant_event(
-    name: &'static str,
-    id: u64,
-    parent: Option<u64>,
-    ts_ns: u64,
-    args: &[(&'static str, u64)],
-) {
-    if !ring_on() {
-        return;
+    let (mut keys, mut words, mut flags) = ([0u64; 2], [0u64; 2], 0u64);
+    let argc = args.len().min(2) as u64;
+    for ((&(key, value), (k, w)), flag) in args
+        .iter()
+        .zip(keys.iter_mut().zip(words.iter_mut()))
+        .zip(NAME_ARG_BITS)
+    {
+        *k = intern(key);
+        *w = match value {
+            FieldValue::U64(word) => word,
+            FieldValue::Str(s) => {
+                flags |= flag;
+                intern(s)
+            }
+        };
     }
-    let name_id = intern(name);
-    let (keys, vals, argc) = pack_args(args);
-    with_ring(|ring| {
-        ring.write(
-            FlightEventKind::Instant,
-            name_id,
-            keys,
-            argc,
-            id,
-            parent.unwrap_or(0),
-            ts_ns,
-            ts_ns,
-            vals,
-        )
-    });
+    let meta = pack_meta(kind, argc, intern(name), keys, flags);
+    with_ring(|ring| ring.write(meta, id, parent.unwrap_or(0), start_ns, end_ns, words));
 }
 
 /// The always-on flight recorder: process-global facade over the
@@ -499,10 +476,30 @@ impl FlightRecorder {
         RING_ON.store(false, Ordering::SeqCst);
     }
 
-    /// `true` while the recorder is on.
+    /// `true` while the recorder is on (one relaxed load — the span
+    /// fast-path probe).
     #[inline]
     pub fn is_on() -> bool {
-        ring_on()
+        RING_ON.load(Ordering::Relaxed)
+    }
+
+    /// Records a zero-duration instant event parented to the current
+    /// span stack top, keeping the first two `args` (the `instant!`
+    /// macro's plumbing). No-op while the recorder is off.
+    pub fn instant(name: &'static str, args: &[(&'static str, FieldValue)]) {
+        if Self::is_on() {
+            let now = crate::now_ns();
+            let parent = crate::span::current_span_id();
+            record(
+                FlightEventKind::Instant,
+                name,
+                next_span_id(),
+                parent,
+                now,
+                now,
+                args,
+            );
+        }
     }
 
     /// Sets the directory forensic dumps are written into (created on
@@ -556,7 +553,7 @@ impl FlightRecorder {
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
             .clone();
-        let mut events = Vec::new();
+        let mut events = Vec::with_capacity(rings.iter().map(|r| r.slots.len()).sum());
         let mut stats = Vec::with_capacity(rings.len());
         for ring in &rings {
             let mut recorded = 0u64;
@@ -596,40 +593,20 @@ impl FlightRecorder {
     }
 
     /// Renders the current snapshot as a Perfetto-loadable forensic
-    /// dump: Chrome trace events (spans `"X"`, instants `"i"`,
-    /// counters `"C"`), the trigger as a marked `flightrec.trigger`
-    /// instant, and a `chronusMeta` object carrying the trigger,
-    /// per-ring drop ledger and the registered metrics snapshot.
+    /// dump: Chrome trace events (spans `"X"`, instants `"i"`), the
+    /// trigger as a marked `flightrec.trigger` instant, and a
+    /// `chronusMeta` object carrying the trigger, per-ring drop ledger
+    /// and the registered metrics snapshot.
     pub fn snapshot_json(trigger: &str) -> String {
         let snap = Self::snapshot();
-        let mut tl = TimelineExporter::new();
+        let mut tl = TimelineExporter::from_snapshot(&snap);
         tl.process_name("chronus flight record");
-        let mut tids: Vec<u64> = snap.rings.iter().map(|r| r.tid).collect();
-        tids.sort_unstable();
-        tids.dedup();
-        for tid in tids {
-            tl.thread_name(tid, &format!("ring-{tid}"));
-        }
-        for e in &snap.events {
-            let mut fields: Vec<(&str, FieldValue)> = vec![("seq", FieldValue::U64(e.seq))];
-            for (k, v) in &e.args {
-                fields.push((k, FieldValue::U64(*v)));
-            }
-            match e.kind {
-                FlightEventKind::Span => tl.ring_span(e, &fields),
-                FlightEventKind::Instant => tl.ring_instant(e, &fields),
-                FlightEventKind::Counter => tl.counter(
-                    e.name,
-                    e.start_ns,
-                    e.args.first().map(|a| a.1).unwrap_or(0) as f64,
-                ),
-            }
-        }
-        tl.instant(
+        tl.event(
             "flightrec.trigger",
             crate::now_ns(),
+            None,
             0,
-            &[("reason", FieldValue::from(trigger))],
+            &format!("\"reason\":{}", json::string(trigger)),
         );
         let rings_json: Vec<String> = snap
             .rings
@@ -663,7 +640,7 @@ impl FlightRecorder {
     /// written. No-op (None) while the recorder is off or no dump
     /// directory is configured.
     pub fn trigger(reason: &str) -> Option<PathBuf> {
-        if !ring_on() {
+        if !Self::is_on() {
             return None;
         }
         let now = crate::now_ns();
@@ -724,19 +701,39 @@ impl FlightRecorder {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use std::sync::PoisonError;
 
-    /// The recorder is process-global, so tests that flip it on or off
-    /// serialize on the collector's test lock (shared with span.rs's
-    /// tests) and use a per-test event-name prefix.
-    fn lock() -> std::sync::MutexGuard<'static, ()> {
-        crate::collector::TEST_LOCK
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
+    fn record_span_event(
+        name: &'static str,
+        id: u64,
+        parent: Option<u64>,
+        start_ns: u64,
+        end_ns: u64,
+        args: &[(&'static str, FieldValue)],
+    ) {
+        record(
+            FlightEventKind::Span,
+            name,
+            id,
+            parent,
+            start_ns,
+            end_ns,
+            args,
+        );
     }
-    fn my_events(snap: &FlightSnapshot, prefix: &str) -> Vec<FlightEvent> {
+
+    /// The recorder is process-global, so tests that flip it on or off
+    /// serialize on this lock (shared with span.rs's tests) and use a
+    /// per-test event-name prefix.
+    static TEST_LOCK: Mutex<()> = Mutex::new(());
+
+    pub(crate) fn lock() -> std::sync::MutexGuard<'static, ()> {
+        TEST_LOCK.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    pub(crate) fn my_events(snap: &FlightSnapshot, prefix: &str) -> Vec<FlightEvent> {
         snap.events
             .iter()
             .filter(|e| e.name.starts_with(prefix))
@@ -748,13 +745,22 @@ mod tests {
     fn records_and_reassembles_in_order() {
         let _l = lock();
         FlightRecorder::enable(64);
-        record_span_event("ringorder.outer", 9001, None, 100, 500, &[("req", 7)]);
-        record_instant_event(
+        record_span_event(
+            "ringorder.outer",
+            9001,
+            None,
+            100,
+            500,
+            &[("req", 7u64.into())],
+        );
+        record(
+            FlightEventKind::Instant,
             "ringorder.tick",
             9002,
             Some(9001),
             200,
-            &[("at", 42), ("n", 3)],
+            200,
+            &[("at", 42u64.into()), ("stage", "tree".into())],
         );
         record_span_event("ringorder.inner", 9003, Some(9001), 250, 400, &[]);
         let snap = FlightRecorder::snapshot();
@@ -764,8 +770,14 @@ mod tests {
         assert_eq!(mine[0].name, "ringorder.outer");
         assert_eq!(mine[1].name, "ringorder.tick");
         assert_eq!(mine[2].name, "ringorder.inner");
-        assert_eq!(mine[0].args, vec![("req", 7)]);
-        assert_eq!(mine[1].args, vec![("at", 42), ("n", 3)]);
+        assert_eq!(mine[0].args(), [("req", FieldValue::U64(7))]);
+        assert_eq!(
+            mine[1].args(),
+            [
+                ("at", FieldValue::U64(42)),
+                ("stage", FieldValue::Str("tree"))
+            ]
+        );
         assert_eq!(mine[1].kind, FlightEventKind::Instant);
         assert_eq!(mine[1].parent, Some(9001));
         assert_eq!(mine[2].end_ns, 400);
@@ -846,7 +858,14 @@ mod tests {
     fn snapshot_json_is_loadable_and_carries_meta() {
         let _l = lock();
         FlightRecorder::enable(64);
-        record_span_event("ringdoc.doc", 11_000, None, 10, 20, &[("k", 5)]);
+        record_span_event(
+            "ringdoc.doc",
+            11_000,
+            None,
+            10,
+            20,
+            &[("k", 5u64.into()), ("outcome", "won".into())],
+        );
         let doc = FlightRecorder::snapshot_json("unit-test");
         let parsed: serde_json::Value = serde_json::from_str(&doc).unwrap();
         let events = parsed.get("traceEvents").unwrap().as_array().unwrap();
@@ -861,7 +880,43 @@ mod tests {
                 && e.get("ph").and_then(|p| p.as_str()) == Some("i")
         });
         assert!(has_trigger);
+        // String args render as JSON strings, numeric ones as numbers.
+        let doc_args = events
+            .iter()
+            .find(|e| e.get("name").and_then(|n| n.as_str()) == Some("ringdoc.doc"))
+            .and_then(|e| e.get("args"))
+            .unwrap();
+        assert_eq!(doc_args.get("k").and_then(|v| v.as_u64()), Some(5));
+        assert_eq!(
+            doc_args.get("outcome").and_then(|v| v.as_str()),
+            Some("won")
+        );
         FlightRecorder::disable();
+    }
+
+    #[test]
+    fn instants_record_only_while_on() {
+        let _l = lock();
+        FlightRecorder::disable();
+        FlightRecorder::instant("ringinstant.off", &[("k", 1u64.into())]);
+        FlightRecorder::enable(64);
+        FlightRecorder::instant("ringinstant.on", &[("k", 1u64.into())]);
+        FlightRecorder::disable();
+        let mine = my_events(&FlightRecorder::snapshot(), "ringinstant.");
+        assert_eq!(mine.len(), 1);
+        assert_eq!(mine[0].name, "ringinstant.on");
+        assert_eq!(mine[0].kind, FlightEventKind::Instant);
+        assert_eq!(mine[0].start_ns, mine[0].end_ns);
+        assert_ne!(mine[0].id, 0);
+    }
+
+    #[test]
+    fn thread_ids_are_dense_and_stable() {
+        let a = thread_id();
+        let b = thread_id();
+        assert_eq!(a, b);
+        let other = std::thread::spawn(thread_id).join().unwrap();
+        assert_ne!(a, other);
     }
 
     #[test]

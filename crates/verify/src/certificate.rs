@@ -216,6 +216,20 @@ pub enum Violation {
     },
 }
 
+impl Violation {
+    /// The violation's kind — `"congestion"`, `"forwarding_loop"`,
+    /// `"blackhole"` or `"undelivered"` — as its codec tags it and its
+    /// trace field records it.
+    pub fn kind(&self) -> &'static str {
+        match self {
+            Violation::Congestion { .. } => "congestion",
+            Violation::ForwardingLoop { .. } => "forwarding_loop",
+            Violation::Blackhole { .. } => "blackhole",
+            Violation::Undelivered { .. } => "undelivered",
+        }
+    }
+}
+
 impl fmt::Display for Violation {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {

@@ -255,7 +255,7 @@ pub fn violation_to_value(violation: &Violation) -> Value {
             capacity,
             flows,
         } => obj(vec![
-            ("kind", Value::String("congestion".into())),
+            ("kind", Value::from(violation.kind())),
             ("src", Value::Number(f64::from(src.0))),
             ("dst", Value::Number(f64::from(dst.0))),
             ("start", Value::from_i64_exact(*start)),
@@ -278,7 +278,7 @@ pub fn violation_to_value(violation: &Violation) -> Value {
             emitted,
             time,
         } => obj(vec![
-            ("kind", Value::String("forwarding_loop".into())),
+            ("kind", Value::from(violation.kind())),
             ("flow", Value::Number(f64::from(flow.0))),
             ("switch", Value::Number(f64::from(switch.0))),
             ("emitted", emitted_to_value(*emitted)),
@@ -290,14 +290,14 @@ pub fn violation_to_value(violation: &Violation) -> Value {
             emitted,
             time,
         } => obj(vec![
-            ("kind", Value::String("blackhole".into())),
+            ("kind", Value::from(violation.kind())),
             ("flow", Value::Number(f64::from(flow.0))),
             ("switch", Value::Number(f64::from(switch.0))),
             ("emitted", emitted_to_value(*emitted)),
             ("time", Value::from_i64_exact(*time)),
         ]),
         Violation::Undelivered { flow, emitted } => obj(vec![
-            ("kind", Value::String("undelivered".into())),
+            ("kind", Value::from(violation.kind())),
             ("flow", Value::Number(f64::from(flow.0))),
             ("emitted", emitted_to_value(*emitted)),
         ]),

@@ -131,12 +131,8 @@ impl Certifier<'_> {
         schedule: &Schedule,
         config: &VerifyConfig,
     ) -> Result<Certificate, Violation> {
-        let mut span = chronus_trace::span!(
-            "verify.certify",
-            flows = self.instance.flows.len(),
-            witnesses = config.witnesses
-        )
-        .entered();
+        let mut span =
+            chronus_trace::span!("verify.certify", flows = self.instance.flows.len()).entered();
         self.bind(schedule);
         self.run();
         let instance = self.instance;
@@ -147,11 +143,8 @@ impl Certifier<'_> {
                 Vec::new()
             }
         });
-        if span.is_recording() {
-            span.record("certified", result.is_ok());
-            if let Err(violation) = &result {
-                span.record("violation", violation.to_string());
-            }
+        if let Err(violation) = &result {
+            span.record("violation", violation.kind());
         }
         result
     }
@@ -192,21 +185,14 @@ pub fn certify_two_phase(
     instance: &UpdateInstance,
     flip_time: TimeStep,
 ) -> Result<Certificate, Violation> {
-    let mut span = chronus_trace::span!(
-        "verify.certify_two_phase",
-        flows = instance.flows.len(),
-        flip_time = flip_time
-    )
-    .entered();
+    let mut span =
+        chronus_trace::span!("verify.certify_two_phase", flip_time = flip_time).entered();
     let mut certifier = Certifier::new(instance);
     certifier.adopt(&analyze_two_phase(instance, flip_time));
     certifier.sweep();
     let result = certifier.seal(Vec::new);
-    if span.is_recording() {
-        span.record("certified", result.is_ok());
-        if let Err(violation) = &result {
-            span.record("violation", violation.to_string());
-        }
+    if let Err(violation) = &result {
+        span.record("violation", violation.kind());
     }
     result
 }

@@ -20,7 +20,7 @@ use chronus::core::greedy::greedy_schedule;
 use chronus::emu::{EmuConfig, Emulator, UpdateDriver};
 use chronus::faults::{FaultPlan, ReliableConfig};
 use chronus::net::{motivating_example, SwitchId};
-use chronus::trace::{Collector, MetricsRegistry, TimelineExporter};
+use chronus::trace::{FlightRecorder, MetricsRegistry, TimelineExporter};
 use chronus::verify::{check_slack, slack_certificate};
 use std::path::PathBuf;
 
@@ -30,7 +30,9 @@ fn main() {
         .map_or_else(|| PathBuf::from("."), PathBuf::from);
     std::fs::create_dir_all(&out_dir).expect("create output directory");
 
-    let _guard = Collector::install();
+    // Record every span of the run: the ring holds it without
+    // overwriting (checked before the timeline is written).
+    FlightRecorder::enable(4096);
 
     // 1. Plan: the greedy packing is tight (zero certified slack), so
     //    dilate it ×2 and certify the tolerance the deployment gets to
@@ -91,18 +93,16 @@ fn main() {
     );
 
     // 4. Export the traced timeline and the fault counters.
-    let records = Collector::drain();
-    let mut timeline = TimelineExporter::new();
+    FlightRecorder::disable();
+    let snapshot = FlightRecorder::snapshot();
+    assert!(
+        snapshot.rings.iter().all(|r| r.dropped == 0),
+        "the ring holds the whole run"
+    );
+    let mut timeline = TimelineExporter::from_snapshot(&snapshot);
     timeline.process_name("chronus-faulty-update");
-    let mut tids: Vec<u64> = records.iter().map(|r| r.thread).collect();
-    tids.sort_unstable();
-    tids.dedup();
-    for tid in tids {
-        timeline.thread_name(tid, &format!("worker-{tid}"));
-    }
-    timeline.add_spans(&records);
     // One counter track showing when each FlowMod landed (true time).
-    let anchor = records.iter().map(|r| r.end_ns).max().unwrap_or(0);
+    let anchor = snapshot.events.iter().map(|e| e.end_ns).max().unwrap_or(0);
     timeline.counter("applied FlowMods", anchor, 0.0);
     for (i, &(at, _)) in report.applied_updates.iter().enumerate() {
         timeline.counter(
@@ -112,7 +112,7 @@ fn main() {
         );
     }
     let trace_path = out_dir.join("trace.json");
-    timeline.write_to(&trace_path).expect("write trace.json");
+    std::fs::write(&trace_path, timeline.to_json()).expect("write trace.json");
 
     // The fault layer's scoped registry travels with the report; fold
     // it into the process-global one and dump Prometheus text.
@@ -127,14 +127,15 @@ fn main() {
     std::fs::write(&prom_path, &prom).expect("write fault_metrics.prom");
 
     let spans = |prefix: &str| {
-        records
+        snapshot
+            .events
             .iter()
             .filter(|r| r.name.starts_with(prefix))
             .count()
     };
     println!(
         "captured {} records ({} core, {} verify, {} emu)",
-        records.len(),
+        snapshot.events.len(),
         spans("core."),
         spans("verify."),
         spans("emu."),

@@ -1,5 +1,5 @@
 //! Observability round trip: plan, certify and emulate an update with
-//! the span collector on, then export everything an operator would
+//! the flight recorder on, then export everything an operator would
 //! want to look at.
 //!
 //! ```text
@@ -13,6 +13,7 @@
 //!   (`core.greedy`), the simulators (`timenet.*`), the certifier
 //!   (`verify.certify`) and the emulator (`emu.run`), plus one counter
 //!   track per network link sampled from the exact gate's load ledger.
+//!   The example checks both are there before it writes the file.
 //!   Load it in Perfetto (<https://ui.perfetto.dev>) or
 //!   `chrome://tracing`.
 //! - `trace_metrics.prom` — Prometheus text exposition of the engine's
@@ -22,7 +23,7 @@ use chronus::emu::{EmuConfig, Emulator, UpdateDriver};
 use chronus::engine::{Engine, EngineConfig};
 use chronus::net::{motivating_example, UpdateInstance};
 use chronus::timenet::IncrementalSimulator;
-use chronus::trace::{Collector, MetricsRegistry, TimelineExporter};
+use chronus::trace::{FlightRecorder, MetricsRegistry, TimelineExporter};
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -37,8 +38,9 @@ fn main() {
         .map_or_else(|| PathBuf::from("."), PathBuf::from);
     std::fs::create_dir_all(&out_dir).expect("create output directory");
 
-    // Record everything from here on.
-    let _guard = Collector::install();
+    // Record everything from here on: the ring holds the whole run
+    // without overwriting (checked before the timeline is written).
+    FlightRecorder::enable(4096);
 
     // 1. Plan a small batch through the engine: fallback-chain spans,
     //    greedy/simulator/certifier spans, per-stage counters.
@@ -68,17 +70,26 @@ fn main() {
     // 4. Export the timeline: spans first, then one counter track per
     //    link, anchored right after the last span so the two layers
     //    don't overprint each other.
-    let records = Collector::drain();
-    let mut timeline = TimelineExporter::new();
-    timeline.process_name("chronus");
-    let mut tids: Vec<u64> = records.iter().map(|r| r.thread).collect();
-    tids.sort_unstable();
-    tids.dedup();
-    for tid in tids {
-        timeline.thread_name(tid, &format!("worker-{tid}"));
+    FlightRecorder::disable();
+    let snapshot = FlightRecorder::snapshot();
+    assert!(
+        snapshot.rings.iter().all(|r| r.dropped == 0),
+        "the ring holds the whole run"
+    );
+    let spans = |prefix: &str| {
+        snapshot
+            .events
+            .iter()
+            .filter(|e| e.name.starts_with(prefix))
+            .count()
+    };
+    for subsystem in ["engine.", "core.", "timenet.", "verify.", "emu."] {
+        assert!(spans(subsystem) > 0, "the trace records {subsystem}* spans");
     }
-    timeline.add_spans(&records);
-    let anchor = records.iter().map(|r| r.end_ns).max().unwrap_or(0);
+    assert!(!link_loads.is_empty(), "the trace carries counter tracks");
+    let mut timeline = TimelineExporter::from_snapshot(&snapshot);
+    timeline.process_name("chronus");
+    let anchor = snapshot.events.iter().map(|e| e.end_ns).max().unwrap_or(0);
     for ((src, dst), series) in &link_loads {
         let track = format!("link {}->{} load", src.0, dst.0);
         // Leading zero so the staircase starts from empty.
@@ -92,7 +103,7 @@ fn main() {
         }
     }
     let trace_path = out_dir.join("trace.json");
-    timeline.write_to(&trace_path).expect("write trace.json");
+    std::fs::write(&trace_path, timeline.to_json()).expect("write trace.json");
 
     // 5. Fold the engine's scoped registry into the process-global one
     //    (which already holds e.g. the OpenFlow rule-churn counters)
@@ -103,15 +114,9 @@ fn main() {
     let prom_path = out_dir.join("trace_metrics.prom");
     std::fs::write(&prom_path, &prom).expect("write trace_metrics.prom");
 
-    let spans = |prefix: &str| {
-        records
-            .iter()
-            .filter(|r| r.name.starts_with(prefix))
-            .count()
-    };
     println!(
         "captured {} records ({} engine, {} core, {} timenet, {} verify, {} emu)",
-        records.len(),
+        snapshot.events.len(),
         spans("engine."),
         spans("core."),
         spans("timenet."),
