@@ -54,15 +54,39 @@ pub fn scale_instance(n: usize, seed: u64) -> Option<UpdateInstance> {
     UpdateInstance::single(net, flow).ok()
 }
 
+/// How a scheduler's invocations at one size ended. Variants are
+/// ordered best to worst; a size keeps its worst invocation's.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
+pub enum Finish {
+    /// Every invocation finished within the budget.
+    Completed,
+    /// The instance was too large for the exact search to attempt (more
+    /// than 63 coupled updates), so it was not searched: this says
+    /// nothing about the budget.
+    NotSearched,
+    /// An invocation ran out of budget: the paper's "does not complete
+    /// within 600 s" points.
+    TimedOut,
+}
+
+impl Finish {
+    /// The label the table and the CSV print.
+    pub fn label(self) -> &'static str {
+        match self {
+            Finish::Completed => "completed",
+            Finish::NotSearched => "not searched",
+            Finish::TimedOut => "timed out",
+        }
+    }
+}
+
 /// One scheduler's timing at one size.
 #[derive(Clone, Copy, Debug)]
 pub struct Timing {
     /// Mean wall-clock milliseconds.
     pub ms: f64,
-    /// `true` if every invocation finished exactly within the budget;
-    /// `false` marks the paper's "does not complete within 600 s"
-    /// points.
-    pub completed: bool,
+    /// How the invocations ended.
+    pub finish: Finish,
 }
 
 /// One row of Fig. 10.
@@ -87,8 +111,8 @@ pub fn run(opts: &RunOptions, sizes: &[usize]) -> Vec<RuntimePoint> {
         let mut chronus_ms = 0.0;
         let mut or_ms = 0.0;
         let mut opt_ms = 0.0;
-        let mut or_done = true;
-        let mut opt_done = true;
+        let mut or_finish = Finish::Completed;
+        let mut opt_finish = Finish::Completed;
         let mut gate = GateStats::default();
         let samples = opts.runs.max(1);
         for run in 0..samples {
@@ -110,7 +134,7 @@ pub fn run(opts: &RunOptions, sizes: &[usize]) -> Vec<RuntimePoint> {
                 },
             ) {
                 Ok(o) if o.exact => {}
-                _ => or_done = false,
+                _ => or_finish = Finish::TimedOut,
             }
             or_ms += t0.elapsed().as_secs_f64() * 1e3;
 
@@ -121,11 +145,11 @@ pub fn run(opts: &RunOptions, sizes: &[usize]) -> Vec<RuntimePoint> {
                     budget: opts.budget,
                 },
             ) {
-                Ok(_) => {}
-                Err(ScheduleError::TooLarge { .. } | ScheduleError::TimedOut { .. }) => {
-                    opt_done = false;
+                Err(ScheduleError::TooLarge { .. }) => {
+                    opt_finish = opt_finish.max(Finish::NotSearched);
                 }
-                Err(_) => {}
+                Err(ScheduleError::TimedOut { .. }) => opt_finish = Finish::TimedOut,
+                Ok(_) | Err(_) => {}
             }
             opt_ms += t0.elapsed().as_secs_f64() * 1e3;
         }
@@ -134,15 +158,15 @@ pub fn run(opts: &RunOptions, sizes: &[usize]) -> Vec<RuntimePoint> {
             switches: n,
             chronus: Timing {
                 ms: chronus_ms / k,
-                completed: true,
+                finish: Finish::Completed,
             },
             or: Timing {
                 ms: or_ms / k,
-                completed: or_done,
+                finish: or_finish,
             },
             opt: Timing {
                 ms: opt_ms / k,
-                completed: opt_done,
+                finish: opt_finish,
             },
             chronus_gate: gate,
         });
@@ -167,7 +191,7 @@ mod tests {
         };
         let points = run(&opts, &[600]);
         let p = &points[0];
-        assert!(p.chronus.completed);
+        assert_eq!(p.chronus.finish, Finish::Completed);
         // The greedy must finish fast even at 600 switches.
         assert!(p.chronus.ms < 5_000.0, "greedy took {} ms", p.chronus.ms);
     }

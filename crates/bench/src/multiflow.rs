@@ -20,7 +20,7 @@ use chronus_core::greedy::greedy_schedule;
 use chronus_net::routing::{biased_random_path, seeded_rng, shortest_path_delay};
 use chronus_net::topology::{self, TopologyConfig};
 use chronus_net::{Flow, FlowId, SwitchId, UpdateInstance};
-use chronus_timenet::{FluidSimulator, Schedule, SimulatorConfig};
+use chronus_timenet::{FluidSimulator, Schedule};
 use rand::Rng;
 
 /// Result of the joint-vs-independent comparison.
@@ -95,9 +95,6 @@ pub fn run(opts: &RunOptions, n: usize, flows_per_instance: usize) -> MultiflowP
         flows: flows_per_instance,
         ..Default::default()
     };
-    let sim_cfg = SimulatorConfig {
-        record_loads: false,
-    };
     for i in 0..(opts.runs * opts.instances / 4).max(8) {
         let Some(inst) = multiflow_instance(n, flows_per_instance, opts.seed + i as u64) else {
             continue;
@@ -125,9 +122,7 @@ pub fn run(opts: &RunOptions, n: usize, flows_per_instance: usize) -> MultiflowP
         }
         point.total += 1;
 
-        if FluidSimulator::with_config(&inst, sim_cfg)
-            .run(&independent)
-            .verdict()
+        if FluidSimulator::check(&inst, &independent).verdict()
             == chronus_timenet::Verdict::Consistent
         {
             point.independent_clean += 1;

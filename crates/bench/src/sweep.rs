@@ -12,7 +12,7 @@ use chronus_baselines::or::{or_rounds_greedy, OrOutcome};
 use chronus_core::greedy::greedy_schedule;
 use chronus_net::{InstanceGenerator, InstanceGeneratorConfig, TimeStep, UpdateInstance};
 use chronus_opt::{optimal_schedule_with, OptConfig};
-use chronus_timenet::{FluidSimulator, Schedule, SimulatorConfig};
+use chronus_timenet::{FluidSimulator, Schedule};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -35,10 +35,7 @@ pub struct SweepPoint {
 }
 
 fn simulate_quiet(instance: &UpdateInstance, schedule: &Schedule) -> (bool, usize) {
-    let cfg = SimulatorConfig {
-        record_loads: false,
-    };
-    let report = FluidSimulator::with_config(instance, cfg).run(schedule);
+    let report = FluidSimulator::new(instance).run(schedule);
     (report.congestion_free(), report.congested_te_link_count())
 }
 

@@ -11,6 +11,9 @@
 //!   possible per step;
 //! - [`tree`]: **Algorithm 1** — the tree algorithm checking whether
 //!   *any* congestion- and loop-free timed update sequence exists;
+//! - [`search`]: the exact search under Algorithm 1 and OPT — one
+//!   frame, one incremental simulator, one stop condition, with a
+//!   first-feasible and a minimum-makespan strategy;
 //! - [`exec`]: **Algorithm 5** — turning a [`chronus_timenet::Schedule`]
 //!   into the timed command sequence (FlowMods + barriers) a controller
 //!   executes.
@@ -55,6 +58,7 @@ pub mod greedy;
 pub mod loopcheck;
 mod problem;
 pub(crate) mod scan;
+pub mod search;
 pub mod shard;
 pub mod tree;
 

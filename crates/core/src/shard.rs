@@ -378,12 +378,15 @@ fn plan_shards(
     };
     let mut slots: Vec<Option<Result<GreedyOutcome, ScheduleError>>> =
         (0..instances.len()).map(|_| None).collect();
+    // Lane threads plan under the caller's span, as lane 0 does.
+    let parent = chronus_trace::Span::current_id();
     std::thread::scope(|scope| {
         let (tx, rx) = mpsc::channel();
         for first in 1..lanes {
             let tx = tx.clone();
             let lane = &lane;
             scope.spawn(move || {
+                let _parent = chronus_trace::Span::adopt(parent);
                 let _ = tx.send(lane(first, &mut SimWorkspace::default()));
             });
         }

@@ -27,21 +27,24 @@
 //! - [`quick_infeasible`] applies the paper's Case-1 argument to
 //!   detours that provably cannot ever be scheduled;
 //! - [`check_feasibility`] gives the full decision: after
-//!   [`quick_infeasible`], a memoized depth-first search over update
-//!   orders (each candidate verified by the exact simulator, waiting
-//!   up to one full drain period) either finds a witness schedule or
-//!   exhausts the orders. It neither consults the greedy scheduler nor
-//!   certifies its witness: callers that ship the witness seal it
-//!   themselves, as the engine does.
-// The search operates on per-switch order vectors whose indices come
-// from the instance's update items; `expect` unwraps search-stack
-// invariants (a popped frame always has a live parent).
+//!   [`quick_infeasible`], the exact search's first-feasible strategy
+//!   ([`crate::search`]) walks update orders, each candidate judged by
+//!   the incremental simulator and waiting up to one full drain
+//!   period, and either finds a witness schedule or exhausts the
+//!   orders. [`check_feasibility_within`] is the same decision under a
+//!   wall-clock budget, the engine's tree stage passes the request's.
+//!   Neither consults the greedy scheduler nor certifies its witness:
+//!   callers that ship the witness seal it themselves, as the engine
+//!   does.
+// Crossing extraction indexes the final path it walks; `expect`
+// unwraps positions of switches found on the old path.
 #![allow(clippy::indexing_slicing, clippy::expect_used)]
 
+use crate::search::{first_feasible, Search};
 use crate::MutpProblem;
-use chronus_net::{Capacity, Delay, Flow, SwitchId, TimeStep, UpdateInstance};
-use chronus_timenet::{FluidSimulator, Schedule, SimulatorConfig, Verdict};
-use std::collections::HashSet;
+use chronus_net::{Capacity, Delay, Flow, SwitchId, UpdateInstance};
+use chronus_timenet::{Schedule, SimWorkspace};
+use std::time::Duration;
 
 /// One dashed detour of the final path relative to the initial path:
 /// the flow leaves `p_init` at `diverge`, travels `detour` (interior
@@ -202,174 +205,42 @@ pub enum Feasibility {
         /// found one.
         witness: Option<Crossing>,
     },
-    /// The search budget was exhausted before a decision was reached
-    /// (only possible on instances with very large pending sets).
+    /// The search stopped before a decision: its simulation cap or
+    /// its budget ran out, or the instance has more pending updates
+    /// than the search holds (63).
     Unknown,
 }
-
-impl Feasibility {
-    /// `true` for [`Feasibility::Feasible`].
-    pub fn is_feasible(&self) -> bool {
-        matches!(self, Feasibility::Feasible { .. })
-    }
-
-    /// The witness schedule, for [`Feasibility::Feasible`].
-    pub fn schedule(&self) -> Option<&Schedule> {
-        match self {
-            Feasibility::Feasible { schedule } => Some(schedule),
-            _ => None,
-        }
-    }
-}
-
-/// Simulator invocations [`check_feasibility`]'s search may spend
-/// before giving up with [`Feasibility::Unknown`].
-const MAX_SIMULATIONS: usize = 200_000;
 
 /// Decides whether *any* congestion- and loop-free timed update
 /// sequence exists for the instance (the question the paper's
 /// Algorithm 1 answers), returning a witness schedule when one exists.
 pub fn check_feasibility(instance: &UpdateInstance) -> Feasibility {
+    check_feasibility_within(instance, Duration::MAX, &mut SimWorkspace::default())
+}
+
+/// [`check_feasibility`] within a wall-clock budget: past it the
+/// search gives up with [`Feasibility::Unknown`]. Whenever the budget
+/// does not run out, the answer is [`check_feasibility`]'s. The search
+/// simulates on `workspace`'s buffers and returns them there, so a
+/// long-lived caller (the engine) allocates them once.
+pub fn check_feasibility_within(
+    instance: &UpdateInstance,
+    budget: Duration,
+    workspace: &mut SimWorkspace,
+) -> Feasibility {
     // Fast negative path: the paper's delay/capacity conditions.
     if let Some(witness) = quick_infeasible(instance) {
         return Feasibility::Infeasible {
             witness: Some(witness),
         };
     }
-    // Memoized DFS over update orders.
     let Ok(problem) = MutpProblem::new(instance) else {
         return Feasibility::Infeasible { witness: None };
     };
-    let mut searcher = match Searcher::new(instance, &problem, MAX_SIMULATIONS) {
-        Ok(s) => s,
-        Err(TooManyPending) => return Feasibility::Unknown,
-    };
-    match searcher.solve() {
-        SearchResult::Found(schedule) => Feasibility::Feasible { schedule },
-        SearchResult::Exhausted => Feasibility::Infeasible { witness: None },
-        SearchResult::BudgetSpent => Feasibility::Unknown,
-    }
-}
-
-struct TooManyPending;
-
-enum SearchResult {
-    Found(Schedule),
-    Exhausted,
-    BudgetSpent,
-}
-
-/// DFS over update orders: each level picks one pending `(flow,
-/// switch)` pair and the earliest time within one drain period at
-/// which committing it keeps the partial schedule consistent
-/// (verified exactly by the simulator). Failed pending-sets are
-/// memoized: after a full drain the data plane depends only on *which*
-/// switches updated, not when, so a set that failed once cannot
-/// succeed from the stationary state either.
-struct Searcher<'a> {
-    instance: &'a UpdateInstance,
-    sim: FluidSimulator<'a>,
-    items: Vec<(usize, SwitchId)>, // (flow index, switch)
-    drain: TimeStep,
-    budget: usize,
-    used: usize,
-    // chronus-lint: allow(det-hash) — membership-only memo of failed subset signatures; never iterated
-    failed: HashSet<u64>,
-    base: Schedule,
-}
-
-impl<'a> Searcher<'a> {
-    fn new(
-        instance: &'a UpdateInstance,
-        problem: &MutpProblem<'a>,
-        budget: usize,
-    ) -> Result<Self, TooManyPending> {
-        let mut items = Vec::new();
-        let mut base = Schedule::new();
-        for (fi, flow) in instance.flows.iter().enumerate() {
-            // Fresh switches activate at step 0 unconditionally (they
-            // carry no flow until an upstream diverger updates).
-            let fresh = problem.fresh_switches(fi);
-            for v in &fresh {
-                base.set(flow.id, *v, 0);
-            }
-            for &v in problem.pending(fi) {
-                if !fresh.contains(&v) {
-                    items.push((fi, v));
-                }
-            }
-        }
-        if items.len() > 63 {
-            return Err(TooManyPending);
-        }
-        let sim_cfg = SimulatorConfig {
-            record_loads: false,
-        };
-        Ok(Searcher {
-            instance,
-            sim: FluidSimulator::with_config(instance, sim_cfg),
-            items,
-            drain: problem.drain_bound(),
-            budget,
-            used: 0,
-            // chronus-lint: allow(det-hash) — membership-only memo, see field declaration
-            failed: HashSet::new(),
-            base: base.clone(),
-        })
-    }
-
-    fn solve(&mut self) -> SearchResult {
-        let full: u64 = if self.items.is_empty() {
-            0
-        } else {
-            (1u64 << self.items.len()) - 1
-        };
-        let mut schedule = self.base.clone();
-        match self.dfs(full, &mut schedule, 0) {
-            Some(true) => SearchResult::Found(schedule),
-            Some(false) => SearchResult::Exhausted,
-            None => SearchResult::BudgetSpent,
-        }
-    }
-
-    /// Returns `Some(true)` on success (schedule filled in),
-    /// `Some(false)` if this subtree is exhausted, `None` on budget
-    /// exhaustion.
-    fn dfs(&mut self, mask: u64, schedule: &mut Schedule, t0: TimeStep) -> Option<bool> {
-        if mask == 0 {
-            return Some(true);
-        }
-        if self.failed.contains(&mask) {
-            return Some(false);
-        }
-        let mut bits = mask;
-        while bits != 0 {
-            let i = bits.trailing_zeros() as usize;
-            bits &= bits - 1;
-            let (fi, v) = self.items[i];
-            let flow_id = self.instance.flows[fi].id;
-            for t in t0..=t0 + self.drain {
-                if self.used >= self.budget {
-                    return None;
-                }
-                self.used += 1;
-                schedule.set(flow_id, v, t);
-                let clean = self.sim.run(schedule).verdict() == Verdict::Consistent;
-                if clean {
-                    match self.dfs(mask & !(1 << i), schedule, t) {
-                        Some(true) => return Some(true),
-                        Some(false) => {}
-                        None => {
-                            schedule.unset(flow_id, v);
-                            return None;
-                        }
-                    }
-                }
-                schedule.unset(flow_id, v);
-            }
-        }
-        self.failed.insert(mask);
-        Some(false)
+    match first_feasible(&problem, budget, workspace) {
+        Search::Found(schedule) => Feasibility::Feasible { schedule },
+        Search::Exhausted => Feasibility::Infeasible { witness: None },
+        Search::Stopped | Search::TooLarge(_) => Feasibility::Unknown,
     }
 }
 
@@ -377,6 +248,7 @@ impl<'a> Searcher<'a> {
 mod tests {
     use super::*;
     use chronus_net::{motivating_example, Flow, FlowId, NetworkBuilder, Path};
+    use chronus_timenet::{FluidSimulator, Verdict};
 
     fn sid(i: u32) -> SwitchId {
         SwitchId(i)
@@ -464,8 +336,13 @@ mod tests {
 
     #[test]
     fn feasibility_decisions() {
-        assert!(check_feasibility(&shared_tail(3)).is_feasible());
-        assert!(check_feasibility(&shared_tail(2)).is_feasible());
+        for delay in [3, 2] {
+            let verdict = check_feasibility(&shared_tail(delay));
+            assert!(
+                matches!(verdict, Feasibility::Feasible { .. }),
+                "{verdict:?}"
+            );
+        }
         match check_feasibility(&shared_tail(1)) {
             Feasibility::Infeasible { witness } => {
                 assert!(witness.is_some());
@@ -483,6 +360,19 @@ mod tests {
             }
             other => panic!("expected feasible, got {other:?}"),
         }
+        // A spent budget stops the search, not the crossing check.
+        assert!(matches!(
+            check_feasibility_within(&inst, Duration::ZERO, &mut SimWorkspace::default()),
+            Feasibility::Unknown
+        ));
+        assert!(matches!(
+            check_feasibility_within(
+                &shared_tail(1),
+                Duration::ZERO,
+                &mut SimWorkspace::default()
+            ),
+            Feasibility::Infeasible { witness: Some(_) }
+        ));
     }
 
     #[test]
@@ -520,16 +410,5 @@ mod tests {
         // Half the range still fits twice.
         let inst = shared_tail_with(1, Capacity::MAX, Capacity::MAX / 2);
         assert!(crossings(&inst, inst.flow())[0].admissible(Capacity::MAX / 2));
-    }
-
-    #[test]
-    fn budget_exhaustion_reports_unknown() {
-        let inst = motivating_example();
-        let problem = MutpProblem::new(&inst).unwrap();
-        let mut searcher = match Searcher::new(&inst, &problem, 1) {
-            Ok(s) => s,
-            Err(_) => panic!("fits"),
-        };
-        assert!(matches!(searcher.solve(), SearchResult::BudgetSpent));
     }
 }

@@ -1,8 +1,5 @@
-//! How many threads one sharded plan uses.
-//!
-//! Alone in its binary: the flight recorder is process-global, and the
-//! spans of shard lanes on other threads carry no parent to tell one
-//! plan's from another's.
+//! How many threads one sharded plan uses, and that every lane's work
+//! stays inside the plan's span.
 
 use chronus_core::shard::{shard_schedule_with, ShardingConfig};
 use chronus_net::topology::{fat_tree, LinkParams};
@@ -66,16 +63,12 @@ fn shards_are_planned_on_one_lane_per_core() {
         .iter()
         .find(|e| e.name == "core.shard")
         .expect("the sharded plan's span");
-    // The caller's greedy runs are children of `core.shard`; a lane's
-    // run on its own thread has no parent, but lies inside the span.
+    // Every greedy run is a child of `core.shard`, the caller's and
+    // those on lane threads alike.
     let shard_plans: Vec<u64> = snapshot
         .events
         .iter()
-        .filter(|e| e.name == "core.greedy")
-        .filter(|e| match e.parent {
-            Some(parent) => parent == shard.id,
-            None => e.start_ns >= shard.start_ns && e.end_ns <= shard.end_ns,
-        })
+        .filter(|e| e.name == "core.greedy" && e.parent == Some(shard.id))
         .map(|e| e.tid)
         .collect();
     let caller = shard.tid;

@@ -25,7 +25,8 @@
 //! a certificate for a schedule the seal did not certify.
 //!
 //! The deadline governs the *optimizing* stages only: a request whose
-//! budget runs out before greedy or tree finishes skips ahead and
+//! budget runs out before greedy or tree starts skips ahead, the tree
+//! search itself stops at the deadline, and either way the request
 //! still leaves with a consistent two-phase plan — deadline pressure
 //! degrades plan quality, never correctness.
 
@@ -35,7 +36,7 @@ use crate::request::{RequestId, UpdateRequest};
 use chronus_baselines::tp::{tp_plan, TpPlan};
 use chronus_core::greedy::{greedy_schedule_in, GreedyConfig};
 use chronus_core::shard::shard_schedule_in;
-use chronus_core::tree::{check_feasibility, Feasibility};
+use chronus_core::tree::{check_feasibility_within, Feasibility};
 use chronus_net::{TimeStep, UpdateInstance};
 use chronus_timenet::{Schedule, SimWorkspace};
 use chronus_verify::{
@@ -184,7 +185,8 @@ pub struct PlannedUpdate {
     /// lookup's cost from [`PlannedUpdate::elapsed`].
     pub cache_hit: bool,
     /// `true` when the deadline expired before every optimizing stage
-    /// could run (the plan is then the two-phase fallback).
+    /// could run or while the tree search ran (the plan is then the
+    /// two-phase fallback).
     pub deadline_exceeded: bool,
     /// The independent certifier's proof that the winning plan is
     /// consistent. `None` when certification was disabled in the
@@ -393,8 +395,14 @@ fn seal(
     sealed
 }
 
+/// Why a stage did not run, or failed, once the request's deadline
+/// passed.
+const DEADLINE_EXHAUSTED: &str = "deadline exhausted";
+
 /// Runs one optimizing stage: an uncertified timed schedule, or why
-/// the stage could not plan.
+/// the stage could not plan. The tree search stops once `budget`, the
+/// request's time left, runs out. Greedy and the tree search simulate
+/// on `ws`, the engine's recycled buffers.
 fn propose(
     stage: Stage,
     instance: &UpdateInstance,
@@ -402,6 +410,7 @@ fn propose(
     metrics: &EngineMetrics,
     ws: &mut SimWorkspace,
     span: &mut chronus_trace::EnteredSpan,
+    budget: Duration,
 ) -> Result<Schedule, String> {
     let uncertified = GreedyConfig {
         verify: VerifyConfig::disabled(),
@@ -421,12 +430,16 @@ fn propose(
             metrics.record_greedy_arena(out.arena_bytes);
             Ok(out.schedule)
         }
-        Stage::Tree => match check_feasibility(instance) {
-            Feasibility::Feasible { schedule } => Ok(schedule),
-            Feasibility::Infeasible { witness: Some(w) } => Err(format!("infeasible: {w:?}")),
-            Feasibility::Infeasible { witness: None } => Err("infeasible".into()),
-            Feasibility::Unknown => Err("search budget exhausted".into()),
-        },
+        Stage::Tree => {
+            let begun = Instant::now();
+            match check_feasibility_within(instance, budget, ws) {
+                Feasibility::Feasible { schedule } => Ok(schedule),
+                Feasibility::Infeasible { witness: Some(w) } => Err(format!("infeasible: {w:?}")),
+                Feasibility::Infeasible { witness: None } => Err("infeasible".into()),
+                Feasibility::Unknown if begun.elapsed() >= budget => Err(DEADLINE_EXHAUSTED.into()),
+                Feasibility::Unknown => Err("search budget exhausted".into()),
+            }
+        }
         Stage::TwoPhase => unreachable!("two-phase is not an optimizing stage"),
     }
 }
@@ -468,7 +481,7 @@ pub fn plan_with_chain(
         } else if started.elapsed() >= req.deadline {
             deadline_exceeded = true;
             metrics.record_skip(stage);
-            Some("deadline exhausted")
+            Some(DEADLINE_EXHAUSTED)
         } else {
             None
         };
@@ -483,8 +496,20 @@ pub fn plan_with_chain(
 
         let stage_start = Instant::now();
         let mut stage_span = chronus_trace::span!(stage_span_name(stage)).entered();
-        let proposal = propose(stage, instance, config, metrics, ws, &mut stage_span);
+        let budget = req.deadline.saturating_sub(started.elapsed());
+        let proposal = propose(
+            stage,
+            instance,
+            config,
+            metrics,
+            ws,
+            &mut stage_span,
+            budget,
+        );
         let elapsed = stage_start.elapsed();
+        deadline_exceeded |= proposal
+            .as_ref()
+            .is_err_and(|why| why == DEADLINE_EXHAUSTED);
         stage_span.record("outcome", if proposal.is_ok() { "won" } else { "failed" });
         drop(stage_span);
 

@@ -4,9 +4,10 @@
 // Enumeration indexes per-item assignment vectors it sized itself.
 #![allow(clippy::indexing_slicing, clippy::expect_used)]
 
+use chronus_core::search::Frame;
 use chronus_core::MutpProblem;
-use chronus_net::{SwitchId, TimeStep, UpdateInstance};
-use chronus_timenet::{FluidSimulator, Schedule, SimulatorConfig, Verdict};
+use chronus_net::{TimeStep, UpdateInstance};
+use chronus_timenet::{FluidSimulator, Schedule, Verdict};
 
 /// Result of an enumeration run.
 #[derive(Clone, Debug)]
@@ -51,26 +52,8 @@ pub fn enumerate_consistent_schedules(
             exhaustive: true,
         };
     };
-    let mut base = Schedule::new();
-    let mut items: Vec<(usize, SwitchId)> = Vec::new();
-    for (fi, flow) in instance.flows.iter().enumerate() {
-        let fresh = problem.fresh_switches(fi);
-        for &v in &fresh {
-            base.set(flow.id, v, 0);
-        }
-        for &v in problem.pending(fi) {
-            if !fresh.contains(&v) {
-                items.push((fi, v));
-            }
-        }
-    }
-
-    let sim = FluidSimulator::with_config(
-        instance,
-        SimulatorConfig {
-            record_loads: false,
-        },
-    );
+    let Frame { base, items, .. } = Frame::new(&problem);
+    let sim = FluidSimulator::new(instance);
 
     let k = items.len();
     let radix = (max_makespan + 1) as usize;
@@ -88,8 +71,8 @@ pub fn enumerate_consistent_schedules(
         }
         examined += 1;
         let mut s = base.clone();
-        for (i, &(fi, v)) in items.iter().enumerate() {
-            s.set(instance.flows[fi].id, v, digits[i] as TimeStep);
+        for (&(flow, v), &digit) in items.iter().zip(&digits) {
+            s.set(flow, v, digit as TimeStep);
         }
         if sim.run(&s).verdict() == Verdict::Consistent {
             schedules.push(s);
@@ -128,7 +111,7 @@ pub fn enumerate_consistent_schedules(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use chronus_net::{motivating_example, Flow, FlowId, NetworkBuilder, Path};
+    use chronus_net::{motivating_example, Flow, FlowId, NetworkBuilder, Path, SwitchId};
 
     fn sid(i: u32) -> SwitchId {
         SwitchId(i)

@@ -20,7 +20,7 @@
 use crate::enumerate::enumerate_consistent_schedules;
 use chronus_core::ScheduleError;
 use chronus_net::{TimeStep, UpdateInstance};
-use chronus_timenet::{FluidSimulator, Schedule, SimulatorConfig};
+use chronus_timenet::{FluidSimulator, Schedule};
 use std::time::{Duration, Instant};
 
 /// Constraint comparison operator.
@@ -286,7 +286,7 @@ pub fn build_mutp_ilp(
             .expect("variable belongs to a flow range");
         let single = UpdateInstance::single(instance.network.clone(), instance.flows[fi].clone())
             .expect("validated");
-        let report = FluidSimulator::with_config(&single, SimulatorConfig::default()).run(s);
+        let report = FluidSimulator::new(&single).run(s);
         for (&(u, v), series) in &report.link_loads {
             for (&t, &load) in series {
                 if t >= 0 && load > 0 {

@@ -8,7 +8,11 @@
 //!   bounds it runs a time-ordered DFS in which, once every update at
 //!   steps `≤ t` is decided, all simulation events at steps `≤ t` are
 //!   frozen and can soundly prune the subtree. The first makespan
-//!   admitting a consistent schedule is optimal.
+//!   admitting a consistent schedule is optimal. The search is
+//!   `chronus-core`'s exact searcher ([`chronus_core::search`]), the
+//!   one Algorithm 1 runs too; before it, Algorithm 1's Theorem-2
+//!   check ([`chronus_core::tree::quick_infeasible`]) refutes a doomed
+//!   crossing with no search at all.
 //! - [`ilp`] — a faithful rendering of program (3): the path set
 //!   `P(f)` is enumerated in the time-extended network, variables
 //!   `x_{f,p}` pick one path per flow, constraint (3a) bounds the load

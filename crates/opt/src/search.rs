@@ -1,26 +1,19 @@
-//! Iterative-deepening branch-and-bound over the schedule space.
+//! OPT: the minimum-makespan schedule of program (3).
 //!
-//! For a makespan bound `M` the searcher walks time steps `t = 0…M`;
-//! at each step it decides which of the remaining switches update at
-//! `t` (a subset choice explored one switch at a time). When the step
-//! closes, all data-plane events at simulated times `≤ t` are frozen —
-//! any remaining update happens at `≥ t + 1` and can only influence
-//! departures from `t + 1` on — so a violation at a frozen time
-//! soundly prunes the subtree. Visited `(t, remaining-set)` states are
-//! memoized. The outer loop raises `M` until a schedule exists; the
-//! first hit is optimal, because a schedule with makespan `M` exists
-//! in the `M`-bounded space and none exists in the `(M−1)`-bounded
-//! one.
-// Branch-and-bound frames index per-item slots minted from the
-// instance's own update items.
-#![allow(clippy::indexing_slicing, clippy::expect_used)]
+//! A `Crossing` that can never be scheduled (Theorem 2, via
+//! [`quick_infeasible`]) refutes the instance before any search. Else
+//! the greedy's makespan bounds the optimum from above, and the exact
+//! search's minimum-makespan strategy ([`minimum_makespan`]) deepens
+//! up to that bound within the budget. The optimum is certified before
+//! it is returned.
 
 use chronus_core::greedy::greedy_schedule;
+use chronus_core::search::{minimum_makespan, Search};
+use chronus_core::tree::quick_infeasible;
 use chronus_core::{MutpProblem, ScheduleError};
-use chronus_net::{SwitchId, TimeStep, UpdateInstance};
-use chronus_timenet::{Delta, IncrementalSimulator, Schedule, Verdict};
-use std::collections::HashSet;
-use std::time::{Duration, Instant};
+use chronus_net::{TimeStep, UpdateInstance};
+use chronus_timenet::Schedule;
+use std::time::Duration;
 
 /// Configuration for [`optimal_schedule_with`].
 #[derive(Clone, Copy, Debug)]
@@ -44,42 +37,18 @@ pub struct OptOutcome {
     pub schedule: Schedule,
     /// Its makespan; `|T| = makespan + 1` in the paper's objective.
     pub makespan: TimeStep,
-    /// Simulator invocations spent.
-    pub simulator_calls: usize,
-    /// Search states expanded.
-    pub states: usize,
     /// The independent certifier's proof of consistency.
     pub certificate: chronus_verify::Certificate,
-}
-
-/// Seals the winning schedule with the independent certifier,
-/// surfacing a rejection as [`ScheduleError::CertificationFailed`].
-fn certified(
-    instance: &UpdateInstance,
-    schedule: Schedule,
-    stats: &Stats,
-) -> Result<OptOutcome, ScheduleError> {
-    let certificate = chronus_verify::certify(instance, &schedule).map_err(|violation| {
-        ScheduleError::CertificationFailed {
-            violation: Box::new(violation),
-        }
-    })?;
-    Ok(OptOutcome {
-        makespan: schedule.makespan().unwrap_or(0),
-        schedule,
-        simulator_calls: stats.sims,
-        states: stats.states,
-        certificate,
-    })
 }
 
 /// Solves MUTP exactly with the default 600 s budget.
 ///
 /// # Errors
-/// [`ScheduleError::Infeasible`] when no consistent schedule exists,
-/// [`ScheduleError::TimedOut`] when the budget runs out first,
-/// [`ScheduleError::TooLarge`] when the instance couples more updates
-/// than the search's bitmask holds.
+/// [`ScheduleError::Infeasible`] when no consistent schedule exists
+/// (with the diverging switch as `blocked` when a crossing refutes the
+/// instance), [`ScheduleError::TimedOut`] when the budget runs out
+/// first, [`ScheduleError::TooLarge`] when the instance couples more
+/// updates than the search's bitmask holds.
 pub fn optimal_schedule(instance: &UpdateInstance) -> Result<OptOutcome, ScheduleError> {
     optimal_schedule_with(instance, OptConfig::default())
 }
@@ -94,269 +63,46 @@ pub fn optimal_schedule_with(
 ) -> Result<OptOutcome, ScheduleError> {
     let _span = chronus_trace::span!("opt.search", flows = instance.flows.len()).entered();
     let problem = MutpProblem::new(instance)?;
-    // chronus-lint: allow(det-wallclock) — search budget deadline; affects only whether an answer is produced, never which
-    let deadline = Instant::now() + cfg.budget;
-
-    // Upper bound from the greedy (OPT ≤ greedy); fall back to the
-    // sound search horizon when the greedy cannot find a witness.
-    let ub = greedy_schedule(instance)
-        .map(|g| g.makespan)
-        .unwrap_or_else(|_| problem.search_horizon());
-
-    let mut base = Schedule::new();
-    let mut items: Vec<(usize, SwitchId)> = Vec::new();
-    for (fi, flow) in instance.flows.iter().enumerate() {
-        // Fresh switches update at step 0 without loss of optimality:
-        // no flow reaches them before some diverger updates, and
-        // step 0 can only lower the makespan.
-        let fresh = problem.fresh_switches(fi);
-        for &v in &fresh {
-            base.set(flow.id, v, 0);
-        }
-        for &v in problem.pending(fi) {
-            if !fresh.contains(&v) {
-                items.push((fi, v));
-            }
-        }
-    }
-    if items.len() > 63 {
-        return Err(ScheduleError::TooLarge { items: items.len() });
-    }
-
-    // One incremental simulator answers every consistency and
-    // frozen-prefix query in O(Δ) for the whole deepening loop: every
-    // exhausted search tree unwinds its deltas completely, so the
-    // state is back at `base` when the next bound starts.
-    let mut inc = IncrementalSimulator::new(instance);
-    for (flow, v, t) in base.iter() {
-        let d = inc.apply(flow, v, t);
-        inc.commit(d); // base is permanent: never undone
-    }
-    let drain = problem.drain_bound();
-    let mut stats = Stats::default();
-
-    if items.is_empty() {
-        // Only fresh activations (or nothing at all).
-        stats.sims += 1;
-        if inc.verdict() == Verdict::Consistent {
-            return certified(instance, base, &stats);
-        }
+    if let Some(crossing) = quick_infeasible(instance) {
         return Err(ScheduleError::Infeasible {
-            blocked: None,
-            reason: "fresh-switch activation alone is inconsistent".into(),
+            blocked: Some(crossing.diverge),
+            reason: "a crossing no update order can schedule (Theorem 2)".into(),
         });
     }
-
-    for m in 0..=ub {
-        // chronus-lint: allow(det-wallclock) — budget deadline check, see `deadline`
-        if Instant::now() > deadline {
-            return Err(ScheduleError::TimedOut {
-                budget_ms: cfg.budget.as_millis() as u64,
-            });
-        }
-        let mut searcher = Searcher {
-            instance,
-            inc: &mut inc,
-            items: &items,
-            makespan: m,
-            drain,
-            deadline,
-            // chronus-lint: allow(det-hash) — insert/contains-only visited-state memo; never iterated
-            memo: HashSet::new(),
-            stats: &mut stats,
-            assigned: vec![None; items.len()],
-            deltas: Vec::new(),
-        };
-        let full = (1u64 << items.len()) - 1;
-        let mut schedule = base.clone();
-        match searcher.step(0, full, &mut schedule) {
-            Outcome::Found => return certified(instance, schedule, &stats),
-            Outcome::Exhausted => continue,
-            Outcome::TimedOut => {
-                return Err(ScheduleError::TimedOut {
-                    budget_ms: cfg.budget.as_millis() as u64,
-                })
-            }
-        }
-    }
-
-    Err(ScheduleError::Infeasible {
-        blocked: None,
-        reason: "exhausted the full schedule space".into(),
-    })
-}
-
-#[derive(Default)]
-struct Stats {
-    sims: usize,
-    states: usize,
-}
-
-enum Outcome {
-    Found,
-    Exhausted,
-    TimedOut,
-}
-
-/// Memo key: (next step, remaining-switch bitset, time-shifted recent
-/// assignments) — see [`Searcher::memo_key`].
-type MemoKey = (TimeStep, u64, Vec<(usize, TimeStep)>);
-
-struct Searcher<'a> {
-    instance: &'a UpdateInstance,
-    /// Mirrors `schedule`; answers consistency and frozen-prefix
-    /// queries in O(Δ).
-    inc: &'a mut IncrementalSimulator,
-    items: &'a [(usize, SwitchId)],
-    makespan: TimeStep,
-    drain: TimeStep,
-    deadline: Instant,
-    // chronus-lint: allow(det-hash) — insert/contains-only visited-state memo; never iterated
-    memo: HashSet<MemoKey>,
-    stats: &'a mut Stats,
-    /// Current assignment per item index — the search's own mirror of
-    /// the schedule, kept so `memo_key` reads it in one pre-sorted
-    /// pass instead of per-item `BTreeMap` lookups.
-    assigned: Vec<Option<TimeStep>>,
-    /// LIFO stack of incremental deltas, one per live assignment.
-    deltas: Vec<Delta>,
-}
-
-impl<'a> Searcher<'a> {
-    /// Records `items[i] @ t` in the schedule, the assignment mirror
-    /// and the incremental simulator.
-    fn assign(&mut self, i: usize, t: TimeStep, schedule: &mut Schedule) {
-        let (fi, v) = self.items[i];
-        let flow_id = self.instance.flows[fi].id;
-        schedule.set(flow_id, v, t);
-        self.assigned[i] = Some(t);
-        self.deltas.push(self.inc.apply(flow_id, v, t));
-    }
-
-    /// Reverts the most recent [`Searcher::assign`] of `items[i]`.
-    fn retract(&mut self, i: usize, schedule: &mut Schedule) {
-        let (fi, v) = self.items[i];
-        let flow_id = self.instance.flows[fi].id;
-        schedule.unset(flow_id, v);
-        self.assigned[i] = None;
-        self.inc
-            .undo(self.deltas.pop().expect("assign/retract imbalance"));
-    }
-
-    /// Memo key for the state reached after closing step `t − 1`:
-    /// besides `(t, remaining)`, only the assignments within the last
-    /// drain period still influence the future — all events up to the
-    /// current step are already certified clean, older updates have
-    /// fully drained, and which rules are new is captured by
-    /// `remaining`. Two states agreeing on this key have identical
-    /// futures, so memoizing their exhaustion is sound.
-    fn memo_key(&self, t: TimeStep, remaining: u64) -> MemoKey {
-        let window_start = t - self.drain;
-        // `assigned` is indexed by item, so the pairs come out already
-        // sorted by `i` (each `i` appears at most once).
-        let recent: Vec<(usize, TimeStep)> = self
-            .assigned
-            .iter()
-            .enumerate()
-            .filter_map(|(i, tv)| {
-                tv.filter(|&tv| tv > window_start).map(|tv| (i, tv - t)) // time-shift-invariant offset
+    // OPT ≤ greedy; the sound search horizon when greedy finds nothing.
+    let bound = greedy_schedule(instance)
+        .map(|g| g.makespan)
+        .unwrap_or_else(|_| problem.search_horizon());
+    match minimum_makespan(&problem, bound, cfg.budget) {
+        Search::Found(schedule) => {
+            let certificate =
+                chronus_verify::certify(instance, &schedule).map_err(|violation| {
+                    ScheduleError::CertificationFailed {
+                        violation: Box::new(violation),
+                    }
+                })?;
+            Ok(OptOutcome {
+                makespan: schedule.makespan().unwrap_or(0),
+                schedule,
+                certificate,
             })
-            .collect();
-        // Absolute `t` stays in the key: the remaining makespan budget
-        // `M − t` is part of the state even when the data plane looks
-        // identical.
-        (t, remaining, recent)
-    }
-
-    /// Full-schedule consistency of the current node.
-    fn node_consistent(&mut self) -> bool {
-        self.stats.sims += 1;
-        self.inc.verdict() == Verdict::Consistent
-    }
-
-    /// Frozen-prefix violation test at the close of step `t`.
-    ///
-    /// A violation whose event time is `≤ t` cannot be repaired by
-    /// updates at steps `> t` (updates only change departures at or
-    /// after their own step).
-    fn node_frozen_violation(&mut self, t: TimeStep) -> bool {
-        self.stats.sims += 1;
-        self.inc.has_violation_at_or_before(t)
-    }
-
-    /// Decides the update set of step `t` and recurses to `t + 1`.
-    fn step(&mut self, t: TimeStep, remaining: u64, schedule: &mut Schedule) -> Outcome {
-        if remaining == 0 {
-            return if self.node_consistent() {
-                Outcome::Found
-            } else {
-                Outcome::Exhausted
-            };
         }
-        if t > self.makespan {
-            return Outcome::Exhausted;
-        }
-        let key = self.memo_key(t, remaining);
-        if !self.memo.insert(key) {
-            return Outcome::Exhausted;
-        }
-        // chronus-lint: allow(det-wallclock) — budget deadline check, see `deadline`
-        if Instant::now() > self.deadline {
-            return Outcome::TimedOut;
-        }
-        self.stats.states += 1;
-        self.choose(t, remaining, 0, remaining, schedule)
-    }
-
-    /// Enumerates subsets of `remaining` to update at step `t`, one
-    /// switch decision at a time (bits below `cursor_mask`'s lowest
-    /// set bit are already decided).
-    fn choose(
-        &mut self,
-        t: TimeStep,
-        remaining: u64,
-        chosen: u64,
-        undecided: u64,
-        schedule: &mut Schedule,
-    ) -> Outcome {
-        if undecided == 0 {
-            // Step t closed: events at times ≤ t are frozen; prune on
-            // any frozen violation.
-            if self.node_frozen_violation(t) {
-                return Outcome::Exhausted;
-            }
-            return self.step(t + 1, remaining & !chosen, schedule);
-        }
-        let i = undecided.trailing_zeros() as usize;
-        let bit = 1u64 << i;
-        let rest = undecided & !bit;
-
-        // Branch 1: update item i at step t.
-        self.assign(i, t, schedule);
-        match self.choose(t, remaining, chosen | bit, rest, schedule) {
-            Outcome::Exhausted => {}
-            other => return other,
-        }
-        self.retract(i, schedule);
-
-        // Branch 2: defer item i past step t — only possible if steps
-        // remain.
-        if t < self.makespan {
-            match self.choose(t, remaining, chosen, rest, schedule) {
-                Outcome::Exhausted => Outcome::Exhausted,
-                other => other,
-            }
-        } else {
-            Outcome::Exhausted
-        }
+        Search::Exhausted => Err(ScheduleError::Infeasible {
+            blocked: None,
+            reason: "exhausted the full schedule space".into(),
+        }),
+        Search::Stopped => Err(ScheduleError::TimedOut {
+            budget_ms: cfg.budget.as_millis() as u64,
+        }),
+        Search::TooLarge(items) => Err(ScheduleError::TooLarge { items }),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use chronus_net::{motivating_example, Flow, FlowId, NetworkBuilder, Path};
-    use chronus_timenet::FluidSimulator;
+    use chronus_net::{motivating_example, Flow, FlowId, NetworkBuilder, Path, SwitchId};
+    use chronus_timenet::{FluidSimulator, Verdict};
 
     fn sid(i: u32) -> SwitchId {
         SwitchId(i)
@@ -398,7 +144,7 @@ mod tests {
     }
 
     #[test]
-    fn infeasible_instances_are_detected() {
+    fn a_crossing_refutes_without_a_simulator_call() {
         let mut b = NetworkBuilder::with_switches(4);
         b.add_link(sid(0), sid(1), 1, 1).unwrap();
         b.add_link(sid(1), sid(2), 1, 1).unwrap();
@@ -412,8 +158,40 @@ mod tests {
         )
         .unwrap();
         let inst = UpdateInstance::single(b.build(), flow).unwrap();
+        chronus_trace::FlightRecorder::enable(4096);
+        let root = chronus_trace::span!("opt.test").entered();
+        let root_id = root.id().expect("the recorder is on");
         let err = optimal_schedule(&inst).unwrap_err();
-        assert!(matches!(err, ScheduleError::Infeasible { .. }), "{err}");
+        drop(root);
+        // The fast shortcut 0→2 overtakes the old stream into the
+        // capacity-1 tail: Theorem 2's crossing, blocked at s0.
+        assert!(
+            matches!(
+                err,
+                ScheduleError::Infeasible {
+                    blocked: Some(SwitchId(0)),
+                    ..
+                }
+            ),
+            "{err}"
+        );
+        // Neither the greedy bound nor the search ran: `opt.search`
+        // has no child span, so no simulator was built or probed.
+        let snapshot = chronus_trace::FlightRecorder::snapshot();
+        let search = snapshot
+            .events
+            .iter()
+            .find(|e| e.name == "opt.search" && e.parent == Some(root_id))
+            .expect("this solve's span");
+        let ring = snapshot.rings.iter().find(|r| r.tid == search.tid);
+        assert_eq!(ring.map(|r| r.dropped), Some(0), "{ring:?}");
+        let children: Vec<_> = snapshot
+            .events
+            .iter()
+            .filter(|e| e.parent == Some(search.id))
+            .map(|e| e.name)
+            .collect();
+        assert!(children.is_empty(), "{children:?}");
     }
 
     #[test]

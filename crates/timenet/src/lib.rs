@@ -11,9 +11,7 @@
 //!   dynamic-flow semantics (Definition 1) that, given an instance and
 //!   a schedule, reports every transient congestion event
 //!   (Definition 3), forwarding loop (Definition 2), blackhole and
-//!   undelivered cohort. Its report is always exhaustive; the one
-//!   option ([`SimulatorConfig`]) is whether it also keeps the
-//!   per-link load series.
+//!   undelivered cohort, and keeps the per-link load series.
 //!
 //! The simulator is the *ground truth* of the reproduction: schedules
 //! produced by the Chronus greedy algorithm, the tree feasibility
@@ -47,4 +45,4 @@ pub use ledger::{InternedLink, LinkInterner, LoadLedger};
 pub use occupancy::render_occupancy;
 pub use report::{BlackholeEvent, CongestionEvent, LoopEvent, SimulationReport, Verdict};
 pub use schedule::Schedule;
-pub use simulate::{FluidSimulator, SimulatorConfig};
+pub use simulate::FluidSimulator;

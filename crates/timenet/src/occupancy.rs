@@ -6,7 +6,7 @@
 //! row per time step, one column per interesting link, each cell the
 //! load over capacity (`!` marks an overload, `·` an idle link).
 
-use crate::{FluidSimulator, Schedule, SimulatorConfig};
+use crate::{FluidSimulator, Schedule};
 use chronus_net::{SwitchId, TimeStep, UpdateInstance};
 use std::fmt::Write as _;
 
@@ -19,8 +19,7 @@ pub fn render_occupancy(
     from: TimeStep,
     to: TimeStep,
 ) -> String {
-    let report =
-        FluidSimulator::with_config(instance, SimulatorConfig { record_loads: true }).run(schedule);
+    let report = FluidSimulator::new(instance).run(schedule);
 
     let links: Vec<(SwitchId, SwitchId)> = report.link_loads.keys().copied().collect();
     let mut out = String::new();

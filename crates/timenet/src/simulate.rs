@@ -13,20 +13,6 @@ use chronus_net::{TimeStep, UpdateInstance};
 /// simulators use it.
 pub(crate) const HORIZON_SLACK: TimeStep = 2;
 
-/// Configuration of [`FluidSimulator`].
-#[derive(Clone, Copy, Debug)]
-pub struct SimulatorConfig {
-    /// Record the full per-link load series in the report (default
-    /// true). Disable for large batch sweeps that only need verdicts.
-    pub record_loads: bool,
-}
-
-impl Default for SimulatorConfig {
-    fn default() -> Self {
-        SimulatorConfig { record_loads: true }
-    }
-}
-
 /// Exact discrete-time simulator of the paper's dynamic-flow model
 /// (Definitions 1–3).
 ///
@@ -68,21 +54,12 @@ impl Default for SimulatorConfig {
 #[derive(Clone, Debug)]
 pub struct FluidSimulator<'a> {
     instance: &'a UpdateInstance,
-    config: SimulatorConfig,
 }
 
 impl<'a> FluidSimulator<'a> {
-    /// Creates a simulator for an instance with default config.
+    /// Creates a simulator for an instance.
     pub fn new(instance: &'a UpdateInstance) -> Self {
-        FluidSimulator {
-            instance,
-            config: SimulatorConfig::default(),
-        }
-    }
-
-    /// Creates a simulator with an explicit config.
-    pub fn with_config(instance: &'a UpdateInstance, config: SimulatorConfig) -> Self {
-        FluidSimulator { instance, config }
+        FluidSimulator { instance }
     }
 
     /// Runs the simulation for `schedule` and returns the full report.
@@ -144,9 +121,7 @@ impl<'a> FluidSimulator<'a> {
         // are the pre-update steady state, feasible by instance
         // validation.
         report.congestion = ledger.congestion_events(&interner);
-        if self.config.record_loads {
-            report.link_loads = ledger.link_loads(&interner);
-        }
+        report.link_loads = ledger.link_loads(&interner);
 
         // Teardown: every buffer returns to the arena, which also
         // refreshes the byte high-water mark and occupancy counters.
@@ -360,18 +335,6 @@ mod tests {
         let c = &report.congestion[0];
         assert_eq!((c.src, c.dst), (sid(3), sid(1)));
         assert_eq!(c.load, 2);
-    }
-
-    #[test]
-    fn record_loads_can_be_disabled() {
-        let inst = shared_tail_instance(3);
-        let cfg = SimulatorConfig {
-            record_loads: false,
-        };
-        let report = FluidSimulator::with_config(&inst, cfg)
-            .run(&Schedule::from_pairs(FlowId(0), [(sid(0), 0)]));
-        assert!(report.link_loads.is_empty());
-        assert_eq!(report.verdict(), Verdict::Consistent);
     }
 
     #[test]

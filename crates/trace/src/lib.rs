@@ -48,7 +48,7 @@ pub use metrics::{
     Counter, Gauge, Histogram, MetricValue, MetricsRegistry, MetricsSnapshot, HISTOGRAM_BUCKETS,
 };
 pub use ring::{FlightEvent, FlightEventKind, FlightRecorder, FlightSnapshot, RingStats};
-pub use span::{EnteredSpan, Span};
+pub use span::{Adopted, EnteredSpan, Span};
 
 /// Monotonic nanoseconds since the first observability call in this
 /// process — the shared clock of every span, instant and counter

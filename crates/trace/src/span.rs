@@ -55,6 +55,24 @@ impl Span {
         self.0.as_ref().map(|a| a.id)
     }
 
+    /// The id of the innermost span entered on this thread, if any:
+    /// what a thread doing part of that span's work hands to
+    /// [`Span::adopt`].
+    pub fn current_id() -> Option<u64> {
+        current_span_id()
+    }
+
+    /// Parents the spans this thread opens to `parent` (a
+    /// [`Span::current_id`] taken on another thread) until the guard
+    /// drops, so work handed to a helper thread stays in the subtree
+    /// of the span that handed it over. `None` adopts nothing.
+    pub fn adopt(parent: Option<u64>) -> Adopted {
+        if let Some(id) = parent {
+            STACK.with(|s| s.borrow_mut().push(id));
+        }
+        Adopted(parent)
+    }
+
     /// `true` when this span will be recorded on drop.
     #[inline]
     pub fn is_recording(&self) -> bool {
@@ -104,19 +122,36 @@ impl EnteredSpan {
     }
 }
 
+/// Guard of [`Span::adopt`]; dropping it pops the adopted parent off
+/// the thread's span stack.
+pub struct Adopted(Option<u64>);
+
+impl Drop for Adopted {
+    fn drop(&mut self) {
+        if let Some(id) = self.0 {
+            pop(id);
+        }
+    }
+}
+
+/// Pops `id` off the thread's span stack. Guards are dropped LIFO in
+/// correct usage; tolerate out-of-order drops rather than corrupting
+/// linkage.
+fn pop(id: u64) {
+    STACK.with(|s| {
+        let mut stack = s.borrow_mut();
+        if stack.last() == Some(&id) {
+            stack.pop();
+        } else {
+            stack.retain(|&other| other != id);
+        }
+    });
+}
+
 impl Drop for EnteredSpan {
     fn drop(&mut self) {
         if let Some(a) = self.span.0.take() {
-            STACK.with(|s| {
-                let mut stack = s.borrow_mut();
-                // Guards are dropped LIFO in correct usage; tolerate
-                // out-of-order drops rather than corrupting linkage.
-                if stack.last() == Some(&a.id) {
-                    stack.pop();
-                } else {
-                    stack.retain(|&id| id != a.id);
-                }
-            });
+            pop(a.id);
             record(
                 FlightEventKind::Span,
                 a.name,
@@ -151,12 +186,18 @@ mod tests {
                 let _w = crate::span!("t.worker").entered();
             });
             worker.join().unwrap();
+            let parent = crate::Span::current_id();
+            let helper = std::thread::spawn(move || {
+                let _adopted = crate::Span::adopt(parent);
+                let _h = crate::span!("t.helper").entered();
+            });
+            helper.join().unwrap();
         }
         FlightRecorder::disable();
         let records = my_events(&FlightRecorder::snapshot(), "t.");
         let find = |name: &str| records.iter().find(|r| r.name == name).unwrap();
         let (outer, inner) = (find("t.outer"), find("t.inner"));
-        let (tick, worker) = (find("t.tick"), find("t.worker"));
+        let (tick, worker, helper) = (find("t.tick"), find("t.worker"), find("t.helper"));
         assert_eq!(outer.parent, None);
         assert_eq!(inner.parent, Some(outer.id));
         assert_eq!(tick.parent, Some(inner.id));
@@ -171,6 +212,9 @@ mod tests {
         // Sibling thread: its stack is its own, so no parent.
         assert_eq!(worker.parent, None);
         assert_ne!(worker.tid, outer.tid);
+        // A helper thread that adopts the outer span nests under it.
+        assert_eq!(helper.parent, Some(outer.id));
+        assert_ne!(helper.tid, outer.tid);
         // The first two fields are kept in order, including the late
         // one; a third does not fit the slot.
         assert_eq!(
