@@ -76,6 +76,16 @@ impl Frame {
             drain: problem.drain_bound(),
         }
     }
+
+    /// The frame of `problem`, or [`Search::TooLarge`] when it has more
+    /// pending updates than the state mask holds.
+    fn sized(problem: &MutpProblem<'_>) -> Result<Self, Search> {
+        let frame = Frame::new(problem);
+        match frame.items.len() {
+            items if items > MAX_ITEMS => Err(Search::TooLarge(items)),
+            _ => Ok(frame),
+        }
+    }
 }
 
 /// How an exact search ended.
@@ -104,10 +114,11 @@ pub(crate) fn first_feasible(
     budget: Duration,
     workspace: &mut SimWorkspace,
 ) -> Search {
-    let mut searcher = match Searcher::new(problem, MAX_SIMULATIONS, budget, workspace) {
-        Ok(searcher) => searcher,
+    let frame = match Frame::sized(problem) {
+        Ok(frame) => frame,
         Err(too_large) => return too_large,
     };
+    let mut searcher = Searcher::new(problem, frame, MAX_SIMULATIONS, budget, workspace);
     let found = searcher.first(searcher.full, 0);
     let search = searcher.finish(found);
     *workspace = searcher.sim.into_workspace();
@@ -115,14 +126,27 @@ pub(crate) fn first_feasible(
 }
 
 /// OPT: a minimum-makespan consistent schedule among those with
-/// makespan `≤ bound`, by iterative deepening. Stops past `budget`;
-/// it has no simulation cap.
-pub fn minimum_makespan(problem: &MutpProblem<'_>, bound: TimeStep, budget: Duration) -> Search {
-    let mut searcher =
-        match Searcher::new(problem, usize::MAX, budget, &mut SimWorkspace::default()) {
-            Ok(searcher) => searcher,
-            Err(too_large) => return too_large,
-        };
+/// makespan `≤ bound()`, by iterative deepening. Stops past `budget`,
+/// which starts once the bound is known; it has no simulation cap. The
+/// bound is asked for only when the frame fits the state mask: OPT's
+/// is a greedy run.
+pub fn minimum_makespan(
+    problem: &MutpProblem<'_>,
+    bound: impl FnOnce() -> TimeStep,
+    budget: Duration,
+) -> Search {
+    let frame = match Frame::sized(problem) {
+        Ok(frame) => frame,
+        Err(too_large) => return too_large,
+    };
+    let bound = bound();
+    let mut searcher = Searcher::new(
+        problem,
+        frame,
+        usize::MAX,
+        budget,
+        &mut SimWorkspace::default(),
+    );
     // Every exhausted bound unwinds its deltas completely, so the
     // simulator is back at the frame's base when the next one starts.
     for makespan in 0..=bound {
@@ -197,27 +221,24 @@ struct Searcher {
 impl Searcher {
     fn new(
         problem: &MutpProblem<'_>,
+        frame: Frame,
         cap: usize,
         budget: Duration,
         workspace: &mut SimWorkspace,
-    ) -> Result<Self, Search> {
+    ) -> Self {
         let stop = Stop {
             cap,
             deadline: clock().checked_add(budget),
             probes: 0,
         };
-        let frame = Frame::new(problem);
         let items = frame.items.len();
-        if items > MAX_ITEMS {
-            return Err(Search::TooLarge(items));
-        }
         let mut sim =
             IncrementalSimulator::with_workspace(problem.instance(), std::mem::take(workspace));
         for (flow, v, t) in frame.base.iter() {
             let delta = sim.apply(flow, v, t);
             sim.commit(delta); // the base is never undone
         }
-        Ok(Searcher {
+        Searcher {
             full: (1u64 << items) - 1,
             sim,
             schedule: frame.base.clone(),
@@ -230,7 +251,7 @@ impl Searcher {
             failed: HashSet::new(),
             // chronus-lint: allow(det-hash) — see the field declaration
             memo: HashSet::new(),
-        })
+        }
     }
 
     fn finish(&mut self, found: Result<bool, Stopped>) -> Search {
@@ -365,7 +386,8 @@ mod tests {
         let inst = motivating_example();
         let problem = MutpProblem::new(&inst).unwrap();
         let ws = &mut SimWorkspace::default();
-        let mut searcher = Searcher::new(&problem, 1, Duration::MAX, ws).ok().unwrap();
+        let frame = Frame::sized(&problem).ok().unwrap();
+        let mut searcher = Searcher::new(&problem, frame, 1, Duration::MAX, ws);
         let found = searcher.first(searcher.full, 0);
         assert!(matches!(searcher.finish(found), Search::Stopped));
     }
@@ -379,16 +401,16 @@ mod tests {
             Search::Stopped
         ));
         assert!(matches!(
-            minimum_makespan(&problem, 2, Duration::ZERO),
+            minimum_makespan(&problem, || 2, Duration::ZERO),
             Search::Stopped
         ));
-        match minimum_makespan(&problem, 2, Duration::from_secs(60)) {
+        match minimum_makespan(&problem, || 2, Duration::from_secs(60)) {
             Search::Found(schedule) => assert_eq!(schedule.makespan(), Some(2)),
             other => panic!("expected the optimum, got {other:?}"),
         }
         // Below the optimum the bounded space is empty.
         assert!(matches!(
-            minimum_makespan(&problem, 1, Duration::from_secs(60)),
+            minimum_makespan(&problem, || 1, Duration::from_secs(60)),
             Search::Exhausted
         ));
     }

@@ -18,7 +18,7 @@
 #![forbid(unsafe_code)]
 
 use chronus_daemon::{CtlClient, Priority};
-use chronus_net::codec::instance_from_value;
+use chronus_net::codec::instance_from_str;
 use chronus_net::{motivating_example, reversal_instance, UpdateInstance};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -88,8 +88,7 @@ fn option<'a>(args: &'a Args, key: &str) -> Option<&'a str> {
 fn load_instance(args: &Args) -> Result<UpdateInstance, String> {
     if let Some(path) = option(args, "instance") {
         let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-        let v = serde_json::from_str(&text).map_err(|e| format!("{path}: {e}"))?;
-        return instance_from_value(&v).map_err(|e| format!("{path}: {e}"));
+        return instance_from_str(&text).map_err(|e| format!("{path}: {e}"));
     }
     if let Some(n) = option(args, "reversal") {
         let n: usize = n

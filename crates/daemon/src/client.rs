@@ -3,7 +3,7 @@
 //! wrappers for every command.
 
 use crate::admission::Priority;
-use chronus_net::codec::instance_to_value;
+use chronus_net::codec::write_instance;
 use chronus_net::UpdateInstance;
 use serde_json::{Map, Value};
 use std::io::{BufRead, BufReader, Write};
@@ -36,6 +36,12 @@ impl CtlClient {
     /// Sends one request object and returns the response object.
     pub fn call(&mut self, request: &Value) -> std::io::Result<Value> {
         let line = serde_json::to_string(request).map_err(|e| io_err(e.to_string()))?;
+        self.call_line(&line)
+    }
+
+    /// Sends one encoded request line (no newline) and returns the
+    /// response object.
+    fn call_line(&mut self, line: &str) -> std::io::Result<Value> {
         writeln!(self.writer, "{line}")?;
         self.writer.flush()?;
         let mut response = String::new();
@@ -80,14 +86,21 @@ impl CtlClient {
         deadline_ms: Option<u64>,
         instance: &UpdateInstance,
     ) -> std::io::Result<u64> {
-        let mut obj = Self::cmd("submit");
-        obj.insert("tenant".to_string(), Value::from(tenant));
-        obj.insert("priority".to_string(), Value::from(priority.as_str()));
+        // Written in one pass, members in sorted order as `call` writes
+        // a map: the instance is all but the whole line.
+        let mut line = String::from("{\"cmd\":\"submit\"");
         if let Some(ms) = deadline_ms {
-            obj.insert("deadline_ms".to_string(), Value::from_u64_exact(ms));
+            line.push_str(",\"deadline_ms\":");
+            serde_json::push_u64_exact(ms, &mut line);
         }
-        obj.insert("instance".to_string(), instance_to_value(instance));
-        let response = Self::expect_ok(self.call(&Value::Object(obj))?)?;
+        line.push_str(",\"instance\":");
+        write_instance(instance, &mut line);
+        line.push_str(",\"priority\":");
+        serde_json::escape(priority.as_str(), &mut line);
+        line.push_str(",\"tenant\":");
+        serde_json::escape(tenant, &mut line);
+        line.push('}');
+        let response = Self::expect_ok(self.call_line(&line)?)?;
         response
             .get("id")
             .and_then(Value::as_u64_exact)

@@ -10,8 +10,9 @@
 //! rewrites the live set into a temp file and renames it into place.
 
 use crate::admission::Priority;
+use crate::proto::read_members;
 use chronus_clock::Nanos;
-use chronus_net::codec::{instance_from_value, instance_to_value};
+use chronus_net::codec::{read_instance, write_instance};
 use chronus_net::UpdateInstance;
 use chronus_timenet::{schedule_from_value, schedule_to_value, Schedule};
 use chronus_verify::{
@@ -57,36 +58,41 @@ pub struct ArmedRecord {
 }
 
 impl ArmedRecord {
-    fn to_value(&self) -> Value {
-        let mut obj = Map::new();
-        obj.insert("op".to_string(), Value::from("arm"));
-        obj.insert("id".to_string(), Value::from_u64_exact(self.id));
-        obj.insert("tenant".to_string(), Value::from(self.tenant.as_str()));
-        obj.insert("priority".to_string(), Value::from(self.priority.as_str()));
-        obj.insert(
-            "epoch_ns".to_string(),
-            Value::from_i128_exact(self.epoch_ns),
-        );
-        obj.insert("dilation".to_string(), Value::from_i64_exact(self.dilation));
-        obj.insert("instance".to_string(), instance_to_value(&self.instance));
-        obj.insert("schedule".to_string(), schedule_to_value(&self.schedule));
-        obj.insert(
-            "certificate".to_string(),
-            certificate_to_value(&self.certificate),
-        );
-        obj.insert(
-            "slack".to_string(),
-            match &self.slack {
-                Some(s) => slack_to_value(s),
-                None => Value::Null,
-            },
-        );
-        obj.insert("span_id".to_string(), Value::from_u64_exact(self.span_id));
-        obj.insert("plan_ns".to_string(), Value::from_u64_exact(self.plan_ns));
-        Value::Object(obj)
+    /// Appends the record's journal line: its members in sorted order,
+    /// as a [`Value`] object writes them, the instance written straight
+    /// from the model and the small members through their codecs.
+    fn write(&self, out: &mut String) {
+        out.push_str("{\"certificate\":");
+        serde_json::push_value(&certificate_to_value(&self.certificate), out);
+        out.push_str(",\"dilation\":");
+        serde_json::push_value(&Value::from_i64_exact(self.dilation), out);
+        out.push_str(",\"epoch_ns\":");
+        serde_json::push_value(&Value::from_i128_exact(self.epoch_ns), out);
+        out.push_str(",\"id\":");
+        serde_json::push_u64_exact(self.id, out);
+        out.push_str(",\"instance\":");
+        write_instance(&self.instance, out);
+        out.push_str(",\"op\":\"arm\",\"plan_ns\":");
+        serde_json::push_u64_exact(self.plan_ns, out);
+        out.push_str(",\"priority\":");
+        serde_json::escape(self.priority.as_str(), out);
+        out.push_str(",\"schedule\":");
+        serde_json::push_value(&schedule_to_value(&self.schedule), out);
+        out.push_str(",\"slack\":");
+        match &self.slack {
+            Some(s) => serde_json::push_value(&slack_to_value(s), out),
+            None => out.push_str("null"),
+        }
+        out.push_str(",\"span_id\":");
+        serde_json::push_u64_exact(self.span_id, out);
+        out.push_str(",\"tenant\":");
+        serde_json::escape(&self.tenant, out);
+        out.push('}');
     }
 
-    fn from_value(v: &Value) -> Result<Self, String> {
+    /// The record of an `arm` line: its members but the instance, and
+    /// the instance already decoded.
+    fn from_members(v: &Map, instance: UpdateInstance) -> Result<Self, String> {
         let get = |key: &str| {
             v.get(key)
                 .ok_or_else(|| format!("arm record missing `{key}`"))
@@ -109,7 +115,6 @@ impl ArmedRecord {
         let dilation = get("dilation")?
             .as_i64_exact()
             .ok_or_else(|| "arm record `dilation` not an i64".to_string())?;
-        let instance = instance_from_value(get("instance")?).map_err(|e| e.to_string())?;
         let schedule = schedule_from_value(get("schedule")?).map_err(|e| e.to_string())?;
         let certificate = certificate_from_value(get("certificate")?).map_err(|e| e.to_string())?;
         let slack = match get("slack")? {
@@ -133,6 +138,39 @@ impl ArmedRecord {
             span_id,
             plan_ns,
         })
+    }
+}
+
+/// One journal line, read.
+enum Entry {
+    Arm(Box<ArmedRecord>),
+    /// A `complete` or `rollback` tombstone for this id.
+    Settle(u64),
+}
+
+impl Entry {
+    /// Reads one line: the `instance` member with the typed codec, the
+    /// rest as small [`Value`]s.
+    fn read(line: &str) -> Result<Self, String> {
+        let (v, instance) = read_members(line, read_instance).map_err(|e| e.to_string())?;
+        let op = v
+            .get("op")
+            .and_then(Value::as_str)
+            .ok_or_else(|| "record missing `op`".to_string())?;
+        match op {
+            "arm" => {
+                let instance = instance
+                    .ok_or_else(|| "arm record missing `instance`".to_string())?
+                    .map_err(|e| e.to_string())?;
+                ArmedRecord::from_members(&v, instance).map(|r| Entry::Arm(Box::new(r)))
+            }
+            "complete" | "rollback" => v
+                .get("id")
+                .and_then(Value::as_u64_exact)
+                .map(Entry::Settle)
+                .ok_or_else(|| "tombstone missing `id`".to_string()),
+            other => Err(format!("unknown op `{other}`")),
+        }
     }
 }
 
@@ -209,7 +247,9 @@ impl Journal {
     /// takes. Needs no journal: callers encode before they take the
     /// locks the append must happen under.
     pub fn encode_arm(record: &ArmedRecord) -> std::io::Result<String> {
-        Self::encode(&record.to_value())
+        let mut line = String::new();
+        record.write(&mut line);
+        Ok(line)
     }
 
     /// Appends one encoded record (no trailing newline) and makes it
@@ -253,38 +293,20 @@ impl Journal {
             if line.trim().is_empty() {
                 continue;
             }
-            let parsed: Result<(), String> = (|| {
-                let v = serde_json::from_str(line).map_err(|e| e.to_string())?;
-                let op = v
-                    .get("op")
-                    .and_then(Value::as_str)
-                    .ok_or_else(|| "record missing `op`".to_string())?
-                    .to_string();
-                match op.as_str() {
-                    "arm" => {
-                        let record = ArmedRecord::from_value(&v)?;
-                        let id = record.id;
-                        replay.max_id = replay.max_id.max(id);
-                        if live.insert(id, record).is_none() {
-                            order.push(id);
-                        }
-                        Ok(())
+            match Entry::read(line) {
+                Ok(Entry::Arm(record)) => {
+                    let id = record.id;
+                    replay.max_id = replay.max_id.max(id);
+                    if live.insert(id, *record).is_none() {
+                        order.push(id);
                     }
-                    "complete" | "rollback" => {
-                        let id = v
-                            .get("id")
-                            .and_then(Value::as_u64_exact)
-                            .ok_or_else(|| "tombstone missing `id`".to_string())?;
-                        replay.max_id = replay.max_id.max(id);
-                        live.remove(&id);
-                        order.retain(|x| *x != id);
-                        Ok(())
-                    }
-                    other => Err(format!("unknown op `{other}`")),
                 }
-            })();
-            if parsed.is_err() {
-                replay.corrupt_lines += 1;
+                Ok(Entry::Settle(id)) => {
+                    replay.max_id = replay.max_id.max(id);
+                    live.remove(&id);
+                    order.retain(|x| *x != id);
+                }
+                Err(_) => replay.corrupt_lines += 1,
             }
         }
         replay.live = order
@@ -419,8 +441,7 @@ mod tests {
     fn journals_without_span_fields_still_parse() {
         // Journals written before the flight recorder existed carry no
         // span_id/plan_ns; replay must default them, not reject.
-        let v = armed(5).to_value();
-        let text = serde_json::to_string(&v).unwrap();
+        let text = Journal::encode_arm(&armed(5)).unwrap();
         let stripped = text
             .replace("\"span_id\":7705,", "")
             .replace("\"span_id\":7705", "")
@@ -428,12 +449,15 @@ mod tests {
             .replace("\"plan_ns\":5000", "")
             .replace(",}", "}");
         assert_ne!(stripped, text, "fixture must actually strip the fields");
-        let v2 = serde_json::from_str(&stripped).unwrap();
-        let back = ArmedRecord::from_value(&v2).unwrap();
+        let arm = |line: &str| match Entry::read(line) {
+            Ok(Entry::Arm(record)) => *record,
+            _ => panic!("not an arm line: {line}"),
+        };
+        let back = arm(&stripped);
         assert_eq!(back.span_id, 0);
         assert_eq!(back.plan_ns, 0);
         // And the full round trip preserves them.
-        let roundtrip = ArmedRecord::from_value(&armed(5).to_value()).unwrap();
+        let roundtrip = arm(&text);
         assert_eq!(roundtrip.span_id, 7705);
         assert_eq!(roundtrip.plan_ns, 5_000);
     }
@@ -470,7 +494,7 @@ mod tests {
         );
         // Written back, the line is the legacy one minus the array.
         assert_eq!(
-            serde_json::to_string(&record.to_value()).unwrap(),
+            Journal::encode_arm(record).unwrap(),
             LEGACY_ARM_LINE.replace(r#""per_switch":[[0,2],[1,1],[2,2],[3,3]],"#, "")
         );
     }

@@ -7,11 +7,19 @@
 //! scripts and tests can speak it with nothing but a socket.
 
 use crate::admission::{Priority, Shed};
-use serde_json::{Map, Value};
+use chronus_net::codec::{read_instance, CodecError};
+use chronus_net::UpdateInstance;
+use serde_json::{Map, Reader, Token, Value};
 
-/// A parsed client request.
+/// A submit's instance as `chronusd` reads it off the line: decoded, or
+/// the reason the (well-formed) JSON is not an instance.
+pub type WireInstance = Result<UpdateInstance, CodecError>;
+
+/// A parsed client request. `I` is how a submit holds its instance:
+/// a [`Value`] tree ([`request_from_line`]) or decoded straight off the
+/// line ([`read_request`], what the server uses).
 #[derive(Clone, Debug, PartialEq)]
-pub enum Request {
+pub enum Request<I = Value> {
     /// Liveness probe; answered `{"ok":true,"pong":true}`.
     Ping,
     /// Submit one update instance for planning.
@@ -22,9 +30,8 @@ pub enum Request {
         priority: Priority,
         /// Optional planning deadline override, in milliseconds.
         deadline_ms: Option<u64>,
-        /// The encoded update instance
-        /// (see `chronus_net::codec::instance_from_value`).
-        instance: Value,
+        /// The update instance (see `chronus_net::codec`).
+        instance: I,
     },
     /// Status of one update (`id`) or counts of all of them (`None`).
     Status {
@@ -68,9 +75,29 @@ pub enum Request {
     Dump,
 }
 
-/// Parses one request line.
+/// Parses one request line, holding a submit's instance as a [`Value`]
+/// tree.
 pub fn request_from_line(line: &str) -> Result<Request, String> {
-    let mut v: Value = serde_json::from_str(line).map_err(|e| e.to_string())?;
+    parse_request(line, |reader| reader.value())
+}
+
+/// Parses one request line as the server does: a submit's instance is
+/// decoded with [`read_instance`] wherever it sits in the line, with no
+/// [`Value`] tree in between. A line that is not JSON is an `Err`; a
+/// submit whose instance is JSON but not an instance is a `Submit`
+/// carrying the reason.
+pub fn read_request(line: &str) -> Result<Request<WireInstance>, String> {
+    parse_request(line, read_instance)
+}
+
+/// One grammar for every verb: the line is read to its end, the
+/// `instance` member with `read` and every other member as a [`Value`],
+/// and then interpreted.
+fn parse_request<I>(
+    line: &str,
+    read: impl FnMut(&mut Reader<'_>) -> Result<I, serde_json::Error>,
+) -> Result<Request<I>, String> {
+    let (v, instance) = read_members(line, read).map_err(|e| e.to_string())?;
     let cmd = v
         .get("cmd")
         .and_then(Value::as_str)
@@ -88,13 +115,7 @@ pub fn request_from_line(line: &str) -> Result<Request, String> {
                 None => Priority::Normal,
             };
             let deadline_ms = v.get("deadline_ms").and_then(Value::as_u64_exact);
-            // Moved out of the parsed document, not cloned: the instance
-            // is all but the whole line.
-            let instance = match &mut v {
-                Value::Object(fields) => fields.remove("instance"),
-                _ => None,
-            }
-            .ok_or_else(|| "submit missing `instance`".to_string())?;
+            let instance = instance.ok_or_else(|| "submit missing `instance`".to_string())?;
             Ok(Request::Submit {
                 tenant,
                 priority,
@@ -139,6 +160,32 @@ pub fn request_from_line(line: &str) -> Result<Request, String> {
         "dump" => Ok(Request::Dump),
         other => Err(format!("unknown cmd `{other}`")),
     }
+}
+
+/// Reads a whole request line: the `instance` member with `read`, the
+/// others into a map (empty when the line is JSON but not an object).
+/// The journal reads its lines with it too.
+pub(crate) fn read_members<I>(
+    line: &str,
+    mut read: impl FnMut(&mut Reader<'_>) -> Result<I, serde_json::Error>,
+) -> Result<(Map, Option<I>), serde_json::Error> {
+    let mut reader = Reader::new(line);
+    let (mut fields, mut instance) = (Map::new(), None);
+    let token = reader.token()?;
+    if token == Token::Object {
+        while let Some(key) = reader.next_key()? {
+            if key == "instance" {
+                instance = Some(read(&mut reader)?);
+            } else {
+                let value = reader.value()?;
+                fields.insert(key.into_owned(), value);
+            }
+        }
+    } else {
+        reader.skip(&token)?;
+    }
+    reader.finish()?;
+    Ok((fields, instance))
 }
 
 /// `{"ok":true, ...fields}`.
@@ -251,6 +298,56 @@ mod tests {
             request_from_line(&format!(r#"{{"cmd":"submit",{tail}}}"#)),
             Err("submit missing `instance`".to_string())
         );
+    }
+
+    /// A repeated key is a malformed line, wherever it sits: the
+    /// second `instance` must not silently replace the first.
+    #[test]
+    fn repeated_keys_are_malformed_lines() {
+        let instance = chronus_net::codec::instance_to_value(&chronus_net::motivating_example());
+        for line in [
+            format!(r#"{{"cmd":"submit","instance":{instance},"instance":{instance}}}"#),
+            format!(r#"{{"cmd":"submit","cmd":"ping","instance":{instance}}}"#),
+            r#"{"cmd":"status","id":1,"id":2}"#.to_string(),
+        ] {
+            let value = request_from_line(&line).unwrap_err();
+            assert!(value.contains("duplicate key"), "{value}");
+            assert_eq!(read_request(&line).unwrap_err(), value);
+        }
+        let nested = r#"{"cmd":"submit","instance":{"flows":[],"flows":[]}}"#;
+        assert!(request_from_line(nested)
+            .unwrap_err()
+            .contains("at byte 39"));
+        assert!(read_request(nested).unwrap_err().contains("at byte 39"));
+    }
+
+    /// The typed reader decodes the instance member straight off the
+    /// line; JSON that is not an instance is a submit carrying the
+    /// reason, not a malformed line.
+    #[test]
+    fn read_request_decodes_the_instance_in_place() {
+        let example = chronus_net::motivating_example();
+        let instance = chronus_net::codec::instance_to_value(&example);
+        let line = format!(r#"{{"instance":{instance},"cmd":"submit","tenant":"t"}}"#);
+        match read_request(&line) {
+            Ok(Request::Submit {
+                tenant,
+                instance: Ok(decoded),
+                ..
+            }) => {
+                assert_eq!(tenant, "t");
+                assert_eq!(decoded.flows, example.flows);
+            }
+            other => panic!("{other:?}"),
+        }
+        match read_request(r#"{"cmd":"submit","instance":{"flows":7},"tenant":"t"}"#) {
+            Ok(Request::Submit {
+                instance: Err(e), ..
+            }) => assert!(e.to_string().contains("`flows` is not an array"), "{e}"),
+            other => panic!("{other:?}"),
+        }
+        // Grammar after a bad instance still decides the line.
+        assert!(read_request(r#"{"cmd":"submit","instance":{"flows":7},"tenant":}"#).is_err());
     }
 
     #[test]

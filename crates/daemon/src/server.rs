@@ -1,9 +1,8 @@
 //! The Unix-socket IPC front end: one thread per connection, one JSON
 //! object per line in each direction (see [`crate::proto`]).
 
-use crate::proto::{self, Request};
+use crate::proto::{self, Request, WireInstance};
 use crate::service::{Daemon, ShutdownReport};
-use chronus_net::codec::instance_from_value;
 use chronus_trace::{FieldValue, FlightEvent, FlightEventKind, FlightRecorder};
 use serde_json::{Map, Value};
 use std::io::{BufRead, BufReader, Read, Write};
@@ -102,7 +101,7 @@ fn serve_connection(
             continue;
         }
         daemon.metrics().requests.inc();
-        let (response, drain) = match proto::request_from_line(&line) {
+        let (response, drain) = match proto::read_request(&line) {
             Ok(Request::Tail {
                 filter,
                 max_events,
@@ -115,7 +114,7 @@ fn serve_connection(
                 continue;
             }
             Ok(request) => {
-                let drain = request == Request::Drain;
+                let drain = matches!(request, Request::Drain);
                 (dispatch(daemon, request), drain)
             }
             Err(e) => {
@@ -142,7 +141,7 @@ fn send(writer: &mut UnixStream, response: &Value) -> std::io::Result<()> {
 }
 
 /// Executes one request against the daemon.
-fn dispatch(daemon: &Daemon, request: Request) -> Value {
+fn dispatch(daemon: &Daemon, request: Request<WireInstance>) -> Value {
     match request {
         Request::Ping => proto::ok_response(vec![("pong", Value::Bool(true))]),
         Request::Submit {
@@ -151,7 +150,7 @@ fn dispatch(daemon: &Daemon, request: Request) -> Value {
             deadline_ms,
             instance,
         } => {
-            let decoded = match instance_from_value(&instance) {
+            let decoded = match instance {
                 Ok(inst) => inst,
                 Err(e) => {
                     daemon.metrics().failed.inc();

@@ -807,11 +807,7 @@ impl Daemon {
                 .metrics
                 .flight_suppressed
                 .set(FlightRecorder::dumps_suppressed() as i64);
-            let dropped: u64 = FlightRecorder::snapshot()
-                .rings
-                .iter()
-                .map(|r| r.dropped)
-                .sum();
+            let dropped = FlightRecorder::ledger().dropped;
             inner.metrics.flight_dropped.set(dropped as i64);
         }
         inner.engine.metrics().registry().to_prometheus()
@@ -890,18 +886,10 @@ impl Daemon {
         let mut flight = Map::new();
         flight.insert("on".to_string(), Value::Bool(FlightRecorder::is_on()));
         if FlightRecorder::is_on() {
-            let snap = FlightRecorder::snapshot();
-            let (mut emitted, mut dropped) = (0u64, 0u64);
-            for ring in &snap.rings {
-                emitted += ring.emitted;
-                dropped += ring.dropped;
-            }
-            flight.insert(
-                "rings".to_string(),
-                Value::from_u64_exact(snap.rings.len() as u64),
-            );
-            flight.insert("events".to_string(), Value::from_u64_exact(emitted));
-            flight.insert("dropped".to_string(), Value::from_u64_exact(dropped));
+            let ledger = FlightRecorder::ledger();
+            flight.insert("rings".to_string(), Value::from_u64_exact(ledger.rings));
+            flight.insert("events".to_string(), Value::from_u64_exact(ledger.emitted));
+            flight.insert("dropped".to_string(), Value::from_u64_exact(ledger.dropped));
             flight.insert(
                 "dumps".to_string(),
                 Value::from_u64_exact(FlightRecorder::dumps_written()),

@@ -1,20 +1,32 @@
-//! JSON codec for the network model, on the `serde_json` value model.
+//! JSON codec for update instances: one typed writer and one typed
+//! reader over the `serde_json` shim's grammar.
 //!
-//! The workspace has no serde derives (the `serde_json` shim is a
-//! dynamic-[`Value`] parser only), so wire and journal formats are
-//! built by hand here: [`Network`], [`Flow`] and [`UpdateInstance`]
-//! each get an `encode`/`decode` pair with the invariant
-//! `decode(encode(x)) == x`. Decoding re-runs the model's own
-//! validation ([`NetworkBuilder`], [`Flow::new`],
-//! [`UpdateInstance::new`]), so a hand-edited or corrupted document
-//! can never materialize an instance the constructors would reject.
+//! The workspace has no serde derives, so the wire and journal form of
+//! an [`UpdateInstance`] is written by hand here:
 //!
-//! Capacities and delays are `u64`; values above 2⁵³ are encoded as
-//! decimal strings ([`Value::from_u64_exact`]) to survive the shim's
-//! `f64` number model exactly.
+//! ```text
+//! {"flows":[{"demand":D,"final":[hops],"id":I,"initial":[hops]},…],
+//!  "network":{"links":[[src,dst,capacity,delay],…],"switches":[names…]}}
+//! ```
+//!
+//! (keys sorted, no whitespace). [`write_instance`] writes it straight
+//! from the model; [`read_instance`] reads it with the shim's pull
+//! [`Reader`] straight into [`NetworkBuilder`], [`Flow::new`] and
+//! [`UpdateInstance::new`], so a hand-edited or corrupted document can
+//! never materialize an instance the constructors would reject. Members
+//! may come in any order, unknown members are skipped, and the reader
+//! rejects what the shim's [`serde_json::from_str`] rejects (repeated
+//! keys, nesting past its cap, trailing bytes).
+//!
+//! Capacities, delays and demands are `u64`; values above 2⁵³ are
+//! written as decimal strings ([`serde_json::push_u64_exact`]) to
+//! survive the shim's `f64` number model exactly.
+//!
+//! [`instance_to_value`] and [`instance_from_value`] are adapters over
+//! the typed pair for callers that hold a [`Value`].
 
 use crate::{Flow, FlowId, Network, NetworkBuilder, Path, SwitchId, UpdateInstance};
-use serde_json::{Map, Value};
+use serde_json::{Reader, Token, Value};
 use std::fmt;
 
 /// A structural error while decoding a JSON document into a model
@@ -22,13 +34,6 @@ use std::fmt;
 /// the model's own validation.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CodecError(String);
-
-impl CodecError {
-    /// Creates an error with the given context message.
-    pub fn new(msg: impl Into<String>) -> Self {
-        CodecError(msg.into())
-    }
-}
 
 impl fmt::Display for CodecError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -38,166 +43,282 @@ impl fmt::Display for CodecError {
 
 impl std::error::Error for CodecError {}
 
-/// Shorthand: the `key` member of an object, or a decode error naming
-/// the missing field.
-pub fn member<'v>(v: &'v Value, key: &str) -> Result<&'v Value, CodecError> {
-    v.get(key)
-        .ok_or_else(|| CodecError(format!("missing field `{key}`")))
+/// Writes `instance` in the codec's form, byte for byte what
+/// `serde_json::to_string(&instance_to_value(instance))` gives.
+pub fn write_instance(instance: &UpdateInstance, out: &mut String) {
+    let hops = |path: &Path, out: &mut String| {
+        out.push('[');
+        for (i, hop) in path.hops().iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            serde_json::push_integer(i64::from(hop.0), out);
+        }
+        out.push(']');
+    };
+    out.push_str("{\"flows\":[");
+    for (i, flow) in instance.flows.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        out.push_str("{\"demand\":");
+        serde_json::push_u64_exact(flow.demand, out);
+        out.push_str(",\"final\":");
+        hops(&flow.fin, out);
+        out.push_str(",\"id\":");
+        serde_json::push_integer(i64::from(flow.id.0), out);
+        out.push_str(",\"initial\":");
+        hops(&flow.initial, out);
+        out.push('}');
+    }
+    let net = &instance.network;
+    out.push_str("],\"network\":{\"links\":[");
+    for (i, l) in net.links().enumerate() {
+        out.push_str(if i > 0 { ",[" } else { "[" });
+        serde_json::push_integer(i64::from(l.src.0), out);
+        out.push(',');
+        serde_json::push_integer(i64::from(l.dst.0), out);
+        out.push(',');
+        serde_json::push_u64_exact(l.capacity, out);
+        out.push(',');
+        serde_json::push_u64_exact(l.delay, out);
+        out.push(']');
+    }
+    out.push_str("],\"switches\":[");
+    for s in net.switches() {
+        if s.0 > 0 {
+            out.push(',');
+        }
+        serde_json::escape(net.switch_name(s).unwrap_or_default(), out);
+    }
+    out.push_str("]}}");
 }
 
-/// Decodes a `u64` field encoded by [`Value::from_u64_exact`].
-pub fn field_u64(v: &Value, key: &str) -> Result<u64, CodecError> {
-    member(v, key)?
-        .as_u64_exact()
-        .ok_or_else(|| CodecError(format!("field `{key}` is not a u64")))
+/// Why a typed read stopped: the text is not JSON, or it is JSON that
+/// is not an instance.
+enum Stop {
+    Json(serde_json::Error),
+    Schema(CodecError),
 }
 
-/// Decodes an `i64` field encoded by [`Value::from_i64_exact`].
-pub fn field_i64(v: &Value, key: &str) -> Result<i64, CodecError> {
-    member(v, key)?
-        .as_i64_exact()
-        .ok_or_else(|| CodecError(format!("field `{key}` is not an i64")))
+impl From<serde_json::Error> for Stop {
+    fn from(e: serde_json::Error) -> Self {
+        Stop::Json(e)
+    }
 }
 
-/// Decodes a `u32` id component.
-fn id_u32(v: &Value, what: &str) -> Result<u32, CodecError> {
-    let raw = v
-        .as_u64_exact()
-        .ok_or_else(|| CodecError(format!("{what} is not an integer")))?;
-    u32::try_from(raw).map_err(|_| CodecError(format!("{what} {raw} exceeds u32")))
+type Read<T> = Result<T, Stop>;
+
+fn schema<T>(msg: impl Into<String>) -> Read<T> {
+    Err(Stop::Schema(CodecError(msg.into())))
 }
 
-fn hops_to_value(path: &Path) -> Value {
-    Value::Array(
-        path.hops()
-            .iter()
-            .map(|s| Value::Number(f64::from(s.0)))
-            .collect(),
-    )
+/// `value`, or a schema error saying `msg()` when there is none.
+fn or_schema<T>(value: Option<T>, msg: impl FnOnce() -> String) -> Read<T> {
+    value.map_or_else(|| schema(msg()), Ok)
 }
 
-fn hops_from_value(v: &Value, what: &str) -> Result<Path, CodecError> {
-    let items = v
-        .as_array()
-        .ok_or_else(|| CodecError(format!("{what} is not an array")))?;
-    let hops = items
-        .iter()
-        .map(|h| id_u32(h, "path hop").map(SwitchId))
-        .collect::<Result<Vec<_>, _>>()?;
+fn present<T>(field: Option<T>, key: &str) -> Read<T> {
+    or_schema(field, || format!("missing field `{key}`"))
+}
+
+/// Enters the object the next value must be.
+fn object(r: &mut Reader<'_>, what: &str) -> Read<()> {
+    match r.token()? {
+        Token::Object => Ok(()),
+        _ => schema(format!("{what} is not an object")),
+    }
+}
+
+/// Enters the array the next value must be.
+fn array(r: &mut Reader<'_>, what: &str) -> Read<()> {
+    match r.token()? {
+        Token::Array => Ok(()),
+        _ => schema(format!("{what} is not an array")),
+    }
+}
+
+/// The next value as a `u64` (an integral number or a decimal string),
+/// or `None` when it is neither.
+fn u64_exact(r: &mut Reader<'_>) -> Read<Option<u64>> {
+    let token = r.token()?;
+    r.skip(&token)?;
+    Ok(token.as_u64_exact())
+}
+
+/// A `u32` id component.
+fn id_u32(raw: Option<u64>, what: &str) -> Read<u32> {
+    let raw = or_schema(raw, || format!("{what} is not an integer"))?;
+    u32::try_from(raw).or_else(|_| schema(format!("{what} {raw} exceeds u32")))
+}
+
+fn path(r: &mut Reader<'_>, what: &str) -> Read<Path> {
+    array(r, what)?;
+    let mut hops = Vec::new();
+    while r.next_element()? {
+        hops.push(SwitchId(id_u32(u64_exact(r)?, "path hop")?));
+    }
     Ok(Path::new(hops))
 }
 
-/// Encodes a network as `{"switches": [names...], "links":
-/// [[src, dst, capacity, delay], ...]}`.
-pub fn network_to_value(net: &Network) -> Value {
-    let switches = net
-        .switches()
-        .map(|s| {
-            Value::String(
-                net.switch_name(s)
-                    .map(str::to_string)
-                    .unwrap_or_else(|| s.to_string()),
-            )
-        })
-        .collect();
-    let links = net
-        .links()
-        .map(|l| {
-            Value::Array(vec![
-                Value::Number(f64::from(l.src.0)),
-                Value::Number(f64::from(l.dst.0)),
-                Value::from_u64_exact(l.capacity),
-                Value::from_u64_exact(l.delay),
-            ])
-        })
-        .collect();
-    let mut m = Map::new();
-    m.insert("switches".to_string(), Value::Array(switches));
-    m.insert("links".to_string(), Value::Array(links));
-    Value::Object(m)
+fn flow(r: &mut Reader<'_>) -> Read<Flow> {
+    object(r, "flow")?;
+    let (mut id, mut demand, mut initial, mut fin) = (None, None, None, None);
+    while let Some(key) = r.next_key()? {
+        match key.as_ref() {
+            "id" => id = Some(u64_exact(r)?),
+            "demand" => demand = Some(u64_exact(r)?),
+            "initial" => initial = Some(path(r, "`initial`")?),
+            "final" => fin = Some(path(r, "`final`")?),
+            _ => r.skip_value()?,
+        }
+    }
+    let id = FlowId(id_u32(present(id, "id")?, "flow id")?);
+    let demand = or_schema(present(demand, "demand")?, || {
+        "field `demand` is not a u64".into()
+    })?;
+    let (initial, fin) = (present(initial, "initial")?, present(fin, "final")?);
+    Flow::new(id, demand, initial, fin).or_else(|e| schema(format!("invalid flow: {e}")))
 }
 
-/// Decodes a network written by [`network_to_value`], re-running
-/// [`NetworkBuilder`] validation (no self-loops, positive delays…).
-pub fn network_from_value(v: &Value) -> Result<Network, CodecError> {
-    let switches = member(v, "switches")?
-        .as_array()
-        .ok_or_else(|| CodecError("`switches` is not an array".into()))?;
-    let mut b = NetworkBuilder::new();
-    for s in switches {
-        let name = s
-            .as_str()
-            .ok_or_else(|| CodecError("switch name is not a string".into()))?;
+/// One `[src, dst, capacity, delay]` quad.
+fn link(r: &mut Reader<'_>) -> Read<(SwitchId, SwitchId, u64, u64)> {
+    array(r, "link")?;
+    let mut quad = [None; 4];
+    let mut len = 0;
+    while r.next_element()? {
+        let word = u64_exact(r)?;
+        if let Some(slot) = quad.get_mut(len) {
+            *slot = word;
+        }
+        len += 1;
+    }
+    let [src, dst, capacity, delay] = quad;
+    if len != 4 {
+        return schema("link is not a [src, dst, capacity, delay] quad");
+    }
+    Ok((
+        SwitchId(id_u32(src, "link src")?),
+        SwitchId(id_u32(dst, "link dst")?),
+        or_schema(capacity, || "link capacity is not a u64".into())?,
+        or_schema(delay, || "link delay is not a u64".into())?,
+    ))
+}
+
+/// The network, re-running [`NetworkBuilder`] validation (no
+/// self-loops, positive delays…). The builder is sized from the
+/// counts before the first link goes in, whatever order the members
+/// came in.
+fn network(r: &mut Reader<'_>) -> Read<Network> {
+    object(r, "`network`")?;
+    let (mut names, mut links) = (None, None);
+    while let Some(key) = r.next_key()? {
+        match key.as_ref() {
+            "switches" => {
+                array(r, "`switches`")?;
+                let mut all = Vec::new();
+                while r.next_element()? {
+                    match r.token()? {
+                        Token::String(name) => all.push(name.into_owned()),
+                        _ => return schema("switch name is not a string"),
+                    }
+                }
+                names = Some(all);
+            }
+            "links" => {
+                array(r, "`links`")?;
+                let mut all = Vec::new();
+                while r.next_element()? {
+                    all.push(link(r)?);
+                }
+                links = Some(all);
+            }
+            _ => r.skip_value()?,
+        }
+    }
+    let names = present(names, "switches")?;
+    let links = present(links, "links")?;
+    let mut b = NetworkBuilder::with_capacity(names.len(), links.len());
+    for name in names {
         b.add_switch(name);
     }
-    let links = member(v, "links")?
-        .as_array()
-        .ok_or_else(|| CodecError("`links` is not an array".into()))?;
-    for l in links {
-        let quad = l
-            .as_array()
-            .filter(|a| a.len() == 4)
-            .ok_or_else(|| CodecError("link is not a [src, dst, capacity, delay] quad".into()))?;
-        let get = |i: usize, what: &str| {
-            quad.get(i)
-                .ok_or_else(|| CodecError(format!("link missing {what}")))
-        };
-        let src = SwitchId(id_u32(get(0, "src")?, "link src")?);
-        let dst = SwitchId(id_u32(get(1, "dst")?, "link dst")?);
-        let capacity = get(2, "capacity")?
-            .as_u64_exact()
-            .ok_or_else(|| CodecError("link capacity is not a u64".into()))?;
-        let delay = get(3, "delay")?
-            .as_u64_exact()
-            .ok_or_else(|| CodecError("link delay is not a u64".into()))?;
-        b.add_link(src, dst, capacity, delay)
-            .map_err(|e| CodecError(format!("invalid link: {e}")))?;
+    for (src, dst, capacity, delay) in links {
+        if let Err(e) = b.add_link(src, dst, capacity, delay) {
+            return schema(format!("invalid link: {e}"));
+        }
     }
     Ok(b.build())
 }
 
-/// Encodes a flow as `{"id", "demand", "initial", "final"}`.
-pub fn flow_to_value(flow: &Flow) -> Value {
-    let mut m = Map::new();
-    m.insert("id".to_string(), Value::Number(f64::from(flow.id.0)));
-    m.insert("demand".to_string(), Value::from_u64_exact(flow.demand));
-    m.insert("initial".to_string(), hops_to_value(&flow.initial));
-    m.insert("final".to_string(), hops_to_value(&flow.fin));
-    Value::Object(m)
+fn instance(r: &mut Reader<'_>) -> Read<UpdateInstance> {
+    object(r, "instance")?;
+    let (mut net, mut flows) = (None, None);
+    while let Some(key) = r.next_key()? {
+        match key.as_ref() {
+            "network" => net = Some(network(r)?),
+            "flows" => {
+                array(r, "`flows`")?;
+                let mut all = Vec::new();
+                while r.next_element()? {
+                    all.push(flow(r)?);
+                }
+                flows = Some(all);
+            }
+            _ => r.skip_value()?,
+        }
+    }
+    let net = present(net, "network")?;
+    let flows = present(flows, "flows")?;
+    UpdateInstance::new(net, flows).or_else(|e| schema(format!("invalid instance: {e}")))
 }
 
-/// Decodes a flow written by [`flow_to_value`], re-running
-/// [`Flow::new`] validation.
-pub fn flow_from_value(v: &Value) -> Result<Flow, CodecError> {
-    let id = FlowId(id_u32(member(v, "id")?, "flow id")?);
-    let demand = field_u64(v, "demand")?;
-    let initial = hops_from_value(member(v, "initial")?, "`initial`")?;
-    let fin = hops_from_value(member(v, "final")?, "`final`")?;
-    Flow::new(id, demand, initial, fin).map_err(|e| CodecError(format!("invalid flow: {e}")))
+/// Reads the next value of `reader` as an instance written by
+/// [`write_instance`], validating every flow against the decoded
+/// network.
+///
+/// The outer error is the grammar's: the text is not JSON, and the
+/// enclosing document is lost with it. The inner one is the schema's:
+/// the value is JSON but not an instance. Then the reader has read past
+/// the whole value, so the enclosing document can still be read to its
+/// end (a request line with a bad instance is a bad request, not a bad
+/// line).
+pub fn read_instance(
+    reader: &mut Reader<'_>,
+) -> Result<Result<UpdateInstance, CodecError>, serde_json::Error> {
+    let mark = reader.mark();
+    match instance(reader) {
+        Ok(decoded) => Ok(Ok(decoded)),
+        Err(Stop::Json(e)) => Err(e),
+        Err(Stop::Schema(e)) => {
+            reader.rewind(mark);
+            reader.skip_value()?;
+            Ok(Err(e))
+        }
+    }
 }
 
-/// Encodes an update instance as `{"network", "flows"}`.
+/// Decodes a whole document holding one instance (see
+/// [`read_instance`]); a grammar error is a [`CodecError`] too.
+pub fn instance_from_str(text: &str) -> Result<UpdateInstance, CodecError> {
+    let mut reader = Reader::new(text);
+    let json = |e: serde_json::Error| CodecError(e.to_string());
+    let decoded = read_instance(&mut reader).map_err(json)??;
+    reader.finish().map_err(json)?;
+    Ok(decoded)
+}
+
+/// [`write_instance`]'s document as a [`Value`] tree.
 pub fn instance_to_value(instance: &UpdateInstance) -> Value {
-    let mut m = Map::new();
-    m.insert("network".to_string(), network_to_value(&instance.network));
-    m.insert(
-        "flows".to_string(),
-        Value::Array(instance.flows.iter().map(flow_to_value).collect()),
-    );
-    Value::Object(m)
+    let mut text = String::new();
+    write_instance(instance, &mut text);
+    // The writer's output is always one valid document.
+    serde_json::from_str(&text).unwrap_or(Value::Null)
 }
 
-/// Decodes an instance written by [`instance_to_value`], re-validating
-/// every flow against the decoded network.
+/// Decodes an instance held as a [`Value`] tree: its compact text
+/// through [`instance_from_str`].
 pub fn instance_from_value(v: &Value) -> Result<UpdateInstance, CodecError> {
-    let network = network_from_value(member(v, "network")?)?;
-    let flows = member(v, "flows")?
-        .as_array()
-        .ok_or_else(|| CodecError("`flows` is not an array".into()))?
-        .iter()
-        .map(flow_from_value)
-        .collect::<Result<Vec<_>, _>>()?;
-    UpdateInstance::new(network, flows).map_err(|e| CodecError(format!("invalid instance: {e}")))
+    instance_from_str(&v.to_string())
 }
 
 #[cfg(test)]
@@ -205,15 +326,21 @@ mod tests {
     use super::*;
     use crate::{motivating_example, reversal_instance};
 
+    fn written(inst: &UpdateInstance) -> String {
+        let mut text = String::new();
+        write_instance(inst, &mut text);
+        text
+    }
+
     #[test]
     fn instance_round_trips_exactly() {
         for inst in [
             motivating_example(),
             reversal_instance(5, u64::MAX, u64::MAX / 2),
         ] {
-            let v = instance_to_value(&inst);
-            let text = serde_json::to_string(&v).unwrap();
-            let back = instance_from_value(&serde_json::from_str(&text).unwrap()).unwrap();
+            let text = written(&inst);
+            assert_eq!(text, instance_to_value(&inst).to_string());
+            let back = instance_from_str(&text).unwrap();
             assert_eq!(back.flows, inst.flows);
             assert_eq!(
                 back.network.switch_count(),
@@ -228,27 +355,45 @@ mod tests {
             for s in inst.network.switches() {
                 assert_eq!(back.network.switch_name(s), inst.network.switch_name(s));
             }
+            assert_eq!(written(&back), text);
         }
     }
 
     #[test]
     fn decode_rejects_structural_garbage() {
-        let v = serde_json::from_str(r#"{"network": {"switches": []}}"#).unwrap();
-        assert!(instance_from_value(&v)
-            .unwrap_err()
-            .to_string()
-            .contains("links"));
+        let err = instance_from_str(r#"{"network": {"switches": []}}"#).unwrap_err();
+        assert!(err.to_string().contains("links"), "{err}");
         // A link quad referencing a missing switch fails builder
         // validation, not just shape checks.
-        let v = serde_json::from_str(r#"{"switches": ["a"], "links": [[0, 9, 1, 1]]}"#).unwrap();
-        assert!(network_from_value(&v).is_err());
+        let net = r#"{"switches": ["a"], "links": [[0, 9, 1, 1]]}"#;
+        let err = instance_from_str(&format!(r#"{{"network": {net}, "flows": []}}"#)).unwrap_err();
+        assert!(err.to_string().contains("invalid link"), "{err}");
         // Zero demand is rejected by Flow::new.
-        let v =
-            serde_json::from_str(r#"{"id": 0, "demand": 0, "initial": [0, 1], "final": [0, 1]}"#)
-                .unwrap();
-        assert!(flow_from_value(&v)
-            .unwrap_err()
-            .to_string()
-            .contains("invalid flow"));
+        let net = r#"{"switches": ["a", "b"], "links": [[0, 1, 1, 1]]}"#;
+        let flow = r#"{"id": 0, "demand": 0, "initial": [0, 1], "final": [0, 1]}"#;
+        let err =
+            instance_from_str(&format!(r#"{{"network": {net}, "flows": [{flow}]}}"#)).unwrap_err();
+        assert!(err.to_string().contains("invalid flow"), "{err}");
+        // Grammar errors are codec errors at this entry point too.
+        assert!(instance_from_str(r#"{"network": {"#).is_err());
+    }
+
+    /// A schema error leaves the reader past the whole value, so the
+    /// document around it reads on; a grammar error inside it does not.
+    #[test]
+    fn a_bad_instance_is_skipped_whole() {
+        let line = r#"{"instance": {"flows": 5, "network": {"x": [1, {"y": 2}]}}, "after": 1}"#;
+        let mut r = Reader::new(line);
+        assert_eq!(r.token().unwrap(), Token::Object);
+        assert_eq!(r.next_key().unwrap().as_deref(), Some("instance"));
+        let err = read_instance(&mut r).unwrap().unwrap_err();
+        assert!(err.to_string().contains("`flows` is not an array"), "{err}");
+        assert_eq!(r.next_key().unwrap().as_deref(), Some("after"));
+        assert_eq!(r.value().unwrap(), Value::Number(1.0));
+        assert_eq!(r.next_key().unwrap(), None);
+        r.finish().unwrap();
+
+        let mut r = Reader::new(r#"{"flows": 5, "network": {"x": [1,]}}"#);
+        assert!(read_instance(&mut r).is_err());
     }
 }

@@ -174,6 +174,17 @@ impl NetworkBuilder {
         b
     }
 
+    /// An empty builder with room for `switches` switches and `links`
+    /// links, so a decoder that knows both counts fills it without
+    /// regrowing its tables.
+    pub fn with_capacity(switches: usize, links: usize) -> Self {
+        NetworkBuilder {
+            names: Vec::with_capacity(switches),
+            links: Vec::with_capacity(links),
+            by_endpoints: HashMap::with_capacity(links),
+        }
+    }
+
     /// Adds a switch and returns its id.
     pub fn add_switch(&mut self, name: impl Into<String>) -> SwitchId {
         let id = SwitchId(self.names.len() as u32);
@@ -248,8 +259,16 @@ impl NetworkBuilder {
     /// Freezes the builder into an immutable [`Network`].
     pub fn build(self) -> Network {
         let n = self.names.len();
-        let mut out_links = vec![Vec::new(); n];
-        let mut in_links = vec![Vec::new(); n];
+        // Count degrees first so each adjacency list is allocated once.
+        let (mut outs, mut ins) = (vec![0usize; n], vec![0usize; n]);
+        for l in &self.links {
+            outs[l.src.index()] += 1;
+            ins[l.dst.index()] += 1;
+        }
+        let lists = |degrees: Vec<usize>| -> Vec<Vec<LinkIdx>> {
+            degrees.into_iter().map(Vec::with_capacity).collect()
+        };
+        let (mut out_links, mut in_links) = (lists(outs), lists(ins));
         for (i, l) in self.links.iter().enumerate() {
             out_links[l.src.index()].push(LinkIdx(i as u32));
             in_links[l.dst.index()].push(LinkIdx(i as u32));

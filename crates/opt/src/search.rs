@@ -70,9 +70,11 @@ pub fn optimal_schedule_with(
         });
     }
     // OPT ≤ greedy; the sound search horizon when greedy finds nothing.
-    let bound = greedy_schedule(instance)
-        .map(|g| g.makespan)
-        .unwrap_or_else(|_| problem.search_horizon());
+    let bound = || {
+        greedy_schedule(instance)
+            .map(|g| g.makespan)
+            .unwrap_or_else(|_| problem.search_horizon())
+    };
     match minimum_makespan(&problem, bound, cfg.budget) {
         Search::Found(schedule) => {
             let certificate =
@@ -197,11 +199,31 @@ mod tests {
     #[test]
     fn over_63_coupled_updates_is_too_large_not_infeasible() {
         let inst = chronus_net::reversal_instance(80, 2, 1);
+        chronus_trace::FlightRecorder::enable(4096);
+        let root = chronus_trace::span!("opt.test").entered();
+        let root_id = root.id().expect("the recorder is on");
         let err = optimal_schedule(&inst).unwrap_err();
+        drop(root);
         assert!(
             matches!(err, ScheduleError::TooLarge { items } if items > 63),
             "{err}"
         );
+        // The frame's size refuses the instance before the greedy
+        // upper bound is paid for.
+        let snapshot = chronus_trace::FlightRecorder::snapshot();
+        let search = snapshot
+            .events
+            .iter()
+            .find(|e| e.name == "opt.search" && e.parent == Some(root_id))
+            .expect("this solve's span");
+        let ring = snapshot.rings.iter().find(|r| r.tid == search.tid);
+        assert_eq!(ring.map(|r| r.dropped), Some(0), "{ring:?}");
+        let greedy: Vec<_> = snapshot
+            .events
+            .iter()
+            .filter(|e| e.parent == Some(search.id) && e.name == "core.greedy")
+            .collect();
+        assert!(greedy.is_empty(), "{greedy:?}");
     }
 
     #[test]

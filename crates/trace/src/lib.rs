@@ -47,7 +47,9 @@ pub use fields::FieldValue;
 pub use metrics::{
     Counter, Gauge, Histogram, MetricValue, MetricsRegistry, MetricsSnapshot, HISTOGRAM_BUCKETS,
 };
-pub use ring::{FlightEvent, FlightEventKind, FlightRecorder, FlightSnapshot, RingStats};
+pub use ring::{
+    FlightEvent, FlightEventKind, FlightRecorder, FlightSnapshot, RingLedger, RingStats,
+};
 pub use span::{Adopted, EnteredSpan, Span};
 
 /// Monotonic nanoseconds since the first observability call in this

@@ -59,6 +59,7 @@ use crate::fields::FieldValue;
 use crate::json;
 use crate::timeline::TimelineExporter;
 use std::cell::RefCell;
+use std::io::{BufWriter, Write};
 use std::path::PathBuf;
 use std::sync::atomic::{fence, AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
@@ -116,6 +117,21 @@ pub struct RingStats {
     pub recorded: u64,
     /// Events lost to overwriting: exactly `emitted - recorded` once
     /// the ring has quiesced.
+    pub dropped: u64,
+}
+
+/// The drop ledger summed over every ring, read without taking any
+/// event out of its slot ([`FlightRecorder::ledger`]).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct RingLedger {
+    /// Rings in the registry.
+    pub rings: u64,
+    /// Events ever written, over all rings.
+    pub emitted: u64,
+    /// Events still resident.
+    pub recorded: u64,
+    /// Events lost to overwriting: `emitted - recorded` per ring,
+    /// summed.
     pub dropped: u64,
 }
 
@@ -335,6 +351,18 @@ impl ThreadRing {
             argc,
         })
     }
+
+    /// Seqlock read of one slot's sort key, `(start_ns, stamp)`; `None`
+    /// when empty or mid-overwrite.
+    fn read_key(slot: &Slot) -> Option<(u64, u64)> {
+        let s1 = slot.stamp.load(Ordering::Acquire);
+        if s1 == 0 {
+            return None;
+        }
+        let start = slot.start.load(Ordering::Relaxed);
+        fence(Ordering::Acquire);
+        (slot.stamp.load(Ordering::Relaxed) == s1).then_some((start, s1))
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -368,6 +396,8 @@ static LAST_DUMP_NS: AtomicU64 = AtomicU64::new(0);
 static MIN_DUMP_INTERVAL_NS: AtomicU64 = AtomicU64::new(2_000_000_000);
 static DUMPS_WRITTEN: AtomicU64 = AtomicU64::new(0);
 static DUMPS_SUPPRESSED: AtomicU64 = AtomicU64::new(0);
+/// A dump hands its staged text to the file every this many bytes.
+const DUMP_CHUNK: usize = 64 << 10;
 
 thread_local! {
     static THREAD_RING: RefCell<Option<Arc<ThreadRing>>> = const { RefCell::new(None) };
@@ -578,6 +608,30 @@ impl FlightRecorder {
         }
     }
 
+    /// The drop ledger of every ring, summed — what [`Self::snapshot`]'s
+    /// `rings` add up to on a quiesced recorder — counted from the ring
+    /// heads and the slots' stamps alone: no event is read out and
+    /// nothing is allocated, so a metrics scrape can afford it.
+    pub fn ledger() -> RingLedger {
+        let registry = REGISTRY.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut ledger = RingLedger::default();
+        for ring in registry.iter() {
+            // A nonzero stamp is a complete event: the writer parks a
+            // slot at 0 while it overwrites it.
+            let recorded = ring
+                .slots
+                .iter()
+                .filter(|slot| slot.stamp.load(Ordering::Acquire) != 0)
+                .count() as u64;
+            let emitted = ring.head.load(Ordering::Acquire);
+            ledger.rings += 1;
+            ledger.emitted += emitted;
+            ledger.recorded += recorded;
+            ledger.dropped += emitted.saturating_sub(recorded);
+        }
+        ledger
+    }
+
     /// Every recorded event with stamp greater than `cursor`, in stamp
     /// order, plus the greatest stamp seen (pass it back as the next
     /// cursor). The live-tail primitive behind `chronusctl tail`.
@@ -592,14 +646,56 @@ impl FlightRecorder {
         (events, max)
     }
 
-    /// Renders the current snapshot as a Perfetto-loadable forensic
-    /// dump: Chrome trace events (spans `"X"`, instants `"i"`), the
-    /// trigger as a marked `flightrec.trigger` instant, and a
-    /// `chronusMeta` object carrying the trigger, per-ring drop ledger
-    /// and the registered metrics snapshot.
-    pub fn snapshot_json(trigger: &str) -> String {
-        let snap = Self::snapshot();
-        let mut tl = TimelineExporter::from_snapshot(&snap);
+    /// Writes the current registry to `out` as a Perfetto-loadable
+    /// forensic dump: Chrome trace events (spans `"X"`, instants `"i"`)
+    /// in time order, the trigger as a marked `flightrec.trigger`
+    /// instant, and a `chronusMeta` object carrying the trigger,
+    /// per-ring drop ledger and the registered metrics snapshot.
+    ///
+    /// The document streams out event by event: the slots are visited
+    /// in place through a compact `(start, stamp, ring, slot)` sort
+    /// index, so neither an event list nor the whole document is held.
+    /// An event overwritten between indexing and writing is counted as
+    /// dropped.
+    pub fn write_dump(trigger: &str, out: &mut impl Write) -> std::io::Result<()> {
+        let rings: Vec<Arc<ThreadRing>> = REGISTRY
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .clone();
+        // `(start_ns, stamp, ring, slot)`: the snapshot's time order.
+        let mut index: Vec<(u64, u64, u32, u32)> = Vec::new();
+        // The snapshot's ledger, without its events: those stream below.
+        let mut ledger = FlightSnapshot::default();
+        for (r, ring) in rings.iter().enumerate() {
+            for (i, slot) in ring.slots.iter().enumerate() {
+                if let Some((start, stamp)) = ThreadRing::read_key(slot) {
+                    index.push((start, stamp, r as u32, i as u32));
+                }
+            }
+            ledger.rings.push(RingStats {
+                tid: ring.tid,
+                emitted: ring.head.load(Ordering::Acquire),
+                recorded: 0,
+                dropped: 0,
+            });
+        }
+        index.sort_unstable();
+        let mut tl = TimelineExporter::from_snapshot(&ledger);
+        for &(_, stamp, r, i) in &index {
+            let (r, i) = (r as usize, i as usize);
+            let event = rings
+                .get(r)
+                .and_then(|ring| ring.read_slot(ring.slots.get(i)?))
+                .filter(|e| e.seq == stamp);
+            if let (Some(event), Some(stats)) = (event, ledger.rings.get_mut(r)) {
+                tl.flight_event(&event);
+                stats.recorded += 1;
+                if tl.staged() >= DUMP_CHUNK {
+                    tl.flush_to(out)?;
+                }
+            }
+        }
+        drop(index);
         tl.process_name("chronus flight record");
         tl.event(
             "flightrec.trigger",
@@ -608,13 +704,16 @@ impl FlightRecorder {
             0,
             &format!("\"reason\":{}", json::string(trigger)),
         );
-        let rings_json: Vec<String> = snap
+        let rings_json: Vec<String> = ledger
             .rings
             .iter()
             .map(|r| {
                 format!(
                     "{{\"tid\":{},\"emitted\":{},\"recorded\":{},\"dropped\":{}}}",
-                    r.tid, r.emitted, r.recorded, r.dropped
+                    r.tid,
+                    r.emitted,
+                    r.recorded,
+                    r.emitted.saturating_sub(r.recorded)
                 )
             })
             .collect();
@@ -627,11 +726,11 @@ impl FlightRecorder {
         let meta = format!(
             "{{\"trigger\":{},\"events\":{},\"rings\":[{}],\"metrics\":{}}}",
             json::string(trigger),
-            snap.events.len(),
+            ledger.rings.iter().map(|r| r.recorded).sum::<u64>(),
             rings_json.join(","),
             metrics
         );
-        tl.to_json_with_meta(&meta)
+        out.write_all(tl.to_json_with_meta(&meta).as_bytes())
     }
 
     /// Fires a trigger: writes a forensic dump unless one was written
@@ -690,9 +789,11 @@ impl FlightRecorder {
             .take(40)
             .collect();
         let name = format!("flight-{n:04}-{slug}.json");
-        let doc = Self::snapshot_json(reason);
         let tmp = dir.join(format!(".{name}.tmp"));
-        std::fs::write(&tmp, doc.as_bytes())?;
+        let mut file = BufWriter::new(std::fs::File::create(&tmp)?);
+        Self::write_dump(reason, &mut file)?;
+        file.flush()?;
+        drop(file);
         let path = dir.join(&name);
         std::fs::rename(&tmp, &path)?;
         LAST_DUMP_NS.store(crate::now_ns(), Ordering::Relaxed);
@@ -786,6 +887,13 @@ pub(crate) mod tests {
         FlightRecorder::disable();
     }
 
+    /// [`FlightRecorder::write_dump`]'s document as one string.
+    fn dump_json(trigger: &str) -> String {
+        let mut doc = Vec::new();
+        FlightRecorder::write_dump(trigger, &mut doc).unwrap();
+        String::from_utf8(doc).unwrap()
+    }
+
     /// This thread's ring accounting (it must have recorded already).
     fn my_ring() -> Option<RingStats> {
         let my_tid = thread_id();
@@ -855,7 +963,7 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn snapshot_json_is_loadable_and_carries_meta() {
+    fn dump_is_loadable_and_carries_meta() {
         let _l = lock();
         FlightRecorder::enable(64);
         record_span_event(
@@ -866,7 +974,7 @@ pub(crate) mod tests {
             20,
             &[("k", 5u64.into()), ("outcome", "won".into())],
         );
-        let doc = FlightRecorder::snapshot_json("unit-test");
+        let doc = dump_json("unit-test");
         let parsed: serde_json::Value = serde_json::from_str(&doc).unwrap();
         let events = parsed.get("traceEvents").unwrap().as_array().unwrap();
         assert!(events.len() >= 2);
@@ -892,6 +1000,66 @@ pub(crate) mod tests {
             Some("won")
         );
         FlightRecorder::disable();
+    }
+
+    /// On a quiesced recorder the streamed dump holds exactly the
+    /// snapshot's timeline and ledger, and the allocation-free ledger
+    /// is the snapshot's per-ring accounting summed.
+    #[test]
+    fn streamed_dump_and_ledger_match_the_snapshot() {
+        let _l = lock();
+        FlightRecorder::enable(64);
+        for i in 0..100u64 {
+            record_span_event(
+                "ringstream.span",
+                40_000 + i,
+                Some(1),
+                1_000 - i,
+                2_000,
+                &[("i", i.into()), ("stage", "tree".into())],
+            );
+        }
+        FlightRecorder::disable();
+        let snap = FlightRecorder::snapshot();
+        let sum = |f: fn(&RingStats) -> u64| snap.rings.iter().map(f).sum::<u64>();
+        assert_eq!(
+            FlightRecorder::ledger(),
+            RingLedger {
+                rings: snap.rings.len() as u64,
+                emitted: sum(|r| r.emitted),
+                recorded: sum(|r| r.recorded),
+                dropped: sum(|r| r.dropped),
+            }
+        );
+
+        let doc = dump_json("stream-test");
+        let mut whole = TimelineExporter::from_snapshot(&snap);
+        whole.process_name("chronus flight record");
+        let whole = whole.to_json();
+        let events = whole
+            .strip_suffix("],\"displayTimeUnit\":\"ms\"}")
+            .expect("an open event list");
+        assert!(doc.starts_with(events), "the streamed events differ");
+        let parsed = serde_json::from_str(&doc).expect("the dump parses");
+        let meta = parsed.get("chronusMeta").expect("meta");
+        assert_eq!(
+            meta.get("events").and_then(serde_json::Value::as_u64),
+            Some(snap.events.len() as u64)
+        );
+        let rings = meta.get("rings").and_then(|r| r.as_array()).expect("rings");
+        assert_eq!(rings.len(), snap.rings.len());
+        for (got, want) in rings.iter().zip(&snap.rings) {
+            let field = |k: &str| got.get(k).and_then(serde_json::Value::as_u64);
+            assert_eq!(
+                [
+                    field("tid"),
+                    field("emitted"),
+                    field("recorded"),
+                    field("dropped")
+                ],
+                [want.tid, want.emitted, want.recorded, want.dropped].map(Some)
+            );
+        }
     }
 
     #[test]

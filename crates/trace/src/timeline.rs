@@ -13,8 +13,9 @@
 //! process/thread names are `"M"` metadata records.
 
 use crate::json;
-use crate::ring::{FlightEventKind, FlightSnapshot};
+use crate::ring::{FlightEvent, FlightEventKind, FlightSnapshot};
 use std::fmt::Write as _;
+use std::io::{self, Write};
 
 /// Builds a Chrome trace-event JSON document in one buffer. Events
 /// accumulate in insertion order; viewers sort by timestamp themselves.
@@ -22,6 +23,8 @@ pub struct TimelineExporter {
     /// `{"traceEvents":[` and every event staged so far.
     json: String,
     events: usize,
+    /// Scratch for one event's args, reused across events.
+    args: String,
 }
 
 fn us(ns: u64) -> String {
@@ -37,6 +40,7 @@ impl TimelineExporter {
         let mut timeline = TimelineExporter {
             json: String::from("{\"traceEvents\":["),
             events: 0,
+            args: String::new(),
         };
         let mut tids: Vec<u64> = snapshot.rings.iter().map(|r| r.tid).collect();
         tids.sort_unstable();
@@ -44,24 +48,43 @@ impl TimelineExporter {
         for tid in tids {
             timeline.metadata("thread_name", tid, &format!("ring-{tid}"));
         }
-        let mut args = String::new();
         for e in &snapshot.events {
-            args.clear();
-            let _ = write!(args, "\"span_id\":{}", e.id);
-            if let Some(parent) = e.parent {
-                let _ = write!(args, ",\"parent_id\":{parent}");
-            }
-            let _ = write!(args, ",\"seq\":{}", e.seq);
-            for (key, value) in e.args() {
-                let _ = write!(args, ",{}:{}", json::string(key), value.to_json());
-            }
-            let dur = match e.kind {
-                FlightEventKind::Span => Some(e.end_ns.saturating_sub(e.start_ns)),
-                FlightEventKind::Instant => None,
-            };
-            timeline.event(e.name, e.start_ns, dur, e.tid, &args);
+            timeline.flight_event(e);
         }
         timeline
+    }
+
+    /// Stages one flight-recorder event (see [`Self::from_snapshot`]).
+    pub(crate) fn flight_event(&mut self, e: &FlightEvent) {
+        let mut args = std::mem::take(&mut self.args);
+        args.clear();
+        let _ = write!(args, "\"span_id\":{}", e.id);
+        if let Some(parent) = e.parent {
+            let _ = write!(args, ",\"parent_id\":{parent}");
+        }
+        let _ = write!(args, ",\"seq\":{}", e.seq);
+        for (key, value) in e.args() {
+            let _ = write!(args, ",{}:{}", json::string(key), value.to_json());
+        }
+        let dur = match e.kind {
+            FlightEventKind::Span => Some(e.end_ns.saturating_sub(e.start_ns)),
+            FlightEventKind::Instant => None,
+        };
+        self.event(e.name, e.start_ns, dur, e.tid, &args);
+        self.args = args;
+    }
+
+    /// Bytes staged and not yet handed to [`Self::flush_to`].
+    pub(crate) fn staged(&self) -> usize {
+        self.json.len()
+    }
+
+    /// Writes what is staged to `out` and empties the buffer; the
+    /// document stays open, so a long one streams out in pieces.
+    pub(crate) fn flush_to(&mut self, out: &mut impl Write) -> io::Result<()> {
+        out.write_all(self.json.as_bytes())?;
+        self.json.clear();
+        Ok(())
     }
 
     /// The buffer, positioned to append one more event.

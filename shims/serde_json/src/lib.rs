@@ -2,17 +2,21 @@
 //! value-model subset the workspace consumes: [`from_str`] → [`Value`]
 //! with `get`/`as_*` accessors, plus [`to_string`] /
 //! [`to_string_pretty`] re-serialization. No `Serialize`/`Deserialize`
-//! derive support — callers work with dynamic [`Value`]s.
+//! derive support — callers work with dynamic [`Value`]s, or walk a
+//! document's tokens with a [`Reader`] and write one with [`escape`],
+//! [`push_integer`], [`push_u64_exact`] and [`push_value`].
 //!
-//! The parser is a strict recursive-descent JSON reader (RFC 8259
-//! grammar: objects, arrays, strings with `\uXXXX` escapes, numbers,
-//! booleans, null) with a depth limit instead of unbounded recursion.
-//! Numbers are held as `f64`, matching what the workspace's golden
-//! tests compare against.
+//! The grammar lives once, in [`Reader`]: a strict pull reader (RFC
+//! 8259: objects, arrays, strings with `\uXXXX` escapes, numbers,
+//! booleans, null) with a depth limit instead of unbounded recursion,
+//! which rejects repeated keys. [`from_str`] is a [`Reader`] building
+//! a tree. Numbers are held as `f64`, matching what the workspace's
+//! golden tests compare against.
 
 #![forbid(unsafe_code)]
 
-use std::collections::BTreeMap;
+use std::borrow::Cow;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::{self, Write as _};
 
 /// Object representation: insertion order is not preserved (the real
@@ -72,9 +76,7 @@ impl Value {
     /// Borrow as a `u64` (numbers with no fractional part only).
     pub fn as_u64(&self) -> Option<u64> {
         match self {
-            Value::Number(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= u64::MAX as f64 => {
-                Some(*n as u64)
-            }
+            Value::Number(n) => f64_as_u64(*n),
             _ => None,
         }
     }
@@ -175,6 +177,11 @@ impl Value {
     }
 }
 
+/// A number's `u64` value when it is integral and in range.
+fn f64_as_u64(n: f64) -> Option<u64> {
+    (n >= 0.0 && n.fract() == 0.0 && n <= u64::MAX as f64).then_some(n as u64)
+}
+
 impl From<bool> for Value {
     fn from(v: bool) -> Value {
         Value::Bool(v)
@@ -221,14 +228,80 @@ impl fmt::Display for Error {
 
 impl std::error::Error for Error {}
 
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
+/// Nesting cap: a value enclosed by more containers than this is an
+/// error, so neither reader recurses without bound.
 const MAX_DEPTH: usize = 128;
 
-impl<'a> Parser<'a> {
+/// The first token of a JSON value, as [`Reader::token`] reads it.
+/// Scalars arrive whole; a container is entered, and its members are
+/// read with [`Reader::next_key`] or [`Reader::next_element`].
+#[derive(Clone, Debug, PartialEq)]
+pub enum Token<'a> {
+    /// `null`
+    Null,
+    /// `true` / `false`
+    Bool(bool),
+    /// A number, read exactly as [`from_str`] reads it.
+    Number(f64),
+    /// A string, borrowed from the input when it holds no escape.
+    String(Cow<'a, str>),
+    /// `{`: an object was entered.
+    Object,
+    /// `[`: an array was entered.
+    Array,
+}
+
+impl Token<'_> {
+    /// A `u64` by [`Value::as_u64_exact`]'s rules: an integral number
+    /// or a decimal string.
+    pub fn as_u64_exact(&self) -> Option<u64> {
+        match self {
+            Token::Number(n) => f64_as_u64(*n),
+            Token::String(s) => s.parse().ok(),
+            _ => None,
+        }
+    }
+}
+
+/// One open container: an array, or an object with the keys read so
+/// far (a repeated key is an error).
+struct Open<'a> {
+    first: bool,
+    keys: Option<BTreeSet<Cow<'a, str>>>,
+}
+
+/// Where a [`Reader`] stood; see [`Reader::mark`].
+#[derive(Clone, Copy, Debug)]
+pub struct Mark {
+    pos: usize,
+    depth: usize,
+}
+
+/// A pull reader over one JSON document: the shim's one grammar.
+/// [`from_str`] builds [`Value`]s with it; a typed decoder walks the
+/// same tokens without building a tree. Strict RFC 8259: objects,
+/// arrays, strings with `\uXXXX` escapes and surrogate pairs, numbers,
+/// `true`/`false`/`null`; control characters in strings, repeated
+/// keys in one object, nesting past 128 containers and trailing
+/// characters are errors, each with its byte offset.
+pub struct Reader<'a> {
+    text: &'a str,
+    bytes: &'a [u8],
+    pos: usize,
+    open: Vec<Open<'a>>,
+}
+
+impl<'a> Reader<'a> {
+    /// A reader at the start of `text`.
+    pub fn new(text: &'a str) -> Self {
+        Reader {
+            text,
+            bytes: text.as_bytes(),
+            pos: 0,
+            open: Vec::new(),
+        }
+    }
+
     fn err<T>(&self, msg: &str) -> Result<T, Error> {
         Err(Error {
             msg: msg.to_owned(),
@@ -263,137 +336,268 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn parse_value(&mut self, depth: usize) -> Result<Value, Error> {
-        if depth > MAX_DEPTH {
+    /// Reads the first token of the next value.
+    pub fn token(&mut self) -> Result<Token<'a>, Error> {
+        if self.open.len() > MAX_DEPTH {
             return self.err("nesting too deep");
         }
         self.skip_ws();
         match self.peek() {
-            Some(b'{') => self.parse_object(depth),
-            Some(b'[') => self.parse_array(depth),
-            Some(b'"') => Ok(Value::String(self.parse_string()?)),
-            Some(b't') => self.parse_keyword("true", Value::Bool(true)),
-            Some(b'f') => self.parse_keyword("false", Value::Bool(false)),
-            Some(b'n') => self.parse_keyword("null", Value::Null),
-            Some(b'-' | b'0'..=b'9') => self.parse_number(),
+            Some(b'{') => {
+                self.pos += 1;
+                self.open.push(Open {
+                    first: true,
+                    keys: Some(BTreeSet::new()),
+                });
+                Ok(Token::Object)
+            }
+            Some(b'[') => {
+                self.pos += 1;
+                self.open.push(Open {
+                    first: true,
+                    keys: None,
+                });
+                Ok(Token::Array)
+            }
+            Some(b'"') => Ok(Token::String(self.string()?)),
+            Some(b't') => self.keyword("true", Token::Bool(true)),
+            Some(b'f') => self.keyword("false", Token::Bool(false)),
+            Some(b'n') => self.keyword("null", Token::Null),
+            Some(b'-' | b'0'..=b'9') => Ok(Token::Number(self.number()?)),
             Some(_) => self.err("unexpected character"),
             None => self.err("unexpected end of input"),
         }
     }
 
-    fn parse_keyword(&mut self, word: &str, value: Value) -> Result<Value, Error> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
+    /// Inside an object: reads the next member's key and its `:`, or
+    /// the closing `}` (then `None`). The member's value is read next.
+    pub fn next_key(&mut self) -> Result<Option<Cow<'a, str>>, Error> {
+        if !self.separator(b'}', "expected ',' or '}'")? {
+            return Ok(None);
+        }
+        self.skip_ws();
+        let at = self.pos;
+        let key = self.string()?;
+        let fresh = match self.open.last_mut().and_then(|o| o.keys.as_mut()) {
+            Some(keys) => keys.insert(key.clone()),
+            None => return self.err("not in an object"),
+        };
+        if !fresh {
+            return Err(Error {
+                msg: format!("duplicate key {key:?}"),
+                offset: at,
+            });
+        }
+        self.skip_ws();
+        self.expect(b':')?;
+        Ok(Some(key))
+    }
+
+    /// Inside an array: `true` when another element follows (read it
+    /// next), `false` at the closing `]`.
+    pub fn next_element(&mut self) -> Result<bool, Error> {
+        self.separator(b']', "expected ',' or ']'")
+    }
+
+    /// Steps past the `,` before a member, or the container's closing
+    /// bracket (then `false`, and the container is closed).
+    fn separator(&mut self, close: u8, msg: &str) -> Result<bool, Error> {
+        let first = match self.open.last_mut() {
+            Some(open) => std::mem::replace(&mut open.first, false),
+            None => return self.err("not in a container"),
+        };
+        self.skip_ws();
+        let more = if first {
+            if self.peek() == Some(close) {
+                self.pos += 1;
+                false
+            } else {
+                true
+            }
+        } else {
+            match self.bump() {
+                Some(b',') => true,
+                Some(b) if b == close => false,
+                _ => {
+                    self.pos = self.pos.saturating_sub(1);
+                    return self.err(msg);
+                }
+            }
+        };
+        if !more {
+            self.open.pop();
+        }
+        Ok(more)
+    }
+
+    /// Reads past the rest of the value `token` began: nothing more
+    /// for a scalar, every member up to the closing bracket for a
+    /// container. Checks the grammar all the way.
+    pub fn skip(&mut self, token: &Token<'a>) -> Result<(), Error> {
+        if !matches!(token, Token::Object | Token::Array) {
+            return Ok(());
+        }
+        let outer = self.open.len().saturating_sub(1);
+        while self.open.len() > outer {
+            let in_object = self.open.last().is_some_and(|o| o.keys.is_some());
+            let more = if in_object {
+                self.next_key()?.is_some()
+            } else {
+                self.next_element()?
+            };
+            if more {
+                // A nested container is entered and walked by this loop.
+                self.token()?;
+            }
+        }
+        Ok(())
+    }
+
+    /// Reads past the next value.
+    pub fn skip_value(&mut self) -> Result<(), Error> {
+        let token = self.token()?;
+        self.skip(&token)
+    }
+
+    /// Reads the next value as a [`Value`] tree.
+    pub fn value(&mut self) -> Result<Value, Error> {
+        Ok(match self.token()? {
+            Token::Null => Value::Null,
+            Token::Bool(b) => Value::Bool(b),
+            Token::Number(n) => Value::Number(n),
+            Token::String(s) => Value::String(s.into_owned()),
+            Token::Object => {
+                let mut map = Map::new();
+                while let Some(key) = self.next_key()? {
+                    let value = self.value()?;
+                    map.insert(key.into_owned(), value);
+                }
+                Value::Object(map)
+            }
+            Token::Array => {
+                let mut items = Vec::new();
+                while self.next_element()? {
+                    items.push(self.value()?);
+                }
+                Value::Array(items)
+            }
+        })
+    }
+
+    /// Where the reader stands, to come back to with [`Reader::rewind`]
+    /// — for a typed decoder that gives up on a value it cannot use
+    /// and re-reads it with [`Reader::skip_value`].
+    pub fn mark(&self) -> Mark {
+        Mark {
+            pos: self.pos,
+            depth: self.open.len(),
+        }
+    }
+
+    /// Returns to `mark`, taken in the container the reader is in now.
+    pub fn rewind(&mut self, mark: Mark) {
+        self.pos = mark.pos;
+        self.open.truncate(mark.depth);
+    }
+
+    /// Ends the document: the top-level value was read whole and only
+    /// whitespace follows (trailing characters are an error, matching
+    /// the real crate).
+    pub fn finish(&mut self) -> Result<(), Error> {
+        if !self.open.is_empty() {
+            return self.err("unexpected end of value");
+        }
+        self.skip_ws();
+        if self.pos != self.bytes.len() {
+            return self.err("trailing characters");
+        }
+        Ok(())
+    }
+
+    fn keyword(&mut self, word: &str, token: Token<'a>) -> Result<Token<'a>, Error> {
+        if self
+            .bytes
+            .get(self.pos..)
+            .unwrap_or(&[])
+            .starts_with(word.as_bytes())
+        {
             self.pos += word.len();
-            Ok(value)
+            Ok(token)
         } else {
             self.err(&format!("expected '{word}'"))
         }
     }
 
-    fn parse_object(&mut self, depth: usize) -> Result<Value, Error> {
-        self.expect(b'{')?;
-        let mut map = Map::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Value::Object(map));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.parse_string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            let value = self.parse_value(depth + 1)?;
-            map.insert(key, value);
-            self.skip_ws();
-            match self.bump() {
-                Some(b',') => continue,
-                Some(b'}') => return Ok(Value::Object(map)),
-                _ => {
-                    self.pos = self.pos.saturating_sub(1);
-                    return self.err("expected ',' or '}'");
-                }
-            }
-        }
-    }
-
-    fn parse_array(&mut self, depth: usize) -> Result<Value, Error> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Value::Array(items));
-        }
-        loop {
-            items.push(self.parse_value(depth + 1)?);
-            self.skip_ws();
-            match self.bump() {
-                Some(b',') => continue,
-                Some(b']') => return Ok(Value::Array(items)),
-                _ => {
-                    self.pos = self.pos.saturating_sub(1);
-                    return self.err("expected ',' or ']'");
-                }
-            }
-        }
-    }
-
-    fn parse_string(&mut self) -> Result<String, Error> {
+    fn string(&mut self) -> Result<Cow<'a, str>, Error> {
         self.expect(b'"')?;
-        let mut out = String::new();
+        let mut out: Option<String> = None;
         loop {
             // Everything up to the next quote, escape or control byte
-            // is copied in one piece: those are ASCII and the input is
-            // a &str, so a run never splits a UTF-8 sequence.
+            // is taken in one piece: those are ASCII and the input is a
+            // &str, so a run never splits a UTF-8 sequence.
             let start = self.pos;
             while matches!(self.peek(), Some(b) if b != b'"' && b != b'\\' && b >= 0x20) {
                 self.pos += 1;
             }
-            match std::str::from_utf8(self.bytes.get(start..self.pos).unwrap_or(&[])) {
-                Ok(run) => out.push_str(run),
-                Err(_) => return self.err("invalid utf-8"),
-            }
+            let run = self.text.get(start..self.pos).unwrap_or("");
             match self.bump() {
                 None => return self.err("unterminated string"),
-                Some(b'"') => return Ok(out),
-                Some(b'\\') => match self.bump() {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'/') => out.push('/'),
-                    Some(b'b') => out.push('\u{8}'),
-                    Some(b'f') => out.push('\u{c}'),
-                    Some(b'n') => out.push('\n'),
-                    Some(b'r') => out.push('\r'),
-                    Some(b't') => out.push('\t'),
-                    Some(b'u') => {
-                        let hi = self.parse_hex4()?;
-                        let code = if (0xD800..0xDC00).contains(&hi) {
-                            // Surrogate pair: require the low half.
-                            if self.bump() != Some(b'\\') || self.bump() != Some(b'u') {
-                                return self.err("unpaired surrogate");
-                            }
-                            let lo = self.parse_hex4()?;
-                            if !(0xDC00..0xE000).contains(&lo) {
-                                return self.err("invalid low surrogate");
-                            }
-                            0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00)
-                        } else {
-                            hi
-                        };
-                        match char::from_u32(code) {
-                            Some(c) => out.push(c),
-                            None => return self.err("invalid unicode escape"),
+                Some(b'"') => {
+                    return Ok(match out {
+                        None => Cow::Borrowed(run),
+                        Some(mut s) => {
+                            s.push_str(run);
+                            Cow::Owned(s)
                         }
-                    }
-                    _ => return self.err("invalid escape"),
-                },
+                    })
+                }
+                Some(b'\\') => {
+                    let c = self.escape()?;
+                    let s = out.get_or_insert_with(String::new);
+                    s.push_str(run);
+                    s.push(c);
+                }
                 Some(_) => return self.err("control character in string"),
             }
         }
     }
 
-    fn parse_hex4(&mut self) -> Result<u32, Error> {
+    /// The character an escape stands for; the `\` was just read.
+    fn escape(&mut self) -> Result<char, Error> {
+        Ok(match self.bump() {
+            Some(b'"') => '"',
+            Some(b'\\') => '\\',
+            Some(b'/') => '/',
+            Some(b'b') => '\u{8}',
+            Some(b'f') => '\u{c}',
+            Some(b'n') => '\n',
+            Some(b'r') => '\r',
+            Some(b't') => '\t',
+            Some(b'u') => {
+                let hi = self.hex4()?;
+                let code = if (0xD800..0xDC00).contains(&hi) {
+                    // Surrogate pair: require the low half.
+                    if self.bump() != Some(b'\\') || self.bump() != Some(b'u') {
+                        return self.err("unpaired surrogate");
+                    }
+                    let lo = self.hex4()?;
+                    if !(0xDC00..0xE000).contains(&lo) {
+                        return self.err("invalid low surrogate");
+                    }
+                    0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00)
+                } else {
+                    hi
+                };
+                match char::from_u32(code) {
+                    Some(c) => c,
+                    None => return self.err("invalid unicode escape"),
+                }
+            }
+            _ => return self.err("invalid escape"),
+        })
+    }
+
+    fn hex4(&mut self) -> Result<u32, Error> {
         let mut code = 0u32;
         for _ in 0..4 {
             let d = match self.bump() {
@@ -407,7 +611,7 @@ impl<'a> Parser<'a> {
         Ok(code)
     }
 
-    fn parse_number(&mut self) -> Result<Value, Error> {
+    fn number(&mut self) -> Result<f64, Error> {
         let start = self.pos;
         let negative = self.peek() == Some(b'-');
         if negative {
@@ -429,7 +633,7 @@ impl<'a> Parser<'a> {
         let zero_led = first_digit == Some(b'0') && (digits > 1 || negative);
         if plain && (1..=15).contains(&digits) && !zero_led {
             let n = integer as f64;
-            return Ok(Value::Number(if negative { -n } else { n }));
+            return Ok(if negative { -n } else { n });
         }
         if self.peek() == Some(b'.') {
             self.pos += 1;
@@ -446,15 +650,9 @@ impl<'a> Parser<'a> {
                 self.pos += 1;
             }
         }
-        let text =
-            std::str::from_utf8(self.bytes.get(start..self.pos).unwrap_or(&[])).map_err(|_| {
-                Error {
-                    msg: "invalid utf-8 in number".to_owned(),
-                    offset: start,
-                }
-            })?;
-        match text.parse::<f64>() {
-            Ok(n) if n.is_finite() => Ok(Value::Number(n)),
+        // The number's bytes are ASCII, so the slice is on boundaries.
+        match self.text.get(start..self.pos).map(str::parse::<f64>) {
+            Some(Ok(n)) if n.is_finite() => Ok(n),
             _ => self.err("invalid number"),
         }
     }
@@ -463,19 +661,15 @@ impl<'a> Parser<'a> {
 /// Parses a complete JSON document (trailing garbage is an error,
 /// matching the real crate).
 pub fn from_str(s: &str) -> Result<Value, Error> {
-    let mut parser = Parser {
-        bytes: s.as_bytes(),
-        pos: 0,
-    };
-    let value = parser.parse_value(0)?;
-    parser.skip_ws();
-    if parser.pos != parser.bytes.len() {
-        return parser.err("trailing characters");
-    }
+    let mut reader = Reader::new(s);
+    let value = reader.value()?;
+    reader.finish()?;
     Ok(value)
 }
 
-fn escape(s: &str, out: &mut String) {
+/// Appends `s` as a JSON string literal, quotes included: the writer's
+/// one string encoding. Workspace extension, for typed encoders.
+pub fn escape(s: &str, out: &mut String) {
     out.push('"');
     if s.bytes().any(|b| matches!(b, b'"' | b'\\' | 0..=0x1f)) {
         for c in s.chars() {
@@ -498,11 +692,30 @@ fn escape(s: &str, out: &mut String) {
     out.push('"');
 }
 
-/// Appends `v` in decimal, digits built in a stack buffer.
-fn push_integer(v: i64, out: &mut String) {
+/// Appends `v` in decimal, digits built in a stack buffer. Workspace
+/// extension, for typed encoders.
+pub fn push_integer(v: i64, out: &mut String) {
+    push_digits(v.unsigned_abs(), v < 0, out);
+}
+
+/// Appends `v` exactly as [`to_string`] writes
+/// [`Value::from_u64_exact`]`(v)`: a number up to 2⁵³, a decimal
+/// string past it. Workspace extension, for typed encoders.
+pub fn push_u64_exact(v: u64, out: &mut String) {
+    if v <= Value::EXACT_INT_MAX {
+        // Integral and below 2⁵³: `write_value` prints these digits
+        // whether it takes its integer path or `f64` formatting.
+        push_digits(v, false, out);
+    } else {
+        out.push('"');
+        push_digits(v, false, out);
+        out.push('"');
+    }
+}
+
+fn push_digits(mut rest: u64, negative: bool, out: &mut String) {
     let mut digits = [0u8; 20];
     let mut at = digits.len();
-    let mut rest = v.unsigned_abs();
     loop {
         at -= 1;
         digits[at] = b'0' + (rest % 10) as u8;
@@ -511,10 +724,17 @@ fn push_integer(v: i64, out: &mut String) {
             break;
         }
     }
-    if v < 0 {
+    if negative {
         out.push('-');
     }
     out.extend(digits[at..].iter().map(|&d| char::from(d)));
+}
+
+/// Appends `value` compactly, exactly as [`to_string`] writes it.
+/// Workspace extension: lets a typed encoder embed a `Value` member
+/// without a second buffer.
+pub fn push_value(value: &Value, out: &mut String) {
+    write_value(value, out, None);
 }
 
 fn write_value(value: &Value, out: &mut String, indent: Option<usize>) {
@@ -755,5 +975,101 @@ mod tests {
             to_string(&v).unwrap(),
             r#"["plain é","q\"b\\n\nt\tc\u0001",0,0,-1,999999999999999,-999999999999999,1000000000000000,2.5]"#
         );
+    }
+
+    #[test]
+    fn repeated_keys_are_rejected_at_the_repeat() {
+        let err = from_str(r#"{"cmd":"submit","instance":1,"instance":2}"#).unwrap_err();
+        assert_eq!(err.offset, 29, "{err}");
+        assert!(err.to_string().contains("duplicate key"), "{err}");
+        // The same key spelled with an escape is the same key.
+        assert!(from_str(r#"{"a":1,"\u0061":2}"#).is_err());
+        // Per object, not per document.
+        let ok = from_str(r#"{"a":{"a":1},"b":[{"a":2},{"a":3}]}"#).unwrap();
+        assert_eq!(
+            ok.get("b")
+                .and_then(|b| b.get("1"))
+                .and_then(|o| o.get("a")),
+            Some(&Value::Number(3.0))
+        );
+    }
+
+    #[test]
+    fn the_depth_cap_counts_enclosing_containers() {
+        let nest = |depth: usize, inner: &str| {
+            format!("{}{inner}{}", "[".repeat(depth), "]".repeat(depth))
+        };
+        assert!(from_str(&nest(MAX_DEPTH + 1, "")).is_ok());
+        assert!(from_str(&nest(MAX_DEPTH, "1")).is_ok());
+        let err = from_str(&nest(MAX_DEPTH + 1, "1")).unwrap_err();
+        assert!(err.to_string().contains("nesting too deep"), "{err}");
+        assert!(from_str(&nest(100_000, "")).is_err());
+    }
+
+    /// Walking tokens, skipping and re-reading after a rewind see the
+    /// same grammar [`from_str`] does.
+    #[test]
+    fn a_reader_walks_skips_and_rewinds() {
+        let doc = r#" {"skip": {"x": [1, {"y": "z\n"}], "w": null}, "take": [7, "8", 1e2], "s": "plain"} "#;
+        let mut r = Reader::new(doc);
+        assert_eq!(r.token().unwrap(), Token::Object);
+        assert_eq!(r.next_key().unwrap().as_deref(), Some("skip"));
+        r.skip_value().unwrap();
+        assert_eq!(r.next_key().unwrap().as_deref(), Some("take"));
+        let mark = r.mark();
+        assert_eq!(r.token().unwrap(), Token::Array);
+        let mut got = Vec::new();
+        while r.next_element().unwrap() {
+            got.push(r.token().unwrap().as_u64_exact());
+        }
+        assert_eq!(got, [Some(7), Some(8), Some(100)]);
+        r.rewind(mark);
+        assert_eq!(r.value().unwrap(), from_str(r#"[7, "8", 100]"#).unwrap());
+        assert_eq!(r.next_key().unwrap().as_deref(), Some("s"));
+        assert!(matches!(
+            r.token().unwrap(),
+            Token::String(Cow::Borrowed("plain"))
+        ));
+        assert_eq!(r.next_key().unwrap(), None);
+        r.finish().unwrap();
+
+        // Skipping checks the grammar too, and trailing bytes are an
+        // error after the value.
+        let mut r = Reader::new(r#"[1, {"a": 1, "a": 2}]"#);
+        assert!(r.skip_value().is_err());
+        let mut r = Reader::new("[1] x");
+        r.skip_value().unwrap();
+        assert!(r.finish().is_err());
+    }
+
+    #[test]
+    fn typed_writers_match_the_value_writer() {
+        for v in [
+            0,
+            1,
+            999_999_999_999_999,
+            1_000_000_000_000_000,
+            (1 << 53) - 1,
+            1 << 53,
+            (1 << 53) + 1,
+            u64::MAX,
+        ] {
+            let mut out = String::new();
+            push_u64_exact(v, &mut out);
+            assert_eq!(out, to_string(&Value::from_u64_exact(v)).unwrap(), "{v}");
+        }
+        for v in [0, -1, i64::MIN, i64::MAX, 42] {
+            let mut out = String::new();
+            push_integer(v, &mut out);
+            assert_eq!(out, v.to_string());
+        }
+        let s = "q\"b\\ \u{1} é";
+        let mut out = String::new();
+        escape(s, &mut out);
+        assert_eq!(out, to_string(&Value::from(s)).unwrap());
+        let v = from_str(r#"{"b":[1,2.5,null],"a":{"c":"d"}}"#).unwrap();
+        let mut out = String::new();
+        push_value(&v, &mut out);
+        assert_eq!(out, to_string(&v).unwrap());
     }
 }

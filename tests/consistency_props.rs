@@ -193,7 +193,7 @@ fn crossing_refutations_survive_the_full_search() {
             }
             cases += 1;
             let problem = MutpProblem::new(&inst).expect("generated instances are valid");
-            match minimum_makespan(&problem, problem.search_horizon(), Duration::from_secs(30)) {
+            match minimum_makespan(&problem, || problem.search_horizon(), Duration::from_secs(30)) {
                 Search::Found(schedule) => panic!(
                     "n = {switches}, seed {seed}: {crossing:?} refuted what the search solved: {schedule:?}"
                 ),

@@ -294,6 +294,13 @@ fn ring_events(snap: &FlightSnapshot, prefix: &str) -> Vec<chronus::trace::Fligh
         .collect()
 }
 
+/// A forensic dump of the recorder as it stands, as one string.
+fn dump_json(trigger: &str) -> String {
+    let mut doc = Vec::new();
+    FlightRecorder::write_dump(trigger, &mut doc).expect("a dump writes into memory");
+    String::from_utf8(doc).expect("a dump is UTF-8")
+}
+
 /// Checks the dump-specific invariants on parsed flight JSON: the
 /// trigger is named in `chronusMeta` and present as a marked instant,
 /// and the per-ring drop ledger balances exactly.
@@ -451,7 +458,7 @@ fn flight_dump_validates_as_perfetto_trace() {
             {
                 let _s = chronus::trace::span!("gdump.dumped", case = 1u64).entered();
             }
-            let doc = FlightRecorder::snapshot_json("golden-trigger");
+            let doc = dump_json("golden-trigger");
             FlightRecorder::disable();
             (doc, Some("golden-trigger"))
         }
@@ -493,7 +500,7 @@ fn flight_dump_carries_string_fields() {
         &FlightRecorder::snapshot(),
         &[motivating.span_id, refused.span_id],
     );
-    let text = FlightRecorder::snapshot_json("golden-strings");
+    let text = dump_json("golden-strings");
     FlightRecorder::disable();
 
     assert_well_formed_trace(&text, Parents::MayDrop);
