@@ -48,8 +48,9 @@
 //! ## Dumps and triggers
 //!
 //! [`FlightRecorder::trigger`] writes a forensic dump — the
-//! reassembled timeline as Chrome trace-event JSON plus a metrics
-//! snapshot under a `chronusMeta` key — atomically (tmp + rename, the
+//! time-ordered timeline as Chrome trace-event JSON plus a metrics
+//! snapshot under a `chronusMeta` key, streamed slot by slot
+//! ([`FlightRecorder::write_dump`]) — atomically (tmp + rename, the
 //! journal's discipline) and rate-limited so a trigger storm produces
 //! one dump, not hundreds. [`FlightRecorder::force_dump`] bypasses the
 //! rate limit for operator-initiated dumps (SIGUSR1, `chronusctl
